@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-json escape-baseline fmt race invariants chaos chaos-churn bench bench-json bench-guard splpo-bench loadbench check
+.PHONY: build test vet lint lint-json escape-baseline fmt race invariants chaos chaos-churn bench bench-check bench-json bench-guard splpo-bench loadbench check
 
 build:
 	$(GO) build ./...
@@ -68,6 +68,13 @@ chaos-churn:
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
+# bench-check vets and tests the driver's benchmark (bench/, the contract in
+# BENCHMARK.json). It is a Go module of its own, so the root module's
+# `go build ./...` and `go test ./...` never see it — yet it compiles against
+# this module's internals, and a change here can break it silently.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # bench-json runs the campaign-speed benchmarks plus the concurrent-API
 # benchmarks (at 1 and 8 procs, lock-free vs the serialized seed
 # architecture), the SPLPO solver head-to-heads, the churn-reconciler
@@ -98,9 +105,9 @@ bench-json:
 bench-guard:
 	$(GO) run ./cmd/benchjson -guard BENCH_10.json
 
-# splpo-bench runs just the solver head-to-heads (exhaustive vs the old
-# bitmask LocalSearch vs the anytime solver, plus the delta-vs-full move
-# cost and warm-vs-cold reoptimization) with human-readable output.
+# splpo-bench runs just the solver head-to-heads (exhaustive vs the anytime
+# solver, plus the delta-vs-full move cost and warm-vs-cold reoptimization)
+# with human-readable output.
 splpo-bench:
 	$(GO) test -run xxx -bench 'BenchmarkSolver15|BenchmarkFeasible500|BenchmarkAnytime|BenchmarkFullEval500|BenchmarkDeltaMove500|BenchmarkWarmVsCold500' \
 		-benchmem -benchtime 1x ./internal/core/splpo/
@@ -113,6 +120,7 @@ loadbench:
 	@cat LOADBENCH_6.json
 
 # check is the CI gate: formatting, static analysis, the full suite, the
-# race pass, the invariant-audited BGP suite, the chaos suites, and the
-# benchmark regression guard over the checked-in BENCH document.
-check: fmt vet lint test race invariants chaos chaos-churn bench-guard
+# race pass, the invariant-audited BGP suite, the chaos suites, the
+# benchmark module's own vet and tests, and the benchmark regression guard
+# over the checked-in BENCH document.
+check: fmt vet lint test race invariants chaos chaos-churn bench-check bench-guard

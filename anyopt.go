@@ -197,38 +197,31 @@ func (s *System) RunDiscovery() error {
 }
 
 // InstallCampaign publishes campaign results as a fresh immutable Snapshot
-// and mirrors them into the System's legacy fields. It is the single write
-// point for campaign state: RunDiscovery, campaign import, and the API's
-// async discovery jobs all end here. Concurrent readers observe either the
-// previous snapshot or the new one, never a mix.
+// with every row current: RunDiscovery, campaign import, and the API's async
+// discovery jobs all end here.
+func (s *System) InstallCampaign(pred *predict.Predictor, rtt *discovery.RTTTable, annOrder []prefs.Item, experiments int, quarantined map[int]string) *Snapshot {
+	return s.publish(pred, rtt, annOrder, experiments, quarantined, nil)
+}
+
+// PatchCampaign publishes a row-patched successor of the current campaign,
+// as the churn reconciler builds it. The inputs are already-patched
+// copy-on-write structures (prefs.Store.PatchClients,
+// discovery.RTTTable.Patch). staleRows carries the rows still awaiting
+// repair, keyed to the generation whose data they reflect; nil means fully
+// healed.
+func (s *System) PatchCampaign(pred *predict.Predictor, rtt *discovery.RTTTable, annOrder []prefs.Item, experiments int, quarantined map[int]string, staleRows map[prefs.Client]uint64) *Snapshot {
+	return s.publish(pred, rtt, annOrder, experiments, quarantined, staleRows)
+}
+
+// publish is the single write point for campaign state: it freezes the
+// inputs into a fresh immutable Snapshot, numbers it, mirrors it into the
+// System's legacy fields and swaps the atomic pointer. The previous snapshot
+// is never touched; concurrent readers observe either it or the complete
+// successor, never a mix.
 //
 // Writers must be externally serialized (internal/api holds a writer lock);
 // readers need no coordination.
-func (s *System) InstallCampaign(pred *predict.Predictor, rtt *discovery.RTTTable, annOrder []prefs.Item, experiments int, quarantined map[int]string) *Snapshot {
-	snap := &Snapshot{
-		TB:          s.TB,
-		Pred:        pred,
-		RTT:         rtt,
-		AnnOrder:    append([]prefs.Item(nil), annOrder...),
-		Gen:         s.gen.Add(1),
-		Experiments: experiments,
-		Quarantined: maps.Clone(quarantined),
-	}
-	s.Pred, s.RTT, s.AnnOrder = pred, rtt, snap.AnnOrder
-	s.snap.Store(snap)
-	return snap
-}
-
-// PatchCampaign publishes a row-patched successor of the current campaign as
-// a fresh immutable Snapshot — InstallCampaign's sibling write point, used by
-// the churn reconciler. The inputs are already-patched copy-on-write
-// structures (prefs.Store.PatchClients, discovery.RTTTable.Patch): the
-// previous snapshot is never touched, readers observe either it or the
-// complete successor. staleRows carries the rows still awaiting repair,
-// keyed to the generation whose data they reflect; nil means fully healed.
-//
-// Writers must be externally serialized exactly like InstallCampaign.
-func (s *System) PatchCampaign(pred *predict.Predictor, rtt *discovery.RTTTable, annOrder []prefs.Item, experiments int, quarantined map[int]string, staleRows map[prefs.Client]uint64) *Snapshot {
+func (s *System) publish(pred *predict.Predictor, rtt *discovery.RTTTable, annOrder []prefs.Item, experiments int, quarantined map[int]string, staleRows map[prefs.Client]uint64) *Snapshot {
 	snap := &Snapshot{
 		TB:          s.TB,
 		Pred:        pred,
@@ -362,19 +355,11 @@ func (s *System) Optimize(k, maxSubsets int) (OptimizeResult, error) {
 // nothing but read-only campaign data.
 func (sn *Snapshot) Optimize(k, maxSubsets int) (OptimizeResult, error) {
 	in, clients := sn.Pred.BuildInstance(sn.AnnOrder)
-	opts := splpo.Options{ExactSize: k, MaxSubsets: maxSubsets}
-	var (
-		best      splpo.Assignment
-		evaluated int
-		err       error
-	)
 	if in.NumSites > 20 {
-		seed := uint64(1)<<uint(min(k, 20)) - 1
-		best, err = splpo.LocalSearch(in, seed, opts, 0)
-		evaluated = -1
-	} else {
-		best, evaluated, err = splpo.Exhaustive(in, opts)
+		// Too many subsets to enumerate: the anytime solver takes over.
+		return sn.search(in, len(clients), splpo.SearchOptions{ExactSize: k})
 	}
+	best, evaluated, err := splpo.Exhaustive(in, splpo.Options{ExactSize: k, MaxSubsets: maxSubsets})
 	if err != nil {
 		return OptimizeResult{}, fmt.Errorf("anyopt: optimize: %w", err)
 	}
@@ -436,19 +421,10 @@ func (s *System) OptimizeLoadAware(k, maxSubsets int, loads map[Client]float64, 
 // OptimizeLoadAware is System.OptimizeLoadAware against this snapshot.
 func (sn *Snapshot) OptimizeLoadAware(k, maxSubsets int, loads map[Client]float64, caps map[int]float64) (OptimizeResult, error) {
 	in, clients := sn.Pred.BuildInstanceWeighted(sn.AnnOrder, loads, caps)
-	opts := splpo.Options{ExactSize: k, MaxSubsets: maxSubsets, RequireFeasible: true}
-	var (
-		best      splpo.Assignment
-		evaluated int
-		err       error
-	)
 	if in.NumSites > 20 {
-		seed := uint64(1)<<uint(min(max(k, 1), 20)) - 1
-		best, err = splpo.LocalSearch(in, seed, opts, 0)
-		evaluated = -1
-	} else {
-		best, evaluated, err = splpo.Exhaustive(in, opts)
+		return sn.search(in, len(clients), splpo.SearchOptions{ExactSize: k, RequireFeasible: true})
 	}
+	best, evaluated, err := splpo.Exhaustive(in, splpo.Options{ExactSize: k, MaxSubsets: maxSubsets, RequireFeasible: true})
 	if err != nil {
 		return OptimizeResult{}, fmt.Errorf("anyopt: load-aware optimize: %w", err)
 	}

@@ -13,7 +13,9 @@ import (
 )
 
 // CheckpointVersion guards against loading incompatible checkpoint files.
-const CheckpointVersion = 1
+// Version 2 journals each experiment as a discovery.Sweep (dense
+// target-indexed columns); version 1 journaled per-client maps.
+const CheckpointVersion = 2
 
 // checkpointFile is the on-disk shape: experiment nonces (as decimal
 // strings, since JSON object keys are strings) to journal entries, plus the

@@ -168,27 +168,50 @@ func TestCheckpointScheduleMismatch(t *testing.T) {
 	if err := b.Disc.Err(); err == nil || !strings.Contains(err.Error(), "schedule changed") {
 		t.Errorf("schedule mismatch not detected: err = %v", err)
 	}
+
+	// Same schedule, different Internet: sweeps are read by target position,
+	// so a journal from another topology must be refused, not indexed.
+	opts := anyopt.DefaultOptions()
+	opts.Topology.NumStub += 10
+	c, err := anyopt.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck3, err := NewCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Disc.SetJournal(ck3)
+	if _, err := c.Disc.MeasureRTTs([]int{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Disc.Err(); err == nil || !strings.Contains(err.Error(), "different topology") {
+		t.Errorf("topology mismatch not detected: err = %v", err)
+	}
 }
 
 // TestCheckpointRejectsCorruptFiles: a damaged checkpoint is a clean error —
 // never a panic, never silently treated as empty.
 func TestCheckpointRejectsCorruptFiles(t *testing.T) {
 	dir := t.TempDir()
-	cases := map[string]string{
-		"garbage":       "not json{{{",
-		"truncated":     `{"version":1,"entries":{"1":{"kind":"rtt"`,
-		"wrong version": `{"version":99,"entries":{}}`,
-		"bad nonce key": `{"version":1,"entries":{"x":{"kind":"rtt","result":null,"probes":0}}}`,
+	cases := map[string]struct{ data, wantErr string }{
+		"garbage":       {"not json{{{", "corrupt"},
+		"truncated":     {`{"version":2,"entries":{"1":{"kind":"rtt"`, "corrupt"},
+		"wrong version": {`{"version":99,"entries":{}}`, "version 99, want 2"},
+		"bad nonce key": {`{"version":2,"entries":{"x":{"kind":"rtt","result":null,"probes":0}}}`, "invalid experiment key"},
+		// A version-1 journal holds per-client maps where version 2 holds
+		// sweeps; it must be turned away whole, never decoded entry by entry.
+		"map-era version": {`{"version":1,"entries":{"1":{"kind":"rtt","result":{"65":1000000},"probes":7}}}`, "version 1, want 2"},
 	}
 	i := 0
-	for name, data := range cases {
+	for name, tc := range cases {
 		i++
 		p := filepath.Join(dir, "ck"+string(rune('0'+i)))
-		if err := os.WriteFile(p, []byte(data), 0o644); err != nil {
+		if err := os.WriteFile(p, []byte(tc.data), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := NewCheckpoint(p); err == nil {
-			t.Errorf("%s: corrupt checkpoint loaded without error", name)
+		if _, err := NewCheckpoint(p); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: err = %v, want one mentioning %q", name, err, tc.wantErr)
 		}
 	}
 	// A missing file is a fresh campaign, not an error.

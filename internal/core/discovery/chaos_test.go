@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -235,5 +236,73 @@ func TestFaultsDisabledIsByteIdentical(t *testing.T) {
 	}
 	if len(d2.FaultLog()) != 0 || d2.Quarantined() != nil {
 		t.Error("disabled faults still produced fault-log or quarantine state")
+	}
+}
+
+// TestChaosConfigurationRTTsReachRowQuorum pins the ad-hoc measurement path
+// under faults: RunConfigurationsRTTs (System.MeasureConfigurations) votes
+// row by row like every campaign experiment, so under the paper fault
+// scenario every row of a deployed 8-site configuration reaches quorum and
+// the catchments are the fault-free ones. While ConfigResult was voted on as
+// one value, no two attempts ever agreed across all targets and the
+// experiment fell to a whole-result plurality — one faulted attempt, accepted
+// as is, a catchment and one RTT in six off.
+//
+// RTT cells are held to a looser bound than catchments on purpose. An RTT is
+// the median of seven samples; an attempt that loses one sample at or above
+// the median reports the next sample down — the same wrong value every time —
+// so at the paper scenario's 1% loss two such attempts out-vote the clean
+// value on about 3% of rows (here 10 of 340). That is a property of 2-of-5
+// voting over medians, shared with the campaign's singleton experiments, not
+// of how rows are voted.
+func TestChaosConfigurationRTTsReachRowQuorum(t *testing.T) {
+	sites := rand.New(rand.NewSource(8)).Perm(15)[:8]
+	for i := range sites {
+		sites[i]++ // site IDs are 1-based
+	}
+	measure := func(faults *fault.Config) (ConfigResult, []string) {
+		cfg := DefaultConfig()
+		cfg.Faults = faults
+		d := New(newTB(t), cfg)
+		res := d.RunConfigurationsRTTs([][]int{sites})[0]
+		if err := d.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return res, d.FaultLog()
+	}
+	paper, err := fault.Scenario("paper", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, _ := measure(nil)
+	faulted, log := measure(paper)
+
+	if len(log) == 0 {
+		t.Fatal("faulted measurement produced no fault log; chaos layer not exercised")
+	}
+	for _, line := range log {
+		if strings.Contains(line, "plurality") {
+			t.Errorf("measurement not settled by quorum: %s", line)
+		}
+	}
+	rows := len(clean.Catchments)
+	if rows == 0 || len(faulted.Catchments) != rows || len(faulted.RTTs) != len(clean.RTTs) {
+		t.Fatalf("clean run measured %d catchments and %d RTTs, faulted %d and %d",
+			rows, len(clean.RTTs), len(faulted.Catchments), len(faulted.RTTs))
+	}
+	sameSite, sameRTT := 0, 0
+	for c, site := range clean.Catchments {
+		if faulted.Catchments[c] == site {
+			sameSite++
+		}
+		if rtt, ok := faulted.RTTs[c]; ok && rtt == clean.RTTs[c] {
+			sameRTT++
+		}
+	}
+	if float64(sameSite) < 0.999*float64(rows) {
+		t.Errorf("only %d of %d catchments match the fault-free measurement", sameSite, rows)
+	}
+	if float64(sameRTT) < 0.95*float64(rows) {
+		t.Errorf("only %d of %d RTTs match the fault-free measurement", sameRTT, rows)
 	}
 }

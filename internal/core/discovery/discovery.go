@@ -16,16 +16,22 @@
 // campaign's results byte-identical whether the batch runs on one worker or
 // many.
 //
+// Every experiment returns one Sweep — dense columns over the target
+// positions — and that one type is what the quorum votes on, the journal
+// stores, and the columnar stores are filled from by index.
+//
 // The campaign self-heals under injected faults (see resilience.go): each
-// experiment is re-run until K attempts agree (quorum), dead sites are
-// quarantined and their experiment slots skipped (keeping the nonce schedule
-// aligned with a fault-free run), and an optional Journal checkpoints
-// completed experiments so a killed campaign resumes byte-identically.
+// experiment is re-run until K attempts agree on every row (quorum), dead
+// sites are quarantined and their experiment slots skipped (keeping the
+// nonce schedule aligned with a fault-free run), and an optional Journal
+// checkpoints completed experiments so a killed campaign resumes
+// byte-identically.
 package discovery
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -61,10 +67,11 @@ type Config struct {
 	// fault-free, byte-identical to a build without the chaos layer).
 	Faults *fault.Config
 	// QuorumK/QuorumN govern self-healing re-measurement when faults are
-	// enabled: an experiment's result is accepted once K of up to N attempts
-	// agree exactly (defaults 2 of 5). Attempts reuse the experiment's
-	// jitter nonce and noise seed, so a fault-free attempt reproduces the
-	// fault-free result exactly — which is why agreement converges to it.
+	// enabled: each row of an experiment's sweep is accepted once K of up to
+	// N attempts agree on it exactly (defaults 2 of 5). Attempts reuse the
+	// experiment's jitter nonce and noise seed, so a fault-free attempt
+	// reproduces the fault-free row exactly — which is why agreement
+	// converges to it.
 	QuorumK, QuorumN int
 	// ExperimentTimeout bounds one experiment attempt in wall-clock time;
 	// 0 (the default) disables it. A timeout abandons the attempt's
@@ -391,6 +398,104 @@ func (e *Exp) deploySimultaneous(a, b int) *bgp.Sim {
 	return sim
 }
 
+// Sweep is one experiment's result: a Verfploeter sweep (§3.1) — one flat
+// (target → site, rtt) row per pinged target — held as dense columns over
+// the position in tb.Topo.Targets. A column the experiment does not measure
+// stays nil, and the zero Sweep (a skipped slot: quarantined pair, another
+// shard's nonce) reads as "no answer" everywhere. Every layer between the
+// probe and the columnar stores — quorum, journal, store append — works on
+// these columns by index.
+type Sweep struct {
+	// Site is each target's catchment site ID; 0 means no answer (site IDs
+	// start at 1).
+	Site []int32 `json:"site,omitempty"`
+	// Link is the origin-side link the reply entered over (transit or
+	// peering), decoded from the per-interface GRE key; read only where
+	// Site is non-zero.
+	Link []int32 `json:"link,omitempty"`
+	// RTT is each target's measured RTT in nanoseconds, rttMissing where
+	// unmeasured. A parallel-prefix slot lays its per-prefix rows end to end.
+	RTT []int64 `json:"rtt,omitempty"`
+}
+
+// row is one target's cells across a sweep's columns — the unit the quorum
+// votes on and the ad-hoc map views read.
+type row struct {
+	site, link int32
+	rtt        int64
+}
+
+// rows returns the sweep's row count: the length of its longest column.
+func (sw Sweep) rows() int { return max(len(sw.Site), len(sw.Link), len(sw.RTT)) }
+
+// row returns row i; a column the sweep lacks reads as no answer.
+func (sw Sweep) row(i int) row {
+	r := row{rtt: rttMissing}
+	if i < len(sw.Site) {
+		r.site = sw.Site[i]
+	}
+	if i < len(sw.Link) {
+		r.link = sw.Link[i]
+	}
+	if i < len(sw.RTT) {
+		r.rtt = sw.RTT[i]
+	}
+	return r
+}
+
+// measure is the campaign's one measurement loop: a single pass over the
+// targets, one row per target. With via nil it probes each target's
+// catchment (Site, plus Link when withLink) and, when withRTT, the RTT
+// through the catchment site; with via set it measures only the RTT through
+// that site's tunnel (singleton experiments). Targets that are filtered out,
+// or whose probes are lost or unroutable, keep the column's no-answer value.
+func (e *Exp) measure(p *probe.Prober, via *testbed.Site, withLink, withRTT bool) Sweep {
+	tb := e.d.TB
+	n := len(tb.Topo.Targets)
+	var sw Sweep
+	if via == nil {
+		sw.Site = make([]int32, n)
+	}
+	if withLink {
+		sw.Link = make([]int32, n)
+	}
+	if withRTT {
+		sw.RTT = missingRTTs(n)
+	}
+	for i, tg := range tb.Topo.Targets {
+		if !e.d.targetIncluded(tg.AS) {
+			continue
+		}
+		// Rewind the noise/fault streams to this target's position: each
+		// target's measurement is then a pure function of (experiment,
+		// target), independent of which other targets were probed — what
+		// keeps a filtered campaign byte-identical to a full one.
+		p.BeginTarget(uint64(tg.AS))
+		site := via
+		if site == nil {
+			key, err := p.CatchmentRetry(tg.Addr, 3)
+			if err != nil {
+				continue
+			}
+			link, okLink := tb.LinkByTunnelKey(key)
+			if site = tb.SiteByTunnelKey(key); site == nil || !okLink {
+				continue
+			}
+			sw.Site[i] = int32(site.ID)
+			if withLink {
+				sw.Link[i] = int32(link)
+			}
+		}
+		if withRTT {
+			if rtt, err := p.RTT(site.TunnelKey, site.TunnelAddr, site.TunnelRTT, tg.Addr); err == nil {
+				sw.RTT[i] = int64(rtt)
+			}
+		}
+	}
+	e.probes += p.Sent
+	return sw
+}
+
 // Observation is one client's measured state under a deployed configuration.
 type Observation struct {
 	// Site is the catchment site ID.
@@ -401,76 +506,6 @@ type Observation struct {
 	// RTT is the measured client↔site RTT; valid only when HasRTT.
 	RTT    time.Duration
 	HasRTT bool
-}
-
-// observe measures every target's catchment (and optionally RTT) under the
-// current routing state. Targets whose probes are lost or unroutable are
-// absent from the result.
-func (e *Exp) observe(p *probe.Prober, withRTT bool) map[prefs.Client]Observation {
-	tb := e.d.TB
-	out := make(map[prefs.Client]Observation, len(tb.Topo.Targets))
-	for _, tg := range tb.Topo.Targets {
-		if !e.d.targetIncluded(tg.AS) {
-			continue
-		}
-		// Rewind the noise/fault streams to this target's position: each
-		// target's measurement is then a pure function of (experiment,
-		// target), independent of which other targets were probed — what
-		// keeps a filtered campaign byte-identical to a full one.
-		p.BeginTarget(uint64(tg.AS))
-		key, err := p.CatchmentRetry(tg.Addr, 3)
-		if err != nil {
-			continue
-		}
-		site := tb.SiteByTunnelKey(key)
-		link, okLink := tb.LinkByTunnelKey(key)
-		if site == nil || !okLink {
-			continue
-		}
-		obs := Observation{Site: site.ID, Link: link}
-		if withRTT {
-			if rtt, err := p.RTT(site.TunnelKey, site.TunnelAddr, site.TunnelRTT, tg.Addr); err == nil {
-				obs.RTT, obs.HasRTT = rtt, true
-			}
-		}
-		out[prefs.Client(tg.AS)] = obs
-	}
-	e.probes += p.Sent
-	return out
-}
-
-// catchments reduces observe to site IDs, for preference discovery.
-func (e *Exp) catchments(p *probe.Prober) map[prefs.Client]int {
-	out := make(map[prefs.Client]int)
-	for c, obs := range e.observe(p, false) {
-		out[c] = obs.Site
-	}
-	return out
-}
-
-// singletonRTTs announces site id alone and measures every target's RTT to
-// it through the site's tunnel.
-func (e *Exp) singletonRTTs(id int) map[prefs.Client]time.Duration {
-	site := e.d.TB.Site(id)
-	sim := e.sim()
-	dep := e.d.TB.NewDeployment(sim, 0)
-	dep.AnnounceSites(id)
-	p := e.prober(sim)
-
-	m := make(map[prefs.Client]time.Duration, len(e.d.TB.Topo.Targets))
-	for _, tg := range e.d.TB.Topo.Targets {
-		if !e.d.targetIncluded(tg.AS) {
-			continue
-		}
-		p.BeginTarget(uint64(tg.AS))
-		rtt, err := p.RTT(site.TunnelKey, site.TunnelAddr, site.TunnelRTT, tg.Addr)
-		if err != nil {
-			continue
-		}
-		m[prefs.Client(tg.AS)] = rtt
-	}
-	e.probes += p.Sent
-	return m
 }
 
 // PeerDeployment describes one experiment for RunConfigurationsWithPeers:
@@ -484,11 +519,27 @@ type PeerDeployment struct {
 // the worker pool and returns full per-client observations (including RTTs)
 // in entry order — the workhorse of the one-pass peering experiments (§4.4).
 func (d *Discovery) RunConfigurationsWithPeers(deps []PeerDeployment) []map[prefs.Client]Observation {
-	out := runBatch(d, "peers", len(deps), func(e *Exp, i int) map[prefs.Client]Observation {
+	sweeps := d.runBatch("peers", len(deps), func(e *Exp, i int) Sweep {
 		sim := e.deploy(deps[i].Sites, deps[i].Peers)
-		return e.observe(e.prober(sim), true)
+		return e.measure(e.prober(sim), nil, true, true)
 	})
 	d.Experiments += len(deps)
+	targets := d.TB.Topo.Targets
+	out := make([]map[prefs.Client]Observation, len(sweeps))
+	for i, sw := range sweeps {
+		out[i] = make(map[prefs.Client]Observation, len(sw.Site))
+		for p := range sw.Site {
+			r := sw.row(p)
+			if r.site == 0 {
+				continue
+			}
+			obs := Observation{Site: int(r.site), Link: topology.LinkID(r.link)}
+			if r.rtt != rttMissing {
+				obs.RTT, obs.HasRTT = time.Duration(r.rtt), true
+			}
+			out[i][prefs.Client(targets[p].AS)] = obs
+		}
+	}
 	return out
 }
 
@@ -499,15 +550,38 @@ func (d *Discovery) RunConfigurationWithPeers(siteIDs []int, peers []topology.Li
 	return d.RunConfigurationsWithPeers([]PeerDeployment{{Sites: siteIDs, Peers: peers}})[0]
 }
 
+// runConfigs runs one ordered deployment per configuration across the worker
+// pool and returns the catchment sweeps in configuration order.
+func (d *Discovery) runConfigs(kind string, configs [][]int, withRTT bool) []Sweep {
+	out := d.runBatch(kind, len(configs), func(e *Exp, i int) Sweep {
+		sim := e.deploy(configs[i], nil)
+		return e.measure(e.prober(sim), nil, false, withRTT)
+	})
+	d.Experiments += len(configs)
+	return out
+}
+
+// siteMap is the map view of a sweep's Site column, for the ad-hoc
+// measurement API: answered targets only, keyed by client.
+func (d *Discovery) siteMap(sw Sweep) map[prefs.Client]int {
+	out := make(map[prefs.Client]int, len(sw.Site))
+	for p, site := range sw.Site {
+		if site != 0 {
+			out[prefs.Client(d.TB.Topo.Targets[p].AS)] = int(site)
+		}
+	}
+	return out
+}
+
 // RunConfigurations runs one ordered deployment per configuration across the
 // worker pool and returns measured catchments in configuration order,
 // byte-identical to calling RunConfiguration once per entry.
 func (d *Discovery) RunConfigurations(configs [][]int) []map[prefs.Client]int {
-	out := runBatch(d, "config", len(configs), func(e *Exp, i int) map[prefs.Client]int {
-		sim := e.deploy(configs[i], nil)
-		return e.catchments(e.prober(sim))
-	})
-	d.Experiments += len(configs)
+	sweeps := d.runConfigs("config", configs, false)
+	out := make([]map[prefs.Client]int, len(sweeps))
+	for i, sw := range sweeps {
+		out[i] = d.siteMap(sw)
+	}
 	return out
 }
 
@@ -528,19 +602,17 @@ type ConfigResult struct {
 // worker pool, measuring each target's catchment and the RTT to it, and
 // returns results in configuration order.
 func (d *Discovery) RunConfigurationsRTTs(configs [][]int) []ConfigResult {
-	out := runBatch(d, "configrtt", len(configs), func(e *Exp, i int) ConfigResult {
-		sim := e.deploy(configs[i], nil)
-		catch := make(map[prefs.Client]int, len(d.TB.Topo.Targets))
-		rtts := make(map[prefs.Client]time.Duration, len(d.TB.Topo.Targets))
-		for c, obs := range e.observe(e.prober(sim), true) {
-			catch[c] = obs.Site
-			if obs.HasRTT {
-				rtts[c] = obs.RTT
+	sweeps := d.runConfigs("configrtt", configs, true)
+	out := make([]ConfigResult, len(sweeps))
+	for i, sw := range sweeps {
+		rtts := make(map[prefs.Client]time.Duration, len(sw.Site))
+		for p := range sw.Site {
+			if r := sw.row(p); r.site != 0 && r.rtt != rttMissing {
+				rtts[prefs.Client(d.TB.Topo.Targets[p].AS)] = time.Duration(r.rtt)
 			}
 		}
-		return ConfigResult{Catchments: catch, RTTs: rtts}
-	})
-	d.Experiments += len(configs)
+		out[i] = ConfigResult{Catchments: d.siteMap(sw), RTTs: rtts}
+	}
 	return out
 }
 
@@ -576,6 +648,15 @@ type RTTTable struct {
 // rttMissing marks an unmeasured (site, client) cell. Real RTTs are
 // non-negative, so the sentinel can never collide with a measurement.
 const rttMissing int64 = -1
+
+// missingRTTs returns an RTT column of n unmeasured cells.
+func missingRTTs(n int) []int64 {
+	col := make([]int64, n)
+	for i := range col {
+		col[i] = rttMissing
+	}
+	return col
+}
 
 // siteIdx binary-searches the site column; returns -1 when absent.
 func (t *RTTTable) siteIdx(site int) int {
@@ -655,51 +736,95 @@ func (t *RTTTable) SiteRTTs(site int, fn func(c prefs.Client, ns int64)) {
 	}
 }
 
-// newRTTTableFromRows builds the columnar table from per-site measurement
-// rows (rows[i] belongs to siteIDs[i]). The client column is the sorted
-// union of every row's keys; sites keep every ID handed in, including sites
-// whose row came back empty (quarantined sites still occupy their column).
-func newRTTTableFromRows(siteIDs []int, rows []map[prefs.Client]time.Duration) *RTTTable {
+// newRTTTable builds the columnar table from dense per-site RTT columns:
+// rows[i] belongs to siteIDs[i] and holds one cell per position of clients
+// (rttMissing where unmeasured; a nil row is all missing). The client column
+// is the sorted set of clients some site measured; sites keep every ID handed
+// in, including sites whose row came back empty (quarantined sites still
+// occupy their column). Campaign targets arrive client-sorted, but any
+// position order — and a client repeated across positions, where the later
+// measured cell wins — builds the same table.
+func newRTTTable(siteIDs []int, clients []prefs.Client, rows [][]int64) *RTTTable {
 	order := make([]int, len(siteIDs))
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool { return siteIDs[order[a]] < siteIDs[order[b]] })
 
-	seen := make(map[prefs.Client]bool)
+	measured := make([]bool, len(clients))
+	n := 0
 	for _, row := range rows {
-		for c := range row {
-			seen[c] = true
+		for p, ns := range row {
+			if ns != rttMissing && !measured[p] {
+				measured[p] = true
+				n++
+			}
 		}
 	}
-	clients := make([]prefs.Client, 0, len(seen))
-	for c := range seen {
-		clients = append(clients, c)
+	keys := make([]prefs.Client, 0, n)
+	for p, ok := range measured {
+		if ok {
+			keys = append(keys, clients[p])
+		}
 	}
-	sort.Slice(clients, func(a, b int) bool { return clients[a] < clients[b] })
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
 
 	t := &RTTTable{
 		sites:   make([]int, len(siteIDs)),
-		clients: clients,
+		clients: keys,
 		cols:    make([][]int64, len(siteIDs)),
 		counts:  make([]int, len(siteIDs)),
+	}
+	// cell[p] is position p's index in the client column, resolved once per
+	// position rather than once per cell.
+	cell := make([]int32, len(clients))
+	for p, ok := range measured {
+		if ok {
+			cell[p] = int32(t.clientIdx(clients[p]))
+		}
 	}
 	// All value columns share one backing slab: a single large allocation is
 	// page-rounded by the allocator, where per-column slabs each eat the gap
 	// to their size class — measurable bytes-per-client at campaign scale.
-	backing := make([]int64, len(siteIDs)*len(clients))
-	for i := range backing {
-		backing[i] = rttMissing
-	}
+	backing := missingRTTs(len(siteIDs) * len(keys))
 	for si, oi := range order {
 		t.sites[si] = siteIDs[oi]
-		col := backing[si*len(clients) : (si+1)*len(clients) : (si+1)*len(clients)]
-		//lint:orderinvariant each key writes its own column cell; cells are disjoint, so visit order cannot matter
-		for c, d := range rows[oi] {
-			col[t.clientIdx(c)] = int64(d)
+		col := backing[si*len(keys) : (si+1)*len(keys) : (si+1)*len(keys)]
+		for p, ns := range rows[oi] {
+			if ns == rttMissing {
+				continue
+			}
+			if col[cell[p]] == rttMissing {
+				t.counts[si]++
+			}
+			col[cell[p]] = ns
 		}
 		t.cols[si] = col
-		t.counts[si] = len(rows[oi])
+	}
+	return t
+}
+
+// rttTable builds the campaign RTT table from per-site RTT columns over the
+// target positions, and quarantines sites whose singleton experiment
+// produced no responses at all — with fault injection enabled, the signature
+// of a blacked-out site. Fault-free campaigns never quarantine: an empty row
+// there is a measurement bug worth surfacing downstream, not an outage.
+func (d *Discovery) rttTable(siteIDs []int, rows [][]int64) *RTTTable {
+	clients := make([]prefs.Client, len(d.TB.Topo.Targets))
+	for p, tg := range d.TB.Topo.Targets {
+		clients[p] = prefs.Client(tg.AS)
+	}
+	t := newRTTTable(siteIDs, clients, rows)
+	// Under a target filter an empty (or tiny) row says nothing about the
+	// site; cone repairs inherit quarantine from the snapshot they patch via
+	// RestoreQuarantine.
+	if d.Cfg.Faults.Enabled() && d.Cfg.TargetFilter == nil {
+		for _, id := range siteIDs {
+			if t.Clients(id) == 0 {
+				d.QuarantineSite(id, "no RTT responses in singleton experiment")
+			}
+		}
 	}
 	return t
 }
@@ -712,30 +837,17 @@ func (d *Discovery) MeasureRTTs(siteIDs []int) (*RTTTable, error) {
 			return nil, fmt.Errorf("discovery: unknown site %d", id)
 		}
 	}
-	rows := runBatch(d, "rtt", len(siteIDs), func(e *Exp, i int) map[prefs.Client]time.Duration {
-		return e.singletonRTTs(siteIDs[i])
+	sweeps := d.runBatch("rtt", len(siteIDs), func(e *Exp, i int) Sweep {
+		sim := e.sim()
+		d.TB.NewDeployment(sim, 0).AnnounceSites(siteIDs[i])
+		return e.measure(e.prober(sim), d.TB.Site(siteIDs[i]), false, true)
 	})
 	d.Experiments += len(siteIDs)
-	d.detectDeadSites(siteIDs, rows)
-	return newRTTTableFromRows(siteIDs, rows), nil
-}
-
-// detectDeadSites quarantines sites whose singleton experiment produced no
-// responses at all — with fault injection enabled, the signature of a
-// blacked-out site. Fault-free campaigns never quarantine: an empty row
-// there is a measurement bug worth surfacing downstream, not an outage.
-func (d *Discovery) detectDeadSites(siteIDs []int, rows []map[prefs.Client]time.Duration) {
-	if !d.Cfg.Faults.Enabled() || d.Cfg.TargetFilter != nil {
-		// Under a target filter an empty (or tiny) row says nothing about
-		// the site; cone repairs inherit quarantine from the snapshot they
-		// patch via RestoreQuarantine.
-		return
+	rows := make([][]int64, len(sweeps))
+	for i, sw := range sweeps {
+		rows[i] = sw.RTT
 	}
-	for i, id := range siteIDs {
-		if len(rows[i]) == 0 {
-			d.QuarantineSite(id, "no RTT responses in singleton experiment")
-		}
-	}
+	return d.rttTable(siteIDs, rows), nil
 }
 
 // MeasureRTTsParallel is MeasureRTTs with the §4.5 parallelization: up to
@@ -755,46 +867,38 @@ func (d *Discovery) MeasureRTTsParallel(siteIDs []int) (*RTTTable, error) {
 		}
 	}
 	nSlots := (len(siteIDs) + nPrefixes - 1) / nPrefixes
-	slotRows := runBatch(d, "rttpar", nSlots, func(e *Exp, slot int) []map[prefs.Client]time.Duration {
-		start := slot * nPrefixes
-		group := siteIDs[start:min(start+nPrefixes, len(siteIDs))]
+	nTargets := len(d.TB.Topo.Targets)
+	group := func(slot int) []int {
+		return siteIDs[slot*nPrefixes : min((slot+1)*nPrefixes, len(siteIDs))]
+	}
+	sweeps := d.runBatch("rttpar", nSlots, func(e *Exp, slot int) Sweep {
 		sim := e.sim()
 		// One prefix per site, announced simultaneously: distinct prefixes
 		// never interact, so a slot carries len(group) experiments.
-		for i, id := range group {
+		for i, id := range group(slot) {
 			sim.Announce(bgp.PrefixID(i), d.TB.Origin, d.TB.Site(id).TransitLink, 0)
 		}
 		sim.Converge()
-		out := make([]map[prefs.Client]time.Duration, len(group))
-		for i, id := range group {
-			site := d.TB.Site(id)
+		out := Sweep{RTT: make([]int64, 0, len(group(slot))*nTargets)}
+		for i, id := range group(slot) {
 			p := e.proberAt(sim, bgp.PrefixID(i), int64(i))
-			m := make(map[prefs.Client]time.Duration, len(d.TB.Topo.Targets))
-			for _, tg := range d.TB.Topo.Targets {
-				if !d.targetIncluded(tg.AS) {
-					continue
-				}
-				p.BeginTarget(uint64(tg.AS))
-				rtt, err := p.RTT(site.TunnelKey, site.TunnelAddr, site.TunnelRTT, tg.Addr)
-				if err != nil {
-					continue
-				}
-				m[prefs.Client(tg.AS)] = rtt
-			}
-			e.probes += p.Sent
-			out[i] = m
+			out.RTT = append(out.RTT, e.measure(p, d.TB.Site(id), false, true).RTT...)
 		}
 		return out
 	})
 	d.Experiments += len(siteIDs)
 	d.Slots += nSlots
 
-	rows := make([]map[prefs.Client]time.Duration, len(siteIDs))
-	for slot, group := range slotRows {
-		copy(rows[slot*nPrefixes:], group)
+	rows := make([][]int64, len(siteIDs))
+	for slot, sw := range sweeps {
+		if len(sw.RTT) != len(group(slot))*nTargets {
+			continue // skipped slot (another shard's nonce): rows stay nil
+		}
+		for i := range group(slot) {
+			rows[slot*nPrefixes+i] = sw.RTT[i*nTargets : (i+1)*nTargets]
+		}
 	}
-	d.detectDeadSites(siteIDs, rows)
-	return newRTTTableFromRows(siteIDs, rows), nil
+	return d.rttTable(siteIDs, rows), nil
 }
 
 // Representatives picks the default representative site (lowest ID) for each
@@ -814,40 +918,69 @@ func (d *Discovery) Representatives() map[topology.ASN]int {
 	return reps
 }
 
-// sortedClients returns m's keys in ascending order, so preference recording
-// — and with it the store's client enumeration order — never depends on map
-// iteration.
-func sortedClients[V any](m map[prefs.Client]V) []prefs.Client {
-	out := make([]prefs.Client, 0, len(m))
-	for c := range m {
-		out = append(out, c)
+// simultaneousPrefs runs the order-oblivious campaign over the given sites:
+// every pair announced simultaneously, one experiment per pair across the
+// worker pool, each answered row recorded as a strict preference for the item
+// its catchment site maps to, in a store over the items the sites map to.
+// Pairs touching a quarantined site are skipped — their slot (and nonce) is
+// still consumed, so the remaining experiments stay aligned with the
+// fault-free campaign schedule and produce identical results. Rows are read
+// by target position: targets are client-sorted, so the store's O(1) tail
+// append holds (an unsorted imported topology stays correct through the
+// store's ordered insert).
+func (d *Discovery) simultaneousPrefs(siteIDs []int, item func(siteID int) prefs.Item) (*prefs.Store, error) {
+	items := make([]prefs.Item, len(siteIDs))
+	for i, id := range siteIDs {
+		items[i] = item(id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// runSimultaneousPairs announces each pair of sites simultaneously, one
-// experiment per pair, across the worker pool, returning catchments in pair
-// order. Pairs touching a quarantined site are skipped — their slot (and
-// nonce) is still consumed, so the remaining experiments stay aligned with
-// the fault-free campaign schedule and produce identical results.
-func (d *Discovery) runSimultaneousPairs(pairs [][2]int) []map[prefs.Client]int {
+	store, err := prefs.NewStore(items)
+	if err != nil {
+		return nil, err
+	}
+	var pairs [][2]int
+	for a := 0; a < len(siteIDs); a++ {
+		for b := a + 1; b < len(siteIDs); b++ {
+			pairs = append(pairs, [2]int{siteIDs[a], siteIDs[b]})
+		}
+	}
+	skipped := func(pr [2]int) bool { return d.IsQuarantined(pr[0]) || d.IsQuarantined(pr[1]) }
 	for _, pr := range pairs {
-		if d.IsQuarantined(pr[0]) || d.IsQuarantined(pr[1]) {
+		if skipped(pr) {
 			d.faultLog = append(d.faultLog,
 				fmt.Sprintf("skip simultaneous pair %d-%d: quarantined site", pr[0], pr[1]))
 		}
 	}
-	out := runBatch(d, "simpair", len(pairs), func(e *Exp, i int) map[prefs.Client]int {
-		if d.IsQuarantined(pairs[i][0]) || d.IsQuarantined(pairs[i][1]) {
-			return nil
+	sweeps := d.runBatch("simpair", len(pairs), func(e *Exp, i int) Sweep {
+		if skipped(pairs[i]) {
+			return Sweep{}
 		}
 		sim := e.deploySimultaneous(pairs[i][0], pairs[i][1])
-		return e.catchments(e.prober(sim))
+		return e.measure(e.prober(sim), nil, false, false)
 	})
 	d.Experiments += len(pairs)
-	return out
+	targets := d.TB.Topo.Targets
+	for k, sw := range sweeps {
+		a, b := item(pairs[k][0]), item(pairs[k][1])
+		for p, site := range sw.Site {
+			if site == 0 {
+				continue
+			}
+			if err := store.RecordSimultaneous(prefs.Client(targets[p].AS), a, b, item(int(site))); err != nil {
+				return nil, err
+			}
+		}
+	}
+	store.Compact()
+	return store, nil
 }
+
+// providerItem maps a site ID to its transit provider, as a store item.
+func (d *Discovery) providerItem(siteID int) prefs.Item {
+	return prefs.Item(d.TB.Site(siteID).Transit)
+}
+
+// siteItem maps a site ID to itself as a store item.
+func siteItem(siteID int) prefs.Item { return prefs.Item(siteID) }
 
 // ProviderPrefs discovers each client's pairwise preferences between transit
 // providers using order-controlled experiments (§4.3 "Provider-Level
@@ -872,42 +1005,39 @@ func (d *Discovery) ProviderPrefs(reps map[topology.ASN]int) (*prefs.Store, erro
 			sa, okA := reps[pa]
 			sb, okB := reps[pb]
 			if !okA || !okB {
+				missing := pa
+				if okA {
+					missing = pb
+				}
 				// With faults enabled a provider can lose its last live site
 				// mid-campaign; degrade by skipping its pairs (recorded, not
 				// silent). Fault-free, a missing representative is caller
 				// error.
 				if d.Cfg.Faults.Enabled() {
-					missing := pa
-					if okA {
-						missing = pb
-					}
 					d.faultLog = append(d.faultLog, fmt.Sprintf(
 						"skip provider pair %d-%d: no live representative for provider %d", pa, pb, missing))
 					continue
 				}
-				if !okA {
-					return nil, fmt.Errorf("discovery: no representative for provider %d", pa)
-				}
-				return nil, fmt.Errorf("discovery: no representative for provider %d", pb)
+				return nil, fmt.Errorf("discovery: no representative for provider %d", missing)
 			}
 			pairs = append(pairs, pair{pa, pb})
 			configs = append(configs, []int{sa, sb}, []int{sb, sa})
 		}
 	}
-	results := d.RunConfigurations(configs)
+	sweeps := d.runConfigs("config", configs, false)
+	targets := d.TB.Topo.Targets
 	for k, pr := range pairs {
-		winAB, winBA := results[2*k], results[2*k+1]
-		for _, c := range sortedClients(winAB) {
-			siteAB := winAB[c]
-			siteBA, ok := winBA[c]
-			if !ok {
+		winAB, winBA := sweeps[2*k].Site, sweeps[2*k+1].Site
+		if len(winAB) != len(winBA) {
+			continue // one order was skipped (another shard's nonce)
+		}
+		for p, siteAB := range winAB {
+			siteBA := winBA[p]
+			if siteAB == 0 || siteBA == 0 {
 				continue // lost probes in one experiment: skip client
 			}
-			provOf := func(siteID int) prefs.Item {
-				return prefs.Item(d.TB.Site(siteID).Transit)
-			}
-			if err := store.RecordOrdered(c, prefs.Item(pr.a), prefs.Item(pr.b),
-				provOf(siteAB), provOf(siteBA)); err != nil {
+			if err := store.RecordOrdered(prefs.Client(targets[p].AS), prefs.Item(pr.a), prefs.Item(pr.b),
+				d.providerItem(int(siteAB)), d.providerItem(int(siteBA))); err != nil {
 				return nil, err
 			}
 		}
@@ -922,35 +1052,11 @@ func (d *Discovery) ProviderPrefs(reps map[topology.ASN]int) (*prefs.Store, erro
 // announcements").
 func (d *Discovery) ProviderPrefsNaive(reps map[topology.ASN]int) (*prefs.Store, error) {
 	providers := d.TB.TransitProviders()
-	items := make([]prefs.Item, len(providers))
+	ids := make([]int, len(providers))
 	for i, p := range providers {
-		items[i] = prefs.Item(p)
+		ids[i] = reps[p]
 	}
-	store, err := prefs.NewStore(items)
-	if err != nil {
-		return nil, err
-	}
-	type pair struct{ a, b topology.ASN }
-	var pairs []pair
-	var sitePairs [][2]int
-	for a := 0; a < len(providers); a++ {
-		for b := a + 1; b < len(providers); b++ {
-			pa, pb := providers[a], providers[b]
-			pairs = append(pairs, pair{pa, pb})
-			sitePairs = append(sitePairs, [2]int{reps[pa], reps[pb]})
-		}
-	}
-	results := d.runSimultaneousPairs(sitePairs)
-	for k, pr := range pairs {
-		for _, c := range sortedClients(results[k]) {
-			winner := prefs.Item(d.TB.Site(results[k][c]).Transit)
-			if err := store.RecordSimultaneous(c, prefs.Item(pr.a), prefs.Item(pr.b), winner); err != nil {
-				return nil, err
-			}
-		}
-	}
-	store.Compact()
-	return store, nil
+	return d.simultaneousPrefs(ids, d.providerItem)
 }
 
 // SitePrefs discovers each client's site-level preferences among the sites of
@@ -963,62 +1069,18 @@ func (d *Discovery) SitePrefs(provider topology.ASN) (*prefs.Store, error) {
 	if len(sites) == 0 {
 		return nil, fmt.Errorf("discovery: provider %d hosts no sites", provider)
 	}
-	items := make([]prefs.Item, len(sites))
+	ids := make([]int, len(sites))
 	for i, s := range sites {
-		items[i] = prefs.Item(s.ID)
+		ids[i] = s.ID
 	}
-	store, err := prefs.NewStore(items)
-	if err != nil {
-		return nil, err
-	}
-	var sitePairs [][2]int
-	for a := 0; a < len(sites); a++ {
-		for b := a + 1; b < len(sites); b++ {
-			sitePairs = append(sitePairs, [2]int{sites[a].ID, sites[b].ID})
-		}
-	}
-	results := d.runSimultaneousPairs(sitePairs)
-	for k, sp := range sitePairs {
-		for _, c := range sortedClients(results[k]) {
-			if err := store.RecordSimultaneous(c,
-				prefs.Item(sp[0]), prefs.Item(sp[1]), prefs.Item(results[k][c])); err != nil {
-				return nil, err
-			}
-		}
-	}
-	store.Compact()
-	return store, nil
+	return d.simultaneousPrefs(ids, siteItem)
 }
 
 // NaiveSitePrefs runs the flat order-oblivious baseline over arbitrary sites
 // across providers: every pair announced simultaneously once — the approach
 // whose total-order fraction collapses as sites are added (Figure 4c).
 func (d *Discovery) NaiveSitePrefs(siteIDs []int) (*prefs.Store, error) {
-	items := make([]prefs.Item, len(siteIDs))
-	for i, id := range siteIDs {
-		items[i] = prefs.Item(id)
-	}
-	store, err := prefs.NewStore(items)
-	if err != nil {
-		return nil, err
-	}
-	var sitePairs [][2]int
-	for a := 0; a < len(siteIDs); a++ {
-		for b := a + 1; b < len(siteIDs); b++ {
-			sitePairs = append(sitePairs, [2]int{siteIDs[a], siteIDs[b]})
-		}
-	}
-	results := d.runSimultaneousPairs(sitePairs)
-	for k, sp := range sitePairs {
-		for _, c := range sortedClients(results[k]) {
-			if err := store.RecordSimultaneous(c,
-				prefs.Item(sp[0]), prefs.Item(sp[1]), prefs.Item(results[k][c])); err != nil {
-				return nil, err
-			}
-		}
-	}
-	store.Compact()
-	return store, nil
+	return d.simultaneousPrefs(siteIDs, siteItem)
 }
 
 // Schedule estimates the wall-clock cost of a measurement campaign (§4.5
@@ -1081,112 +1143,42 @@ func (s Schedule) TotalDays() float64 {
 // immutable once published, so sharing the receiver is as safe as sharing
 // the snapshot it came from.
 func (t *RTTTable) Patch(patch *RTTTable, cone func(prefs.Client) bool) *RTTTable {
-	hit := false
-	for _, c := range t.clients {
-		if cone(c) {
-			hit = true
-			break
-		}
-	}
-	if !hit {
-		for _, c := range patch.clients {
-			if cone(c) {
-				hit = true
-				break
-			}
-		}
-	}
-	if !hit {
+	if !slices.ContainsFunc(t.clients, cone) && !slices.ContainsFunc(patch.clients, cone) {
 		return t
 	}
-
-	// The merged client column: t's clients (cone clients survive only when
-	// patch re-measured them for some of t's sites) plus patch-only cone
-	// clients. Keeping a cone client of t that patch dropped would be
-	// harmless — its cells all become missing — but dropping it keeps the
-	// column equal to what a from-scratch campaign on the patched state
-	// would build, which the byte-identity tests rely on.
-	keep := make([]prefs.Client, 0, len(t.clients)+len(patch.clients))
-	ti, pi := 0, 0
-	for ti < len(t.clients) || pi < len(patch.clients) {
-		var c prefs.Client
-		switch {
-		case pi >= len(patch.clients):
-			c = t.clients[ti]
-			ti++
-		case ti >= len(t.clients):
-			c = patch.clients[pi]
-			pi++
-		case t.clients[ti] < patch.clients[pi]:
-			c = t.clients[ti]
-			ti++
-		case patch.clients[pi] < t.clients[ti]:
-			c = patch.clients[pi]
-			pi++
-		default:
-			c = t.clients[ti]
-			ti++
-			pi++
-		}
+	// One dense row per site over the union of both client columns: cone
+	// clients read patch, the rest read t. The builder drops clients left
+	// with no cell on any of t's sites — a cone client patch did not
+	// re-measure, a patch-only client outside the cone — so the column equals
+	// what a from-scratch campaign on the patched state would build, which
+	// the byte-identity tests rely on.
+	union := slices.Concat(t.clients, patch.clients)
+	slices.Sort(union)
+	union = slices.Compact(union)
+	rows := make([][]int64, len(t.sites))
+	patchSite := make([]int, len(t.sites))
+	for si, site := range t.sites {
+		rows[si] = missingRTTs(len(union))
+		patchSite[si] = patch.siteIdx(site)
+	}
+	for p, c := range union {
 		if !cone(c) {
-			// Non-cone clients come only from t; a patch-only non-cone
-			// client has no cell in any of t's sites.
-			if i := t.clientIdx(c); i >= 0 {
-				keep = append(keep, c)
-			}
-			continue
-		}
-		// Cone client: survives only through patch cells on t's sites.
-		pci := patch.clientIdx(c)
-		if pci < 0 {
-			continue
-		}
-		present := false
-		for _, site := range t.sites {
-			if psi := patch.siteIdx(site); psi >= 0 && patch.cols[psi][pci] != rttMissing {
-				present = true
-				break
-			}
-		}
-		if present {
-			keep = append(keep, c)
-		}
-	}
-
-	// keep was sized for the worst-case union; re-copy exact so the published
-	// snapshot carries no merge headroom.
-	keep = append(make([]prefs.Client, 0, len(keep)), keep...)
-	out := &RTTTable{
-		sites:   append([]int(nil), t.sites...),
-		clients: keep,
-		cols:    make([][]int64, len(t.sites)),
-		counts:  make([]int, len(t.sites)),
-	}
-	backing := make([]int64, len(t.sites)*len(keep))
-	for si, site := range out.sites {
-		col := backing[si*len(keep) : (si+1)*len(keep) : (si+1)*len(keep)]
-		psi := patch.siteIdx(site)
-		n := 0
-		for ci, c := range keep {
-			ns := rttMissing
-			if cone(c) {
-				if psi >= 0 {
-					if pci := patch.clientIdx(c); pci >= 0 {
-						ns = patch.cols[psi][pci]
-					}
+			if ci := t.clientIdx(c); ci >= 0 {
+				for si := range rows {
+					rows[si][p] = t.cols[si][ci]
 				}
-			} else if tci := t.clientIdx(c); tci >= 0 {
-				ns = t.cols[si][tci]
 			}
-			col[ci] = ns
-			if ns != rttMissing {
-				n++
+			continue
+		}
+		if ci := patch.clientIdx(c); ci >= 0 {
+			for si, psi := range patchSite {
+				if psi >= 0 {
+					rows[si][p] = patch.cols[psi][ci]
+				}
 			}
 		}
-		out.cols[si] = col
-		out.counts[si] = n
 	}
-	return out
+	return newRTTTable(t.sites, union, rows)
 }
 
 // Export serializes the table as site → client → RTT nanoseconds.
@@ -1207,17 +1199,26 @@ func (t *RTTTable) Export() map[int]map[prefs.Client]int64 {
 // ImportRTTTable rebuilds a table from Export's format.
 func ImportRTTTable(data map[int]map[prefs.Client]int64) *RTTTable {
 	siteIDs := make([]int, 0, len(data))
-	for site := range data {
+	var clients []prefs.Client
+	for site, row := range data {
 		siteIDs = append(siteIDs, site)
+		for c := range row {
+			clients = append(clients, c)
+		}
 	}
 	sort.Ints(siteIDs)
-	rows := make([]map[prefs.Client]time.Duration, len(siteIDs))
+	slices.Sort(clients)
+	clients = slices.Compact(clients)
+	rows := make([][]int64, len(siteIDs))
 	for i, site := range siteIDs {
-		m := make(map[prefs.Client]time.Duration, len(data[site]))
-		for c, ns := range data[site] {
-			m[c] = time.Duration(ns)
+		rows[i] = make([]int64, len(clients))
+		for p, c := range clients {
+			ns, ok := data[site][c]
+			if !ok {
+				ns = rttMissing
+			}
+			rows[i][p] = ns
 		}
-		rows[i] = m
 	}
-	return newRTTTableFromRows(siteIDs, rows)
+	return newRTTTable(siteIDs, clients, rows)
 }

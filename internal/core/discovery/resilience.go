@@ -13,7 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"reflect"
+	"slices"
 	"sort"
 	"time"
 
@@ -22,7 +22,7 @@ import (
 )
 
 // JournalEntry is one checkpointed experiment result. Result holds the
-// experiment's JSON-encoded return value; Probes and Trace restore the
+// experiment's Sweep as JSON; Probes and Trace restore the
 // campaign's accounting and fault log on replay so a resumed campaign is
 // byte-identical to an uninterrupted one.
 type JournalEntry struct {
@@ -120,27 +120,27 @@ func sortedIntKeys[V any](m map[int]V) []int {
 }
 
 // runBatch runs n experiments through the worker pool and gathers their
-// results in submission order. Nonces are drawn from the campaign counter in
+// sweeps in submission order. Nonces are drawn from the campaign counter in
 // submission order before any experiment starts; probe counts and fault
 // traces fold back into the campaign totals after all finish, also in
 // submission order, so accounting and the fault log never depend on worker
 // scheduling. An infrastructure error (checkpoint I/O, schedule mismatch)
 // cancels the batch — in-flight experiments finish, queued ones never start
 // — and is surfaced through Err.
-func runBatch[T any](d *Discovery, kind string, n int, run func(e *Exp, i int) T) []T {
+func (d *Discovery) runBatch(kind string, n int, run func(e *Exp, i int) Sweep) []Sweep {
+	out := make([]Sweep, n)
 	if d.sharded() && d.Cfg.Faults.Enabled() {
 		if d.runErr == nil {
 			d.runErr = fmt.Errorf(
 				"discovery: sharded campaigns cannot run with fault injection (quarantine is cross-shard state)")
 		}
-		return make([]T, n)
+		return out
 	}
 	exps := make([]*Exp, n)
 	for i := range exps {
 		d.nonce++
 		exps[i] = &Exp{d: d, nonce: d.nonce}
 	}
-	out := make([]T, n)
 	parent := d.ctx
 	if parent == nil {
 		parent = context.Background()
@@ -148,11 +148,11 @@ func runBatch[T any](d *Discovery, kind string, n int, run func(e *Exp, i int) T
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 	err := d.pool.ForEachCtx(ctx, n, func(ctx context.Context, i int) error {
-		v, err := runExperiment(d, exps[i], kind, i, run)
+		sw, err := d.runExperiment(exps[i], kind, i, run)
 		if err != nil {
 			return err
 		}
-		out[i] = v
+		out[i] = sw
 		d.completed.Add(1)
 		return nil
 	})
@@ -167,80 +167,88 @@ func runBatch[T any](d *Discovery, kind string, n int, run func(e *Exp, i int) T
 }
 
 // runExperiment runs one experiment with checkpoint replay: a journaled
-// result short-circuits the run (restoring its probe count and fault trace),
-// a fresh result is journaled after the quorum accepts it.
-func runExperiment[T any](d *Discovery, e *Exp, kind string, i int, run func(*Exp, int) T) (T, error) {
-	var zero T
+// sweep short-circuits the run (restoring its probe count and fault trace),
+// a fresh sweep is journaled after the quorum accepts it.
+func (d *Discovery) runExperiment(e *Exp, kind string, i int, run func(*Exp, int) Sweep) (Sweep, error) {
 	if d.journal != nil {
 		if ent, ok := d.journal.Lookup(e.nonce); ok {
 			if ent.Kind != kind {
-				return zero, fmt.Errorf(
+				return Sweep{}, fmt.Errorf(
 					"discovery: checkpoint entry for experiment %d is %q, want %q (campaign schedule changed?)",
 					e.nonce, ent.Kind, kind)
 			}
-			var v T
-			if err := json.Unmarshal(ent.Result, &v); err != nil {
-				return zero, fmt.Errorf("discovery: checkpoint entry for experiment %d: %w", e.nonce, err)
+			var sw Sweep
+			if err := json.Unmarshal(ent.Result, &sw); err != nil {
+				return Sweep{}, fmt.Errorf("discovery: checkpoint entry for experiment %d: %w", e.nonce, err)
+			}
+			// Columns are read by target position, so a journal written over
+			// a different topology must fail here, not index out of range.
+			if n := len(d.TB.Topo.Targets); n == 0 || sw.rows()%n != 0 {
+				return Sweep{}, fmt.Errorf(
+					"discovery: checkpoint entry for experiment %d has %d rows, testbed has %d targets (different topology?)",
+					e.nonce, sw.rows(), n)
 			}
 			e.probes = ent.Probes
 			if len(ent.Trace) > 0 {
 				e.trace = &fault.Trace{}
 				e.trace.Append(ent.Trace...)
 			}
-			return v, nil
+			return sw, nil
 		}
 	}
 	// A sharded campaign runs only its own nonce range fresh; everything
 	// else is another shard's work. The nonce is already consumed (schedule
-	// stays aligned), the zero result feeds the shard's throwaway snapshot,
+	// stays aligned), the zero sweep feeds the shard's throwaway snapshot,
 	// and nothing is journaled — the merge replays the owning shard's entry.
 	if d.sharded() && !d.inShard(e.nonce) {
-		return zero, nil
+		return Sweep{}, nil
 	}
-	v, err := runQuorum(d, e, i, run)
+	sw, err := d.runQuorum(e, i, run)
 	if err != nil {
-		return zero, err
+		return Sweep{}, err
 	}
 	if d.journal != nil {
-		raw, merr := json.Marshal(v)
+		raw, merr := json.Marshal(sw)
 		if merr != nil {
-			return zero, fmt.Errorf("discovery: encoding experiment %d for checkpoint: %w", e.nonce, merr)
+			return Sweep{}, fmt.Errorf("discovery: encoding experiment %d for checkpoint: %w", e.nonce, merr)
 		}
 		ent := JournalEntry{Kind: kind, Result: raw, Probes: e.probes, Trace: e.trace.Entries()}
 		if jerr := d.journal.Record(e.nonce, ent); jerr != nil {
-			return zero, fmt.Errorf("discovery: checkpointing experiment %d: %w", e.nonce, jerr)
+			return Sweep{}, fmt.Errorf("discovery: checkpointing experiment %d: %w", e.nonce, jerr)
 		}
 	}
-	return v, nil
+	return sw, nil
 }
 
-// errQuorumPending signals exec.Retry that more attempts are needed — the
-// current result has not yet gathered K matching votes.
+// errQuorumPending signals exec.Retry that more attempts are needed — some
+// row has not yet gathered K matching votes.
 var errQuorumPending = errors.New("discovery: quorum pending")
 
-// runQuorum runs one experiment to an accepted result. Fault-free it is a
+// runQuorum runs one experiment to an accepted sweep. Fault-free it is a
 // single attempt, exactly the pre-chaos behavior. With faults enabled it
 // re-runs the experiment — each attempt drawing fresh faults but reusing the
-// experiment's jitter nonce and noise seed — until K attempts agree exactly.
-// Because only the faults vary between attempts, two attempts agreeing almost
-// surely means the faults did not affect either, so the quorum converges on
-// the fault-free result.
+// experiment's jitter nonce and noise seed — and votes row by row over the
+// attempts' columns: a row locks to the first value that gathers K agreeing
+// attempts, independent of every other row. Because only the faults vary
+// between attempts, two attempts agreeing on a row almost surely means the
+// faults touched neither, so each row converges on its fault-free value.
 //
-// Results that decompose into per-target rows (maps keyed by client, or
-// slices of such maps) vote row by row: each row locks to the first value
-// that gathers K agreeing attempts, independent of every other row. Per-row
-// voting matters twice over. It converges far faster under hot fault rates —
-// a whole-result vote needs one attempt with zero faults across all targets,
-// a row vote only needs two clean samples per row. And it makes the accepted
-// row a pure function of (experiment nonce, target): a cone-scoped repair
-// probing 10% of the targets accepts byte-identical rows to the full
-// campaign, which is what the reconcile differential test checks. Rows that
-// never reach quorum within N attempts degrade to their plurality value and
-// the degradation is logged. Non-decomposable results keep whole-value
-// voting.
-func runQuorum[T any](d *Discovery, e *Exp, i int, run func(*Exp, int) T) (T, error) {
+// Per-row voting matters twice over. It converges far faster under hot fault
+// rates — a whole-sweep vote needs one attempt with zero faults across all
+// targets, a row vote only needs two clean samples per row. And it makes the
+// accepted row a pure function of (experiment nonce, target): a cone-scoped
+// repair probing 10% of the targets accepts byte-identical rows to the full
+// campaign, which is what the reconcile differential test checks.
+//
+// Rows are dense, so every attempt casts a vote on every row and "no answer"
+// is a value like any other: a target that is filtered out, or silent for K
+// attempts, locks as unanswered by the same rule that locks an answer —
+// there is no set of known rows to maintain and nothing to backfill. Rows
+// that never reach quorum within N attempts degrade to their plurality value
+// (earliest wins ties) and the degradation is logged.
+func (d *Discovery) runQuorum(e *Exp, i int, run func(*Exp, int) Sweep) (Sweep, error) {
 	if !d.Cfg.Faults.Enabled() {
-		return runAttempt(d, e, i, 0, run)
+		return d.runAttempt(e, i, 0, run)
 	}
 	e.trace = &fault.Trace{}
 	k, n := d.Cfg.QuorumK, d.Cfg.QuorumN
@@ -254,246 +262,114 @@ func runQuorum[T any](d *Discovery, e *Exp, i int, run func(*Exp, int) T) (T, er
 	if backoff.Base <= 0 {
 		backoff.Base = time.Millisecond
 	}
-	if rt := reflect.TypeOf((*T)(nil)).Elem(); rt.Kind() == reflect.Map ||
-		(rt.Kind() == reflect.Slice && rt.Elem().Kind() == reflect.Map) {
-		return runRowQuorum(d, e, i, k, n, backoff, run)
-	}
-	type ballot struct {
-		val   T
-		count int
-	}
-	var votes []ballot
-	accepted := -1
+	var q rowQuorum
 	err := exec.Retry(context.Background(), n, backoff, func(attempt int) error {
 		if attempt > 0 {
 			d.quorumRetries.Add(1)
 		}
-		v, err := runAttempt(d, e, i, attempt, run)
+		sw, err := d.runAttempt(e, i, attempt, run)
 		if err != nil {
 			e.trace.Addf("exp %d attempt %d: %v", e.nonce, attempt, err)
 			return err
 		}
-		for idx := range votes {
-			if reflect.DeepEqual(votes[idx].val, v) {
-				votes[idx].count++
-				if votes[idx].count >= k {
-					accepted = idx
-					return nil
-				}
-				return errQuorumPending
-			}
+		if q.vote(sw, k) > 0 || len(q.attempts) < k {
+			return errQuorumPending
 		}
-		votes = append(votes, ballot{val: v, count: 1})
-		if k == 1 {
-			accepted = len(votes) - 1
-			return nil
-		}
-		return errQuorumPending
+		return nil
 	})
-	if accepted >= 0 {
-		return votes[accepted].val, nil
+	if len(q.attempts) == 0 {
+		return Sweep{}, fmt.Errorf("discovery: experiment %d failed all %d attempts: %w", e.nonce, n, err)
 	}
-	if len(votes) > 0 {
-		// Quorum never formed: degrade to the plurality result rather than
-		// failing the campaign, and say so in the log.
-		best := 0
-		for idx := range votes {
-			if votes[idx].count > votes[best].count {
-				best = idx
-			}
-		}
-		e.trace.Addf("exp %d: no %d-of-%d quorum; accepting plurality result with %d votes",
-			e.nonce, k, n, votes[best].count)
-		return votes[best].val, nil
-	}
-	var zero T
-	return zero, fmt.Errorf("discovery: experiment %d failed all %d attempts: %w", e.nonce, n, err)
-}
-
-// rowKey identifies one row of a decomposable experiment result: the slice
-// slot (0 for plain maps) and the map key.
-type rowKey struct {
-	slot int
-	key  any
-}
-
-// rowBallot is one candidate value for a row with its vote count; present is
-// false for the "row absent in this attempt" vote.
-type rowBallot struct {
-	val     any
-	present bool
-	count   int
-}
-
-// rowVote tracks one row's ballots until a value gathers K votes and locks.
-// Every decision depends only on the row's own per-attempt value sequence —
-// never on other rows — which keeps accepted rows identical between filtered
-// and unfiltered campaigns.
-type rowVote struct {
-	ballots []rowBallot
-	locked  bool
-	final   rowBallot
-}
-
-// backfillAbsent seeds a fresh rowVote with the implicit absent votes of the
-// first `attempts` attempts, for a row first observed only later. The ballot
-// locks immediately when those attempts already form an absent quorum —
-// exactly as add would have locked it had the votes been cast one at a time —
-// so a row absent for the first K+ attempts resolves absent even if a value
-// appears afterwards (first-value-to-K-votes semantics).
-func (rv *rowVote) backfillAbsent(attempts, k int) {
-	if attempts <= 0 {
-		return
-	}
-	b := rowBallot{count: attempts}
-	rv.ballots = append(rv.ballots, b)
-	if attempts >= k {
-		rv.locked, rv.final = true, b
-	}
-}
-
-func (rv *rowVote) add(val any, present bool, k int) {
-	if rv.locked {
-		return
-	}
-	for i := range rv.ballots {
-		b := &rv.ballots[i]
-		if b.present == present && (!present || reflect.DeepEqual(b.val, val)) {
-			b.count++
-			if b.count >= k {
-				rv.locked, rv.final = true, *b
-			}
-			return
-		}
-	}
-	rv.ballots = append(rv.ballots, rowBallot{val: val, present: present, count: 1})
-	if k <= 1 {
-		rv.locked, rv.final = true, rv.ballots[len(rv.ballots)-1]
-	}
-}
-
-// resolve returns the locked value, or the plurality ballot (earliest wins
-// ties) for a row that never reached quorum.
-func (rv *rowVote) resolve() rowBallot {
-	if rv.locked {
-		return rv.final
-	}
-	best := 0
-	for i := range rv.ballots {
-		if rv.ballots[i].count > rv.ballots[best].count {
-			best = i
-		}
-	}
-	return rv.ballots[best]
-}
-
-// eachRow visits every (slot, key, value) row of a map or slice-of-maps
-// result.
-func eachRow(v reflect.Value, sliced bool, visit func(rk rowKey, val any)) {
-	if sliced {
-		for s := 0; s < v.Len(); s++ {
-			m := v.Index(s)
-			for it := m.MapRange(); it.Next(); {
-				visit(rowKey{slot: s, key: it.Key().Interface()}, it.Value().Interface())
-			}
-		}
-		return
-	}
-	for it := v.MapRange(); it.Next(); {
-		visit(rowKey{key: it.Key().Interface()}, it.Value().Interface())
-	}
-}
-
-// runRowQuorum is runQuorum's per-row voting path for map-shaped results.
-func runRowQuorum[T any](d *Discovery, e *Exp, i, k, n int, backoff exec.Backoff, run func(*Exp, int) T) (T, error) {
-	rt := reflect.TypeOf((*T)(nil)).Elem()
-	sliced := rt.Kind() == reflect.Slice
-	rows := make(map[rowKey]*rowVote)
-	slots := 0 // observed slice length; schedule-fixed across attempts
-	attempts := 0
-	err := exec.Retry(context.Background(), n, backoff, func(attempt int) error {
-		if attempt > 0 {
-			d.quorumRetries.Add(1)
-		}
-		v, err := runAttempt(d, e, i, attempt, run)
-		if err != nil {
-			e.trace.Addf("exp %d attempt %d: %v", e.nonce, attempt, err)
-			return err
-		}
-		attempts = attempt + 1
-		rv := reflect.ValueOf(v)
-		if sliced && rv.Len() > slots {
-			slots = rv.Len()
-		}
-		seen := make(map[rowKey]bool)
-		eachRow(rv, sliced, func(rk rowKey, val any) {
-			vote := rows[rk]
-			if vote == nil {
-				vote = &rowVote{}
-				// The row was absent from every earlier attempt: those are
-				// implicit absent votes, backfilled so the ballot history
-				// matches what an unfiltered run records.
-				vote.backfillAbsent(attempt, k)
-				rows[rk] = vote
-			}
-			seen[rk] = true
-			vote.add(val, true, k)
-		})
-		for rk, vote := range rows {
-			if !seen[rk] {
-				vote.add(nil, false, k)
-			}
-		}
-		// Done once every known row is locked and enough attempts ran that a
-		// row absent throughout would itself be quorate as absent.
-		if attempt+1 >= k {
-			for _, vote := range rows {
-				if !vote.locked {
-					return errQuorumPending
-				}
-			}
-			return nil
-		}
-		return errQuorumPending
-	})
-	var zero T
-	if attempts == 0 {
-		return zero, fmt.Errorf("discovery: experiment %d failed all %d attempts: %w", e.nonce, n, err)
-	}
-	unresolved := 0
-	for _, vote := range rows {
-		if !vote.locked {
-			unresolved++
-		}
-	}
-	if unresolved > 0 {
+	if q.pending > 0 {
 		e.trace.Addf("exp %d: %d of %d rows lacked %d-of-%d quorum; accepted per-row plurality",
-			e.nonce, unresolved, len(rows), k, n)
+			e.nonce, q.pending, len(q.locked), k, n)
 	}
-	if sliced {
-		out := reflect.MakeSlice(rt, slots, slots)
-		for rk, vote := range rows {
-			b := vote.resolve()
-			if !b.present {
-				continue
-			}
-			m := out.Index(rk.slot)
-			if m.IsNil() {
-				m.Set(reflect.MakeMap(rt.Elem()))
-			}
-			m.SetMapIndex(reflect.ValueOf(rk.key), reflect.ValueOf(b.val))
+	return q.resolve(), nil
+}
+
+// rowQuorum is the typed per-row K-of-N vote over sweep columns. Every
+// decision on a row depends only on that row's own per-attempt value
+// sequence — never on other rows — which keeps accepted rows identical
+// between filtered and unfiltered campaigns.
+type rowQuorum struct {
+	// attempts holds every completed attempt's sweep, in attempt order.
+	attempts []Sweep
+	// out carries the accepted rows; it has the first attempt's columns.
+	out Sweep
+	// locked[r] marks rows whose value reached K votes; pending counts the
+	// rest.
+	locked  []bool
+	pending int
+}
+
+// agree counts the attempts whose row r equals v.
+func (q *rowQuorum) agree(r int, v row) int {
+	n := 0
+	for _, sw := range q.attempts {
+		if sw.row(r) == v {
+			n++
 		}
-		return out.Interface().(T), nil
 	}
-	out := reflect.MakeMapWithSize(rt, len(rows))
-	for rk, vote := range rows {
-		b := vote.resolve()
-		if !b.present {
+	return n
+}
+
+// set stores v as out's row r, in the columns out carries.
+func (q *rowQuorum) set(r int, v row) {
+	if r < len(q.out.Site) {
+		q.out.Site[r] = v.site
+	}
+	if r < len(q.out.Link) {
+		q.out.Link[r] = v.link
+	}
+	if r < len(q.out.RTT) {
+		q.out.RTT[r] = v.rtt
+	}
+}
+
+// vote adds one attempt's sweep: each still-open row whose value in this
+// attempt now has K agreeing attempts locks to it. It returns the number of
+// rows still open.
+func (q *rowQuorum) vote(sw Sweep, k int) int {
+	if q.attempts == nil {
+		// Every row is overwritten when it locks or resolves; the clone only
+		// fixes which columns the accepted sweep carries.
+		q.out = Sweep{Site: slices.Clone(sw.Site), Link: slices.Clone(sw.Link), RTT: slices.Clone(sw.RTT)}
+		q.locked = make([]bool, sw.rows())
+		q.pending = len(q.locked)
+	}
+	q.attempts = append(q.attempts, sw)
+	for r, done := range q.locked {
+		if done {
 			continue
 		}
-		out.SetMapIndex(reflect.ValueOf(rk.key), reflect.ValueOf(b.val))
+		if v := sw.row(r); q.agree(r, v) >= k {
+			q.set(r, v)
+			q.locked[r] = true
+			q.pending--
+		}
 	}
-	return out.Interface().(T), nil
+	return q.pending
+}
+
+// resolve settles every still-open row on its plurality value — the value
+// most attempts agree on, the earliest such value winning ties — and returns
+// the accepted sweep.
+func (q *rowQuorum) resolve() Sweep {
+	for r, done := range q.locked {
+		if done {
+			continue
+		}
+		var best row
+		votes := 0
+		for _, sw := range q.attempts {
+			v := sw.row(r)
+			if n := q.agree(r, v); n > votes {
+				best, votes = v, n
+			}
+		}
+		q.set(r, best)
+	}
+	return q.out
 }
 
 // runAttempt runs a single experiment attempt on a private Exp carrying this
@@ -501,14 +377,14 @@ func runRowQuorum[T any](d *Discovery, e *Exp, i, k, n int, backoff exec.Backoff
 // the parent only on completion: a timed-out attempt's goroutine keeps
 // running detached (see exec.RunTimeout) and must not share state with later
 // attempts.
-func runAttempt[T any](d *Discovery, e *Exp, i, attempt int, run func(*Exp, int) T) (T, error) {
+func (d *Discovery) runAttempt(e *Exp, i, attempt int, run func(*Exp, int) Sweep) (Sweep, error) {
 	a := &Exp{d: d, nonce: e.nonce, attempt: attempt, trace: &fault.Trace{}}
 	if d.Cfg.Faults.Enabled() {
 		a.inj = d.Cfg.Faults.Injector(e.nonce, attempt, a.trace)
 	}
-	var v T
+	var sw Sweep
 	op := func() error {
-		v = run(a, i)
+		sw = run(a, i)
 		a.release()
 		return nil
 	}
@@ -519,10 +395,9 @@ func runAttempt[T any](d *Discovery, e *Exp, i, attempt int, run func(*Exp, int)
 		err = op()
 	}
 	if err != nil {
-		var zero T
-		return zero, err
+		return Sweep{}, err
 	}
 	e.probes += a.probes
 	e.trace.Append(a.trace.Entries()...)
-	return v, nil
+	return sw, nil
 }

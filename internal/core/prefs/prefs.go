@@ -15,9 +15,9 @@
 // The store is columnar (struct-of-arrays): one sorted client-ID column and
 // two flat relation columns shared by every client, indexed row-major as
 // rels[clientRow*NumPairs+pairIdx]. Point lookups binary-search the client
-// column; recording appends in O(1) because campaigns enumerate clients in
-// ascending order per experiment (discovery's sortedClients discipline), so
-// the sorted column grows at the tail. Compared to the former
+// column; recording appends in O(1) because campaigns record each experiment
+// in target order and targets are sorted by client (discovery reads its
+// dense sweeps by target position), so the sorted column grows at the tail. Compared to the former
 // map[Client]*ClientPrefs backing, a client row costs 3 bytes per pair
 // (1-byte relation + 2-byte winner index) in two contiguous slabs instead of
 // a map entry, a heap-allocated struct, and a 16-byte-per-pair slice — the

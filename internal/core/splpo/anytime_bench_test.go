@@ -3,8 +3,8 @@ package splpo
 // Head-to-head solver benchmarks at the three scales the repo targets:
 // the paper's 15-site testbed, the §4.5 Akamai-scale 500 sites, and the
 // ROADMAP's internet-scale 5k sites. The baseline at scale is the shape of
-// the pre-existing LocalSearch generalized past 64 sites: first-improvement
-// swap search where every candidate pays a full EvaluateSet over all
+// the retired bitmask local search generalized past 64 sites:
+// first-improvement swap search where every candidate pays a full EvaluateSet over all
 // clients. The anytime solver replaces that full re-evaluation with
 // journaled delta moves; these benches record both wall-clock and
 // client-touch counts so BENCH_8.json captures the ≥10× claim in units
@@ -37,16 +37,6 @@ func BenchmarkSolver15Exhaustive(b *testing.B) {
 	}
 }
 
-func BenchmarkSolver15OldLocalSearch(b *testing.B) {
-	in := bench15Instance()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := LocalSearch(in, 0x7FFF, Options{}, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSolver15Anytime runs the multi-start configuration the facade
 // uses; 8 restarts pin this instance to the exhaustive optimum (the
 // mean-gap-ms metric records the distance — expected 0).
@@ -68,7 +58,7 @@ func BenchmarkSolver15Anytime(b *testing.B) {
 	b.ReportMetric(float64(res.Work), "clienttouches/op")
 }
 
-// swapFullReevalToFeasible is the generalized old-LocalSearch baseline:
+// swapFullReevalToFeasible is the generalized full-re-evaluation baseline:
 // first-improvement add/drop/swap search over a SiteSet where every
 // candidate is priced by a full EvaluateSet pass over all clients. It runs
 // until it finds a feasible (all-served) configuration of exactly k sites,

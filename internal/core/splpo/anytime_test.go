@@ -92,9 +92,6 @@ func TestBitmaskSolversRejectLargeInstances(t *testing.T) {
 	if _, _, err := Exhaustive(in, Options{}); err == nil {
 		t.Error("Exhaustive accepted a 64-site instance")
 	}
-	if _, err := LocalSearch(in, 1, Options{}, 0); err == nil {
-		t.Error("LocalSearch accepted a 64-site instance")
-	}
 	if _, err := GreedyByCost(in, 2); err == nil {
 		t.Error("GreedyByCost accepted a 64-site instance")
 	}

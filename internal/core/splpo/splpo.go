@@ -7,13 +7,13 @@
 // Dominating Set to it), so the package offers an exhaustive solver for
 // testbed-sized instances, a budgeted enumerator matching the paper's
 // "as many configurations as we can compute within a time bound" approach
-// (§5.3), and a local-search solver for large networks, plus the baselines
-// the paper compares against (greedy-by-unicast-RTT, random).
+// (§5.3), and an anytime local-search solver for large networks, plus the
+// baselines the paper compares against (greedy-by-unicast-RTT, random).
 //
 // Two solver families coexist:
 //
-//   - The bitmask solvers (Exhaustive, LocalSearch, GreedyByCost,
-//     RandomSubset) represent a configuration as a uint64 subset and are
+//   - The bitmask solvers (Exhaustive, GreedyByCost, RandomSubset)
+//     represent a configuration as a uint64 subset and are
 //     limited to 63 sites — the paper's 15-site testbed scale.
 //   - The anytime solver (Search, SearchParallel, Warm.Reoptimize in
 //     anytime.go) represents a configuration as a SiteSet bitset and
@@ -161,7 +161,7 @@ func (in *Instance) Evaluate(subset uint64) Assignment {
 
 // EvaluateInto is Evaluate writing into a caller-owned Assignment, reusing
 // a.SiteLoad when its capacity suffices — the allocation-lean form for move
-// loops that evaluate thousands of subsets (LocalSearch, the enumerators).
+// loops that evaluate thousands of subsets (the enumerators).
 func (in *Instance) EvaluateInto(subset uint64, a *Assignment) {
 	if cap(a.SiteLoad) >= in.NumSites {
 		a.SiteLoad = a.SiteLoad[:in.NumSites]
@@ -340,81 +340,6 @@ func Exhaustive(in *Instance, opts Options) (Assignment, int, error) {
 		return best, evaluated, fmt.Errorf("splpo: no acceptable subset found")
 	}
 	return best, evaluated, nil
-}
-
-// LocalSearch starts from a seed subset and iteratively applies the best
-// single-site add, drop, or swap until no move improves mean cost. Suitable
-// for networks too large to enumerate (§4.5's Akamai-scale analysis).
-func LocalSearch(in *Instance, seed uint64, opts Options, maxIters int) (Assignment, error) {
-	if err := in.Validate(); err != nil {
-		return Assignment{}, err
-	}
-	if err := in.requireBitmaskScale("LocalSearch"); err != nil {
-		return Assignment{}, err
-	}
-	seed &^= opts.ForbiddenMask
-	if seed == 0 {
-		seed = 1 &^ opts.ForbiddenMask
-		for s := 0; s < in.NumSites && seed == 0; s++ {
-			if opts.ForbiddenMask&(1<<uint(s)) == 0 {
-				seed = 1 << uint(s)
-			}
-		}
-		if seed == 0 {
-			return Assignment{}, fmt.Errorf("splpo: every site is forbidden")
-		}
-	}
-	cur := in.Evaluate(seed)
-	if maxIters <= 0 {
-		maxIters = 1000
-	}
-	var scratch Assignment
-	for iter := 0; iter < maxIters; iter++ {
-		improved := false
-		best := cur
-		tryMove := func(subset uint64) {
-			if subset == 0 || subset&opts.ForbiddenMask != 0 {
-				return
-			}
-			if opts.ExactSize > 0 && bits.OnesCount64(subset) != opts.ExactSize {
-				return
-			}
-			in.EvaluateInto(subset, &scratch)
-			if opts.RequireFeasible && !scratch.Feasible {
-				return
-			}
-			if scratch.MeanCost < best.MeanCost {
-				best, scratch = scratch, best
-				improved = true
-			}
-		}
-		for s := 0; s < in.NumSites; s++ {
-			bit := uint64(1) << uint(s)
-			if cur.Subset&bit == 0 {
-				tryMove(cur.Subset | bit) // add
-			} else {
-				tryMove(cur.Subset &^ bit) // drop
-			}
-		}
-		for s := 0; s < in.NumSites; s++ {
-			sb := uint64(1) << uint(s)
-			if cur.Subset&sb == 0 {
-				continue
-			}
-			for t := 0; t < in.NumSites; t++ {
-				tb := uint64(1) << uint(t)
-				if cur.Subset&tb != 0 {
-					continue
-				}
-				tryMove(cur.Subset&^sb | tb) // swap
-			}
-		}
-		if !improved {
-			break
-		}
-		cur = best
-	}
-	return cur, nil
 }
 
 // GreedyByCost returns the k sites with the lowest mean cost over all

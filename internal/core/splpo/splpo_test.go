@@ -220,41 +220,6 @@ func TestRandomAndBestRandom(t *testing.T) {
 	}
 }
 
-func TestLocalSearchReachesOptimumOnSmallInstances(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		in := randomInstance(rng, 8, 40)
-		opt, _, err := Exhaustive(in, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ls, err := LocalSearch(in, 1, Options{}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Local search is a heuristic; it must be within 20% of optimal on
-		// these easy instances and never better than optimal.
-		if ls.MeanCost < opt.MeanCost-1e-9 {
-			t.Fatalf("local search beat the exhaustive optimum: %v < %v", ls.MeanCost, opt.MeanCost)
-		}
-		if ls.MeanCost > opt.MeanCost*1.2+1e-9 {
-			t.Errorf("trial %d: local search %.2f vs optimum %.2f (>20%% gap)", trial, ls.MeanCost, opt.MeanCost)
-		}
-	}
-}
-
-func TestLocalSearchExactSize(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	in := randomInstance(rng, 10, 60)
-	a, err := LocalSearch(in, 0b11, Options{ExactSize: 2}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bits.OnesCount64(a.Subset) != 2 {
-		t.Errorf("exact-size local search returned %d sites", bits.OnesCount64(a.Subset))
-	}
-}
-
 func randomInstance(rng *rand.Rand, nSites, nClients int) *Instance {
 	in := &Instance{NumSites: nSites}
 	for c := 0; c < nClients; c++ {
@@ -359,18 +324,7 @@ func TestForbiddenMask(t *testing.T) {
 	if evaluated != 3 { // subsets over sites {1,2}: 010, 100, 110
 		t.Errorf("evaluated %d subsets, want 3", evaluated)
 	}
-	// Local search must also respect the mask, even with a seed inside it.
-	ls, err := LocalSearch(in, 0b001, Options{ForbiddenMask: 0b001}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ls.Subset&0b001 != 0 {
-		t.Fatalf("local search %b uses a forbidden site", ls.Subset)
-	}
 	// Everything forbidden is an error.
-	if _, err := LocalSearch(in, 1, Options{ForbiddenMask: 0b111}, 0); err == nil {
-		t.Error("all-forbidden local search succeeded")
-	}
 	if _, _, err := Exhaustive(in, Options{ForbiddenMask: 0b111}); err == nil {
 		t.Error("all-forbidden exhaustive succeeded")
 	}

@@ -263,7 +263,7 @@ func (e *Env) AblationSolvers(k int) (AblationResult, error) {
 	}
 	exactTime := time.Since(start)
 	start = time.Now()
-	ls, err := splpo.LocalSearch(in, uint64(1)<<uint(k)-1, splpo.Options{ExactSize: k}, 0)
+	ls, err := splpo.Search(in, splpo.SearchOptions{ExactSize: k})
 	if err != nil {
 		return AblationResult{}, err
 	}

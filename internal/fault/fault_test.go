@@ -1,0 +1,169 @@
+package fault
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"anyopt/internal/topology"
+)
+
+// hot is a configuration with every fault class firing often enough that a
+// few hundred draws exercise each stream.
+func hot(seed int64) *Config {
+	return &Config{
+		Seed:             seed,
+		FlapProb:         0.9,
+		FlapMaxLinks:     3,
+		UpdateDropProb:   0.2,
+		UpdateDelayProb:  0.3,
+		ProbeLossProb:    0.3,
+		SessionResetProb: 0.3,
+	}
+}
+
+// drive consumes every fault class of one injector in a fixed interleaving —
+// with per-target rewinds on the probe stream — and returns the decisions
+// taken plus the trace they left.
+func drive(c *Config, nonce uint64, attempt int) ([]any, []string) {
+	tr := &Trace{}
+	inj := c.Injector(nonce, attempt, tr)
+	var out []any
+	out = append(out, inj.FlapPlan([]topology.LinkID{3, 5, 8, 13}))
+	for i := 0; i < 200; i++ {
+		if i%10 == 0 {
+			inj.BeginTarget(uint64(1000 + i))
+		}
+		drop, extra := inj.UpdateFate(topology.LinkID(i), topology.ASN(i), 0)
+		out = append(out, drop, extra, inj.DropProbe(), inj.ResetSession(i%15+1))
+	}
+	return out, tr.Entries()
+}
+
+// TestInjectorSameKeySameStream pins the determinism contract the quorum
+// argument rests on: (seed, nonce, attempt) fixes every decision and the
+// trace, and changing any one of the three re-rolls them.
+func TestInjectorSameKeySameStream(t *testing.T) {
+	a, aTrace := drive(hot(7), 12, 1)
+	b, bTrace := drive(hot(7), 12, 1)
+	if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(aTrace, bTrace) {
+		t.Fatal("same (seed, nonce, attempt) produced different fault decisions")
+	}
+	if len(aTrace) == 0 {
+		t.Fatal("hot configuration injected nothing; the test is vacuous")
+	}
+	for name, other := range map[string]func() ([]any, []string){
+		"seed":    func() ([]any, []string) { return drive(hot(8), 12, 1) },
+		"nonce":   func() ([]any, []string) { return drive(hot(7), 13, 1) },
+		"attempt": func() ([]any, []string) { return drive(hot(7), 12, 2) },
+	} {
+		if c, _ := other(); reflect.DeepEqual(a, c) {
+			t.Errorf("changing the %s left every fault decision unchanged", name)
+		}
+	}
+}
+
+// TestInjectorTargetStreamIsPositionIndependent pins BeginTarget: a target's
+// loss draws depend on (seed, nonce, attempt, target) only — not on how many
+// probes other targets consumed first — which is what lets a filtered
+// campaign reproduce the full campaign's rows.
+func TestInjectorTargetStreamIsPositionIndependent(t *testing.T) {
+	draws := func(inj *Injector, target uint64) []bool {
+		inj.BeginTarget(target)
+		out := make([]bool, 20)
+		for i := range out {
+			out[i] = inj.DropProbe()
+		}
+		return out
+	}
+	full := hot(3).Injector(5, 0, &Trace{})
+	for target := uint64(1); target < 40; target++ {
+		draws(full, target)
+	}
+	want := draws(full, 40)
+	filtered := hot(3).Injector(5, 0, &Trace{})
+	if got := draws(filtered, 40); !reflect.DeepEqual(got, want) {
+		t.Error("target 40's loss draws depend on the targets probed before it")
+	}
+}
+
+// TestInjectorClassStreamsIndependent pins the per-class streams: draining
+// one class never shifts another's draws.
+func TestInjectorClassStreamsIndependent(t *testing.T) {
+	probes := func(inj *Injector) []bool {
+		out := make([]bool, 100)
+		for i := range out {
+			out[i] = inj.DropProbe()
+		}
+		return out
+	}
+	quiet := hot(11).Injector(4, 0, &Trace{})
+	want := probes(quiet)
+
+	noisy := hot(11).Injector(4, 0, &Trace{})
+	noisy.FlapPlan([]topology.LinkID{1, 2, 3})
+	for i := 0; i < 500; i++ {
+		noisy.UpdateFate(topology.LinkID(i), 1, 0)
+		noisy.ResetSession(1)
+	}
+	if got := probes(noisy); !reflect.DeepEqual(got, want) {
+		t.Error("update, plan and session draws shifted the probe-loss stream")
+	}
+
+	// And the other way round: probe draws leave update fates alone.
+	fates := func(inj *Injector) []time.Duration {
+		out := make([]time.Duration, 100)
+		for i := range out {
+			_, out[i] = inj.UpdateFate(topology.LinkID(i), 1, 0)
+		}
+		return out
+	}
+	a := hot(11).Injector(4, 0, &Trace{})
+	wantFates := fates(a)
+	b := hot(11).Injector(4, 0, &Trace{})
+	probes(b)
+	if got := fates(b); !reflect.DeepEqual(got, wantFates) {
+		t.Error("probe-loss draws shifted the update stream")
+	}
+}
+
+// TestZeroRateConfigIsDisabled pins the zero-cost-when-off contract: a
+// config with a seed but no rates is indistinguishable from no config — no
+// injector, and a nil injector decides nothing and logs nothing.
+func TestZeroRateConfigIsDisabled(t *testing.T) {
+	var none *Config
+	zero := &Config{Seed: 99, FlapMaxLinks: 3, FlapWindow: time.Hour, UpdateDelayMax: time.Second}
+	for name, c := range map[string]*Config{"nil": none, "zero-rate": zero} {
+		if c.Enabled() {
+			t.Errorf("%s config reports enabled", name)
+		}
+		if c.BlackedOut(1) {
+			t.Errorf("%s config blacks out a site", name)
+		}
+		tr := &Trace{}
+		inj := c.Injector(1, 0, tr)
+		if inj != nil {
+			t.Fatalf("%s config built an injector", name)
+		}
+		inj.BeginTarget(7)
+		drop, extra := inj.UpdateFate(1, 2, 0)
+		if drop || extra != 0 || inj.DropProbe() || inj.ResetSession(1) || inj.SiteDead(1) ||
+			inj.FlapPlan([]topology.LinkID{1}) != nil || inj.BlackoutSites() != nil {
+			t.Errorf("%s config's nil injector injected a fault", name)
+		}
+		if len(tr.Entries()) != 0 {
+			t.Errorf("%s config traced %v", name, tr.Entries())
+		}
+	}
+	for _, name := range []string{"", "none"} {
+		if c, err := Scenario(name, 5); err != nil || c.Enabled() {
+			t.Errorf("Scenario(%q) = %+v, %v; want a disabled config", name, c, err)
+		}
+	}
+	if c, err := Scenario("paper", 5); err != nil || !c.Enabled() || c.Seed != 5 {
+		t.Errorf("Scenario(paper) = %+v, %v", c, err)
+	}
+	if _, err := Scenario("apocalypse", 5); err == nil {
+		t.Error("unknown scenario accepted")
+	}
+}

@@ -19,7 +19,7 @@ import (
 // Guarded fields go further: their mutating methods (Store, Swap, Add,
 // CompareAndSwap, ...) may be called only from the functions named in the
 // guard's writer set. System.snap is the canonical case — every campaign
-// publication must flow through InstallCampaign, or the single-write-point
+// publication must flow through System.publish, or the single-write-point
 // argument in DESIGN.md §10 is fiction. A plain read mixed in, or an ad-hoc
 // mutex pretending to guard the field, shows up as an out-of-discipline
 // access at the site that performs it. Suppress only with
@@ -50,11 +50,11 @@ type AtomicGuard struct {
 }
 
 // DefaultAtomicGuards pins the System's snapshot pointer and generation
-// counter to the two campaign write points: InstallCampaign (full campaigns)
-// and PatchCampaign (reconciler row patches).
+// counter to the one campaign write point, System.publish (InstallCampaign
+// and PatchCampaign both end there).
 var DefaultAtomicGuards = []AtomicGuard{
-	{Struct: "anyopt.System", Field: "snap", Writers: map[string]bool{"InstallCampaign": true, "PatchCampaign": true}},
-	{Struct: "anyopt.System", Field: "gen", Writers: map[string]bool{"InstallCampaign": true, "PatchCampaign": true}},
+	{Struct: "anyopt.System", Field: "snap", Writers: map[string]bool{"publish": true}},
+	{Struct: "anyopt.System", Field: "gen", Writers: map[string]bool{"publish": true}},
 }
 
 // atomicMethods are the sync/atomic value methods; mutating ones are marked

@@ -20,12 +20,12 @@ var fixturePolicy = []PolicyRule{
 // fixtureSnapshotRules and fixtureAtomicGuards retarget the mutation
 // invariants at the fixture's own types.
 var fixtureSnapshotRules = []SnapshotRule{
-	{Type: "anyopt/internal/lint/testdata/src/snapimmut.Snapshot", Writers: map[string]bool{"InstallCampaign": true}},
+	{Type: "anyopt/internal/lint/testdata/src/snapimmut.Snapshot", Writers: map[string]bool{"publish": true}},
 }
 
 var fixtureAtomicGuards = []AtomicGuard{
-	{Struct: "anyopt/internal/lint/testdata/src/atomicuse.Sys", Field: "snap", Writers: map[string]bool{"InstallCampaign": true}},
-	{Struct: "anyopt/internal/lint/testdata/src/atomicuse.Sys", Field: "gen", Writers: map[string]bool{"InstallCampaign": true}},
+	{Struct: "anyopt/internal/lint/testdata/src/atomicuse.Sys", Field: "snap", Writers: map[string]bool{"publish": true}},
+	{Struct: "anyopt/internal/lint/testdata/src/atomicuse.Sys", Field: "gen", Writers: map[string]bool{"publish": true}},
 }
 
 // fixtureRunner is the Runner every fixture test uses.

@@ -73,10 +73,9 @@ func (r SnapshotRule) pkgPath() string {
 }
 
 // DefaultSnapshotRules protects anyopt.Snapshot, the lock-free serving
-// path's load-bearing immutable: InstallCampaign and its row-patching sibling
-// PatchCampaign are its only write points.
+// path's load-bearing immutable: System.publish is its only write point.
 var DefaultSnapshotRules = []SnapshotRule{
-	{Type: "anyopt.Snapshot", Writers: map[string]bool{"InstallCampaign": true, "PatchCampaign": true}},
+	{Type: "anyopt.Snapshot", Writers: map[string]bool{"publish": true}},
 }
 
 type snapImmutChecker struct {

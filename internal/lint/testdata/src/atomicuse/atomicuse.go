@@ -1,7 +1,7 @@
 // Package atomicuse is an anyoptlint self-test fixture for the atomic
 // discipline check: sync/atomic fields may be touched only through their
 // Load/Store/Add methods, and guarded fields (snap, gen — the fixture mirror
-// of System.snap) mutate only inside InstallCampaign.
+// of System.snap) mutate only inside publish.
 package atomicuse
 
 import "sync/atomic"
@@ -14,8 +14,8 @@ type Sys struct {
 	hits atomic.Uint64
 }
 
-// InstallCampaign is the sanctioned write point for snap and gen.
-func InstallCampaign(s *Sys, v *int) uint64 {
+// publish is the sanctioned write point for snap and gen.
+func publish(s *Sys, v *int) uint64 {
 	s.snap.Store(v)
 	return s.gen.Add(1)
 }
@@ -60,4 +60,5 @@ func suppressedStore(s *Sys, v *int) {
 }
 
 var _ = read
+var _ = publish
 var _ = counters

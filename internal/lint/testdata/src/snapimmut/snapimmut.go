@@ -1,7 +1,7 @@
 // Package snapimmut is an anyoptlint self-test fixture for the snapshot
 // immutability check: a Snapshot published for lock-free readers may be
 // mutated only by its sanctioned writers, and no mutable alias may leak out
-// of it. The fixture's rule names InstallCampaign as the sole writer;
+// of it. The fixture's rule names publish as the sole writer;
 // newSnapshot is sanctioned implicitly as a constructor.
 package snapimmut
 
@@ -26,9 +26,9 @@ type holder struct{ sizes map[int]int }
 // leakedSizes is a package-level alias sink.
 var leakedSizes map[int]int
 
-// InstallCampaign is the sanctioned writer: construction and field writes
-// here are the copy-on-write publish path.
-func InstallCampaign(sys *Sys, order []int) *Snapshot {
+// publish is the sanctioned writer: construction and field writes here are
+// the copy-on-write publish path.
+func publish(sys *Sys, order []int) *Snapshot {
 	snap := &Snapshot{Order: append([]int(nil), order...), Sizes: map[int]int{}, Meta: &Meta{}}
 	snap.Gen = 1
 	snap.Sizes[0] = len(order)
@@ -110,3 +110,4 @@ func reads(snap *Snapshot) uint64 {
 func consume(xs []int) int { return len(xs) }
 
 var _ = newSnapshot
+var _ = publish

@@ -56,27 +56,38 @@ func (sn *Snapshot) OptimizeWith(o OptimizeOptions) (OptimizeResult, error) {
 	if err != nil {
 		return OptimizeResult{}, err
 	}
-	var (
-		res splpo.Result
-	)
 	if o.Restarts > 1 {
 		pool := exec.New(o.Workers)
 		defer pool.Close()
-		res, err = splpo.SearchParallel(in, sopts, o.Restarts, pool)
-	} else {
-		res, err = splpo.Search(in, sopts)
+		res, err := splpo.SearchParallel(in, sopts, o.Restarts, pool)
+		if err != nil {
+			return OptimizeResult{}, fmt.Errorf("anyopt: optimize: %w", err)
+		}
+		return sn.searchResult(res, len(clients)), nil
 	}
+	return sn.search(in, len(clients), sopts)
+}
+
+// search runs one serial anytime solve and reports it in facade terms.
+func (sn *Snapshot) search(in *splpo.Instance, clients int, sopts splpo.SearchOptions) (OptimizeResult, error) {
+	res, err := splpo.Search(in, sopts)
 	if err != nil {
 		return OptimizeResult{}, fmt.Errorf("anyopt: optimize: %w", err)
 	}
+	return sn.searchResult(res, clients), nil
+}
+
+// searchResult translates an anytime solver result into an OptimizeResult
+// over clients orderable clients.
+func (sn *Snapshot) searchResult(res splpo.Result, clients int) OptimizeResult {
 	return OptimizeResult{
 		Config:           sn.Pred.SiteSetToConfig(res.Open, sn.AnnOrder),
 		PredictedMean:    time.Duration(res.MeanCost * float64(time.Millisecond)),
 		SubsetsEvaluated: res.Evals,
-		OrderableClients: len(clients),
+		OrderableClients: clients,
 		Evals:            res.Evals,
 		Moves:            res.Moves,
-	}, nil
+	}
 }
 
 // searchOptions translates facade options into solver options, attaching a
@@ -177,14 +188,7 @@ func (w *WarmOptimizer) Reoptimize(sn *Snapshot, o OptimizeOptions) (OptimizeRes
 		return OptimizeResult{}, splpo.Result{}, fmt.Errorf("anyopt: warm reoptimize: %w", err)
 	}
 	w.in, w.clients, w.gen = in, clients, sn.Gen
-	return OptimizeResult{
-		Config:           sn.Pred.SiteSetToConfig(res.Open, sn.AnnOrder),
-		PredictedMean:    time.Duration(res.MeanCost * float64(time.Millisecond)),
-		SubsetsEvaluated: res.Evals,
-		OrderableClients: len(clients),
-		Evals:            res.Evals,
-		Moves:            res.Moves,
-	}, res, nil
+	return sn.searchResult(res, len(clients)), res, nil
 }
 
 // diffInstances returns the rows of next whose ranking, costs, weight, or
