@@ -79,7 +79,8 @@ bench-check:
 # benchmarks (at 1 and 8 procs, lock-free vs the serialized seed
 # architecture), the SPLPO solver head-to-heads, the churn-reconciler
 # cone benchmarks (cone_frac is the acceptance headline: a single-link flap
-# at paper scale must re-measure at most 10% of pairs), and the campaign
+# at paper scale must re-measure at most 10% of pairs), the announcement-order
+# search and its per-client tournament kernel, and the campaign
 # storage/memory benchmarks (columnar vs nested bytes/client, plus the
 # full-campaign memory ceiling at paper and — multi-minute — internet
 # scale), reducing them all to one checked-in JSON document so perf
@@ -93,6 +94,8 @@ bench-json:
 		-benchmem -json -benchtime 1x ./internal/core/splpo/ ; \
 	  $(GO) test -run xxx -bench 'BenchmarkStructuralConePaper|BenchmarkConeRepair' \
 		-benchmem -json -benchtime 1x ./internal/reconcile/ ; \
+	  $(GO) test -run xxx -bench 'BenchmarkBestAnnouncementOrder|BenchmarkTotalOrder15Sites' \
+		-benchmem -json ./internal/core/prefs/ ; \
 	  ANYOPT_BENCH_INTERNET=1 $(GO) test -run xxx -bench 'BenchmarkCampaignStorage|BenchmarkCampaignMemory' \
 		-benchmem -json -benchtime 1x -timeout 30m . ) \
 		| $(GO) run ./cmd/benchjson -out BENCH_10.json

@@ -214,8 +214,9 @@ func main() {
 		fmt.Printf("topology: %v\n", sys.Topo.ComputeStats())
 		fmt.Printf("experiments: %d BGP runs, %d probes, %v wall time\n",
 			sys.Experiments(), sys.Disc.ProbesSent, time.Since(start).Round(time.Millisecond))
-		order, frac := sys.Pred.Providers.BestAnnouncementOrder(7)
-		fmt.Printf("best announcement order: %v (%.1f%% of clients orderable)\n", order, 100*frac)
+		snap := sys.CurrentSnapshot()
+		fmt.Printf("best announcement order: %v (%.1f%% of clients orderable)\n",
+			snap.AnnOrder, 100*snap.Pred.Providers.FracWithTotalOrder(snap.AnnOrder))
 		tab := analysis.NewTable("per-site mean unicast RTT", "site", "name", "mean RTT")
 		for _, s := range sys.TB.Sites {
 			tab.AddRow(s.ID, s.Name, sys.RTT.MeanUnicast(s.ID))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"anyopt"
@@ -98,18 +99,25 @@ func TestShardMergeDeterminism(t *testing.T) {
 // simulating a shard process killed mid-campaign: the journal keeps what was
 // persisted before the crash, and the campaign aborts.
 type failAfter struct {
-	ck      *Checkpoint
-	n       int
+	ck *Checkpoint
+	n  int
+	// mu guards records: campaign workers record concurrently.
+	mu      sync.Mutex
 	records int
 }
 
 func (f *failAfter) Lookup(nonce uint64) (discovery.JournalEntry, bool) { return f.ck.Lookup(nonce) }
 
 func (f *failAfter) Record(nonce uint64, ent discovery.JournalEntry) error {
-	if f.records >= f.n {
+	f.mu.Lock()
+	crashed := f.records >= f.n
+	if !crashed {
+		f.records++
+	}
+	f.mu.Unlock()
+	if crashed {
 		return fmt.Errorf("simulated crash after %d records", f.n)
 	}
-	f.records++
 	return f.ck.Record(nonce, ent)
 }
 

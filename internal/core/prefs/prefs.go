@@ -330,24 +330,107 @@ func (cp *ClientPrefs) Complete(items []Item) bool {
 	return true
 }
 
-// prefersUnder reports whether x beats y under announcement order annRank
-// (lower rank = announced earlier): strict winners win; equal pairs go to
-// the earlier-announced item.
-func (cp *ClientPrefs) prefersUnder(x, y Item, annRank map[Item]int) (bool, bool) {
-	rel, winner := cp.Relation(x, y)
-	switch rel {
-	case RelStrict:
-		return winner == x, true
-	case RelEqual:
-		rx, okx := annRank[x]
-		ry, oky := annRank[y]
-		if !okx || !oky {
-			return false, false
-		}
-		return rx < ry, true
-	default:
-		return false, false
+// stackItems is the announcement length the tournament kernel serves from
+// stack scratch: the paper's 15 sites and 6 providers fit. A longer
+// announcement costs one slice per call (never one per client).
+const stackItems = 16
+
+// scratch is the kernel's working set for one announcement of n items, three
+// n-long windows of one buffer.
+type scratch struct {
+	// ix[a] is the store index of the a-th announced item, -1 when the item
+	// is outside the universe.
+	ix []int32
+	// wins[a] counts the pairs the a-th announced item won.
+	wins []int32
+	// rank[k] is the announcement position of the k-th most preferred item.
+	rank []int32
+}
+
+// newScratch carves a scratch for n items out of buf, or out of one fresh
+// slice when n exceeds the stack bound.
+func newScratch(buf *[3 * stackItems]int32, n int) scratch {
+	b := buf[:]
+	if n > stackItems {
+		b = make([]int32, 3*n)
 	}
+	return scratch{ix: b[:n], wins: b[n : 2*n], rank: b[2*n : 3*n]}
+}
+
+// resolve returns a scratch whose ix holds the announced items' store
+// indices.
+func (s *Store) resolve(buf *[3 * stackItems]int32, announce []Item) scratch {
+	sc := newScratch(buf, len(announce))
+	for a, it := range announce {
+		sc.ix[a] = -1
+		if i, ok := s.index[it]; ok {
+			sc.ix[a] = int32(i)
+		}
+	}
+	return sc
+}
+
+// tournament is the one total-order kernel. It plays every pair of the
+// announced items sc.ix (earliest announced first) from the relation cells of
+// one client row: a strict pair goes to its recorded winner, an equal pair to
+// the earlier-announced item (route age decides, §4.2). It reports whether
+// the outcome is a total order and, if so, leaves the order in sc.rank.
+//
+// Every pair hands out exactly one win, so the n win counts sum to n(n-1)/2.
+// They are a total order iff they are exactly {0..n-1}: the item with n-1
+// wins beats every other, and removing it leaves the same statement for n-1
+// items; conversely any cycle forces two items to share a count. So no win
+// matrix is kept — filling rank[n-1-wins[a]] without a collision is the whole
+// acyclicity check. An empty announcement, a repeated item, an item outside
+// the universe (with anything to compare it to) and an unmeasured pair all
+// mean there is no order.
+func (s *Store) tournament(row int, sc scratch) bool {
+	ix, wins, rank := sc.ix, sc.wins, sc.rank
+	n := len(ix)
+	if n == 0 {
+		return false
+	}
+	for a := range wins {
+		wins[a] = 0
+		rank[a] = -1
+	}
+	base := row * s.nPairs
+	for a := 0; a < n; a++ {
+		ia := ix[a]
+		won := int32(0)
+		for b := a + 1; b < n; b++ {
+			ib := ix[b]
+			if ia|ib < 0 || ia == ib {
+				return false
+			}
+			off := base + s.pairIdx(int(ia), int(ib))
+			rel := s.rels[off]
+			if rel == RelUnknown {
+				return false
+			}
+			// Branch-free on the data: who wins a measured pair is a coin
+			// flip to the predictor, and a candidate order is judged on
+			// hundreds of signatures.
+			w := int32(0)
+			if rel == RelEqual {
+				w = 1 // the earlier-announced item wins
+			}
+			if int32(s.winIdx[off]) == ia {
+				w = 1 // a won strictly (or the pair is equal anyway)
+			}
+			won += w
+			wins[b] += 1 - w
+		}
+		wins[a] += won
+	}
+	for a, w := range wins {
+		k := n - 1 - int(w)
+		if rank[k] >= 0 {
+			return false
+		}
+		rank[k] = int32(a)
+	}
+	return true
 }
 
 // TotalOrder attempts to build the client's total preference order over the
@@ -356,61 +439,14 @@ func (cp *ClientPrefs) prefersUnder(x, y Item, annRank map[Item]int) (bool, bool
 // relations are incomplete or cyclic — the clients the paper excludes from
 // prediction (§4.2).
 func (cp *ClientPrefs) TotalOrder(announce []Item) ([]Item, bool) {
-	n := len(announce)
-	if n == 0 {
+	var buf [3 * stackItems]int32
+	sc := cp.store.resolve(&buf, announce)
+	if !cp.store.tournament(cp.idx, sc) {
 		return nil, false
 	}
-	annRank := make(map[Item]int, n)
-	for r, it := range announce {
-		if _, dup := annRank[it]; dup {
-			return nil, false
-		}
-		annRank[it] = r
-	}
-	// wins[a][b] = a beats b.
-	wins := make([][]bool, n)
-	for a := range wins {
-		wins[a] = make([]bool, n)
-	}
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			ab, ok := cp.prefersUnder(announce[a], announce[b], annRank)
-			if !ok {
-				return nil, false
-			}
-			wins[a][b] = ab
-			wins[b][a] = !ab
-		}
-	}
-	// A tournament is a total order iff win counts are a permutation of
-	// 0..n-1 (no 3-cycles). Sorting by descending win count yields the
-	// order; verifying adjacent dominance confirms acyclicity.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	count := make([]int, n)
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a != b && wins[a][b] {
-				count[a]++
-			}
-		}
-	}
-	sort.SliceStable(idx, func(x, y int) bool { return count[idx[x]] > count[idx[y]] })
-	for pos := 0; pos < n; pos++ {
-		if count[idx[pos]] != n-1-pos {
-			return nil, false // tie in win counts ⇒ cycle exists
-		}
-		for later := pos + 1; later < n; later++ {
-			if !wins[idx[pos]][idx[later]] {
-				return nil, false
-			}
-		}
-	}
-	out := make([]Item, n)
-	for pos, i := range idx {
-		out[pos] = announce[i]
+	out := make([]Item, len(announce))
+	for k, a := range sc.rank {
+		out[k] = announce[a]
 	}
 	return out, true
 }
@@ -419,17 +455,17 @@ func (cp *ClientPrefs) TotalOrder(announce []Item) ([]Item, bool) {
 // given announcement order: its most preferred enabled item. ok is false when
 // the client lacks a total order over the enabled items.
 func (cp *ClientPrefs) Best(enabled []Item, annRank []Item) (Item, bool) {
-	order, ok := cp.TotalOrder(annRank)
-	if !ok {
+	var buf [3 * stackItems]int32
+	sc := cp.store.resolve(&buf, annRank)
+	if !cp.store.tournament(cp.idx, sc) {
 		return 0, false
 	}
-	en := make(map[Item]bool, len(enabled))
-	for _, e := range enabled {
-		en[e] = true
-	}
-	for _, it := range order {
-		if en[it] {
-			return it, true
+	for _, a := range sc.rank {
+		it := annRank[a]
+		for _, e := range enabled {
+			if e == it {
+				return it, true
+			}
 		}
 	}
 	return 0, false
@@ -438,88 +474,178 @@ func (cp *ClientPrefs) Best(enabled []Item, annRank []Item) (Item, bool) {
 // HasTotalOrder reports whether the client's relations over items are
 // complete and acyclic under the given announcement order.
 func (cp *ClientPrefs) HasTotalOrder(announce []Item) bool {
-	_, ok := cp.TotalOrder(announce)
-	return ok
+	var buf [3 * stackItems]int32
+	return cp.store.tournament(cp.idx, cp.store.resolve(&buf, announce))
+}
+
+// class is one distinct relation signature over an announced item set: the
+// first row that carries it stands for all n rows that do.
+type class struct {
+	row int32
+	n   int32
+}
+
+// classes collapses the store's rows into their distinct relation signatures
+// over the items ix, in first-seen row order. Catchment is decided by a
+// handful of preference relations per network, so thousands of clients share
+// a few hundred signatures and every candidate announcement order is then
+// judged once per signature instead of once per client. The signature is one
+// byte per pair of ix — 0 equal, 1 the earlier-listed item wins, 2 the later
+// one — so two rows with the same signature have the same tournament under
+// every ordering of ix. Rows with an unmeasured pair among ix have no total
+// order under any of them and are dropped here, once. The map only finds a
+// signature's class; nothing iterates it.
+func (s *Store) classes(ix []int32) []class {
+	n := len(ix)
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if ix[a] < 0 || ix[b] < 0 || ix[a] == ix[b] {
+				return nil
+			}
+		}
+	}
+	var out []class
+	sig := make([]byte, 0, n*(n-1)/2)
+	seen := make(map[string]int32)
+rows:
+	for row := range s.keys {
+		sig = sig[:0]
+		base := row * s.nPairs
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				off := base + s.pairIdx(int(ix[a]), int(ix[b]))
+				switch s.rels[off] {
+				case RelStrict:
+					if int32(s.winIdx[off]) == ix[a] {
+						sig = append(sig, 1)
+					} else {
+						sig = append(sig, 2)
+					}
+				case RelEqual:
+					sig = append(sig, 0)
+				default:
+					continue rows
+				}
+			}
+		}
+		c, ok := seen[string(sig)]
+		if !ok {
+			c = int32(len(out))
+			seen[string(sig)] = c
+			out = append(out, class{row: int32(row)})
+		}
+		out[c].n++
+	}
+	return out
+}
+
+// countTotal returns how many of the rows behind classes have a total order
+// under the announcement sc.ix.
+func (s *Store) countTotal(classes []class, sc scratch) int {
+	n := 0
+	for _, c := range classes {
+		if s.tournament(int(c.row), sc) {
+			n += int(c.n)
+		}
+	}
+	return n
+}
+
+// frac turns a client count into the fraction of recorded clients.
+func (s *Store) frac(count int) float64 {
+	if len(s.keys) == 0 {
+		return 0
+	}
+	return float64(count) / float64(len(s.keys))
 }
 
 // FracWithTotalOrder returns the fraction of recorded clients having a total
 // order over the given announcement order.
 func (s *Store) FracWithTotalOrder(announce []Item) float64 {
-	if len(s.keys) == 0 {
-		return 0
-	}
-	n := 0
-	for i := range s.keys {
-		if s.views[i].HasTotalOrder(announce) {
-			n++
-		}
-	}
-	return float64(n) / float64(len(s.keys))
+	var buf [3 * stackItems]int32
+	sc := s.resolve(&buf, announce)
+	return s.frac(s.countTotal(s.classes(sc.ix), sc))
 }
 
 // BestAnnouncementOrder searches announcement orders of the items and returns
 // the one maximizing the fraction of clients with a total order (§4.5 step 3:
 // "the announcement order that maximizes the number of client networks with a
 // consistent total order"). For ≤ maxExhaustive items every permutation is
-// tried; beyond that a greedy insertion heuristic is used.
+// tried, in Heap's-algorithm order, and the first one with the highest count
+// wins; beyond that a greedy insertion heuristic is used. Either way each
+// candidate is judged once per relation signature (see classes).
 func (s *Store) BestAnnouncementOrder(maxExhaustive int) ([]Item, float64) {
-	items := s.Items()
-	if len(items) <= 1 {
-		return items, s.FracWithTotalOrder(items)
+	n := len(s.items)
+	if n <= 1 {
+		return s.Items(), s.FracWithTotalOrder(s.items)
 	}
-	if len(items) <= maxExhaustive {
-		bestFrac := -1.0
-		var best []Item
-		permute(items, func(p []Item) {
-			if f := s.FracWithTotalOrder(p); f > bestFrac {
-				bestFrac = f
-				best = append([]Item(nil), p...)
-			}
-		})
-		return best, bestFrac
-	}
-	// Greedy insertion: grow the order one item at a time, placing each new
-	// item at the position that keeps the most clients consistent.
-	order := []Item{items[0]}
-	for _, it := range items[1:] {
-		bestFrac := -1.0
-		bestPos := 0
-		for pos := 0; pos <= len(order); pos++ {
-			trial := make([]Item, 0, len(order)+1)
-			trial = append(trial, order[:pos]...)
-			trial = append(trial, it)
-			trial = append(trial, order[pos:]...)
-			if f := s.FracWithTotalOrder(trial); f > bestFrac {
-				bestFrac = f
-				bestPos = pos
+	var buf [3 * stackItems]int32
+	sc := newScratch(&buf, n)
+	best := make([]int32, 0, n)
+	bestCount := -1
+	if n <= maxExhaustive {
+		for i := range sc.ix {
+			sc.ix[i] = int32(i)
+		}
+		classes := s.classes(sc.ix)
+		counters := make([]int, n)
+		for more := true; more; more = nextHeap(sc.ix, counters) {
+			if c := s.countTotal(classes, sc); c > bestCount {
+				bestCount = c
+				best = append(best[:0], sc.ix...)
 			}
 		}
-		next := make([]Item, 0, len(order)+1)
-		next = append(next, order[:bestPos]...)
-		next = append(next, it)
-		next = append(next, order[bestPos:]...)
-		order = next
+	} else {
+		// Greedy insertion: grow the order one item at a time, placing each
+		// new item at the first position that keeps the most clients
+		// consistent.
+		best = append(best, 0)
+		for it := 1; it < n; it++ {
+			k := len(best)
+			trial := scratch{ix: sc.ix[:k+1], wins: sc.wins[:k+1], rank: sc.rank[:k+1]}
+			trial.ix[0] = int32(it)
+			copy(trial.ix[1:], best)
+			classes := s.classes(trial.ix)
+			bestCount = -1
+			bestPos := 0
+			for pos := 0; ; pos++ {
+				if c := s.countTotal(classes, trial); c > bestCount {
+					bestCount = c
+					bestPos = pos
+				}
+				if pos == k {
+					break
+				}
+				trial.ix[pos], trial.ix[pos+1] = trial.ix[pos+1], trial.ix[pos]
+			}
+			best = append(best, 0)
+			copy(best[bestPos+1:], best[bestPos:])
+			best[bestPos] = int32(it)
+		}
 	}
-	return order, s.FracWithTotalOrder(order)
+	order := make([]Item, n)
+	for i, ix := range best {
+		order[i] = s.items[ix]
+	}
+	return order, s.frac(bestCount)
 }
 
-// permute calls fn for every permutation of items (Heap's algorithm).
-func permute(items []Item, fn func([]Item)) {
-	p := append([]Item(nil), items...)
-	var rec func(k int)
-	rec = func(k int) {
-		if k == 1 {
-			fn(p)
-			return
+// nextHeap advances p to the next permutation in the order Heap's algorithm
+// (the form that swaps after every recursive call) visits them; counters holds
+// one loop counter per level, all zero before the first call. It returns false
+// once every permutation has been visited.
+func nextHeap(p []int32, counters []int) bool {
+	for k := 2; k <= len(p); k++ {
+		if k%2 == 0 {
+			p[counters[k-1]], p[k-1] = p[k-1], p[counters[k-1]]
+		} else {
+			p[0], p[k-1] = p[k-1], p[0]
 		}
-		for i := 0; i < k; i++ {
-			rec(k - 1)
-			if k%2 == 0 {
-				p[i], p[k-1] = p[k-1], p[i]
-			} else {
-				p[0], p[k-1] = p[k-1], p[0]
-			}
+		counters[k-1]++
+		if counters[k-1] < k {
+			return true
 		}
+		counters[k-1] = 0
 	}
-	rec(len(p))
+	return false
 }

@@ -2,6 +2,7 @@ package prefs
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -370,18 +371,45 @@ func TestPairIdxCoversAllPairs(t *testing.T) {
 	}
 }
 
+// TestTotalOrderEdgeCases pins what the kernel must keep at the rim of its
+// input: no order for an empty announcement, a repeated item or an item
+// outside the universe; an order for any single item.
 func TestTotalOrderEdgeCases(t *testing.T) {
-	s := mustStore(t, 1, 2)
-	s.RecordOrdered(5, 1, 2, 1, 1)
-	if _, ok := s.Get(5).TotalOrder(nil); ok {
-		t.Error("empty announcement order accepted")
+	s := mustStore(t, 1, 2, 3)
+	fillStrict(t, s, 5, []Item{2, 1, 3})
+	cp := s.Get(5)
+	for _, tc := range []struct {
+		name     string
+		announce []Item
+		want     []Item // nil: no order
+	}{
+		{"empty", nil, nil},
+		{"single", []Item{3}, []Item{3}},
+		{"all", []Item{1, 2, 3}, []Item{2, 1, 3}},
+		{"duplicate", []Item{1, 2, 1}, nil},
+		{"outside the universe", []Item{1, 9}, nil},
+	} {
+		wantOK := tc.want != nil
+		if order, ok := cp.TotalOrder(tc.announce); ok != wantOK || !reflect.DeepEqual(order, tc.want) {
+			t.Errorf("%s: TotalOrder = %v, %v; want %v", tc.name, order, ok, tc.want)
+		}
+		if ok := cp.HasTotalOrder(tc.announce); ok != wantOK {
+			t.Errorf("%s: HasTotalOrder = %v, want %v", tc.name, ok, wantOK)
+		}
+		if best, ok := cp.Best(tc.announce, tc.announce); ok != wantOK || (ok && best != tc.want[0]) {
+			t.Errorf("%s: Best = %v, %v; want the head of %v", tc.name, best, ok, tc.want)
+		}
+		wantFrac := 0.0
+		if wantOK {
+			wantFrac = 1
+		}
+		if got := s.FracWithTotalOrder(tc.announce); got != wantFrac {
+			t.Errorf("%s: FracWithTotalOrder = %v, want %v", tc.name, got, wantFrac)
+		}
 	}
-	if _, ok := s.Get(5).TotalOrder([]Item{1, 1}); ok {
-		t.Error("duplicate announcement items accepted")
-	}
-	order, ok := s.Get(5).TotalOrder([]Item{1})
-	if !ok || order[0] != 1 {
-		t.Error("singleton order failed")
+	empty := mustStore(t, 1, 2, 3)
+	if order, frac := empty.BestAnnouncementOrder(7); !reflect.DeepEqual(order, []Item{1, 2, 3}) || frac != 0 {
+		t.Errorf("empty store: BestAnnouncementOrder = %v, %v; want the item order and 0", order, frac)
 	}
 }
 
@@ -402,6 +430,7 @@ func BenchmarkTotalOrder15Sites(b *testing.B) {
 		}
 	}
 	cp := s.Get(1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := cp.TotalOrder(items); !ok {

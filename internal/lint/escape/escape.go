@@ -43,6 +43,7 @@ var DefaultPackages = []string{
 	"./internal/bgp",
 	"./internal/netproto",
 	"./internal/core/discovery",
+	"./internal/core/prefs",
 	"./internal/core/splpo",
 	"./internal/reconcile",
 }
