@@ -15,8 +15,14 @@
 //
 //	sys, _ := anyopt.New(anyopt.DefaultOptions())
 //	_ = sys.RunDiscovery()
-//	res, _ := sys.Optimize(12, 0)
+//	snap := sys.CurrentSnapshot()
+//	res, _ := snap.Optimize(12, 0)
 //	fmt.Println(res.Config, res.PredictedMean)
+//
+// The System owns the write side (campaigns, deployments); everything read
+// from a finished campaign — predictions, baselines, optimization — is a
+// method of the immutable Snapshot it publishes. Snapshot.OptimizeWith is the
+// one optimization entry point (optimize.go).
 //
 // The heavy lifting lives in the internal packages: internal/bgp (routing
 // simulator), internal/topology (Internet generator), internal/testbed and
@@ -92,8 +98,8 @@ func InternetScaleOptions() Options {
 // A System is not safe for concurrent mutation: RunDiscovery, campaign
 // loading, and the Measure* methods drive shared campaign state. The read
 // side, however, is lock-free: every completed campaign is published as an
-// immutable Snapshot through an atomic pointer, and the prediction and
-// optimization methods operate on whatever snapshot is current. Concurrent
+// immutable Snapshot through an atomic pointer, and prediction and
+// optimization are methods of that Snapshot (CurrentSnapshot). Concurrent
 // servers (internal/api) read snapshots directly and serialize only the
 // writers.
 type System struct {
@@ -101,14 +107,9 @@ type System struct {
 	TB   *testbed.Testbed
 	Disc *discovery.Discovery
 
-	// Pred and RTT are populated by RunDiscovery. They mirror the current
-	// Snapshot for single-threaded callers (CLIs, experiments); concurrent
-	// readers must go through CurrentSnapshot instead.
+	// Pred mirrors CurrentSnapshot().Pred. It is kept only because the
+	// frozen bench/ module reads it; everything else reads the snapshot.
 	Pred *predict.Predictor
-	RTT  *discovery.RTTTable
-	// AnnOrder is the provider announcement order that maximizes clients
-	// with total orders (§4.5 step 3), chosen during RunDiscovery.
-	AnnOrder []prefs.Item
 
 	opts Options
 
@@ -214,8 +215,8 @@ func (s *System) PatchCampaign(pred *predict.Predictor, rtt *discovery.RTTTable,
 }
 
 // publish is the single write point for campaign state: it freezes the
-// inputs into a fresh immutable Snapshot, numbers it, mirrors it into the
-// System's legacy fields and swaps the atomic pointer. The previous snapshot
+// inputs into a fresh immutable Snapshot, numbers it, mirrors its predictor
+// into System.Pred and swaps the atomic pointer. The previous snapshot
 // is never touched; concurrent readers observe either it or the complete
 // successor, never a mix.
 //
@@ -232,7 +233,7 @@ func (s *System) publish(pred *predict.Predictor, rtt *discovery.RTTTable, annOr
 		Quarantined: maps.Clone(quarantined),
 		StaleRows:   maps.Clone(staleRows),
 	}
-	s.Pred, s.RTT, s.AnnOrder = pred, rtt, snap.AnnOrder
+	s.Pred = pred
 	s.snap.Store(snap)
 	return snap
 }
@@ -273,24 +274,15 @@ func (s *System) ValidateConfig(cfg Config) error {
 	return nil
 }
 
-// PredictCatchments predicts each client's catchment site under cfg.
+// PredictCatchments is CurrentSnapshot().PredictCatchments with the
+// discovery guard. It is the one read delegate left on System, kept because
+// the frozen bench/ module calls it; new code reads the snapshot.
 func (s *System) PredictCatchments(cfg Config) (map[Client]int, error) {
 	snap, err := s.requireDiscovery()
 	if err != nil {
 		return nil, err
 	}
 	return snap.PredictCatchments(cfg), nil
-}
-
-// PredictMeanRTT predicts the mean client RTT of cfg and returns the number
-// of predictable clients.
-func (s *System) PredictMeanRTT(cfg Config) (time.Duration, int, error) {
-	snap, err := s.requireDiscovery()
-	if err != nil {
-		return 0, 0, err
-	}
-	mean, n := snap.PredictMeanRTT(cfg)
-	return mean, n, nil
 }
 
 // PredictCatchments predicts each client's catchment site under cfg against
@@ -322,139 +314,14 @@ func (s *System) MeasureConfigurations(cfgs []Config) []discovery.ConfigResult {
 	return s.Disc.RunConfigurationsRTTs(raw)
 }
 
-// OptimizeResult is the outcome of an offline configuration search.
-type OptimizeResult struct {
-	// Config is the chosen configuration in deployable announcement order.
-	Config Config
-	// PredictedMean is the optimizer's predicted mean client RTT.
-	PredictedMean time.Duration
-	// SubsetsEvaluated counts configurations examined.
-	SubsetsEvaluated int
-	// OrderableClients is the number of clients in the optimization.
-	OrderableClients int
-	// Evals and Moves are the anytime solver's counters (candidate moves
-	// evaluated, moves accepted); zero on the exact-solver paths.
-	Evals int
-	Moves int
-}
-
-// Optimize searches for the lowest-predicted-latency configuration with
-// exactly k sites (k = 0 searches all sizes). maxSubsets bounds the
-// enumeration, mirroring the paper's offline time budget; 0 is unlimited.
-// Networks with more than 20 sites use local search automatically.
-func (s *System) Optimize(k, maxSubsets int) (OptimizeResult, error) {
-	snap, err := s.requireDiscovery()
-	if err != nil {
-		return OptimizeResult{}, err
-	}
-	return snap.Optimize(k, maxSubsets)
-}
-
-// Optimize is System.Optimize against this snapshot's frozen campaign. The
-// SPLPO instance is built fresh per call, so concurrent optimizations share
-// nothing but read-only campaign data.
-func (sn *Snapshot) Optimize(k, maxSubsets int) (OptimizeResult, error) {
-	in, clients := sn.Pred.BuildInstance(sn.AnnOrder)
-	if in.NumSites > 20 {
-		// Too many subsets to enumerate: the anytime solver takes over.
-		return sn.search(in, len(clients), splpo.SearchOptions{ExactSize: k})
-	}
-	best, evaluated, err := splpo.Exhaustive(in, splpo.Options{ExactSize: k, MaxSubsets: maxSubsets})
-	if err != nil {
-		return OptimizeResult{}, fmt.Errorf("anyopt: optimize: %w", err)
-	}
-	return OptimizeResult{
-		Config:           sn.Pred.SubsetToConfig(best.Subset, sn.AnnOrder),
-		PredictedMean:    time.Duration(best.MeanCost * float64(time.Millisecond)),
-		SubsetsEvaluated: evaluated,
-		OrderableClients: len(clients),
-	}, nil
-}
-
-// OptimizeExcluding is Optimize restricted to subsets that avoid the given
-// sites — the operational case of §1's "regular maintenance": a site is
-// down, and the saved campaign re-optimizes the rest offline.
-func (s *System) OptimizeExcluding(k, maxSubsets int, exclude ...int) (OptimizeResult, error) {
-	snap, err := s.requireDiscovery()
-	if err != nil {
-		return OptimizeResult{}, err
-	}
-	return snap.OptimizeExcluding(k, maxSubsets, exclude...)
-}
-
-// OptimizeExcluding is System.OptimizeExcluding against this snapshot.
-func (sn *Snapshot) OptimizeExcluding(k, maxSubsets int, exclude ...int) (OptimizeResult, error) {
-	var forbidden uint64
-	for _, id := range exclude {
-		if id < 1 || id > len(sn.TB.Sites) {
-			return OptimizeResult{}, fmt.Errorf("anyopt: cannot exclude unknown site %d", id)
-		}
-		forbidden |= 1 << uint(id-1)
-	}
-	in, clients := sn.Pred.BuildInstance(sn.AnnOrder)
-	opts := splpo.Options{ExactSize: k, MaxSubsets: maxSubsets, ForbiddenMask: forbidden}
-	best, evaluated, err := splpo.Exhaustive(in, opts)
-	if err != nil {
-		return OptimizeResult{}, fmt.Errorf("anyopt: optimize excluding %v: %w", exclude, err)
-	}
-	return OptimizeResult{
-		Config:           sn.Pred.SubsetToConfig(best.Subset, sn.AnnOrder),
-		PredictedMean:    time.Duration(best.MeanCost * float64(time.Millisecond)),
-		SubsetsEvaluated: evaluated,
-		OrderableClients: len(clients),
-	}, nil
-}
-
-// OptimizeLoadAware is Optimize with the Appendix B extensions: loads
-// assigns each client a demand (defaulting to 1) that weights its RTT
-// contribution and counts against capacity; caps limits the total load a
-// site may absorb (site ID → capacity). Only feasible configurations — every
-// client served, no site over capacity — are considered.
-func (s *System) OptimizeLoadAware(k, maxSubsets int, loads map[Client]float64, caps map[int]float64) (OptimizeResult, error) {
-	snap, err := s.requireDiscovery()
-	if err != nil {
-		return OptimizeResult{}, err
-	}
-	return snap.OptimizeLoadAware(k, maxSubsets, loads, caps)
-}
-
-// OptimizeLoadAware is System.OptimizeLoadAware against this snapshot.
-func (sn *Snapshot) OptimizeLoadAware(k, maxSubsets int, loads map[Client]float64, caps map[int]float64) (OptimizeResult, error) {
-	in, clients := sn.Pred.BuildInstanceWeighted(sn.AnnOrder, loads, caps)
-	if in.NumSites > 20 {
-		return sn.search(in, len(clients), splpo.SearchOptions{ExactSize: k, RequireFeasible: true})
-	}
-	best, evaluated, err := splpo.Exhaustive(in, splpo.Options{ExactSize: k, MaxSubsets: maxSubsets, RequireFeasible: true})
-	if err != nil {
-		return OptimizeResult{}, fmt.Errorf("anyopt: load-aware optimize: %w", err)
-	}
-	return OptimizeResult{
-		Config:           sn.Pred.SubsetToConfig(best.Subset, sn.AnnOrder),
-		PredictedMean:    time.Duration(best.MeanCost * float64(time.Millisecond)),
-		SubsetsEvaluated: evaluated,
-		OrderableClients: len(clients),
-	}, nil
-}
-
 // PredictSiteLoads predicts the load each site absorbs under cfg, using the
 // given per-client demands (default 1).
-func (s *System) PredictSiteLoads(cfg Config, loads map[Client]float64) (map[int]float64, error) {
-	snap, err := s.requireDiscovery()
-	if err != nil {
-		return nil, err
-	}
-	return snap.PredictSiteLoads(cfg, loads), nil
-}
-
-// PredictSiteLoads is System.PredictSiteLoads against this snapshot.
 func (sn *Snapshot) PredictSiteLoads(cfg Config, loads map[Client]float64) map[int]float64 {
 	out := make(map[int]float64)
 	for c, site := range sn.PredictCatchments(cfg) {
-		l := 1.0
-		if loads != nil {
-			if v, ok := loads[c]; ok {
-				l = v
-			}
+		l, ok := loads[c]
+		if !ok {
+			l = 1
 		}
 		out[site] += l
 	}
@@ -463,50 +330,35 @@ func (sn *Snapshot) PredictSiteLoads(cfg Config, loads map[Client]float64) map[i
 
 // GreedyConfig returns the baseline configuration of the k sites with the
 // lowest mean unicast RTT (§5.3's "k-Greedy").
-func (s *System) GreedyConfig(k int) (Config, error) {
-	snap, err := s.requireDiscovery()
-	if err != nil {
-		return nil, err
-	}
-	return snap.GreedyConfig(k)
-}
-
-// GreedyConfig is System.GreedyConfig against this snapshot.
 func (sn *Snapshot) GreedyConfig(k int) (Config, error) {
 	in, _ := sn.Pred.BuildInstance(sn.AnnOrder)
 	a, err := splpo.GreedyByCost(in, k)
 	if err != nil {
 		return nil, err
 	}
-	return sn.Pred.SubsetToConfig(a.Subset, sn.AnnOrder), nil
+	return sn.Pred.SiteSetToConfig(a.Open, sn.AnnOrder), nil
 }
 
-// RandomConfig returns a uniformly random k-site configuration.
+// RandomConfig returns a uniformly random k-site configuration in the
+// current campaign's announcement order.
 func (s *System) RandomConfig(k int, rng *rand.Rand) (Config, error) {
 	snap, err := s.requireDiscovery()
 	if err != nil {
 		return nil, err
 	}
-	ids := rng.Perm(len(s.TB.Sites))[:k]
-	var subset uint64
-	for _, i := range ids {
-		subset |= 1 << uint(i)
-	}
-	return snap.Pred.SubsetToConfig(subset, snap.AnnOrder), nil
+	n := len(s.TB.Sites)
+	return snap.Pred.SiteSetToConfig(splpo.SiteSetOf(n, rng.Perm(n)[:k]...), snap.AnnOrder), nil
 }
 
-// AllSitesConfig returns the configuration enabling every site.
+// AllSitesConfig returns the configuration enabling every site, in the
+// current campaign's announcement order when there is one.
 func (s *System) AllSitesConfig() Config {
-	var subset uint64
-	for _, site := range s.TB.Sites {
-		subset |= 1 << uint(site.ID-1)
-	}
-	if s.Pred != nil {
-		return s.Pred.SubsetToConfig(subset, s.AnnOrder)
-	}
 	cfg := make(Config, len(s.TB.Sites))
 	for i, site := range s.TB.Sites {
 		cfg[i] = site.ID
+	}
+	if snap := s.CurrentSnapshot(); snap != nil {
+		return snap.Pred.SiteSetToConfig(predict.ConfigToSiteSet(len(cfg), cfg), snap.AnnOrder)
 	}
 	return cfg
 }

@@ -40,25 +40,26 @@ func TestDiscoveryRequired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every campaign read is a Snapshot method, so "discovery required" is
+	// one fact: there is no snapshot yet. (The HTTP 409 it turns into is
+	// TestPredictRequiresDiscovery's.)
+	if sys.CurrentSnapshot() != nil {
+		t.Error("a snapshot exists before discovery")
+	}
 	if _, err := sys.PredictCatchments(Config{1}); err == nil {
 		t.Error("prediction before discovery succeeded")
 	}
-	if _, _, err := sys.PredictMeanRTT(Config{1}); err == nil {
-		t.Error("mean RTT before discovery succeeded")
-	}
-	if _, err := sys.Optimize(4, 0); err == nil {
-		t.Error("optimize before discovery succeeded")
-	}
-	if _, err := sys.GreedyConfig(4); err == nil {
-		t.Error("greedy before discovery succeeded")
+	if _, err := sys.RandomConfig(4, rand.New(rand.NewSource(1))); err == nil {
+		t.Error("random config before discovery succeeded")
 	}
 }
 
 func TestEndToEndOptimizeBeatsBaselines(t *testing.T) {
 	sys := getSystem(t)
+	snap := sys.CurrentSnapshot()
 	const k = 6
 
-	opt, err := sys.Optimize(k, 0)
+	opt, err := snap.Optimize(k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestEndToEndOptimizeBeatsBaselines(t *testing.T) {
 		t.Errorf("only %d orderable clients", opt.OrderableClients)
 	}
 
-	greedy, err := sys.GreedyConfig(k)
+	greedy, err := snap.GreedyConfig(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +106,7 @@ func TestEndToEndOptimizeBeatsBaselines(t *testing.T) {
 func TestPredictionMatchesDeployment(t *testing.T) {
 	sys := getSystem(t)
 	cfg := Config{1, 3, 4, 5, 6, 10}
-	predicted, err := sys.PredictCatchments(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	predicted := sys.CurrentSnapshot().PredictCatchments(cfg)
 	measured, _ := sys.MeasureConfiguration(cfg)
 	acc, n := predict.Accuracy(predicted, measured)
 	if n < 100 {
@@ -152,7 +150,7 @@ func TestOnePassPeeringViaFacade(t *testing.T) {
 
 func TestOptimizeWithBudget(t *testing.T) {
 	sys := getSystem(t)
-	res, err := sys.Optimize(0, 500)
+	res, err := sys.CurrentSnapshot().Optimize(0, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +171,9 @@ func TestExperimentsCounter(t *testing.T) {
 	}
 }
 
-func TestOptimizeLoadAware(t *testing.T) {
+func TestOptimizeWithLoadsAndCaps(t *testing.T) {
 	sys := getSystem(t)
+	snap := sys.CurrentSnapshot()
 	loads := map[Client]float64{}
 	var total float64
 	for _, tg := range sys.Topo.Targets {
@@ -184,11 +183,11 @@ func TestOptimizeLoadAware(t *testing.T) {
 	const k = 6
 
 	// Without caps, load-aware matches plain optimize on uniform loads.
-	free, err := sys.OptimizeLoadAware(k, 0, loads, nil)
+	free, err := snap.OptimizeWith(OptimizeOptions{K: k, Loads: loads})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := sys.Optimize(k, 0)
+	plain, err := snap.Optimize(k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,14 +197,10 @@ func TestOptimizeLoadAware(t *testing.T) {
 
 	// Find the hottest site under the free optimum and cap below its load:
 	// the capped optimum must respect the cap and cannot be better.
-	freeLoads, err := sys.PredictSiteLoads(free.Config, loads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hottest := 0.0
-	for _, l := range freeLoads {
+	hotSite, hottest := 0, 0.0
+	for site, l := range snap.PredictSiteLoads(free.Config, loads) {
 		if l > hottest {
-			hottest = l
+			hotSite, hottest = site, l
 		}
 	}
 	if hottest <= total/float64(k) {
@@ -215,36 +210,55 @@ func TestOptimizeLoadAware(t *testing.T) {
 	for _, s := range sys.TB.Sites {
 		caps[s.ID] = hottest * 0.9
 	}
-	capped, err := sys.OptimizeLoadAware(k, 0, loads, caps)
+	capped, err := snap.OptimizeWith(OptimizeOptions{K: k, Loads: loads, Caps: caps})
 	if err != nil {
 		t.Skipf("cap at 90%% of hotspot infeasible: %v", err)
 	}
 	if capped.PredictedMean < free.PredictedMean {
 		t.Errorf("capped optimum %v beat the unconstrained one %v", capped.PredictedMean, free.PredictedMean)
 	}
-	cappedLoads, err := sys.PredictSiteLoads(capped.Config, loads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for site, l := range cappedLoads {
+	for site, l := range snap.PredictSiteLoads(capped.Config, loads) {
 		if l > caps[site]+1e-9 {
 			t.Errorf("site %d load %.0f exceeds cap %.0f", site, l, caps[site])
 		}
 	}
+
+	// Exclude + Caps, reachable only since the options share one struct: the
+	// free optimum's hottest site is out for maintenance and the rest must
+	// still balance. The answer avoids the site, respects every cap, and
+	// cannot beat the capped optimum it is a restriction of.
+	both, err := snap.OptimizeWith(OptimizeOptions{K: k, Loads: loads, Caps: caps, Exclude: []int{hotSite}})
+	if err != nil {
+		t.Fatalf("exclude + caps: %v", err)
+	}
+	if len(both.Config) != k || both.Anytime {
+		t.Errorf("exclude + caps: config %v, anytime %v; want %d sites from the exact solver", both.Config, both.Anytime, k)
+	}
+	for _, id := range both.Config {
+		if id == hotSite {
+			t.Errorf("excluded site %d present in %v", hotSite, both.Config)
+		}
+	}
+	if both.PredictedMean < capped.PredictedMean {
+		t.Errorf("exclude + caps optimum %v beat the capped one %v", both.PredictedMean, capped.PredictedMean)
+	}
+	// Held against the instance the optimizer solved (PredictSiteLoads also
+	// counts clients outside the optimization, so it is only indicative).
+	in, _ := snap.Pred.BuildInstanceWeighted(snap.AnnOrder, loads, caps)
+	if st := in.EvaluateSet(predict.ConfigToSiteSet(in.NumSites, both.Config), nil); !st.Feasible() {
+		t.Errorf("exclude + caps optimum %v is infeasible: %+v", both.Config, st)
+	}
 }
 
 func TestPredictSiteLoadsWeighted(t *testing.T) {
-	sys := getSystem(t)
+	snap := getSystem(t).CurrentSnapshot()
 	cfg := Config{1, 6}
-	uniform, err := sys.PredictSiteLoads(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	uniform := snap.PredictSiteLoads(cfg, nil)
 	var totalU float64
 	for _, l := range uniform {
 		totalU += l
 	}
-	predicted, _ := sys.PredictCatchments(cfg)
+	predicted := snap.PredictCatchments(cfg)
 	if int(totalU) != len(predicted) {
 		t.Errorf("uniform loads sum %.0f != %d predicted clients", totalU, len(predicted))
 	}
@@ -253,26 +267,22 @@ func TestPredictSiteLoadsWeighted(t *testing.T) {
 	for c := range predicted {
 		loads[c] = 2
 	}
-	doubled, err := sys.PredictSiteLoads(cfg, loads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for site, l := range doubled {
+	for site, l := range snap.PredictSiteLoads(cfg, loads) {
 		if l != 2*uniform[site] {
 			t.Errorf("site %d: %v != 2×%v", site, l, uniform[site])
 		}
 	}
 }
 
-func TestOptimizeExcluding(t *testing.T) {
-	sys := getSystem(t)
-	full, err := sys.Optimize(0, 0)
+func TestOptimizeWithExclude(t *testing.T) {
+	snap := getSystem(t).CurrentSnapshot()
+	full, err := snap.Optimize(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Exclude the first site of the unrestricted optimum.
 	excluded := full.Config[0]
-	res, err := sys.OptimizeExcluding(0, 0, excluded)
+	res, err := snap.OptimizeWith(OptimizeOptions{Exclude: []int{excluded}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,20 +294,23 @@ func TestOptimizeExcluding(t *testing.T) {
 	if res.PredictedMean < full.PredictedMean {
 		t.Errorf("restricted optimum %v beat the unrestricted one %v", res.PredictedMean, full.PredictedMean)
 	}
-	if _, err := sys.OptimizeExcluding(0, 0, 99); err == nil {
+	if _, err := snap.OptimizeWith(OptimizeOptions{Exclude: []int{99}}); err == nil {
 		t.Error("unknown site excluded without error")
 	}
 }
 
 func TestOptimizeWithAnytimeMatchesExact(t *testing.T) {
-	sys := getSystem(t)
-	exact, err := sys.Optimize(6, 0)
+	snap := getSystem(t).CurrentSnapshot()
+	exact, err := snap.Optimize(6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if exact.Anytime || exact.Evals != 0 {
+		t.Errorf("15 sites without a time budget ran the anytime solver: %+v", exact)
+	}
 	// A time budget routes the same search to the anytime solver; on the
 	// paper-scale testbed it must land on the same optimum.
-	any, err := sys.OptimizeWith(OptimizeOptions{
+	any, err := snap.OptimizeWith(OptimizeOptions{
 		K: 6, TimeBudget: 2 * time.Second, Restarts: 4,
 	})
 	if err != nil {
@@ -309,12 +322,12 @@ func TestOptimizeWithAnytimeMatchesExact(t *testing.T) {
 	if len(any.Config) != 6 {
 		t.Errorf("anytime config %v, want 6 sites", any.Config)
 	}
-	if any.Evals == 0 {
-		t.Error("anytime path reported no evals")
+	if !any.Anytime || any.Evals == 0 {
+		t.Errorf("time-budgeted solve: anytime %v with %d evals", any.Anytime, any.Evals)
 	}
 
 	// Exclusion carries through the anytime path too.
-	excl, err := sys.OptimizeWith(OptimizeOptions{
+	excl, err := snap.OptimizeWith(OptimizeOptions{
 		K: 6, TimeBudget: time.Second, Exclude: []int{any.Config[0]},
 	})
 	if err != nil {

@@ -57,7 +57,7 @@ commands:
   discover    run the full measurement campaign and summarize it
   predict     predict a configuration (-config 1,3,5) and validate by deployment
   optimize    find the best configuration (-k sites, 0 = any size; -budget subsets;
-              -time-budget / -restarts route to the anytime solver)
+              -time-budget runs the anytime solver, over -restarts parallel starts)
   peers       one-pass peering evaluation on top of the optimum (-k, -max links)
   trace       explain a client's routing toward a configuration (-config, -client ASN)
   breakdown   count which BGP attribute decides each client's catchment (-config)
@@ -219,7 +219,7 @@ func main() {
 			snap.AnnOrder, 100*snap.Pred.Providers.FracWithTotalOrder(snap.AnnOrder))
 		tab := analysis.NewTable("per-site mean unicast RTT", "site", "name", "mean RTT")
 		for _, s := range sys.TB.Sites {
-			tab.AddRow(s.ID, s.Name, sys.RTT.MeanUnicast(s.ID))
+			tab.AddRow(s.ID, s.Name, snap.RTT.MeanUnicast(s.ID))
 		}
 		fmt.Print(tab)
 
@@ -234,19 +234,14 @@ func main() {
 		if err := env.Discover(); err != nil {
 			log.Fatal(err)
 		}
-		predicted, err := sys.PredictCatchments(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		predMean, n, err := sys.PredictMeanRTT(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
+		snap := sys.CurrentSnapshot()
+		predicted := snap.PredictCatchments(cfg)
+		predMean, n := snap.PredictMeanRTT(cfg)
 		measured, rtts := sys.MeasureConfiguration(cfg)
 		acc, overlap := predict.Accuracy(predicted, measured)
 		measMean, _ := predict.MeasuredMeanRTT(rtts)
 		fmt.Printf("config %v\n", cfg)
-		fmt.Printf("  predictable clients: %d (%.1f%%)\n", n, 100*sys.Pred.FracPredictable(cfg))
+		fmt.Printf("  predictable clients: %d (%.1f%%)\n", n, 100*snap.Pred.FracPredictable(cfg))
 		fmt.Printf("  catchment accuracy vs deployment: %.1f%% over %d clients\n", 100*acc, overlap)
 		fmt.Printf("  mean RTT: predicted %v, measured %v (rel err %.1f%%)\n",
 			predMean.Round(10*time.Microsecond), measMean.Round(10*time.Microsecond),
@@ -262,28 +257,23 @@ func main() {
 		if err := env.Discover(); err != nil {
 			log.Fatal(err)
 		}
-		var opt anyopt.OptimizeResult
-		var err error
-		if *timeBudget > 0 || *restarts > 1 {
-			opt, err = sys.OptimizeWith(anyopt.OptimizeOptions{
-				K: *k, MaxSubsets: *budget, TimeBudget: *timeBudget, Restarts: *restarts,
-			})
-		} else {
-			opt, err = sys.Optimize(*k, *budget)
-		}
+		snap := sys.CurrentSnapshot()
+		opt, err := snap.OptimizeWith(anyopt.OptimizeOptions{
+			K: *k, MaxSubsets: *budget, TimeBudget: *timeBudget, Restarts: *restarts,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("optimum: %v (predicted mean %v, %d subsets, %d orderable clients)\n",
 			opt.Config, opt.PredictedMean.Round(10*time.Microsecond), opt.SubsetsEvaluated, opt.OrderableClients)
-		if opt.Moves > 0 {
+		if opt.Anytime {
 			fmt.Printf("anytime solver: %d moves accepted over %d candidate evals\n", opt.Moves, opt.Evals)
 		}
 		_, rtts := sys.MeasureConfiguration(opt.Config)
 		mean, _ := predict.MeasuredMeanRTT(rtts)
 		fmt.Printf("deployed mean: %v\n", mean.Round(10*time.Microsecond))
 		if *k > 0 {
-			greedy, err := sys.GreedyConfig(*k)
+			greedy, err := snap.GreedyConfig(*k)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -300,7 +290,7 @@ func main() {
 		if err := env.Discover(); err != nil {
 			log.Fatal(err)
 		}
-		opt, err := sys.Optimize(*k, 0)
+		opt, err := sys.CurrentSnapshot().Optimize(*k, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

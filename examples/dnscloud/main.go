@@ -69,11 +69,12 @@ func main() {
 
 	// Assign the cloud a delegation-set-sized subset: the 18 best sites.
 	const k = 18
-	opt, err := sys.Optimize(k, 0)
+	snap := sys.CurrentSnapshot()
+	opt, err := snap.Optimize(k, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	greedy, err := sys.GreedyConfig(k)
+	greedy, err := snap.GreedyConfig(k)
 	if err != nil {
 		log.Fatal(err)
 	}

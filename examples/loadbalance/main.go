@@ -42,14 +42,12 @@ func main() {
 
 	// Unconstrained optimum concentrates load on popular sites.
 	const k = 8
-	free, err := sys.OptimizeLoadAware(k, 0, loads, nil)
+	snap := sys.CurrentSnapshot()
+	free, err := snap.OptimizeWith(anyopt.OptimizeOptions{K: k, Loads: loads})
 	if err != nil {
 		log.Fatal(err)
 	}
-	freeLoads, err := sys.PredictSiteLoads(free.Config, loads)
-	if err != nil {
-		log.Fatal(err)
-	}
+	freeLoads := snap.PredictSiteLoads(free.Config, loads)
 	fmt.Printf("\nunconstrained optimum %v (predicted mean %v)\n", free.Config, free.PredictedMean.Round(100_000))
 	printLoads(sys, freeLoads)
 
@@ -63,7 +61,7 @@ func main() {
 		for _, s := range sys.TB.Sites {
 			caps[s.ID] = frac * total
 		}
-		res, err := sys.OptimizeLoadAware(k, 0, loads, caps)
+		res, err := snap.OptimizeWith(anyopt.OptimizeOptions{K: k, Loads: loads, Caps: caps})
 		if err != nil {
 			fmt.Printf("\ncap ≤%.0f%%: infeasible — no %d-site configuration balances the load that far\n", frac*100, k)
 			break
@@ -75,10 +73,7 @@ func main() {
 	if capFrac == 0 {
 		log.Fatal("even the loosest cap was infeasible")
 	}
-	cappedLoads, err := sys.PredictSiteLoads(capped.Config, loads)
-	if err != nil {
-		log.Fatal(err)
-	}
+	cappedLoads := snap.PredictSiteLoads(capped.Config, loads)
 	printLoads(sys, cappedLoads)
 
 	fmt.Printf("\nprice of balance: %+.1fms mean latency for a ≤%.0f%% per-site cap\n",

@@ -30,7 +30,8 @@ func main() {
 	}
 
 	// Deploy the 12-site optimum.
-	opt, err := sys.Optimize(12, 0)
+	snap := sys.CurrentSnapshot()
+	opt, err := snap.Optimize(12, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func main() {
 
 	// Offline re-optimization over the remaining sites, straight from the
 	// existing campaign — no new BGP experiments.
-	reopt, err := sys.OptimizeExcluding(0, 0, busiest)
+	reopt, err := snap.OptimizeWith(anyopt.OptimizeOptions{Exclude: []int{busiest}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func main() {
 	}
 
 	// Transit-only optimum (12 sites, as in §5.3).
-	opt, err := sys.Optimize(12, 0)
+	opt, err := sys.CurrentSnapshot().Optimize(12, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

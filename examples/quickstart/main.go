@@ -35,14 +35,9 @@ func main() {
 
 	// 3. Predict a configuration and validate against a real deployment.
 	cfg := anyopt.Config{1, 3, 4, 5, 6, 10} // one site per transit provider
-	predicted, err := sys.PredictCatchments(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	predMean, n, err := sys.PredictMeanRTT(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+	snap := sys.CurrentSnapshot()           // the finished campaign, immutable
+	predicted := snap.PredictCatchments(cfg)
+	predMean, n := snap.PredictMeanRTT(cfg)
 	measured, rtts := sys.MeasureConfiguration(cfg)
 	match, overlap := 0, 0
 	for c, p := range predicted {
@@ -65,11 +60,11 @@ func main() {
 		predMean.Round(100_000), n, measMean/1e6)
 
 	// 4. Offline optimization: best 12-site configuration (§5.3).
-	opt, err := sys.Optimize(12, 0)
+	opt, err := snap.Optimize(12, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	greedy, err := sys.GreedyConfig(12)
+	greedy, err := snap.GreedyConfig(12)
 	if err != nil {
 		log.Fatal(err)
 	}

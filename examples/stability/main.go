@@ -27,7 +27,7 @@ func main() {
 	if err := sys.RunDiscovery(); err != nil {
 		log.Fatal(err)
 	}
-	opt, err := sys.Optimize(12, 0)
+	opt, err := sys.CurrentSnapshot().Optimize(12, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -333,27 +333,16 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 }
 
 // optimizeResponse computes the /v1/optimize body against one snapshot; see
-// predictResponse for why it is split out. A positive timeBudgetMs routes
-// the request to the anytime solver (which also takes over automatically on
-// networks past the 63-site bitmask limit); the response then carries the
-// solver's eval/move counters.
+// predictResponse for why it is split out. Which solver answers is
+// OptimizeWith's decision; when it was the anytime solver the response
+// carries its eval/move counters.
 func optimizeResponse(snap *anyopt.Snapshot, k, budget, timeBudgetMs int, exclude []int) (map[string]any, error) {
-	var res anyopt.OptimizeResult
-	var err error
-	anytime := timeBudgetMs > 0 || len(snap.TB.Sites) > 63
-	switch {
-	case anytime:
-		res, err = snap.OptimizeWith(anyopt.OptimizeOptions{
-			K:          k,
-			MaxSubsets: budget,
-			Exclude:    exclude,
-			TimeBudget: time.Duration(timeBudgetMs) * time.Millisecond,
-		})
-	case len(exclude) > 0:
-		res, err = snap.OptimizeExcluding(k, budget, exclude...)
-	default:
-		res, err = snap.Optimize(k, budget)
-	}
+	res, err := snap.OptimizeWith(anyopt.OptimizeOptions{
+		K:          k,
+		MaxSubsets: budget,
+		Exclude:    exclude,
+		TimeBudget: time.Duration(timeBudgetMs) * time.Millisecond,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -363,7 +352,7 @@ func optimizeResponse(snap *anyopt.Snapshot, k, budget, timeBudgetMs int, exclud
 		"subsets":           res.SubsetsEvaluated,
 		"orderable_clients": res.OrderableClients,
 	}
-	if anytime {
+	if res.Anytime {
 		body["solver_evals"] = res.Evals
 		body["solver_moves"] = res.Moves
 	}

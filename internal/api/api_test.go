@@ -179,6 +179,31 @@ func TestDiscoverPredictOptimizeFlow(t *testing.T) {
 	}
 }
 
+// TestServedBytesPinned holds the 15-site read path to the bytes it served
+// before /v1/optimize collapsed onto Snapshot.OptimizeWith: bodies recorded at
+// commit 6e5eab5 at DefaultOptions(), exact to the newline.
+func TestServedBytesPinned(t *testing.T) {
+	ts := discoveredServer(t)
+	for path, want := range map[string]string{
+		"/v1/optimize?k=12":                                `{"config":[1,2,12,5,15,6,7,9,11,3,8,10],"orderable_clients":336,"predicted_mean_ms":178.106988,"subsets":455}`,
+		"/v1/optimize?k=0&exclude=2,7":                     `{"config":[1,12,5,15,6,9,11],"orderable_clients":336,"predicted_mean_ms":180.548075,"subsets":8191}`,
+		"/v1/optimize?k=8&budget=500":                      `{"config":[1,2,12,5,6,7,9,11],"orderable_clients":336,"predicted_mean_ms":181.692697,"subsets":500}`,
+		"/v1/optimize?k=6&exclude=4&budget=300":            `{"config":[1,2,5,7,9,11],"orderable_clients":336,"predicted_mean_ms":181.484793,"subsets":300}`,
+		"/v1/predict?config=1,4,6":                         `{"catchment_szs":{"1":215,"4":83,"6":41},"config":[1,4,6],"health":"fresh","mean_rtt_ms":292.347619,"predictable":339}`,
+		"/v1/predict?config=2,3,5,7,8,9,10,11,12,13,14,15": `{"catchment_szs":{"10":23,"11":10,"13":38,"14":2,"15":17,"2":112,"3":48,"5":53,"7":7,"9":11},"config":[2,3,5,7,8,9,10,11,12,13,14,15],"health":"fresh","mean_rtt_ms":207.588862,"predictable":321}`,
+	} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 || string(got) != want+"\n" {
+			t.Errorf("GET %s: status %d\n got %s want %s", path, resp.StatusCode, got, want)
+		}
+	}
+}
+
 func TestScheduleEndpoint(t *testing.T) {
 	_, ts := testServer(t)
 	var got struct {

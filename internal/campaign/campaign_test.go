@@ -64,11 +64,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("client %d: %d vs %d", c, site, b[c])
 		}
 	}
-	optA, err := src.Optimize(6, 0)
+	optA, err := src.CurrentSnapshot().Optimize(6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	optB, err := dst.Optimize(6, 0)
+	optB, err := dst.CurrentSnapshot().Optimize(6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

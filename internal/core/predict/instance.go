@@ -126,11 +126,9 @@ func (p *Predictor) BuildInstanceWeighted(annProv []prefs.Item, loads map[prefs.
 				rankCost[i] = float64(rtt) / float64(time.Millisecond)
 			}
 		}
-		load := 1.0
-		if loads != nil {
-			if l, ok := loads[c]; ok {
-				load = l
-			}
+		load, ok := loads[c]
+		if !ok {
+			load = 1
 		}
 		in.Clients = append(in.Clients, splpo.Client{
 			Ranking: idxRank, RankCost: rankCost, Load: load, Weight: load,
@@ -140,33 +138,10 @@ func (p *Predictor) BuildInstanceWeighted(annProv []prefs.Item, loads map[prefs.
 	return in, clients
 }
 
-// SubsetToConfig converts an SPLPO subset bitmask into a deployable
+// SiteSetToConfig converts a set of SPLPO site indices into a deployable
 // configuration: site IDs ordered by the provider announcement order (each
 // provider's sites announced consecutively), so that deployed arrival order
 // matches the preferences used to predict it.
-func (p *Predictor) SubsetToConfig(subset uint64, annProv []prefs.Item) Config {
-	var cfg Config
-	for _, prov := range annProv {
-		for _, s := range p.TB.SitesOfTransit(topology.ASN(prov)) {
-			if subset&(1<<uint(s.ID-1)) != 0 {
-				cfg = append(cfg, s.ID)
-			}
-		}
-	}
-	return cfg
-}
-
-// ConfigToSubset is the inverse of SubsetToConfig.
-func ConfigToSubset(cfg Config) uint64 {
-	var subset uint64
-	for _, id := range cfg {
-		subset |= 1 << uint(id-1)
-	}
-	return subset
-}
-
-// SiteSetToConfig is SubsetToConfig for bitset configurations — the
-// representation the anytime solver uses past the 63-site bitmask limit.
 func (p *Predictor) SiteSetToConfig(open splpo.SiteSet, annProv []prefs.Item) Config {
 	var cfg Config
 	for _, prov := range annProv {

@@ -84,24 +84,38 @@ func TestBuildInstanceWeighted(t *testing.T) {
 	}
 }
 
-func TestSubsetToConfigRoundTrip(t *testing.T) {
+func TestSiteSetToConfigRoundTrip(t *testing.T) {
 	pl := getPipeline(t)
 	annProv, _ := pl.pred.Providers.BestAnnouncementOrder(6)
-	for _, subset := range []uint64{0b1, 0b101010101, 0b111111111111111} {
-		cfg := pl.pred.SubsetToConfig(subset, annProv)
-		if got := ConfigToSubset(cfg); got != subset {
-			t.Errorf("subset %b → config %v → %b", subset, cfg, got)
+	n := len(pl.tb.Sites)
+	for _, subset := range []splpo.SiteSet{
+		splpo.SiteSetOf(n, 0),
+		splpo.SiteSetOf(n, 0, 2, 4, 6, 8),
+		allSites(n),
+	} {
+		cfg := pl.pred.SiteSetToConfig(subset, annProv)
+		if got := ConfigToSiteSet(n, cfg); !got.Equal(subset) {
+			t.Errorf("subset %v → config %v → %v", subset, cfg, got)
 		}
 		// Sites of the same provider must be adjacent in the config.
 		lastProv := map[int64]int{}
 		for i, id := range cfg {
 			prov := int64(pl.tb.Site(id).Transit)
 			if at, seen := lastProv[prov]; seen && at != i-1 {
-				t.Errorf("subset %b: provider %d's sites not adjacent in %v", subset, prov, cfg)
+				t.Errorf("subset %v: provider %d's sites not adjacent in %v", subset, prov, cfg)
 			}
 			lastProv[prov] = i
 		}
 	}
+}
+
+// allSites opens every one of n sites.
+func allSites(n int) splpo.SiteSet {
+	s := splpo.NewSiteSet(n)
+	for i := 0; i < n; i++ {
+		s.Add(i)
+	}
+	return s
 }
 
 func TestRankingPrefixStability(t *testing.T) {
@@ -110,7 +124,7 @@ func TestRankingPrefixStability(t *testing.T) {
 	// Catchment must never disagree.
 	pl := getPipeline(t)
 	annProv, _ := pl.pred.Providers.BestAnnouncementOrder(6)
-	all := pl.pred.SubsetToConfig(1<<15-1, annProv)
+	all := pl.pred.SiteSetToConfig(allSites(len(pl.tb.Sites)), annProv)
 	checked := 0
 	for _, c := range pl.pred.Providers.Clients() {
 		ranking, ok := pl.pred.Ranking(c, annProv)

@@ -50,16 +50,13 @@ func getPipeline(t *testing.T) *pipeline {
 // randomConfig picks a random subset of sites (size between 2 and 14) in a
 // provider-grouped announcement order.
 func randomConfig(p *Predictor, rng *rand.Rand, size int) Config {
-	ids := rng.Perm(len(p.TB.Sites))[:size]
-	subset := uint64(0)
-	for _, i := range ids {
-		subset |= 1 << uint(i)
-	}
+	n := len(p.TB.Sites)
+	open := splpo.SiteSetOf(n, rng.Perm(n)[:size]...)
 	annProv := make([]prefs.Item, 0)
 	for _, prov := range p.TB.TransitProviders() {
 		annProv = append(annProv, prefs.Item(prov))
 	}
-	return p.SubsetToConfig(subset, annProv)
+	return p.SiteSetToConfig(open, annProv)
 }
 
 func TestCatchmentPredictionAccuracy(t *testing.T) {
@@ -237,12 +234,12 @@ func TestBuildInstanceAndOptimize(t *testing.T) {
 
 	// The optimized config must also deploy well: measured mean RTT within
 	// 25% of the predicted optimum.
-	cfg := pl.pred.SubsetToConfig(best.Subset, annProv)
+	cfg := pl.pred.SiteSetToConfig(best.Open, annProv)
 	if len(cfg) != k {
-		t.Fatalf("SubsetToConfig returned %v", cfg)
+		t.Fatalf("SiteSetToConfig returned %v", cfg)
 	}
-	if got := ConfigToSubset(cfg); got != best.Subset {
-		t.Fatalf("ConfigToSubset mismatch: %b vs %b", got, best.Subset)
+	if got := ConfigToSiteSet(in.NumSites, cfg); !got.Equal(best.Open) {
+		t.Fatalf("ConfigToSiteSet mismatch: %v vs %v", got, best.Open)
 	}
 	_, rtts := pl.disc.RunConfigurationRTTs(cfg)
 	meas, _ := MeasuredMeanRTT(rtts)

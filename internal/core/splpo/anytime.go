@@ -3,10 +3,11 @@ package splpo
 // The anytime link-guided local-search solver (SRTE-LS style): SiteSet
 // configurations, DeltaEval move evaluation, cost-guided candidate
 // selection, plateau escape by seeded perturbation, and warm-restart
-// re-optimization. This is the solver for instances past the 63-site
-// bitmask limit — §4.5's Akamai-scale analysis (500 sites / 20 transits)
-// and beyond — and it is anytime: it returns the best configuration found
-// when its evaluation budget (or an external Stop signal) runs out.
+// re-optimization. This is the solver for instances too large to enumerate
+// — §4.5's Akamai-scale analysis (500 sites / 20 transits) and beyond — or
+// asked under a deadline, and it is anytime: it returns the best
+// configuration found when its evaluation budget (or an external Stop
+// signal) runs out.
 //
 // Move selection is guided rather than exhaustive at scale: candidate sites
 // to open are ranked by aggregate client regret (how much the clients that

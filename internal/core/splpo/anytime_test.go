@@ -3,6 +3,7 @@ package splpo
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"anyopt/internal/exec"
@@ -45,15 +46,15 @@ func TestSiteSetBasics(t *testing.T) {
 
 func TestSiteSetMaskRoundTrip(t *testing.T) {
 	mask := uint64(0b1011001)
-	s := SiteSetFromMask(7, mask)
-	if s.Mask() != mask {
-		t.Fatalf("mask %b, want %b", s.Mask(), mask)
+	s := siteSetOfWord(7, mask)
+	if s.word() != mask {
+		t.Fatalf("mask %b, want %b", s.word(), mask)
 	}
 	if s.Count() != 4 {
 		t.Fatalf("count %d", s.Count())
 	}
 	// Out-of-capacity bits are dropped.
-	if SiteSetFromMask(3, 0b11111).Mask() != 0b111 {
+	if siteSetOfWord(3, 0b11111).word() != 0b111 {
 		t.Error("capacity clamp failed")
 	}
 }
@@ -76,27 +77,75 @@ func TestSiteSetLess(t *testing.T) {
 	}
 }
 
-// --- >63-site guards ---
+// --- past one machine word ---
 
+// TestBitmaskSolversRejectLargeInstances: enumeration is the only technique
+// with a site limit. Exhaustive refuses 70 sites and names the solver to use
+// instead; the baselines evaluate one SiteSet and work at any count.
 func TestBitmaskSolversRejectLargeInstances(t *testing.T) {
-	in := &Instance{NumSites: 64}
+	in := &Instance{NumSites: 70}
 	for c := 0; c < 4; c++ {
 		in.Clients = append(in.Clients, Client{
-			Ranking:  []int{c, 63 - c},
+			Ranking:  []int{c, 69 - c},
 			RankCost: []float64{1, 2},
 		})
 	}
 	if err := in.Validate(); err != nil {
-		t.Fatalf("64-site instance must validate: %v", err)
+		t.Fatalf("70-site instance must validate: %v", err)
 	}
-	if _, _, err := Exhaustive(in, Options{}); err == nil {
-		t.Error("Exhaustive accepted a 64-site instance")
+	if _, _, err := Exhaustive(in, Options{}); err == nil || !strings.Contains(err.Error(), "Search") {
+		t.Errorf("Exhaustive on 70 sites: err = %v, want a refusal naming Search", err)
 	}
-	if _, err := GreedyByCost(in, 2); err == nil {
-		t.Error("GreedyByCost accepted a 64-site instance")
+	// Sites 0..3 are everyone's first choice at cost 1, 66..69 second at 2;
+	// the other 62 have no clients (mean Infinity) and sort last.
+	g, err := GreedyByCost(in, 4)
+	if err != nil {
+		t.Fatalf("GreedyByCost at 70 sites: %v", err)
+	}
+	if !g.Open.Equal(SiteSetOf(70, 0, 1, 2, 3)) || !g.Feasible || g.MeanCost != 1 {
+		t.Errorf("greedy at 70 sites = %v feasible %v mean %v, want {0 1 2 3} at mean 1", g.Open, g.Feasible, g.MeanCost)
+	}
+	// A random 69-site subset misses at most one site, so every client keeps
+	// a ranked site open — including the ones past bit 63.
+	r, err := BestRandom(in, 69, 5, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatalf("BestRandom at 70 sites: %v", err)
+	}
+	if r.Open.Count() != 69 || !r.Feasible || r.MeanCost > 2 {
+		t.Errorf("best random at 70 sites: %d open, feasible %v, mean %v", r.Open.Count(), r.Feasible, r.MeanCost)
 	}
 	if _, err := Search(in, SearchOptions{MaxWork: 10_000}); err != nil {
-		t.Errorf("anytime Search must accept a 64-site instance: %v", err)
+		t.Errorf("anytime Search must accept a 70-site instance: %v", err)
+	}
+}
+
+// TestExhaustiveKernelMatchesEvaluateSet holds Exhaustive's private one-word
+// kernel to the SiteSet evaluation, field for field and load for load, on
+// dense, sparse and capacitated instances.
+func TestExhaustiveKernelMatchesEvaluateSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 40; trial++ {
+		nSites := 1 + rng.Intn(20)
+		var in *Instance
+		if trial%2 == 0 {
+			in = randomInstance(rng, nSites, 1+rng.Intn(40))
+		} else {
+			in = randomSparseInstance(rng, nSites, 1+rng.Intn(40), 1+rng.Intn(nSites), trial%4 == 1)
+		}
+		wordLoad, setLoad := make([]float64, nSites), make([]float64, nSites)
+		for probe := 0; probe < 50; probe++ {
+			w := rng.Uint64() & (1<<uint(nSites) - 1)
+			open := siteSetOfWord(nSites, w)
+			got, want := in.evaluateWord(w, wordLoad), in.EvaluateSet(open, setLoad)
+			if got != want {
+				t.Fatalf("trial %d open %v: kernel %+v, EvaluateSet %+v", trial, open, got, want)
+			}
+			for s := range wordLoad {
+				if wordLoad[s] != setLoad[s] {
+					t.Fatalf("trial %d open %v: site %d load %v vs %v", trial, open, s, wordLoad[s], setLoad[s])
+				}
+			}
+		}
 	}
 }
 
@@ -278,7 +327,7 @@ func TestDeltaEvalPatchRejectsShapeChange(t *testing.T) {
 
 // TestSearchMatchesExhaustive pins the anytime solver to the proven optimum
 // on paper-scale instances, across the constraint surface: free size,
-// ExactSize, ForbiddenMask, and RequireFeasible with caps.
+// ExactSize, Forbidden, and RequireFeasible with caps.
 func TestSearchMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	pool := exec.New(4)
@@ -295,8 +344,8 @@ func TestSearchMatchesExhaustive(t *testing.T) {
 			sopts.ExactSize = opts.ExactSize
 		case 2:
 			forbidden := rng.Intn(nSites)
-			opts.ForbiddenMask = 1 << uint(forbidden)
-			sopts.Forbidden = SiteSetOf(nSites, forbidden)
+			opts.Forbidden = SiteSetOf(nSites, forbidden)
+			sopts.Forbidden = opts.Forbidden
 		case 3:
 			// Capacitate: per-site cap at half the client count, feasible
 			// with enough sites open.
@@ -316,8 +365,8 @@ func TestSearchMatchesExhaustive(t *testing.T) {
 			t.Fatalf("trial %d (mode %d): search: %v", trial, mode, err)
 		}
 		if math.Abs(got.MeanCost-want.MeanCost) > 1e-9*(1+want.MeanCost) {
-			t.Errorf("trial %d (mode %d): search mean %v, exhaustive optimum %v (open %v vs subset %b)",
-				trial, mode, got.MeanCost, want.MeanCost, got.Open, want.Subset)
+			t.Errorf("trial %d (mode %d): search mean %v, exhaustive optimum %v (open %v vs %v)",
+				trial, mode, got.MeanCost, want.MeanCost, got.Open, want.Open)
 		}
 	}
 }

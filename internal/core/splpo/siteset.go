@@ -1,8 +1,8 @@
 package splpo
 
-// SiteSet is a bitset over site indices, replacing the uint64 subset mask
-// for instances past the 63-site bitmask-solver limit. The zero value is an
-// empty set over zero sites; use NewSiteSet to size one for an instance.
+// SiteSet is a bitset over site indices: the one representation of a set of
+// sites, at any site count. The zero value is an empty set over zero sites;
+// use NewSiteSet to size one for an instance.
 //
 // A SiteSet is a plain value wrapper around a word slice: Clone/CopyFrom
 // duplicate storage explicitly, everything else mutates in place. None of
@@ -33,12 +33,12 @@ func SiteSetOf(n int, sites ...int) SiteSet {
 	return s
 }
 
-// SiteSetFromMask converts a uint64 subset bitmask (the ≤64-site solvers'
-// representation) into a SiteSet with capacity n.
-func SiteSetFromMask(n int, mask uint64) SiteSet {
+// siteSetOfWord and word are Exhaustive's bridge to its one-word subset
+// counter; they are only meaningful at n ≤ 64. Bits at or past n are dropped.
+func siteSetOfWord(n int, w uint64) SiteSet {
 	s := NewSiteSet(n)
 	if len(s.words) > 0 {
-		s.words[0] = mask
+		s.words[0] = w
 		if n < 64 {
 			s.words[0] &= (uint64(1) << uint(n)) - 1
 		}
@@ -46,17 +46,15 @@ func SiteSetFromMask(n int, mask uint64) SiteSet {
 	return s
 }
 
-// Cap returns the set's site capacity.
-func (s SiteSet) Cap() int { return s.n }
-
-// Mask returns the set as a uint64 bitmask. It is only meaningful when the
-// capacity is ≤ 64; higher bits are silently dropped otherwise.
-func (s SiteSet) Mask() uint64 {
+func (s SiteSet) word() uint64 {
 	if len(s.words) == 0 {
 		return 0
 	}
 	return s.words[0]
 }
+
+// Cap returns the set's site capacity.
+func (s SiteSet) Cap() int { return s.n }
 
 // Has reports whether site is open.
 func (s SiteSet) Has(site int) bool {

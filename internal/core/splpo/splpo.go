@@ -10,15 +10,12 @@
 // (§5.3), and an anytime local-search solver for large networks, plus the
 // baselines the paper compares against (greedy-by-unicast-RTT, random).
 //
-// Two solver families coexist:
-//
-//   - The bitmask solvers (Exhaustive, GreedyByCost, RandomSubset)
-//     represent a configuration as a uint64 subset and are
-//     limited to 63 sites — the paper's 15-site testbed scale.
-//   - The anytime solver (Search, SearchParallel, Warm.Reoptimize in
-//     anytime.go) represents a configuration as a SiteSet bitset and
-//     evaluates moves incrementally through DeltaEval (delta.go), scaling to
-//     the §4.5 Akamai analysis (500 sites / 20 transits) and beyond.
+// A set of sites is a SiteSet everywhere: in solver options, in results and
+// in the baselines, at any site count. Exhaustive is the one enumerator and
+// the one solver with a site limit (it counts subsets in a machine word
+// internally); the anytime solver (Search, SearchParallel, Warm.Reoptimize in
+// anytime.go) evaluates moves incrementally through DeltaEval (delta.go) and
+// scales to the §4.5 Akamai analysis (500 sites / 20 transits) and beyond.
 package splpo
 
 import (
@@ -64,8 +61,7 @@ type Instance struct {
 }
 
 // Validate checks structural sanity. Instances of any site count validate;
-// the 63-site limit applies only to the bitmask solvers, which enforce it
-// themselves (see requireBitmaskScale).
+// only Exhaustive has a site limit, and enforces it itself.
 func (in *Instance) Validate() error {
 	if in.NumSites <= 0 {
 		return fmt.Errorf("splpo: NumSites = %d", in.NumSites)
@@ -112,22 +108,12 @@ func (c *Client) weight() float64 {
 	return c.Weight
 }
 
-// requireBitmaskScale guards the uint64-subset solvers: past 63 sites the
-// subset mask (and `uint64(1) << NumSites`) silently overflows, so they
-// refuse loudly and point at the scalable solver.
-func (in *Instance) requireBitmaskScale(solver string) error {
-	if in.NumSites > 63 {
-		return fmt.Errorf("splpo: %s is a uint64-bitmask solver limited to 63 sites, got %d; use Search or SearchParallel (anytime local search over SiteSet)", solver, in.NumSites)
-	}
-	return nil
-}
-
-// Assignment is the outcome of evaluating a subset.
+// Assignment is the outcome of evaluating one set of open sites.
 type Assignment struct {
-	// Subset is the bitmask of open sites.
-	Subset uint64
-	// TotalCost is the weighted sum of client costs (Infinity-free only if
-	// Feasible).
+	// Open is the set of open sites.
+	Open SiteSet
+	// TotalCost is the weighted sum of client costs; Infinity when a client
+	// is unserved.
 	TotalCost float64
 	// MeanCost is TotalCost divided by total weight of served clients.
 	MeanCost float64
@@ -140,86 +126,28 @@ type Assignment struct {
 	SiteLoad []float64
 }
 
-// Sites expands the subset bitmask into a sorted site list.
-func (a Assignment) Sites() []int {
-	var out []int
-	for s := 0; s < 64; s++ {
-		if a.Subset&(1<<s) != 0 {
-			out = append(out, s)
-		}
+// assign evaluates open in full and reports it as an Assignment.
+func (in *Instance) assign(open SiteSet) Assignment {
+	siteLoad := make([]float64, in.NumSites)
+	st := in.EvaluateSet(open, siteLoad)
+	a := Assignment{
+		Open:      open,
+		TotalCost: st.FiniteCost,
+		MeanCost:  st.MeanCost(),
+		Served:    st.Served,
+		Feasible:  st.Open > 0 && st.Feasible(),
+		SiteLoad:  siteLoad,
 	}
-	return out
-}
-
-// Evaluate assigns every client to its most preferred open site and tallies
-// cost and load.
-func (in *Instance) Evaluate(subset uint64) Assignment {
-	var a Assignment
-	in.EvaluateInto(subset, &a)
+	if st.Open == 0 || st.Unserved > 0 {
+		a.TotalCost = Infinity
+	}
 	return a
 }
 
-// EvaluateInto is Evaluate writing into a caller-owned Assignment, reusing
-// a.SiteLoad when its capacity suffices — the allocation-lean form for move
-// loops that evaluate thousands of subsets (the enumerators).
-func (in *Instance) EvaluateInto(subset uint64, a *Assignment) {
-	if cap(a.SiteLoad) >= in.NumSites {
-		a.SiteLoad = a.SiteLoad[:in.NumSites]
-		for i := range a.SiteLoad {
-			a.SiteLoad[i] = 0
-		}
-	} else {
-		a.SiteLoad = make([]float64, in.NumSites)
-	}
-	a.Subset = subset
-	a.TotalCost, a.MeanCost = 0, 0
-	a.Served = 0
-	a.Feasible = true
-	if subset == 0 {
-		a.Feasible = false
-		a.TotalCost = Infinity
-		a.MeanCost = Infinity
-		return
-	}
-	var totalWeight float64
-	for i := range in.Clients {
-		c := &in.Clients[i]
-		pos := -1
-		for p, s := range c.Ranking {
-			if subset&(1<<uint(s)) != 0 {
-				pos = p
-				break
-			}
-		}
-		if pos < 0 {
-			a.Feasible = false
-			a.TotalCost = Infinity
-			continue
-		}
-		w := c.weight()
-		a.TotalCost += w * c.costAt(pos)
-		totalWeight += w
-		a.Served++
-		a.SiteLoad[c.Ranking[pos]] += c.Load
-	}
-	if in.Cap != nil {
-		for s, load := range a.SiteLoad {
-			if subset&(1<<uint(s)) != 0 && load > in.Cap[s] {
-				a.Feasible = false
-			}
-		}
-	}
-	if totalWeight > 0 && a.TotalCost < Infinity {
-		a.MeanCost = a.TotalCost / totalWeight
-	} else {
-		a.MeanCost = Infinity
-	}
-}
-
-// Stats is the scale-free evaluation outcome used by the SiteSet solvers:
-// the same quantities Assignment carries, without the uint64 subset and with
-// infeasibility decomposed into its two causes (unserved clients, capacity
-// excess) so local search can descend through infeasible regions.
+// Stats is the evaluation outcome the solvers compare: the quantities
+// Assignment carries, with infeasibility decomposed into its two causes
+// (unserved clients, capacity excess) so local search can descend through
+// infeasible regions.
 type Stats struct {
 	// FiniteCost is the weighted cost sum over served clients only.
 	FiniteCost float64
@@ -288,7 +216,43 @@ func (in *Instance) EvaluateSet(open SiteSet, siteLoad []float64) Stats {
 	return st
 }
 
-// Options bounds a solver run.
+// evaluateWord is EvaluateSet for a set held in one machine word (bit s =
+// site s): Exhaustive's private kernel. Enumeration evaluates every subset
+// in full, and the one-word membership test is measurably cheaper there
+// than SiteSet.Has (DESIGN.md §12); nothing else may use it.
+func (in *Instance) evaluateWord(open uint64, siteLoad []float64) Stats {
+	clear(siteLoad)
+	st := Stats{Open: bits.OnesCount64(open)}
+	for i := range in.Clients {
+		c := &in.Clients[i]
+		pos := -1
+		for p, s := range c.Ranking {
+			if open&(1<<uint(s)) != 0 {
+				pos = p
+				break
+			}
+		}
+		if pos < 0 {
+			st.Unserved++
+			continue
+		}
+		w := c.weight()
+		st.FiniteCost += w * c.costAt(pos)
+		st.Weight += w
+		st.Served++
+		siteLoad[c.Ranking[pos]] += c.Load
+	}
+	if in.Cap != nil {
+		for s, load := range siteLoad {
+			if open&(1<<uint(s)) != 0 && load > in.Cap[s] {
+				st.CapExcess += load - in.Cap[s]
+			}
+		}
+	}
+	return st
+}
+
+// Options bounds an Exhaustive run.
 type Options struct {
 	// ExactSize restricts to subsets with exactly this many open sites
 	// (0 = any size).
@@ -298,48 +262,54 @@ type Options struct {
 	MaxSubsets int
 	// RequireFeasible rejects infeasible assignments.
 	RequireFeasible bool
-	// ForbiddenMask excludes sites (bitmask) from every considered subset —
-	// e.g., a site that is down for maintenance.
-	ForbiddenMask uint64
+	// Forbidden excludes sites from every considered subset — e.g., a site
+	// that is down for maintenance. The zero value forbids nothing.
+	Forbidden SiteSet
 }
+
+// maxExhaustiveSites is the largest instance Exhaustive accepts: it counts
+// subsets in one machine word.
+const maxExhaustiveSites = 63
 
 // Exhaustive enumerates subsets (optionally size-restricted, optionally
 // budgeted) and returns the minimum-mean-cost assignment plus the number of
-// subsets evaluated.
+// subsets evaluated. It is the only solver with a site limit, because
+// enumeration is the only technique that has one.
 func Exhaustive(in *Instance, opts Options) (Assignment, int, error) {
 	if err := in.Validate(); err != nil {
 		return Assignment{}, 0, err
 	}
-	if err := in.requireBitmaskScale("Exhaustive"); err != nil {
-		return Assignment{}, 0, err
+	if in.NumSites > maxExhaustiveSites {
+		return Assignment{}, 0, fmt.Errorf("splpo: Exhaustive enumerates at most %d sites, got %d; use Search or SearchParallel (anytime local search)", maxExhaustiveSites, in.NumSites)
 	}
-	best := Assignment{MeanCost: Infinity, TotalCost: Infinity}
-	var scratch Assignment
+	forbidden := opts.Forbidden.word()
+	bestMean, bestOpen := Infinity, uint64(0)
+	siteLoad := make([]float64, in.NumSites)
 	evaluated := 0
 	limit := uint64(1) << uint(in.NumSites)
-	for subset := uint64(1); subset < limit; subset++ {
-		if subset&opts.ForbiddenMask != 0 {
+	for open := uint64(1); open < limit; open++ {
+		if open&forbidden != 0 {
 			continue
 		}
-		if opts.ExactSize > 0 && bits.OnesCount64(subset) != opts.ExactSize {
+		if opts.ExactSize > 0 && bits.OnesCount64(open) != opts.ExactSize {
 			continue
 		}
 		if opts.MaxSubsets > 0 && evaluated >= opts.MaxSubsets {
 			break
 		}
 		evaluated++
-		in.EvaluateInto(subset, &scratch)
-		if opts.RequireFeasible && !scratch.Feasible {
+		st := in.evaluateWord(open, siteLoad)
+		if opts.RequireFeasible && !st.Feasible() {
 			continue
 		}
-		if scratch.MeanCost < best.MeanCost {
-			best, scratch = scratch, best
+		if mean := st.MeanCost(); mean < bestMean {
+			bestMean, bestOpen = mean, open
 		}
 	}
-	if best.TotalCost >= Infinity && best.Subset == 0 {
-		return best, evaluated, fmt.Errorf("splpo: no acceptable subset found")
+	if bestOpen == 0 {
+		return Assignment{TotalCost: Infinity, MeanCost: Infinity}, evaluated, fmt.Errorf("splpo: no acceptable subset found")
 	}
-	return best, evaluated, nil
+	return in.assign(siteSetOfWord(in.NumSites, bestOpen)), evaluated, nil
 }
 
 // GreedyByCost returns the k sites with the lowest mean cost over all
@@ -347,9 +317,6 @@ func Exhaustive(in *Instance, opts Options) (Assignment, int, error) {
 // average unicast latency" (§5.3).
 func GreedyByCost(in *Instance, k int) (Assignment, error) {
 	if err := in.Validate(); err != nil {
-		return Assignment{}, err
-	}
-	if err := in.requireBitmaskScale("GreedyByCost"); err != nil {
 		return Assignment{}, err
 	}
 	if k <= 0 || k > in.NumSites {
@@ -383,11 +350,11 @@ func GreedyByCost(in *Instance, k int) (Assignment, error) {
 		}
 		return means[i].site < means[j].site
 	})
-	var subset uint64
+	open := NewSiteSet(in.NumSites)
 	for _, sm := range means[:k] {
-		subset |= 1 << uint(sm.site)
+		open.Add(sm.site)
 	}
-	return in.Evaluate(subset), nil
+	return in.assign(open), nil
 }
 
 // RandomSubset evaluates a uniformly random subset of exactly k sites.
@@ -395,18 +362,10 @@ func RandomSubset(in *Instance, k int, rng *rand.Rand) (Assignment, error) {
 	if err := in.Validate(); err != nil {
 		return Assignment{}, err
 	}
-	if err := in.requireBitmaskScale("RandomSubset"); err != nil {
-		return Assignment{}, err
-	}
 	if k <= 0 || k > in.NumSites {
 		return Assignment{}, fmt.Errorf("splpo: random size %d out of range", k)
 	}
-	perm := rng.Perm(in.NumSites)
-	var subset uint64
-	for _, s := range perm[:k] {
-		subset |= 1 << uint(s)
-	}
-	return in.Evaluate(subset), nil
+	return in.assign(SiteSetOf(in.NumSites, rng.Perm(in.NumSites)[:k]...)), nil
 }
 
 // BestRandom evaluates n random subsets of size k and returns the best — the

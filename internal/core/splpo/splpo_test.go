@@ -1,7 +1,6 @@
 package splpo
 
 import (
-	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -21,7 +20,7 @@ func tinyInstance() *Instance {
 
 func TestEvaluatePicksMostPreferredOpen(t *testing.T) {
 	in := tinyInstance()
-	a := in.Evaluate(0b011) // sites 0 and 1 open
+	a := in.assign(SiteSetOf(3, 0, 1))
 	if !a.Feasible || a.Served != 3 {
 		t.Fatalf("assignment: %+v", a)
 	}
@@ -38,7 +37,7 @@ func TestEvaluatePreferenceNotCost(t *testing.T) {
 		NumSites: 2,
 		Clients:  []Client{{Ranking: []int{1, 0}, Cost: []float64{1, 100}}},
 	}
-	a := in.Evaluate(0b11)
+	a := in.assign(SiteSetOf(2, 0, 1))
 	if a.TotalCost != 100 {
 		t.Errorf("client should follow preference to the costly site; total = %v", a.TotalCost)
 	}
@@ -49,7 +48,7 @@ func TestEvaluateUnservedClient(t *testing.T) {
 		NumSites: 2,
 		Clients:  []Client{{Ranking: []int{0}, Cost: []float64{1, 1}}},
 	}
-	a := in.Evaluate(0b10) // only site 1 open; client accepts only 0
+	a := in.assign(SiteSetOf(2, 1)) // client accepts only site 0
 	if a.Feasible {
 		t.Error("unserved client should make assignment infeasible")
 	}
@@ -60,7 +59,7 @@ func TestEvaluateUnservedClient(t *testing.T) {
 
 func TestEvaluateEmptySubset(t *testing.T) {
 	in := tinyInstance()
-	a := in.Evaluate(0)
+	a := in.assign(NewSiteSet(3))
 	if a.Feasible || a.TotalCost < Infinity {
 		t.Error("empty subset must be infeasible")
 	}
@@ -73,11 +72,11 @@ func TestEvaluateLoadCap(t *testing.T) {
 	}
 	in.Cap = []float64{1, 3, 3}
 	// Only site 0 open: all 3 clients land on it, cap 1 → infeasible.
-	if a := in.Evaluate(0b001); a.Feasible {
+	if a := in.assign(SiteSetOf(3, 0)); a.Feasible {
 		t.Error("overloaded site not flagged")
 	}
 	// All open: loads 1,1,1 → feasible.
-	if a := in.Evaluate(0b111); !a.Feasible {
+	if a := in.assign(SiteSetOf(3, 0, 1, 2)); !a.Feasible {
 		t.Error("balanced assignment flagged infeasible")
 	}
 }
@@ -90,7 +89,7 @@ func TestEvaluateWeights(t *testing.T) {
 			{Ranking: []int{0}, Cost: []float64{20}},
 		},
 	}
-	a := in.Evaluate(0b1)
+	a := in.assign(SiteSetOf(1, 0))
 	if a.TotalCost != 50 {
 		t.Errorf("weighted total = %v, want 50", a.TotalCost)
 	}
@@ -109,8 +108,8 @@ func TestExhaustiveFindsOptimum(t *testing.T) {
 		t.Errorf("evaluated %d subsets, want 7", evaluated)
 	}
 	// All sites open: every client at its favorite (cost 10 each) = 30.
-	if best.Subset != 0b111 || best.TotalCost != 30 {
-		t.Errorf("best = %+v, want subset 0b111 total 30", best)
+	if !best.Open.Equal(SiteSetOf(3, 0, 1, 2)) || best.TotalCost != 30 {
+		t.Errorf("best = %+v, want all three sites open, total 30", best)
 	}
 }
 
@@ -123,8 +122,8 @@ func TestExhaustiveExactSize(t *testing.T) {
 	if evaluated != 3 {
 		t.Errorf("evaluated %d, want 3 two-site subsets", evaluated)
 	}
-	if bits.OnesCount64(best.Subset) != 2 {
-		t.Errorf("best subset %b is not size 2", best.Subset)
+	if best.Open.Count() != 2 {
+		t.Errorf("best subset %v is not size 2", best.Open)
 	}
 	if best.TotalCost != 40 {
 		t.Errorf("best 2-site total = %v, want 40", best.TotalCost)
@@ -178,8 +177,8 @@ func TestGreedyByCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Subset != 0b001 {
-		t.Errorf("greedy picked %b, want site 0 (lowest mean unicast)", g.Subset)
+	if !g.Open.Equal(SiteSetOf(3, 0)) {
+		t.Errorf("greedy picked %v, want site 0 (lowest mean unicast)", g.Open)
 	}
 	// The optimum is site 0 too here (since only site 0 open → clients use
 	// it at cost 5). Greedy's failure mode is preference blindness with
@@ -208,8 +207,8 @@ func TestRandomAndBestRandom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bits.OnesCount64(a.Subset) != 2 {
-		t.Errorf("random subset size %d", bits.OnesCount64(a.Subset))
+	if a.Open.Count() != 2 {
+		t.Errorf("random subset size %d", a.Open.Count())
 	}
 	best, err := BestRandom(in, 2, 20, rng)
 	if err != nil {
@@ -311,21 +310,21 @@ func BenchmarkExhaustive15Sites(b *testing.B) {
 	}
 }
 
-func TestForbiddenMask(t *testing.T) {
+func TestExhaustiveForbidden(t *testing.T) {
 	in := tinyInstance()
 	// Forbid site 0: the optimum must avoid it.
-	best, evaluated, err := Exhaustive(in, Options{ForbiddenMask: 0b001})
+	best, evaluated, err := Exhaustive(in, Options{Forbidden: SiteSetOf(3, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best.Subset&0b001 != 0 {
-		t.Fatalf("optimum %b uses a forbidden site", best.Subset)
+	if best.Open.Has(0) {
+		t.Fatalf("optimum %v uses a forbidden site", best.Open)
 	}
 	if evaluated != 3 { // subsets over sites {1,2}: 010, 100, 110
 		t.Errorf("evaluated %d subsets, want 3", evaluated)
 	}
 	// Everything forbidden is an error.
-	if _, _, err := Exhaustive(in, Options{ForbiddenMask: 0b111}); err == nil {
+	if _, _, err := Exhaustive(in, Options{Forbidden: SiteSetOf(3, 0, 1, 2)}); err == nil {
 		t.Error("all-forbidden exhaustive succeeded")
 	}
 }

@@ -90,19 +90,12 @@ func (e *Env) Fig5(numConfigs int, churnFrac float64) (Fig5Result, error) {
 	cfgs := make([]anyopt.Config, numConfigs)
 	predCatch := make([]map[anyopt.Client]int, numConfigs)
 	predMeans := make([]time.Duration, numConfigs)
+	snap := e.Sys.CurrentSnapshot()
 	for i := 0; i < numConfigs; i++ {
 		size := 1 + rng.Intn(14)
 		cfgs[i] = drawConfig(e.Sys, rng, size)
-		predicted, err := e.Sys.PredictCatchments(cfgs[i])
-		if err != nil {
-			return Fig5Result{}, err
-		}
-		predMean, _, err := e.Sys.PredictMeanRTT(cfgs[i])
-		if err != nil {
-			return Fig5Result{}, err
-		}
-		predCatch[i] = predicted
-		predMeans[i] = predMean
+		predCatch[i] = snap.PredictCatchments(cfgs[i])
+		predMeans[i], _ = snap.PredictMeanRTT(cfgs[i])
 	}
 
 	// Deploy and measure. With churn the topology mutates between

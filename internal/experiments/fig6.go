@@ -73,13 +73,13 @@ func (e *Env) Fig6(k int) (Fig6Result, error) {
 	if k <= 0 {
 		k = 12
 	}
-	sys := e.Sys
+	sys, snap := e.Sys, e.Sys.CurrentSnapshot()
 
-	opt, err := sys.Optimize(k, 0)
+	opt, err := snap.Optimize(k, 0)
 	if err != nil {
 		return Fig6Result{}, err
 	}
-	greedy, err := sys.GreedyConfig(k)
+	greedy, err := snap.GreedyConfig(k)
 	if err != nil {
 		return Fig6Result{}, err
 	}
@@ -148,10 +148,8 @@ func (e *Env) twoByTwoConfig(rng *rand.Rand) anyopt.Config {
 		}
 	}
 	// Re-order to the global announcement order for deployability.
-	if e.Sys.Pred != nil {
-		return e.Sys.Pred.SubsetToConfig(predict.ConfigToSubset(cfg), e.annOrder())
+	if snap := e.Sys.CurrentSnapshot(); snap != nil {
+		return snap.Pred.SiteSetToConfig(predict.ConfigToSiteSet(len(tb.Sites), cfg), snap.AnnOrder)
 	}
 	return cfg
 }
-
-func (e *Env) annOrder() []prefs.Item { return e.Sys.AnnOrder }

@@ -66,7 +66,7 @@ func (e *Env) Fig7(k int) (Fig7Result, error) {
 		k = 12
 	}
 	sys := e.Sys
-	opt, err := sys.Optimize(k, 0)
+	opt, err := sys.CurrentSnapshot().Optimize(k, 0)
 	if err != nil {
 		return Fig7Result{}, err
 	}

@@ -122,7 +122,7 @@ func (e *Env) Stability(k, weeks int, churnPerWeek float64) (StabilityResult, er
 	if weeks <= 0 {
 		weeks = 3
 	}
-	opt, err := e.Sys.Optimize(k, 0)
+	opt, err := e.Sys.CurrentSnapshot().Optimize(k, 0)
 	if err != nil {
 		return StabilityResult{}, err
 	}
@@ -223,14 +223,15 @@ func (e *Env) AblationRTTHeuristic() (AblationResult, error) {
 	if err := e.Discover(); err != nil {
 		return AblationResult{}, err
 	}
+	snap := e.Sys.CurrentSnapshot()
 	heur := &predict.Predictor{
-		TB:              e.Sys.TB,
-		Providers:       e.Sys.Pred.Providers,
-		RTT:             e.Sys.RTT,
+		TB:              snap.TB,
+		Providers:       snap.Pred.Providers,
+		RTT:             snap.RTT,
 		UseRTTHeuristic: true,
 	}
 	cfg := e.Sys.AllSitesConfig()
-	a := e.Sys.Pred.All(cfg)
+	a := snap.Pred.All(cfg)
 	b := heur.All(cfg)
 	same, n := 0, 0
 	for c, s := range a {
@@ -255,7 +256,8 @@ func (e *Env) AblationSolvers(k int) (AblationResult, error) {
 	if err := e.Discover(); err != nil {
 		return AblationResult{}, err
 	}
-	in, _ := e.Sys.Pred.BuildInstance(e.Sys.AnnOrder)
+	snap := e.Sys.CurrentSnapshot()
+	in, _ := snap.Pred.BuildInstance(snap.AnnOrder)
 	start := time.Now()
 	exact, evaluated, err := splpo.Exhaustive(in, splpo.Options{ExactSize: k})
 	if err != nil {
