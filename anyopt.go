@@ -186,8 +186,11 @@ func New(opts Options) (*System, error) {
 // RunDiscovery executes the full measurement campaign (§4.5 steps 1–2):
 // singleton RTT experiments, order-controlled provider-level pairwise
 // experiments, and (unless UseRTTHeuristic) intra-AS site-level experiments.
-// It then fixes the announcement order that maximizes orderable clients.
+// It then fixes the announcement order that maximizes orderable clients. The
+// simulators the campaign kept warm are dropped on return: the System lives
+// on to serve reads and must not hold a campaign's working set.
 func (s *System) RunDiscovery() error {
+	defer s.Disc.DropSims()
 	pred, rtt, err := predict.NewPredictor(s.TB, s.Disc, s.opts.UseRTTHeuristic)
 	if err != nil {
 		return fmt.Errorf("anyopt: discovery: %w", err)
@@ -300,6 +303,7 @@ func (sn *Snapshot) PredictMeanRTT(cfg Config) (time.Duration, int) {
 // MeasureConfiguration deploys cfg on a fresh experiment and measures every
 // target's catchment and RTT — ground truth for validating predictions.
 func (s *System) MeasureConfiguration(cfg Config) (map[Client]int, map[Client]time.Duration) {
+	defer s.Disc.DropSims()
 	return s.Disc.RunConfigurationRTTs(cfg)
 }
 
@@ -311,6 +315,7 @@ func (s *System) MeasureConfigurations(cfgs []Config) []discovery.ConfigResult {
 	for i, c := range cfgs {
 		raw[i] = c
 	}
+	defer s.Disc.DropSims()
 	return s.Disc.RunConfigurationsRTTs(raw)
 }
 

@@ -9,7 +9,7 @@ import (
 
 // measureSession is one reusable discovery session serving ad-hoc
 // /v1/measure experiments. Each session owns a private Discovery — and with
-// it a private warm-simulator pool (PR 5's sync.Pool behind Sim.Reset,
+// it a private list of warm simulators (reset in place through Sim.Reset,
 // honoring Config.FreshSims) — so concurrent measure requests never share a
 // simulator and a session reused across requests keeps its sims warm.
 type measureSession struct {
@@ -18,9 +18,9 @@ type measureSession struct {
 
 // sessionPool hands out measure sessions. Sessions are created on demand (one
 // per concurrent measure request at peak) and recycled; the pool never
-// shrinks, mirroring how sync.Pool keeps per-worker simulators warm during a
-// campaign. The mutex guards only the free list — it is held for a pointer
-// push/pop, never across an experiment.
+// shrinks, mirroring how a Discovery keeps its workers' simulators warm
+// during a campaign. The mutex guards only the free list — it is held for a
+// pointer push/pop, never across an experiment.
 type sessionPool struct {
 	sys  *anyopt.System
 	mu   sync.Mutex

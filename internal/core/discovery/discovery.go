@@ -165,12 +165,16 @@ type Discovery struct {
 	// worker goroutines; read via QuorumRetries.
 	quorumRetries atomic.Uint64
 
-	// simPool recycles converged simulators across experiments: Sim.Reset
+	// freeSims holds converged simulators between experiments: Sim.Reset
 	// clears a session in place, so workers reuse warm topology-sized state
 	// (maps, slabs, arenas, the event pool) instead of reallocating it for
-	// each of the campaign's N² experiments. sync.Pool's per-P caching means
-	// each worker mostly gets its own sims back, without contention.
-	simPool sync.Pool
+	// each of the campaign's N² experiments. It is a plain LIFO list, not a
+	// sync.Pool, so how many simulators a campaign constructs depends on the
+	// worker count alone and never on when the collector runs; simMu is held
+	// for a push or a pop, never across an experiment. Whoever drives the
+	// campaign calls DropSims when it is over.
+	simMu    sync.Mutex
+	freeSims []*bgp.Sim
 
 	// quarantined maps dead site IDs to the reason they were pulled from
 	// the campaign; see QuarantineSite.
@@ -226,6 +230,15 @@ func (d *Discovery) SimPoolStats() (hits, misses uint64) {
 	return d.poolHits.Load(), d.poolMisses.Load()
 }
 
+// DropSims lets go of the warm simulators kept for reuse, so a Discovery
+// that outlives its campaign retains none of them. The next experiment
+// constructs a fresh one.
+func (d *Discovery) DropSims() {
+	d.simMu.Lock()
+	d.freeSims = nil
+	d.simMu.Unlock()
+}
+
 // QuorumRetries returns how many experiment attempts ran beyond each
 // experiment's first — K-of-N re-measurement cost. Safe from any goroutine.
 func (d *Discovery) QuorumRetries() uint64 { return d.quorumRetries.Load() }
@@ -244,7 +257,7 @@ type Exp struct {
 	inj     *fault.Injector
 	trace   *fault.Trace
 	// sims tracks the simulators this attempt acquired, for release back to
-	// the campaign pool when the attempt completes.
+	// the campaign free list when the attempt completes.
 	sims []*bgp.Sim
 }
 
@@ -287,13 +300,19 @@ func (e *Exp) sim() *bgp.Sim {
 	return sim
 }
 
-// acquireSim hands out a simulator configured with cfg: a recycled warm
-// session (reset in place) when the pool has one, a new construction
-// otherwise or when FreshSims disables reuse.
+// acquireSim hands out a simulator configured with cfg: the most recently
+// released warm session (reset in place) when there is one, a new
+// construction otherwise or when FreshSims disables reuse.
 func (d *Discovery) acquireSim(cfg bgp.Config) *bgp.Sim {
 	if !d.Cfg.FreshSims {
-		if v := d.simPool.Get(); v != nil {
-			sim := v.(*bgp.Sim)
+		var sim *bgp.Sim
+		d.simMu.Lock()
+		if n := len(d.freeSims); n > 0 {
+			sim, d.freeSims[n-1] = d.freeSims[n-1], nil
+			d.freeSims = d.freeSims[:n-1]
+		}
+		d.simMu.Unlock()
+		if sim != nil {
 			sim.Reset(cfg)
 			d.poolHits.Add(1)
 			return sim
@@ -303,16 +322,16 @@ func (d *Discovery) acquireSim(cfg bgp.Config) *bgp.Sim {
 	return bgp.New(d.TB.Topo, cfg)
 }
 
-// release returns the attempt's simulators to the campaign pool. It must run
-// on the attempt's own goroutine, after its last use of them: an attempt
-// abandoned by exec.RunTimeout keeps exclusive ownership of its sims until
-// its detached goroutine finishes, so a timed-out attempt can never hand a
-// still-running session to another experiment.
+// release returns the attempt's simulators to the campaign's free list. It
+// must run on the attempt's own goroutine, after its last use of them: an
+// attempt abandoned by exec.RunTimeout keeps exclusive ownership of its sims
+// until its detached goroutine finishes, so a timed-out attempt can never
+// hand a still-running session to another experiment.
 func (e *Exp) release() {
 	if !e.d.Cfg.FreshSims {
-		for _, s := range e.sims {
-			e.d.simPool.Put(s)
-		}
+		e.d.simMu.Lock()
+		e.d.freeSims = append(e.d.freeSims, e.sims...)
+		e.d.simMu.Unlock()
 	}
 	e.sims = nil
 }

@@ -139,3 +139,28 @@ func TestPooledCampaignMatchesFreshSims(t *testing.T) {
 		})
 	}
 }
+
+// TestSimReuseIgnoresTheCollector pins what makes a campaign's allocation a
+// function of its worker count: one worker constructs exactly one simulator
+// however often the collector runs between batches (a sync.Pool is emptied
+// by two collections), and DropSims is the only thing that lets it go.
+func TestSimReuseIgnoresTheCollector(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	cfg.Noisy = false
+	d := New(newTB(t), cfg)
+	batch := [][]int{{1, 4}, {4, 1}}
+	for i := 0; i < 3; i++ {
+		d.RunConfigurations(batch)
+		runtime.GC()
+		runtime.GC()
+	}
+	if hits, misses := d.SimPoolStats(); hits != 5 || misses != 1 {
+		t.Errorf("six experiments at one worker: %d hits, %d misses, want 5 and 1", hits, misses)
+	}
+	d.DropSims()
+	d.RunConfigurations(batch)
+	if hits, misses := d.SimPoolStats(); hits != 6 || misses != 2 {
+		t.Errorf("after DropSims and two more experiments: %d hits, %d misses, want 6 and 2", hits, misses)
+	}
+}

@@ -170,22 +170,31 @@ func (r AblationResult) Render() string {
 	return out
 }
 
-// AblationArrivalOrder quantifies what the arrival-order tie-breaker model
-// buys: with it off (spec-only routers), reversing announcement order can't
-// flip catchments.
-func (e *Env) AblationArrivalOrder() (AblationResult, error) {
-	onFlips := analysis.Mean(e.Fig4a().FlipFracs())
+// arrivalOrderFlips returns the mean Fig 4a flip fraction with the
+// arrival-order tie-breaker on (this environment) and off (the same topology
+// under spec-only routers).
+func (e *Env) arrivalOrderFlips() (on, off float64, err error) {
+	on = analysis.Mean(e.Fig4a().FlipFracs())
 
 	offOpts := anyopt.DefaultOptions()
 	offOpts.Topology = e.Sys.Topo.Params
 	offOpts.Discovery.SimCfg.ArrivalOrderTieBreak = false
 	offSys, err := anyopt.New(offOpts)
 	if err != nil {
-		return AblationResult{}, err
+		return 0, 0, err
 	}
 	offEnv := &Env{Sys: offSys, Seed: e.Seed}
-	offFlips := analysis.Mean(offEnv.Fig4a().FlipFracs())
+	return on, analysis.Mean(offEnv.Fig4a().FlipFracs()), nil
+}
 
+// AblationArrivalOrder quantifies what the arrival-order tie-breaker model
+// buys: with it off (spec-only routers), reversing announcement order can't
+// flip catchments.
+func (e *Env) AblationArrivalOrder() (AblationResult, error) {
+	onFlips, offFlips, err := e.arrivalOrderFlips()
+	if err != nil {
+		return AblationResult{}, err
+	}
 	return AblationResult{
 		Name: "arrival-order tie-breaker (Cisco/Juniper oldest-route rule)",
 		Rows: [][2]string{

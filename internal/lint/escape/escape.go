@@ -23,6 +23,8 @@ package escape
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -156,6 +158,36 @@ func Analyze(dir string, patterns []string) ([]Finding, error) {
 		return a.Msg < b.Msg
 	})
 	return findings, nil
+}
+
+// SourceDigest reads, in this process, every module source file Analyze's
+// result depends on — the packages matched by patterns and their non-standard
+// dependencies, whose inlinability decides what escapes in their importers —
+// and returns the SHA-256 of their paths and contents. Analyze itself sees
+// those files only through child processes, which `go test` cannot follow: a
+// test that calls this first has the sources in its cache key, so a cached
+// "ok" cannot outlive an edit to them.
+func SourceDigest(dir string, patterns []string) (string, error) {
+	closure, err := goJSON(dir, append([]string{"list", "-deps",
+		"-json=ImportPath,Dir,GoFiles,Standard"}, patterns...)...)
+	if err != nil {
+		return "", err
+	}
+	h := sha256.New()
+	for _, p := range closure {
+		if p.Standard {
+			continue
+		}
+		for _, name := range p.GoFiles {
+			src, err := os.ReadFile(filepath.Join(p.Dir, name))
+			if err != nil {
+				return "", fmt.Errorf("escape: %w", err)
+			}
+			fmt.Fprintf(h, "%s/%s %d\n", p.ImportPath, name, len(src))
+			h.Write(src)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // compileWithDiagnostics recompiles one package to a discarded object and

@@ -138,6 +138,11 @@ func TestModuleBaselineCurrent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("recompiles the hot-path packages")
 	}
+	digest, err := SourceDigest("../../..", DefaultPackages)
+	if err != nil {
+		t.Fatalf("SourceDigest: %v", err)
+	}
+	t.Logf("gated sources and their module dependencies: sha256 %s", digest)
 	findings, err := Analyze("../../..", DefaultPackages)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)

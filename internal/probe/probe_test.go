@@ -128,8 +128,11 @@ func TestRTTWithNoiseIsClose(t *testing.T) {
 
 func TestProbeLossRetry(t *testing.T) {
 	r := newRig(t, 1)
-	// Heavy loss: 30%. CatchmentRetry with 7 attempts should still almost
-	// always succeed; RTT needs ≥3 of 7 valid.
+	// 30% loss on each of a probe's three traversal legs (request, reply,
+	// tunnel back), so one probe survives with 0.7³ = 0.343 and seven tries
+	// reach a target with 1 − 0.657⁷ = 0.947: of 80 targets 75.8 are expected
+	// to answer, σ = √(80·0.947·0.053) = 2.0. The bound sits 4σ below the
+	// mean, so it holds for any sound generator and seed, not for one draw.
 	p := r.prober(NewNoiseModel(3, 0, 0, 0, 0.30))
 
 	ok := 0
@@ -138,8 +141,8 @@ func TestProbeLossRetry(t *testing.T) {
 			ok++
 		}
 	}
-	if float64(ok) < 0.95*80 {
-		t.Errorf("only %d/80 catchment probes succeeded under 30%% loss with 7 retries", ok)
+	if ok < 67 {
+		t.Errorf("only %d/80 catchment probes succeeded under 30%% per-leg loss with 7 retries; the model expects 75.8 ± 2.0", ok)
 	}
 }
 
