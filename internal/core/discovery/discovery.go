@@ -109,7 +109,7 @@ type Config struct {
 	// AS is in the set. Experiments still run the full BGP schedule (every
 	// announcement, every nonce), so routing state matches an unfiltered
 	// campaign exactly; only the measurement loop skips out-of-set targets.
-	// Combined with per-target noise reseeding (probe.Prober.BeginTarget),
+	// Combined with per-target noise rewinding (probe.Prober.BeginTarget),
 	// a filtered campaign reproduces the unfiltered campaign's rows for the
 	// selected clients byte-for-byte — the contract the churn reconciler's
 	// cone-scoped repair is built on. Dead-site detection is disabled under

@@ -33,6 +33,7 @@ import (
 	"strconv"
 	"time"
 
+	"anyopt/internal/splitmix"
 	"anyopt/internal/topology"
 )
 
@@ -200,17 +201,20 @@ type Flap struct {
 // unconditionally.
 //
 // Each fault class draws from its own seeded stream, so e.g. probe-loss draws
-// never shift BGP-drop draws when code between them changes.
+// never shift BGP-drop draws when code between them changes. The probe-loss
+// stream is rewound once per probed target, so it alone sits on the one-word
+// keyed generator; the other three are seeded once per attempt.
 type Injector struct {
 	cfg     *Config
 	nonce   uint64
 	attempt int
 	trace   *Trace
 
-	update  *rand.Rand
-	probe   *rand.Rand
-	plan    *rand.Rand
-	session *rand.Rand
+	update   *rand.Rand
+	probe    *rand.Rand // over &probeSrc
+	probeSrc splitmix.Source
+	plan     *rand.Rand
+	session  *rand.Rand
 
 	blackout map[int]bool
 }
@@ -227,13 +231,8 @@ const (
 // mix folds (seed, nonce, attempt, salt) into a 63-bit stream seed with a
 // splitmix-style avalanche, so adjacent nonces and attempts land far apart.
 func mix(seed int64, nonce uint64, attempt int, salt uint64) int64 {
-	z := uint64(seed) ^ nonce*0x9e3779b97f4a7c15 ^ uint64(attempt+1)*0xbf58476d1ce4e5b9 ^ salt
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return int64(z >> 1)
+	z := uint64(seed) ^ nonce*splitmix.Gamma ^ uint64(attempt+1)*0xbf58476d1ce4e5b9 ^ salt
+	return int64(splitmix.Mix(z) >> 1)
 }
 
 // Injector builds the fault decider for one (experiment nonce, attempt)
@@ -251,10 +250,11 @@ func (c *Config) Injector(nonce uint64, attempt int, tr *Trace) *Injector {
 		attempt: attempt,
 		trace:   tr,
 		update:  rand.New(rand.NewSource(mix(c.Seed, nonce, attempt, saltUpdate))),
-		probe:   rand.New(rand.NewSource(mix(c.Seed, nonce, attempt, saltProbe))),
 		plan:    rand.New(rand.NewSource(mix(c.Seed, nonce, attempt, saltPlan))),
 		session: rand.New(rand.NewSource(mix(c.Seed, nonce, attempt, saltSession))),
 	}
+	inj.probeSrc.Rekey(uint64(mix(c.Seed, nonce, attempt, saltProbe)))
+	inj.probe = rand.New(&inj.probeSrc)
 	if len(c.BlackoutSites) > 0 {
 		inj.blackout = make(map[int]bool, len(c.BlackoutSites))
 		for _, id := range c.BlackoutSites {
@@ -333,12 +333,12 @@ func (inj *Injector) FlapPlan(links []topology.LinkID) []Flap {
 // (seed, nonce, attempt, target id), making loss draws for one target
 // independent of which other targets an experiment probed before it. It is
 // the fault-side half of probe.TargetSeeder; the measurement fabric invokes
-// it alongside the noise model's reseed.
+// it alongside the noise model's rewind.
 func (inj *Injector) BeginTarget(id uint64) {
 	if inj == nil {
 		return
 	}
-	inj.probe.Seed(mix(inj.cfg.Seed, inj.nonce, inj.attempt, saltProbe^(id*0x9e3779b97f4a7c15)))
+	inj.probeSrc.Rekey(uint64(mix(inj.cfg.Seed, inj.nonce, inj.attempt, saltProbe^(id*splitmix.Gamma))))
 }
 
 // DropProbe decides whether one measurement-packet traversal is lost. It is

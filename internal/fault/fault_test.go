@@ -87,6 +87,34 @@ func TestInjectorTargetStreamIsPositionIndependent(t *testing.T) {
 	}
 }
 
+// TestInjectorTargetStreamsDiffer is the other half of BeginTarget: distinct
+// targets draw distinct loss streams, and the rewind — one per probed target,
+// hundreds of thousands per campaign — allocates nothing.
+func TestInjectorTargetStreamsDiffer(t *testing.T) {
+	inj := hot(3).Injector(5, 0, nil)
+	draws := func(target uint64) [64]bool {
+		inj.BeginTarget(target)
+		var out [64]bool
+		for i := range out {
+			out[i] = inj.DropProbe()
+		}
+		return out
+	}
+	if draws(40) != draws(40) {
+		t.Error("target 40's loss draws are not repeatable")
+	}
+	if draws(40) == draws(41) {
+		t.Error("targets 40 and 41 drew the same losses")
+	}
+	target := uint64(0)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		target++
+		inj.BeginTarget(target)
+	}); allocs != 0 {
+		t.Errorf("BeginTarget allocates %.1f objects per call", allocs)
+	}
+}
+
 // TestInjectorClassStreamsIndependent pins the per-class streams: draining
 // one class never shifts another's draws.
 func TestInjectorClassStreamsIndependent(t *testing.T) {

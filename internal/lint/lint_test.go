@@ -180,6 +180,7 @@ func TestPolicyResolution(t *testing.T) {
 		{"anyopt/internal/core/splpo", sim},
 		{"anyopt/internal/probe", sim},
 		{"anyopt/internal/fault", sim},
+		{"anyopt/internal/splitmix", simPure},
 		{"anyopt/internal/exec", goOwner},
 		{"anyopt/internal/orchestrator", goOwner},
 		{"anyopt/internal/api", goOwner},

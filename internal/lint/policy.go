@@ -78,12 +78,19 @@ var DefaultPolicies = []PolicyRule{
 	// processes, not in-process concurrency.
 	{"anyopt/internal/campaign", simPure},
 
-	// Seeded-RNG owners: these construct their own rand.New(NewSource(seed))
-	// — topology generation, SPLPO's randomized search, probe noise — so they
-	// get sim without the outright rand ban.
+	// Seeded-RNG owners: these construct their own *rand.Rand over a source
+	// they key from explicit seeds — topology generation and SPLPO's
+	// randomized search over rand.NewSource(seed), probe noise over a
+	// splitmix.Source rekeyed per target — so they get sim without the
+	// outright rand ban.
 	{"anyopt/internal/topology", sim},
 	{"anyopt/internal/core/splpo", sim},
 	{"anyopt/internal/probe", sim},
+
+	// The keyed generator under the per-target streams of probe and fault. It
+	// implements math/rand's Source64 without importing math/rand and holds
+	// no entropy of its own: every output is a function of the caller's key.
+	{"anyopt/internal/splitmix", simPure},
 
 	// The churn reconciler computes cones and patches snapshots — pure
 	// derivation from topology state and measurement results. Its entropy
@@ -93,7 +100,7 @@ var DefaultPolicies = []PolicyRule{
 
 	// The fault injector is the only package on the simulated transport path
 	// allowed to own chaos entropy; every stream it holds is derived from
-	// (seed, nonce, attempt).
+	// (seed, nonce, attempt), the probe-loss stream from the target as well.
 	{"anyopt/internal/fault", sim},
 
 	// The real-network BGP speaker runs hold timers and read deadlines over

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"anyopt/internal/netproto"
+	"anyopt/internal/splitmix"
 )
 
 // ErrLost marks a probe lost in transit.
@@ -309,9 +310,11 @@ type FaultModel interface {
 }
 
 // NoiseModel injects measurement noise into path delays, as the real
-// Internet would.
+// Internet would. Its draws come from a one-word keyed generator under a
+// *rand.Rand, so rewinding the stream for a target is a single store.
 type NoiseModel struct {
-	rng  *rand.Rand
+	src  splitmix.Source
+	rng  *rand.Rand // over &src
 	seed int64
 	// JitterFrac scales multiplicative jitter (|N(0,1)|·frac of the delay).
 	JitterFrac float64
@@ -326,23 +329,16 @@ type NoiseModel struct {
 // NewNoiseModel builds a model with the given seed. Zero-value fractions mean
 // a noise-free channel.
 func NewNoiseModel(seed int64, jitterFrac, spikeProb float64, spikeMax time.Duration, lossProb float64) *NoiseModel {
-	return &NoiseModel{
-		rng:        rand.New(rand.NewSource(seed)),
+	n := &NoiseModel{
 		seed:       seed,
 		JitterFrac: jitterFrac,
 		SpikeProb:  spikeProb,
 		SpikeMax:   spikeMax,
 		LossProb:   lossProb,
 	}
-}
-
-// splitmix64 is the finalizer of the splitmix64 generator, used to fold a
-// target identity into a noise seed with full avalanche.
-func splitmix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	n.src.Rekey(uint64(seed))
+	n.rng = rand.New(&n.src)
+	return n
 }
 
 // BeginTarget rewinds the noise stream to a position derived only from the
@@ -354,7 +350,7 @@ func (n *NoiseModel) BeginTarget(id uint64) {
 	if n == nil {
 		return
 	}
-	n.rng.Seed(int64(splitmix64(uint64(n.seed)^id) >> 1))
+	n.src.Rekey(splitmix.Mix((uint64(n.seed) ^ id) + splitmix.Gamma))
 }
 
 // DefaultNoise matches a well-behaved Internet path: ~2% jitter, occasional

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -217,6 +218,65 @@ func TestNoiseModelProperties(t *testing.T) {
 	var nilModel *NoiseModel
 	if d, ok := nilModel.Apply(base); !ok || d != base {
 		t.Error("nil noise model altered the packet")
+	}
+}
+
+// noiseDraws rewinds n to target id and returns the next k traversal outcomes.
+func noiseDraws(n *NoiseModel, id uint64, k int) []time.Duration {
+	n.BeginTarget(id)
+	out := make([]time.Duration, k)
+	for i := range out {
+		if d, ok := n.Apply(50 * time.Millisecond); ok {
+			out[i] = d
+		}
+	}
+	return out
+}
+
+// TestNoiseTargetStreamIsPositionIndependent pins BeginTarget: a target's
+// draws depend on (seed, target) only — not on which targets were probed
+// before it or how much they drew — and different targets, like different
+// seeds, get different streams. A filtered campaign reproducing the full
+// campaign's rows rests on the first half, the noise being noise on the
+// second.
+func TestNoiseTargetStreamIsPositionIndependent(t *testing.T) {
+	full := DefaultNoise(9)
+	for id := uint64(1); id < 40; id++ {
+		noiseDraws(full, id, int(id))
+	}
+	want := noiseDraws(full, 40, 30)
+	if got := noiseDraws(DefaultNoise(9), 40, 30); !slices.Equal(got, want) {
+		t.Error("target 40's noise depends on the targets probed before it")
+	}
+	if got := noiseDraws(DefaultNoise(9), 41, 30); slices.Equal(got, want) {
+		t.Error("targets 40 and 41 drew the same noise")
+	}
+	if got := noiseDraws(DefaultNoise(10), 40, 30); slices.Equal(got, want) {
+		t.Error("seeds 9 and 10 drew the same noise for target 40")
+	}
+}
+
+// TestNoiseBeginTargetAllocatesNothing holds the rewind to what it is meant
+// to be, a store: a campaign performs one per probed target.
+func TestNoiseBeginTargetAllocatesNothing(t *testing.T) {
+	n := DefaultNoise(1)
+	id := uint64(0)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		id++
+		n.BeginTarget(id)
+	}); allocs != 0 {
+		t.Errorf("BeginTarget allocates %.1f objects per call", allocs)
+	}
+}
+
+// BenchmarkNoiseBeginTarget is one target's worth of stream work: the rewind
+// plus one traversal's draws.
+func BenchmarkNoiseBeginTarget(b *testing.B) {
+	n := DefaultNoise(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		n.BeginTarget(uint64(i))
+		n.Apply(50 * time.Millisecond)
 	}
 }
 

@@ -59,7 +59,7 @@ type RepairResult struct {
 // The repair constructs a fresh Discovery so nonces replay the canonical
 // campaign schedule from zero: every experiment runs the full BGP
 // announcement sequence (routing state identical to an unfiltered campaign),
-// and per-target stream reseeding makes each probed row a pure function of
+// and per-target stream rewinding makes each probed row a pure function of
 // (experiment, target). The produced rows are therefore byte-identical to the
 // rows a from-scratch campaign on the post-churn topology would measure — the
 // convergence guarantee the differential test checks.
