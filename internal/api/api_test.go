@@ -182,7 +182,7 @@ func TestDiscoverPredictOptimizeFlow(t *testing.T) {
 // TestServedBytesPinned holds the 15-site read path to the bytes it serves at
 // DefaultOptions(), exact to the newline. The bodies were first recorded at
 // commit 6e5eab5, before /v1/optimize collapsed onto Snapshot.OptimizeWith,
-// and re-recorded once since, in the commit on top of b192358 that moved the
+// and re-recorded once since, by the change on top of cea8957 that moved the
 // per-target noise and probe-loss streams onto internal/splitmix: the read
 // path did not change there, the campaign it reads did (every noisy RTT, and
 // with them one orderable client and the k=12 optimum's last site).

@@ -19,12 +19,11 @@ import (
 // different schedule) re-records the hashes and says why.
 //
 // none, paper and harsh were first recorded at 177d5a9, the commit before
-// experiment results became dense sweeps, and re-recorded once since, in the
-// commit on top of b192358 that moved the per-target noise and probe-loss
+// experiment results became dense sweeps, and re-recorded once since, by the
+// change on top of cea8957 that moved the per-target noise and probe-loss
 // streams from a reseeded math/rand source onto internal/splitmix: every
 // noise and loss draw changed, nothing else did — which the noise-free case,
-// pinned in b192358 at its parent's value and identical after, is there to
-// show.
+// recorded at cea8957 and identical after that change, is there to show.
 func TestCampaignBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name, faults string

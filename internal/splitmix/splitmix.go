@@ -37,7 +37,7 @@ type Source struct {
 func (s *Source) Rekey(key uint64) { s.state = key }
 
 // Seed implements rand.Source as Rekey.
-func (s *Source) Seed(seed int64) { s.state = uint64(seed) }
+func (s *Source) Seed(seed int64) { s.Rekey(uint64(seed)) }
 
 // Uint64 implements rand.Source64.
 func (s *Source) Uint64() uint64 {
