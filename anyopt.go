@@ -320,15 +320,26 @@ func (s *System) MeasureConfigurations(cfgs []Config) []discovery.ConfigResult {
 }
 
 // PredictSiteLoads predicts the load each site absorbs under cfg, using the
-// given per-client demands (default 1).
+// given per-client demands (default 1). Loads are added in ascending client
+// order, so the sums are the same to the last bit on every call.
 func (sn *Snapshot) PredictSiteLoads(cfg Config, loads map[Client]float64) map[int]float64 {
-	out := make(map[int]float64)
-	for c, site := range sn.PredictCatchments(cfg) {
-		l, ok := loads[c]
+	sw := sn.Pred.Sweep(cfg)
+	sums := make([]float64, len(sw.Sites))
+	for row, at := range sw.Catch {
+		if at < 0 {
+			continue
+		}
+		l, ok := loads[sn.Pred.Providers.ClientAt(row)]
 		if !ok {
 			l = 1
 		}
-		out[site] += l
+		sums[at] += l
+	}
+	out := make(map[int]float64, len(sums))
+	for at, site := range sw.Sites {
+		if sw.Counts[at] > 0 {
+			out[site] += sums[at]
+		}
 	}
 	return out
 }

@@ -212,29 +212,44 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// state and, when churn has outrun repair, exactly which client rows are
 	// still backed by pre-churn data and from which generation.
 	health, _ := s.recHealthView()
-	body["health"] = health.String()
+	body.Health = health.String()
 	if n := len(snap.StaleRows); n > 0 {
-		body["stale_rows"] = n
-		body["stale_clients"] = staleClientsJSON(snap)
+		body.StaleRows = n
+		body.StaleClients = staleClientsJSON(snap)
 	}
 	writeJSON(w, http.StatusOK, body)
 }
 
-// predictResponse computes the /v1/predict body against one snapshot. Split
-// out so the benchmark's serialized reference server produces byte-identical
-// responses from the same code.
-func predictResponse(snap *anyopt.Snapshot, cfg anyopt.Config) map[string]any {
-	catch := snap.PredictCatchments(cfg)
-	mean, n := snap.PredictMeanRTT(cfg)
-	perSite := map[string]int{}
-	for _, site := range catch {
-		perSite[strconv.Itoa(site)]++
+// predictBody is the /v1/predict response. Its fields are declared in the
+// order encoding/json sorts the keys of a map — the bodies were served from a
+// map[string]any until the read side went to one sweep, and they are pinned
+// byte for byte.
+type predictBody struct {
+	CatchmentSizes map[string]int    `json:"catchment_szs"`
+	Config         anyopt.Config     `json:"config"`
+	Health         string            `json:"health"`
+	MeanRTTms      float64           `json:"mean_rtt_ms"`
+	Predictable    int               `json:"predictable"`
+	StaleClients   []staleClientJSON `json:"stale_clients,omitempty"`
+	StaleRows      int               `json:"stale_rows,omitempty"`
+}
+
+// predictResponse computes the /v1/predict body against one snapshot, in one
+// sweep; the handler adds the serving-quality annotations.
+func predictResponse(snap *anyopt.Snapshot, cfg anyopt.Config) predictBody {
+	sw := snap.Pred.Sweep(cfg)
+	mean, n := sw.MeanRTT()
+	perSite := make(map[string]int, len(sw.Sites))
+	for at, site := range sw.Sites {
+		if sw.Counts[at] > 0 {
+			perSite[strconv.Itoa(site)] = sw.Counts[at]
+		}
 	}
-	return map[string]any{
-		"config":        cfg,
-		"mean_rtt_ms":   float64(mean) / 1e6,
-		"predictable":   n,
-		"catchment_szs": perSite,
+	return predictBody{
+		CatchmentSizes: perSite,
+		Config:         cfg,
+		MeanRTTms:      float64(mean) / 1e6,
+		Predictable:    n,
 	}
 }
 
@@ -325,18 +340,28 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, "%v", err)
 		return
 	}
-	if evals, ok := body["solver_evals"].(int); ok {
-		s.metrics.solverEvals.Add(uint64(evals))
-		s.metrics.solverMoves.Add(uint64(body["solver_moves"].(int)))
+	if body.SolverEvals != nil {
+		s.metrics.solverEvals.Add(uint64(*body.SolverEvals))
+		s.metrics.solverMoves.Add(uint64(*body.SolverMoves))
 	}
 	writeJSON(w, http.StatusOK, body)
 }
 
-// optimizeResponse computes the /v1/optimize body against one snapshot; see
-// predictResponse for why it is split out. Which solver answers is
-// OptimizeWith's decision; when it was the anytime solver the response
-// carries its eval/move counters.
-func optimizeResponse(snap *anyopt.Snapshot, k, budget, timeBudgetMs int, exclude []int) (map[string]any, error) {
+// optimizeBody is the /v1/optimize response, fields in sorted key order like
+// predictBody's. The two solver counters are present exactly when the anytime
+// solver answered, zero or not.
+type optimizeBody struct {
+	Config           anyopt.Config `json:"config"`
+	OrderableClients int           `json:"orderable_clients"`
+	PredictedMeanMs  float64       `json:"predicted_mean_ms"`
+	SolverEvals      *int          `json:"solver_evals,omitempty"`
+	SolverMoves      *int          `json:"solver_moves,omitempty"`
+	Subsets          int           `json:"subsets"`
+}
+
+// optimizeResponse computes the /v1/optimize body against one snapshot. Which
+// solver answers is OptimizeWith's decision.
+func optimizeResponse(snap *anyopt.Snapshot, k, budget, timeBudgetMs int, exclude []int) (optimizeBody, error) {
 	res, err := snap.OptimizeWith(anyopt.OptimizeOptions{
 		K:          k,
 		MaxSubsets: budget,
@@ -344,17 +369,16 @@ func optimizeResponse(snap *anyopt.Snapshot, k, budget, timeBudgetMs int, exclud
 		TimeBudget: time.Duration(timeBudgetMs) * time.Millisecond,
 	})
 	if err != nil {
-		return nil, err
+		return optimizeBody{}, err
 	}
-	body := map[string]any{
-		"config":            res.Config,
-		"predicted_mean_ms": float64(res.PredictedMean) / 1e6,
-		"subsets":           res.SubsetsEvaluated,
-		"orderable_clients": res.OrderableClients,
+	body := optimizeBody{
+		Config:           res.Config,
+		OrderableClients: res.OrderableClients,
+		PredictedMeanMs:  float64(res.PredictedMean) / 1e6,
+		Subsets:          res.SubsetsEvaluated,
 	}
 	if res.Anytime {
-		body["solver_evals"] = res.Evals
-		body["solver_moves"] = res.Moves
+		body.SolverEvals, body.SolverMoves = &res.Evals, &res.Moves
 	}
 	return body, nil
 }

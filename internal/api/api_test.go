@@ -30,9 +30,12 @@ func testServer(t *testing.T) (*Server, *httptest.Server) {
 }
 
 // discoveredServer caches one discovered system for the expensive paths.
-var sharedTS *httptest.Server
+var (
+	sharedTS  *httptest.Server
+	sharedSys *anyopt.System
+)
 
-func discoveredServer(t *testing.T) *httptest.Server {
+func discoveredServer(t testing.TB) *httptest.Server {
 	t.Helper()
 	if sharedTS != nil {
 		return sharedTS
@@ -44,8 +47,17 @@ func discoveredServer(t *testing.T) *httptest.Server {
 	if err := sys.RunDiscovery(); err != nil {
 		t.Fatal(err)
 	}
+	sharedSys = sys
 	sharedTS = httptest.NewServer(NewServer(sys).Handler())
 	return sharedTS
+}
+
+// discoveredSystem is the system behind discoveredServer. Tests that publish
+// snapshots of their own install its campaign on a fresh system instead.
+func discoveredSystem(t testing.TB) *anyopt.System {
+	t.Helper()
+	discoveredServer(t)
+	return sharedSys
 }
 
 func getJSON(t *testing.T, url string, out any) int {

@@ -108,6 +108,26 @@ func checkRTTEquiv(t *testing.T, step int, tbl *RTTTable, ref *refRTT, probeSite
 			}
 		}
 	}
+	// The positional read the prediction sweep makes — a column resolved per
+	// site, one forward walk of the client column — sees the same cells.
+	walk := append([]prefs.Client(nil), probeClients...)
+	sort.Slice(walk, func(i, j int) bool { return walk[i] < walk[j] })
+	row := 0
+	for _, c := range walk {
+		var found bool
+		row, found = tbl.Seek(row, c)
+		for _, s := range probeSites {
+			col := tbl.Column(s)
+			var gd time.Duration
+			gok := false
+			if col >= 0 && found {
+				gd, gok = tbl.At(col, row)
+			}
+			if wd, wok := ref.rtt(s, c); gd != wd || gok != wok {
+				t.Fatalf("step %d: At(Column(%d), Seek(%d)) = (%v, %v), want (%v, %v)", step, s, c, gd, gok, wd, wok)
+			}
+		}
+	}
 	if got, want := tbl.Export(), ref.export(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("step %d: export mismatch:\n got %v\nwant %v", step, got, want)
 	}

@@ -712,6 +712,29 @@ func (t *RTTTable) RTT(site int, c prefs.Client) (time.Duration, bool) {
 	return time.Duration(ns), true
 }
 
+// Column resolves a site to its value column for At, -1 when the table has no
+// such site — once per configuration, where RTT searches per cell.
+func (t *RTTTable) Column(site int) int { return t.siteIdx(site) }
+
+// Seek returns the first row of the client column at or after from whose
+// client is not below c, and whether that row is c's. Like prefs.Store.Seek
+// it scans forward, for callers walking another sorted client column.
+func (t *RTTTable) Seek(from int, c prefs.Client) (int, bool) {
+	for from < len(t.clients) && t.clients[from] < c {
+		from++
+	}
+	return from, from < len(t.clients) && t.clients[from] == c
+}
+
+// At is RTT by position: the cell of a Column (col ≥ 0) at a row Seek found.
+func (t *RTTTable) At(col, row int) (time.Duration, bool) {
+	ns := t.cols[col][row]
+	if ns == rttMissing {
+		return 0, false
+	}
+	return time.Duration(ns), true
+}
+
 // Sites returns the site IDs present in the table, ascending.
 func (t *RTTTable) Sites() []int { return append([]int(nil), t.sites...) }
 

@@ -15,7 +15,8 @@ import (
 const unmeasuredCost = 1e9 // milliseconds
 
 // intraRanking orders the given sites of one provider by the client's
-// intra-AS preferences, falling back to the RTT heuristic (§4.3).
+// intra-AS preferences, falling back to the RTT heuristic (§4.3). Like
+// Ranking, which it serves, it is oracle code.
 func (p *Predictor) intraRanking(c prefs.Client, prov topology.ASN) []int {
 	sites := p.TB.SitesOfTransit(prov)
 	items := make([]prefs.Item, len(sites))
@@ -66,6 +67,9 @@ func (p *Predictor) rttOrHuge(site int, c prefs.Client) (time.Duration, bool) {
 // under the given provider announcement order: providers in the client's
 // total order, sites within each provider in intra-AS order. ok is false
 // when the client has no provider-level total order.
+//
+// It is the per-client oracle of BuildInstanceWeighted, as Catchment is
+// Sweep's: only tests call it.
 func (p *Predictor) Ranking(c prefs.Client, annProv []prefs.Item) ([]int, bool) {
 	cp := p.Providers.Get(c)
 	if cp == nil {
@@ -111,27 +115,50 @@ func (p *Predictor) BuildInstanceWeighted(annProv []prefs.Item, loads map[prefs.
 			}
 		}
 	}
-	var clients []prefs.Client
-	for _, c := range p.Providers.Clients() {
-		ranking, ok := p.Ranking(c, annProv)
+	all := make([]int, n)
+	for i, s := range p.TB.Sites {
+		all[i] = s.ID
+	}
+	pl := p.newPlan(annProv, all)
+	rows := p.Providers.NumClients()
+	orderable := 0
+	for row := 0; row < rows; row++ {
+		if _, ok := pl.prov.Best(row); ok {
+			orderable++
+		}
+	}
+	// Every orderable client ranks every planned site, so all rankings and
+	// all costs are windows of two exactly-sized arrays.
+	ranking := make([]int, 0, orderable*len(pl.sites))
+	costs := make([]float64, 0, orderable*len(pl.sites))
+	in.Clients = make([]splpo.Client, 0, orderable)
+	clients := make([]prefs.Client, 0, orderable)
+	for row := 0; row < rows; row++ {
+		provs, ok := pl.prov.Order(row)
 		if !ok {
 			continue
 		}
-		idxRank := make([]int, len(ranking))
-		rankCost := make([]float64, len(ranking))
-		for i, siteID := range ranking {
-			idxRank[i] = siteID - 1
-			rankCost[i] = unmeasuredCost
-			if rtt, ok := p.rttOrHuge(siteID, c); ok {
-				rankCost[i] = float64(rtt) / float64(time.Millisecond)
+		c := p.Providers.ClientAt(row)
+		pl.seekRTT(c)
+		start := len(ranking)
+		for _, gi := range provs {
+			g := &pl.groups[gi]
+			for _, k := range pl.siteOrder(g, c) {
+				cost := float64(unmeasuredCost)
+				if rtt, ok := pl.rtt(g, int(k)); ok {
+					cost = float64(rtt) / float64(time.Millisecond)
+				}
+				ranking = append(ranking, g.sites[k]-1)
+				costs = append(costs, cost)
 			}
 		}
 		load, ok := loads[c]
 		if !ok {
 			load = 1
 		}
+		end := len(ranking)
 		in.Clients = append(in.Clients, splpo.Client{
-			Ranking: idxRank, RankCost: rankCost, Load: load, Weight: load,
+			Ranking: ranking[start:end:end], RankCost: costs[start:end:end], Load: load, Weight: load,
 		})
 		clients = append(clients, c)
 	}

@@ -39,24 +39,34 @@ type Predictor struct {
 type Config []int
 
 // providerOrder derives the provider-level announcement order from the site
-// announcement order (a provider is "announced" when its first site is).
+// announcement order (a provider is "announced" when its first site is), and
+// each provider's enabled sites in announcement order.
 func (p *Predictor) providerOrder(cfg Config) ([]prefs.Item, map[topology.ASN][]prefs.Item, error) {
-	var provOrder []prefs.Item
-	seen := map[topology.ASN]bool{}
+	provOrder := make([]prefs.Item, 0, len(cfg))
 	sitesByProv := map[topology.ASN][]prefs.Item{}
 	for _, id := range cfg {
 		site := p.TB.Site(id)
 		if site == nil {
 			return nil, nil, fmt.Errorf("predict: unknown site %d", id)
 		}
-		if !seen[site.Transit] {
-			seen[site.Transit] = true
+		if _, seen := sitesByProv[site.Transit]; !seen {
+			sitesByProv[site.Transit] = nil
 			provOrder = append(provOrder, prefs.Item(site.Transit))
 		}
-		sitesByProv[site.Transit] = append(sitesByProv[site.Transit], prefs.Item(id))
 	}
 	if len(provOrder) == 0 {
 		return nil, nil, fmt.Errorf("predict: empty configuration")
+	}
+	// One backing array for every provider's list, not one growing slice each.
+	sites := make([]prefs.Item, 0, len(cfg))
+	for _, prov := range provOrder {
+		start := len(sites)
+		for _, id := range cfg {
+			if p.TB.Site(id).Transit == topology.ASN(prov) {
+				sites = append(sites, prefs.Item(id))
+			}
+		}
+		sitesByProv[topology.ASN(prov)] = sites[start:len(sites):len(sites)]
 	}
 	return provOrder, sitesByProv, nil
 }
@@ -64,6 +74,10 @@ func (p *Predictor) providerOrder(cfg Config) ([]prefs.Item, map[topology.ASN][]
 // Catchment predicts the catchment site of client c under cfg. ok is false
 // when the client lacks a total order over the enabled providers or sites, or
 // lacks the required RTT measurements.
+//
+// It is the per-client oracle: it re-derives the provider order and runs the
+// map-keyed ClientPrefs API for every call, and only tests call it — to hold
+// Sweep, which answers for every client in one pass, to the same answer.
 func (p *Predictor) Catchment(c prefs.Client, cfg Config) (int, bool) {
 	provOrder, sitesByProv, err := p.providerOrder(cfg)
 	if err != nil {
@@ -121,10 +135,11 @@ func (p *Predictor) bestByRTT(c prefs.Client, enabled []prefs.Item) (int, bool) 
 // All predicts catchments for every client known to the provider store.
 // Unpredictable clients are absent from the result.
 func (p *Predictor) All(cfg Config) map[prefs.Client]int {
-	out := make(map[prefs.Client]int)
-	for _, c := range p.Providers.Clients() {
-		if site, ok := p.Catchment(c, cfg); ok {
-			out[c] = site
+	sw := p.Sweep(cfg)
+	out := make(map[prefs.Client]int, sw.Predicted)
+	for row, at := range sw.Catch {
+		if at >= 0 {
+			out[p.Providers.ClientAt(row)] = sw.Sites[at]
 		}
 	}
 	return out
@@ -133,33 +148,17 @@ func (p *Predictor) All(cfg Config) map[prefs.Client]int {
 // MeanRTT predicts the average client RTT of a configuration: each
 // predictable client contributes its measured RTT to its predicted site.
 func (p *Predictor) MeanRTT(cfg Config) (time.Duration, int) {
-	if p.RTT == nil {
-		return 0, 0
-	}
-	var sum time.Duration
-	n := 0
-	for c, site := range p.All(cfg) {
-		rtt, ok := p.RTT.RTT(site, c)
-		if !ok {
-			continue
-		}
-		sum += rtt
-		n++
-	}
-	if n == 0 {
-		return 0, 0
-	}
-	return sum / time.Duration(n), n
+	return p.Sweep(cfg).MeanRTT()
 }
 
 // FracPredictable returns the fraction of known clients with a predictable
 // catchment under cfg.
 func (p *Predictor) FracPredictable(cfg Config) float64 {
-	total := len(p.Providers.Clients())
-	if total == 0 {
+	sw := p.Sweep(cfg)
+	if len(sw.Catch) == 0 {
 		return 0
 	}
-	return float64(len(p.All(cfg))) / float64(total)
+	return float64(sw.Predicted) / float64(len(sw.Catch))
 }
 
 // Accuracy compares predicted and measured catchments over the clients

@@ -280,3 +280,33 @@ func TestColumnarOutOfOrderInsert(t *testing.T) {
 		}
 	}
 }
+
+// TestSeekMatchesBinarySearch walks a merge over the key column the way the
+// read side does — ascending clients, some absent, each result fed back as the
+// next start — and holds every step to the point lookup.
+func TestSeekMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s := mustStore(t, 1, 2)
+	for c := 0; c < 400; c++ {
+		if rng.Intn(3) > 0 {
+			if err := s.RecordSimultaneous(Client(3*c), 1, 2, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	at := 0
+	for c := Client(-2); c < 1210; c++ {
+		row, ok := s.Seek(at, c)
+		wantRow, wantOK := s.findClient(c)
+		if row != wantRow || ok != wantOK {
+			t.Fatalf("Seek(%d, %d) = %d, %v; binary search %d, %v", at, c, row, ok, wantRow, wantOK)
+		}
+		if ok && s.ClientAt(row) != c {
+			t.Fatalf("ClientAt(%d) = %d, want %d", row, s.ClientAt(row), c)
+		}
+		at = row
+	}
+	if at != s.NumClients() {
+		t.Fatalf("walk ended at row %d of %d", at, s.NumClients())
+	}
+}

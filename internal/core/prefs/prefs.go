@@ -347,26 +347,35 @@ type scratch struct {
 	rank []int32
 }
 
+// carve windows the first 3n words of b as a scratch for n items.
+func carve(b []int32, n int) scratch {
+	return scratch{ix: b[:n], wins: b[n : 2*n], rank: b[2*n : 3*n]}
+}
+
 // newScratch carves a scratch for n items out of buf, or out of one fresh
 // slice when n exceeds the stack bound.
 func newScratch(buf *[3 * stackItems]int32, n int) scratch {
-	b := buf[:]
 	if n > stackItems {
-		b = make([]int32, 3*n)
+		return carve(make([]int32, 3*n), n)
 	}
-	return scratch{ix: b[:n], wins: b[n : 2*n], rank: b[2*n : 3*n]}
+	return carve(buf[:], n)
+}
+
+// lookup fills ix with the announced items' store indices.
+func (s *Store) lookup(ix []int32, announce []Item) {
+	for a, it := range announce {
+		ix[a] = -1
+		if i, ok := s.index[it]; ok {
+			ix[a] = int32(i)
+		}
+	}
 }
 
 // resolve returns a scratch whose ix holds the announced items' store
 // indices.
 func (s *Store) resolve(buf *[3 * stackItems]int32, announce []Item) scratch {
 	sc := newScratch(buf, len(announce))
-	for a, it := range announce {
-		sc.ix[a] = -1
-		if i, ok := s.index[it]; ok {
-			sc.ix[a] = int32(i)
-		}
-	}
+	s.lookup(sc.ix, announce)
 	return sc
 }
 
@@ -476,6 +485,76 @@ func (cp *ClientPrefs) Best(enabled []Item, annRank []Item) (Item, bool) {
 func (cp *ClientPrefs) HasTotalOrder(announce []Item) bool {
 	var buf [3 * stackItems]int32
 	return cp.store.tournament(cp.idx, cp.store.resolve(&buf, announce))
+}
+
+// Announcement is an announcement order resolved against one store's item
+// universe once, so that judging it for a client row costs no map lookup and
+// no allocation: the read side resolves a configuration per request and then
+// walks the key column (ClientAt, Seek) asking Best or Order per row. It
+// carries the kernel's scratch inline — a value, so a plan can hold one per
+// provider in a single slice — and is therefore used by one goroutine at a
+// time; the store stays shared and read-only.
+type Announcement struct {
+	s *Store
+	n int
+	// buf is the scratch of an announcement within the stack bound; a longer
+	// one lives in big.
+	buf [3 * stackItems]int32
+	big []int32
+}
+
+// Announce resolves an announcement order (earliest first) against the store.
+func (s *Store) Announce(announce []Item) Announcement {
+	a := Announcement{s: s, n: len(announce)}
+	if a.n > stackItems {
+		a.big = make([]int32, 3*a.n)
+	}
+	s.lookup(a.scratch().ix, announce)
+	return a
+}
+
+func (a *Announcement) scratch() scratch {
+	if a.big != nil {
+		return carve(a.big, a.n)
+	}
+	return carve(a.buf[:], a.n)
+}
+
+// Best is ClientPrefs.Best with every announced item enabled: the position in
+// the announcement of the row's most preferred item. ok is false when the row
+// has no total order over the announcement.
+func (a *Announcement) Best(row int) (int, bool) {
+	sc := a.scratch()
+	if !a.s.tournament(row, sc) {
+		return 0, false
+	}
+	return int(sc.rank[0]), true
+}
+
+// Order is ClientPrefs.TotalOrder by position: the announcement positions of
+// the row's total order, most preferred first. The slice is the
+// announcement's own scratch and is overwritten by the next Best or Order.
+func (a *Announcement) Order(row int) ([]int32, bool) {
+	sc := a.scratch()
+	if !a.s.tournament(row, sc) {
+		return nil, false
+	}
+	return sc.rank, true
+}
+
+// ClientAt returns the client of the given row of the sorted key column,
+// 0 ≤ row < NumClients().
+func (s *Store) ClientAt(row int) Client { return s.keys[row] }
+
+// Seek returns the first row at or after from whose client is not below c,
+// and whether that row is c's. It scans forward, so a caller walking another
+// sorted client column and feeding each result back as the next from pays one
+// pass over this one in total.
+func (s *Store) Seek(from int, c Client) (int, bool) {
+	for from < len(s.keys) && s.keys[from] < c {
+		from++
+	}
+	return from, from < len(s.keys) && s.keys[from] == c
 }
 
 // class is one distinct relation signature over an announced item set: the

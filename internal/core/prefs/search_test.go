@@ -135,6 +135,7 @@ func TestOrderSearchMatchesOracle(t *testing.T) {
 				t.Fatalf("seed %d: FracWithTotalOrder(%v) = %v, oracle %v", seed, ann, got, want)
 			}
 			enabled := randomAnnouncement(rng, items)
+			resolved := s.Announce(ann)
 			for i := range s.keys {
 				cp := &s.views[i]
 				order, ok := cp.TotalOrder(ann)
@@ -142,6 +143,23 @@ func TestOrderSearchMatchesOracle(t *testing.T) {
 				if ok != wantOK || !reflect.DeepEqual(order, wantOrder) {
 					t.Fatalf("seed %d client %d: TotalOrder(%v) = %v, %v; oracle %v, %v",
 						seed, s.keys[i], ann, order, ok, wantOrder, wantOK)
+				}
+				// The row API answers by announcement position, Best first
+				// so that Order's scratch is the one compared.
+				top, ok := resolved.Best(i)
+				if ok != wantOK || (ok && ann[top] != wantOrder[0]) {
+					t.Fatalf("seed %d row %d: Announce(%v).Best = %d, %v; oracle %v, %v",
+						seed, i, ann, top, ok, wantOrder, wantOK)
+				}
+				positions, ok := resolved.Order(i)
+				if ok != wantOK || len(positions) != len(wantOrder) {
+					t.Fatalf("seed %d row %d: Announce(%v).Order = %v, %v; oracle %v, %v",
+						seed, i, ann, positions, ok, wantOrder, wantOK)
+				}
+				for k, a := range positions {
+					if ann[a] != wantOrder[k] {
+						t.Fatalf("seed %d row %d: Announce(%v).Order = %v; oracle %v", seed, i, ann, positions, wantOrder)
+					}
 				}
 				if cp.HasTotalOrder(ann) != wantOK {
 					t.Fatalf("seed %d client %d: HasTotalOrder(%v) = %v", seed, s.keys[i], ann, !wantOK)
@@ -190,14 +208,15 @@ func TestNextHeapMatchesPermute(t *testing.T) {
 
 // TestOrderKernelAllocations pins the kernel's allocation contract: nothing
 // per client within the stack bound, the result slice for TotalOrder, one
-// scratch slice per call above the bound.
+// scratch slice per call above the bound — per announcement, not per row,
+// through the row API.
 func TestOrderKernelAllocations(t *testing.T) {
 	for _, tc := range []struct {
-		nItems                     int
-		hasOrder, best, totalOrder float64
+		nItems                               int
+		hasOrder, best, totalOrder, announce float64
 	}{
-		{stackItems - 1, 0, 0, 1},
-		{stackItems + 4, 1, 1, 2},
+		{stackItems - 1, 0, 0, 1, 0},
+		{stackItems + 4, 1, 1, 2, 1},
 	} {
 		items := make([]Item, tc.nItems)
 		for i := range items {
@@ -214,6 +233,21 @@ func TestOrderKernelAllocations(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(100, func() { cp.TotalOrder(items) }); got != tc.totalOrder {
 			t.Errorf("%d items: TotalOrder allocates %v, want %v", tc.nItems, got, tc.totalOrder)
+		}
+		var resolved Announcement
+		if got := testing.AllocsPerRun(100, func() { resolved = s.Announce(items) }); got != tc.announce {
+			t.Errorf("%d items: Announce allocates %v, want %v", tc.nItems, got, tc.announce)
+		}
+		if got := testing.AllocsPerRun(100, func() { resolved.Best(0); resolved.Order(0) }); got != 0 {
+			t.Errorf("%d items: Best and Order of a row allocate %v", tc.nItems, got)
+		}
+		// fillStrict ranks the items in order, so the order is the identity.
+		positions, ok := resolved.Order(0)
+		for k, a := range positions {
+			ok = ok && int(a) == k
+		}
+		if !ok || len(positions) != tc.nItems {
+			t.Errorf("%d items: Order = %v, %v; want the identity", tc.nItems, positions, ok)
 		}
 	}
 }

@@ -69,7 +69,11 @@ func (in *Instance) Validate() error {
 	if in.Cap != nil && len(in.Cap) != in.NumSites {
 		return fmt.Errorf("splpo: Cap has %d entries for %d sites", len(in.Cap), in.NumSites)
 	}
-	for i, c := range in.Clients {
+	// seen is one scratch for every client, cleared by un-marking exactly the
+	// sites the previous client ranked.
+	seen := make([]bool, in.NumSites)
+	for i := range in.Clients {
+		c := &in.Clients[i]
 		switch {
 		case c.RankCost != nil:
 			if len(c.RankCost) != len(c.Ranking) {
@@ -78,7 +82,6 @@ func (in *Instance) Validate() error {
 		case len(c.Cost) != in.NumSites:
 			return fmt.Errorf("splpo: client %d has %d costs for %d sites", i, len(c.Cost), in.NumSites)
 		}
-		seen := map[int]bool{}
 		for _, s := range c.Ranking {
 			if s < 0 || s >= in.NumSites {
 				return fmt.Errorf("splpo: client %d ranks unknown site %d", i, s)
@@ -87,6 +90,9 @@ func (in *Instance) Validate() error {
 				return fmt.Errorf("splpo: client %d ranks site %d twice", i, s)
 			}
 			seen[s] = true
+		}
+		for _, s := range c.Ranking {
+			seen[s] = false
 		}
 	}
 	return nil

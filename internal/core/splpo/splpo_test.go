@@ -150,16 +150,33 @@ func TestExhaustiveInfeasibleInstance(t *testing.T) {
 }
 
 func TestValidateErrors(t *testing.T) {
-	bad := []*Instance{
-		{NumSites: 0},
-		{NumSites: 2, Cap: []float64{1}},
-		{NumSites: 2, Clients: []Client{{Ranking: []int{0}, Cost: []float64{1}}}},
-		{NumSites: 2, Clients: []Client{{Ranking: []int{5}, Cost: []float64{1, 1}}}},
-		{NumSites: 2, Clients: []Client{{Ranking: []int{0, 0}, Cost: []float64{1, 1}}}},
-	}
-	for i, in := range bad {
-		if err := in.Validate(); err == nil {
-			t.Errorf("bad instance %d validated", i)
+	for _, tc := range []struct {
+		in   *Instance
+		want string
+	}{
+		{&Instance{NumSites: 0}, "splpo: NumSites = 0"},
+		{&Instance{NumSites: 2, Cap: []float64{1}}, "splpo: Cap has 1 entries for 2 sites"},
+		{&Instance{NumSites: 2, Clients: []Client{{Ranking: []int{0}, Cost: []float64{1}}}}, "splpo: client 0 has 1 costs for 2 sites"},
+		{&Instance{NumSites: 2, Clients: []Client{{Ranking: []int{0, 1}, RankCost: []float64{1}}}}, "splpo: client 0 has 1 rank costs for 2 ranked sites"},
+		{&Instance{NumSites: 2, Clients: []Client{{Ranking: []int{5}, Cost: []float64{1, 1}}}}, "splpo: client 0 ranks unknown site 5"},
+		{&Instance{NumSites: 2, Clients: []Client{{Ranking: []int{0, 0}, Cost: []float64{1, 1}}}}, "splpo: client 0 ranks site 0 twice"},
+		// The duplicate check shares one scratch between clients: a site two
+		// clients rank is not a duplicate, one the second ranks twice is.
+		{&Instance{NumSites: 3, Clients: []Client{
+			{Ranking: []int{2, 0}, RankCost: []float64{1, 1}},
+			{Ranking: []int{0, 2, 1}, RankCost: []float64{1, 1, 1}},
+		}}, ""},
+		{&Instance{NumSites: 3, Clients: []Client{
+			{Ranking: []int{2, 0}, RankCost: []float64{1, 1}},
+			{Ranking: []int{1, 2, 1}, RankCost: []float64{1, 1, 1}},
+		}}, "splpo: client 1 ranks site 1 twice"},
+	} {
+		err := tc.in.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%+v: %v", tc.in, err)
+		case tc.want != "" && (err == nil || err.Error() != tc.want):
+			t.Errorf("%+v: error %v, want %q", tc.in, err, tc.want)
 		}
 	}
 }

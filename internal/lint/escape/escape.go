@@ -46,6 +46,7 @@ var DefaultPackages = []string{
 	"./internal/netproto",
 	"./internal/core/discovery",
 	"./internal/core/prefs",
+	"./internal/core/predict",
 	"./internal/core/splpo",
 	"./internal/reconcile",
 }
