@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-json escape-baseline fmt race invariants chaos chaos-churn bench bench-check bench-json bench-guard splpo-bench loadbench check
+.PHONY: build test vet lint lint-json escape-baseline fmt race invariants chaos chaos-churn bench bench-check splpo-bench check
 
 build:
 	$(GO) build ./...
@@ -75,39 +75,6 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# bench-json runs the campaign-speed benchmarks plus the concurrent-API
-# benchmarks (at 1 and 8 procs, lock-free vs the serialized seed
-# architecture), the SPLPO solver head-to-heads, the churn-reconciler
-# cone benchmarks (cone_frac is the acceptance headline: a single-link flap
-# at paper scale must re-measure at most 10% of pairs), the announcement-order
-# search and its per-client tournament kernel, and the campaign
-# storage/memory benchmarks (columnar vs nested bytes/client, plus the
-# full-campaign memory ceiling at paper and — multi-minute — internet
-# scale), reducing them all to one checked-in JSON document so perf
-# changes are diffable across commits.
-bench-json:
-	( $(GO) test -run xxx -bench 'BenchmarkDiscoveryCampaign|BenchmarkFig4aOrderFlip' \
-		-benchmem -json . ; \
-	  $(GO) test -run xxx -bench 'BenchmarkPredictParallel|BenchmarkPredictSerialized|BenchmarkOptimizeParallel' \
-		-benchmem -json -cpu 1,8 ./internal/api/ ; \
-	  $(GO) test -run xxx -bench 'BenchmarkSolver15|BenchmarkFeasible500|BenchmarkAnytime|BenchmarkFullEval500|BenchmarkDeltaMove500|BenchmarkWarmVsCold500' \
-		-benchmem -json -benchtime 1x ./internal/core/splpo/ ; \
-	  $(GO) test -run xxx -bench 'BenchmarkStructuralConePaper|BenchmarkConeRepair' \
-		-benchmem -json -benchtime 1x ./internal/reconcile/ ; \
-	  $(GO) test -run xxx -bench 'BenchmarkBestAnnouncementOrder|BenchmarkTotalOrder15Sites' \
-		-benchmem -json ./internal/core/prefs/ ; \
-	  ANYOPT_BENCH_INTERNET=1 $(GO) test -run xxx -bench 'BenchmarkCampaignStorage|BenchmarkCampaignMemory' \
-		-benchmem -json -benchtime 1x -timeout 30m . ) \
-		| $(GO) run ./cmd/benchjson -out BENCH_10.json
-
-# bench-guard fails when the checked-in BENCH document shows the campaign
-# hot path (BenchmarkDiscoveryCampaign) more than 15% slower than the
-# newest prior BENCH document. Cheap (no benchmarks run), so it rides
-# `make check`; refresh the document with bench-json after a deliberate
-# perf change.
-bench-guard:
-	$(GO) run ./cmd/benchjson -guard BENCH_10.json
-
 # splpo-bench runs just the solver head-to-heads (exhaustive vs the anytime
 # solver, plus the delta-vs-full move cost and warm-vs-cold reoptimization)
 # with human-readable output.
@@ -115,15 +82,7 @@ splpo-bench:
 	$(GO) test -run xxx -bench 'BenchmarkSolver15|BenchmarkFeasible500|BenchmarkAnytime|BenchmarkFullEval500|BenchmarkDeltaMove500|BenchmarkWarmVsCold500' \
 		-benchmem -benchtime 1x ./internal/core/splpo/
 
-# loadbench runs the anyoptd load harness — predict QPS and latency
-# percentiles idle vs with a discovery job in flight — and records the
-# report next to the benchmark JSON.
-loadbench:
-	$(GO) run ./cmd/anyoptd -load -load-workers 8 -load-duration 3s -load-out LOADBENCH_6.json
-	@cat LOADBENCH_6.json
-
 # check is the CI gate: formatting, static analysis, the full suite, the
-# race pass, the invariant-audited BGP suite, the chaos suites, the
-# benchmark module's own vet and tests, and the benchmark regression guard
-# over the checked-in BENCH document.
-check: fmt vet lint test race invariants chaos chaos-churn bench-check bench-guard
+# race pass, the invariant-audited BGP suite, the chaos suites, and the
+# benchmark module's own vet and tests.
+check: fmt vet lint test race invariants chaos chaos-churn bench-check

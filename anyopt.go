@@ -158,13 +158,6 @@ type Snapshot struct {
 	StaleRows map[prefs.Client]uint64
 }
 
-// RowStale reports whether the client's row predates a known routing change,
-// and if so, the generation whose data it still reflects.
-func (sn *Snapshot) RowStale(c prefs.Client) (gen uint64, stale bool) {
-	gen, stale = sn.StaleRows[c]
-	return gen, stale
-}
-
 // New builds the synthetic Internet and deploys the testbed on it.
 func New(opts Options) (*System, error) {
 	topo, err := topology.Generate(opts.Topology)

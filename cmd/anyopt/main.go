@@ -235,13 +235,19 @@ func main() {
 			log.Fatal(err)
 		}
 		snap := sys.CurrentSnapshot()
-		predicted := snap.PredictCatchments(cfg)
-		predMean, n := snap.PredictMeanRTT(cfg)
+		sw := snap.Pred.Sweep(cfg) // one sweep answers all three questions
+		predicted := make(map[anyopt.Client]int, sw.Predicted)
+		for row, at := range sw.Catch {
+			if at >= 0 {
+				predicted[snap.Pred.Providers.ClientAt(row)] = sw.Sites[at]
+			}
+		}
+		predMean, n := sw.MeanRTT()
 		measured, rtts := sys.MeasureConfiguration(cfg)
 		acc, overlap := predict.Accuracy(predicted, measured)
 		measMean, _ := predict.MeasuredMeanRTT(rtts)
 		fmt.Printf("config %v\n", cfg)
-		fmt.Printf("  predictable clients: %d (%.1f%%)\n", n, 100*snap.Pred.FracPredictable(cfg))
+		fmt.Printf("  predictable clients: %d (%.1f%%)\n", n, 100*float64(sw.Predicted)/float64(len(sw.Catch)))
 		fmt.Printf("  catchment accuracy vs deployment: %.1f%% over %d clients\n", 100*acc, overlap)
 		fmt.Printf("  mean RTT: predicted %v, measured %v (rel err %.1f%%)\n",
 			predMean.Round(10*time.Microsecond), measMean.Round(10*time.Microsecond),

@@ -9,31 +9,18 @@
 //	curl -s -X POST localhost:8080/v1/churn -d '{"seed":7}'   # inject churn
 //	curl -s localhost:8080/v1/reconcile                 # reconciler health
 //	curl -s localhost:8080/metrics
-//
-// With -load it runs the in-process load harness instead of serving: a
-// worker fleet hammers /v1/predict through the handler (no sockets, no
-// client overhead), first against an idle server, then with a discovery job
-// in flight, and reports QPS plus latency percentiles for both phases as
-// JSON. The p99 ratio between the phases is the number the snapshot
-// concurrency model is accountable for: a background campaign must not
-// queue prediction traffic.
 package main
 
 import (
-	"encoding/json"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
-	"net/http/httptest"
 	"os"
-	"sort"
 	"time"
 
 	"anyopt"
 	"anyopt/internal/api"
 	"anyopt/internal/campaign"
-	"anyopt/internal/exec"
 )
 
 func main() {
@@ -45,10 +32,6 @@ func main() {
 		seed          = flag.Int64("seed", 1, "topology seed")
 		campaignFile  = flag.String("campaign", "", "preload discovery results from this snapshot")
 		checkpointDir = flag.String("checkpoint-dir", "", "enable ?checkpoint=name on discovery jobs, journaling under this directory")
-		load          = flag.Bool("load", false, "run the load harness instead of serving")
-		loadWorkers   = flag.Int("load-workers", 8, "load harness worker count")
-		loadDur       = flag.Duration("load-duration", 3*time.Second, "load harness per-phase duration")
-		loadOut       = flag.String("load-out", "", "write the load report JSON here (default stdout)")
 	)
 	flag.Parse()
 
@@ -91,13 +74,6 @@ func main() {
 		}
 	}
 
-	if *load {
-		if err := runLoad(sys, apiSrv, *loadWorkers, *loadDur, *loadOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
 	srv := &http.Server{
 		Addr:              *listen,
 		Handler:           apiSrv.Handler(),
@@ -105,158 +81,4 @@ func main() {
 	}
 	log.Printf("serving %v on http://%s (scale=%s seed=%d)", sys.Topo.ComputeStats(), *listen, *scale, *seed)
 	log.Fatal(srv.ListenAndServe())
-}
-
-// phaseReport is one load phase's outcome.
-type phaseReport struct {
-	Requests int     `json:"requests"`
-	Seconds  float64 `json:"seconds"`
-	QPS      float64 `json:"qps"`
-	P50us    float64 `json:"p50_us"`
-	P90us    float64 `json:"p90_us"`
-	P99us    float64 `json:"p99_us"`
-}
-
-// loadReport is the harness output recorded alongside BENCH_6.json.
-type loadReport struct {
-	Workers         int         `json:"workers"`
-	Idle            phaseReport `json:"idle"`
-	DuringDiscovery phaseReport `json:"during_discovery"`
-	// P99Ratio is during-discovery p99 over idle p99 — the acceptance
-	// criterion holds it under 2.
-	P99Ratio float64 `json:"p99_ratio"`
-	JobState string  `json:"job_state"`
-}
-
-// runLoad measures /v1/predict latency under a worker fleet, idle and with a
-// discovery job in flight. Worker fan-out goes through internal/exec's pool —
-// the one sanctioned goroutine owner outside internal/api — so the harness
-// obeys the same concurrency policy as the code it measures.
-func runLoad(sys *anyopt.System, apiSrv *api.Server, workers int, dur time.Duration, out string) error {
-	if sys.CurrentSnapshot() == nil {
-		log.Printf("load: running initial discovery campaign")
-		if err := sys.RunDiscovery(); err != nil {
-			return err
-		}
-	}
-	h := apiSrv.Handler()
-	predictURL := "/v1/predict?config=1,4,6,9,12"
-	if rec := hit(h, http.MethodGet, predictURL); rec.Code != http.StatusOK {
-		return fmt.Errorf("load: predict warm-up failed: %d %s", rec.Code, rec.Body.String())
-	}
-
-	report := loadReport{Workers: workers}
-
-	log.Printf("load: idle phase (%d workers, %v)", workers, dur)
-	report.Idle = runPhase(h, predictURL, workers, dur, nil)
-
-	log.Printf("load: discovery-in-flight phase")
-	rec := hit(h, http.MethodPost, "/v1/discover")
-	if rec.Code != http.StatusAccepted {
-		return fmt.Errorf("load: starting discovery job: %d %s", rec.Code, rec.Body.String())
-	}
-	var accepted struct {
-		JobID string `json:"job_id"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &accepted); err != nil {
-		return err
-	}
-	jobURL := "/v1/jobs/" + accepted.JobID
-	jobRunning := func() bool {
-		var got struct {
-			State string `json:"state"`
-		}
-		jr := hit(h, http.MethodGet, jobURL)
-		if err := json.Unmarshal(jr.Body.Bytes(), &got); err != nil {
-			return false
-		}
-		report.JobState = got.State
-		return got.State == "running"
-	}
-	report.DuringDiscovery = runPhase(h, predictURL, workers, dur, jobRunning)
-	if report.Idle.P99us > 0 {
-		report.P99Ratio = report.DuringDiscovery.P99us / report.Idle.P99us
-	}
-
-	// Drain the job so the report's final state is terminal.
-	for jobRunning() {
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	enc, err := json.MarshalIndent(report, "", " ")
-	if err != nil {
-		return err
-	}
-	enc = append(enc, '\n')
-	if out == "" {
-		_, err = os.Stdout.Write(enc)
-		return err
-	}
-	log.Printf("load: report -> %s (p99 idle %.0fus, during discovery %.0fus, ratio %.2f)",
-		out, report.Idle.P99us, report.DuringDiscovery.P99us, report.P99Ratio)
-	return os.WriteFile(out, enc, 0o644)
-}
-
-func hit(h http.Handler, method, target string) *httptest.ResponseRecorder {
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(method, target, nil))
-	return rec
-}
-
-// runPhase hammers target from the worker fleet for dur (or until keepGoing
-// reports false) and aggregates latencies. keepGoing, when non-nil, is
-// polled by worker 0 so a short discovery job ends the phase instead of
-// silently measuring an idle server.
-func runPhase(h http.Handler, target string, workers int, dur time.Duration, keepGoing func() bool) phaseReport {
-	latencies := make([][]time.Duration, workers)
-	stop := make(chan struct{})
-	start := time.Now()
-	deadline := start.Add(dur)
-	pool := exec.New(workers)
-	pool.ForEach(workers, func(w int) {
-		var mine []time.Duration
-		for i := 0; time.Now().Before(deadline); i++ {
-			select {
-			case <-stop:
-				latencies[w] = mine
-				return
-			default:
-			}
-			if keepGoing != nil && w == 0 && i%64 == 63 {
-				if !keepGoing() {
-					close(stop)
-					latencies[w] = mine
-					return
-				}
-			}
-			t0 := time.Now()
-			rec := hit(h, http.MethodGet, target)
-			if rec.Code == http.StatusOK {
-				mine = append(mine, time.Since(t0))
-			}
-		}
-		latencies[w] = mine
-	})
-	elapsed := time.Since(start)
-
-	var all []time.Duration
-	for _, l := range latencies {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pct := func(p float64) float64 {
-		if len(all) == 0 {
-			return 0
-		}
-		idx := int(p * float64(len(all)-1))
-		return float64(all[idx]) / 1e3
-	}
-	return phaseReport{
-		Requests: len(all),
-		Seconds:  elapsed.Seconds(),
-		QPS:      float64(len(all)) / elapsed.Seconds(),
-		P50us:    pct(0.50),
-		P90us:    pct(0.90),
-		P99us:    pct(0.99),
-	}
 }

@@ -93,15 +93,6 @@ func main() {
 	}
 }
 
-func containsSite(cfg anyopt.Config, id int) bool {
-	for _, s := range cfg {
-		if s == id {
-			return true
-		}
-	}
-	return false
-}
-
 func withoutSite(cfg anyopt.Config, id int) anyopt.Config {
 	var out anyopt.Config
 	for _, s := range cfg {

@@ -36,14 +36,17 @@ func main() {
 	// 3. Predict a configuration and validate against a real deployment.
 	cfg := anyopt.Config{1, 3, 4, 5, 6, 10} // one site per transit provider
 	snap := sys.CurrentSnapshot()           // the finished campaign, immutable
-	predicted := snap.PredictCatchments(cfg)
-	predMean, n := snap.PredictMeanRTT(cfg)
+	sw := snap.Pred.Sweep(cfg)              // every client's catchment, in one pass
+	predMean, n := sw.MeanRTT()
 	measured, rtts := sys.MeasureConfiguration(cfg)
 	match, overlap := 0, 0
-	for c, p := range predicted {
-		if m, ok := measured[c]; ok {
+	for row, at := range sw.Catch {
+		if at < 0 {
+			continue // no predictable catchment
+		}
+		if m, ok := measured[snap.Pred.Providers.ClientAt(row)]; ok {
 			overlap++
-			if p == m {
+			if sw.Sites[at] == m {
 				match++
 			}
 		}

@@ -23,18 +23,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// MeanDuration returns the mean of durations, or 0 for an empty slice.
-func MeanDuration(xs []time.Duration) time.Duration {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s time.Duration
-	for _, x := range xs {
-		s += x
-	}
-	return s / time.Duration(len(xs))
-}
-
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using
 // nearest-rank on a sorted copy. It returns 0 for an empty slice.
 func Percentile(xs []float64, p float64) float64 {
@@ -58,31 +46,6 @@ func Percentile(xs []float64, p float64) float64 {
 
 // Median returns the 50th percentile.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
-// MedianDuration returns the median of durations.
-func MedianDuration(xs []time.Duration) time.Duration {
-	if len(xs) == 0 {
-		return 0
-	}
-	f := make([]float64, len(xs))
-	for i, x := range xs {
-		f[i] = float64(x)
-	}
-	return time.Duration(Median(f))
-}
-
-// Stddev returns the population standard deviation.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
 
 // RelErr returns |got-want|/want, or 0 when want is 0.
 func RelErr(got, want float64) float64 {
@@ -129,15 +92,6 @@ func CDFAt(xs []float64, x float64) float64 {
 		}
 	}
 	return float64(n) / float64(len(xs))
-}
-
-// DurationsToMs converts durations to float milliseconds.
-func DurationsToMs(xs []time.Duration) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x) / float64(time.Millisecond)
-	}
-	return out
 }
 
 // Table renders fixed-width text tables for figure/table output.
@@ -245,33 +199,4 @@ func Sparkline(values []float64) string {
 		out[i] = sparkRunes[idx]
 	}
 	return string(out)
-}
-
-// BarChart renders labeled horizontal bars scaled to the largest value, for
-// terminal-readable figure output.
-func BarChart(labels []string, values []float64, width int) string {
-	if len(labels) != len(values) || len(labels) == 0 {
-		return ""
-	}
-	if width <= 0 {
-		width = 40
-	}
-	maxV, maxL := 0.0, 0
-	for i, v := range values {
-		if v > maxV {
-			maxV = v
-		}
-		if len(labels[i]) > maxL {
-			maxL = len(labels[i])
-		}
-	}
-	var b strings.Builder
-	for i, v := range values {
-		n := 0
-		if maxV > 0 {
-			n = int(v / maxV * float64(width))
-		}
-		fmt.Fprintf(&b, "%-*s %s %.2f\n", maxL, labels[i], strings.Repeat("█", n), v)
-	}
-	return b.String()
 }

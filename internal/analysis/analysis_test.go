@@ -18,15 +18,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestMeanDuration(t *testing.T) {
-	if got := MeanDuration([]time.Duration{10 * time.Millisecond, 30 * time.Millisecond}); got != 20*time.Millisecond {
-		t.Errorf("MeanDuration = %v", got)
-	}
-	if got := MeanDuration(nil); got != 0 {
-		t.Errorf("MeanDuration(nil) = %v", got)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	cases := []struct {
@@ -51,22 +42,6 @@ func TestMedianOddEven(t *testing.T) {
 	}
 	if got := Median([]float64{4, 1, 2, 3}); got != 2 {
 		t.Errorf("Median even (nearest-rank lower) = %v", got)
-	}
-	if got := MedianDuration([]time.Duration{3, 1, 2}); got != 2 {
-		t.Errorf("MedianDuration = %v", got)
-	}
-}
-
-func TestStddev(t *testing.T) {
-	if got := Stddev([]float64{2, 2, 2}); got != 0 {
-		t.Errorf("Stddev const = %v", got)
-	}
-	got := Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if math.Abs(got-2) > 1e-9 {
-		t.Errorf("Stddev = %v, want 2", got)
-	}
-	if got := Stddev([]float64{1}); got != 0 {
-		t.Errorf("Stddev single = %v", got)
 	}
 }
 
@@ -158,13 +133,6 @@ func TestPropertyPercentileWithinRange(t *testing.T) {
 	}
 }
 
-func TestDurationsToMs(t *testing.T) {
-	got := DurationsToMs([]time.Duration{time.Millisecond, 2500 * time.Microsecond})
-	if got[0] != 1 || got[1] != 2.5 {
-		t.Errorf("DurationsToMs = %v", got)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := NewTable("Table 1", "Site", "Location", "RTT")
 	tab.AddRow(1, "Atlanta", 25*time.Millisecond)
@@ -201,21 +169,5 @@ func TestSparkline(t *testing.T) {
 	}
 	if got := Sparkline([]float64{5, 5, 5}); got != "▁▁▁" {
 		t.Errorf("flat sparkline = %q", got)
-	}
-}
-
-func TestBarChart(t *testing.T) {
-	out := BarChart([]string{"a", "bb"}, []float64{2, 4}, 4)
-	if !strings.Contains(out, "bb ████ 4.00") {
-		t.Errorf("bar chart:\n%s", out)
-	}
-	if !strings.Contains(out, "a  ██ 2.00") {
-		t.Errorf("bar chart:\n%s", out)
-	}
-	if BarChart([]string{"a"}, []float64{1, 2}, 4) != "" {
-		t.Error("mismatched inputs accepted")
-	}
-	if BarChart(nil, nil, 4) != "" {
-		t.Error("empty inputs accepted")
 	}
 }

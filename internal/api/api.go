@@ -211,8 +211,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// Serving-quality annotations (DESIGN.md §13): the reconciler health
 	// state and, when churn has outrun repair, exactly which client rows are
 	// still backed by pre-churn data and from which generation.
-	health, _ := s.recHealthView()
-	body.Health = health.String()
+	body.Health = s.recHealth().String()
 	if n := len(snap.StaleRows); n > 0 {
 		body.StaleRows = n
 		body.StaleClients = staleClientsJSON(snap)

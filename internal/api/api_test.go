@@ -362,6 +362,11 @@ func TestDiscoverJobAsync(t *testing.T) {
 	if result == nil || result["experiments"].(float64) == 0 {
 		t.Fatalf("job result: %+v", view)
 	}
+	// The progress denominator is the schedule length: fault-free, a finished
+	// campaign ran exactly that many experiments.
+	if total := view["total_experiments"]; total != result["experiments"] {
+		t.Errorf("total_experiments = %v, campaign ran %v", total, result["experiments"])
+	}
 	if gen := result["snapshot_gen"].(float64); gen != 1 {
 		t.Errorf("snapshot_gen = %v, want 1", gen)
 	}

@@ -1,8 +1,7 @@
 package api
 
-// Throughput benchmarks for the lock-free read path, against the serialized
-// seed architecture on the same campaign snapshot. Run with -cpu 8 to
-// measure scaling; fold into BENCH_6.json via `make loadbench`.
+// Throughput micro-benchmarks for the lock-free read path on one shared
+// campaign snapshot. Run with -cpu 8 to measure scaling.
 
 import (
 	"net/http"
@@ -60,13 +59,6 @@ func benchPredict(b *testing.B, h http.Handler) {
 // shared mutable state, so throughput scales with cores.
 func BenchmarkPredictParallel(b *testing.B) {
 	benchPredict(b, NewServer(benchSystem(b)).Handler())
-}
-
-// BenchmarkPredictSerialized is the seed architecture: the same handler
-// behind one whole-server mutex. The gap between this and
-// BenchmarkPredictParallel is the cost of the single-lane front door.
-func BenchmarkPredictSerialized(b *testing.B) {
-	benchPredict(b, serializedHandler(NewServer(benchSystem(b)).Handler()))
 }
 
 // BenchmarkOptimizeParallel exercises the heavier read path: a budgeted

@@ -27,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"anyopt"
 	"anyopt/internal/campaign"
 	"anyopt/internal/core/discovery"
 	"anyopt/internal/core/predict"
@@ -178,24 +177,6 @@ func (r *jobRegistry) stateCounts() map[string]int {
 	return out
 }
 
-// estimateCampaignExperiments predicts how many experiments a full discovery
-// campaign runs — singleton RTTs per site, order-controlled provider pairs
-// both ways, and (without the RTT heuristic) one simultaneous experiment per
-// intra-provider site pair — so job progress has a denominator.
-func estimateCampaignExperiments(sys *anyopt.System) int {
-	tb := sys.TB
-	providers := tb.TransitProviders()
-	p := len(providers)
-	total := len(tb.Sites) + p*(p-1) // sites singletons + 2·C(p,2) ordered pairs
-	if !sys.Options().UseRTTHeuristic {
-		for _, prov := range providers {
-			k := len(tb.SitesOfTransit(prov))
-			total += k * (k - 1) / 2
-		}
-	}
-	return total
-}
-
 func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	disc := discovery.New(s.sys.TB, s.sys.Options().Discovery)
 	if name := r.URL.Query().Get("checkpoint"); name != "" {
@@ -217,7 +198,9 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	disc.SetContext(ctx)
-	j, err := s.jobs.begin(disc, estimateCampaignExperiments(s.sys), cancel)
+	// The schedule length is the progress denominator.
+	total := discovery.CampaignExperiments(s.sys.TB, s.sys.Options().UseRTTHeuristic)
+	j, err := s.jobs.begin(disc, total, cancel)
 	if err != nil {
 		cancel()
 		writeErr(w, http.StatusConflict, "%v", err)

@@ -507,6 +507,14 @@ func (s *Server) ResumePendingRepairs() (int, error) {
 	return len(ids), nil
 }
 
+// recHealth reads the reconciler's health state alone: what /v1/predict
+// annotates every body with, without building recHealthView's stats map.
+func (s *Server) recHealth() reconcile.Health {
+	s.rec.mu.Lock()
+	defer s.rec.mu.Unlock()
+	return s.rec.machine.State()
+}
+
 // recHealthView snapshots the reconciler state for responses and metrics.
 func (s *Server) recHealthView() (health reconcile.Health, stats map[string]any) {
 	s.rec.mu.Lock()

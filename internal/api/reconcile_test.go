@@ -345,8 +345,7 @@ func TestReconcileResume(t *testing.T) {
 	if len(healed.StaleRows) != 0 {
 		t.Errorf("resumed repair left %d stale rows", len(healed.StaleRows))
 	}
-	health, _ := srvB.recHealthView()
-	if health.String() != "fresh" {
+	if health := srvB.recHealth(); health.String() != "fresh" {
 		t.Errorf("post-resume health = %v", health)
 	}
 

@@ -9,9 +9,9 @@ import (
 
 // measureSession is one reusable discovery session serving ad-hoc
 // /v1/measure experiments. Each session owns a private Discovery — and with
-// it a private list of warm simulators (reset in place through Sim.Reset,
-// honoring Config.FreshSims) — so concurrent measure requests never share a
-// simulator and a session reused across requests keeps its sims warm.
+// it a private list of warm simulators (reset in place through Sim.Reset) —
+// so concurrent measure requests never share a simulator and a session
+// reused across requests keeps its sims warm.
 type measureSession struct {
 	Disc *discovery.Discovery
 }

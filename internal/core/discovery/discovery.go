@@ -84,13 +84,6 @@ type Config struct {
 	// backoff models pacing, not load shedding).
 	RetryBase time.Duration
 
-	// FreshSims disables simulator session reuse: every experiment then
-	// constructs a brand-new bgp.Sim instead of recycling a warm one through
-	// Sim.Reset. Reuse is proven byte-identical by the differential tests;
-	// this switch exists for those tests and for bisecting suspected reuse
-	// bugs.
-	FreshSims bool
-
 	// ShardLo/ShardHi, when ShardHi > 0, restrict fresh experiment execution
 	// to campaign nonces in the half-open range [ShardLo, ShardHi): an
 	// out-of-range experiment still consumes its nonce — keeping the
@@ -175,6 +168,10 @@ type Discovery struct {
 	// campaign calls DropSims when it is over.
 	simMu    sync.Mutex
 	freeSims []*bgp.Sim
+	// freshSims disables that reuse: every experiment constructs a brand-new
+	// bgp.Sim. Only the differential test that proves reuse byte-identical
+	// sets it.
+	freshSims bool
 
 	// quarantined maps dead site IDs to the reason they were pulled from
 	// the campaign; see QuarantineSite.
@@ -302,9 +299,9 @@ func (e *Exp) sim() *bgp.Sim {
 
 // acquireSim hands out a simulator configured with cfg: the most recently
 // released warm session (reset in place) when there is one, a new
-// construction otherwise or when FreshSims disables reuse.
+// construction otherwise or when freshSims disables reuse.
 func (d *Discovery) acquireSim(cfg bgp.Config) *bgp.Sim {
-	if !d.Cfg.FreshSims {
+	if !d.freshSims {
 		var sim *bgp.Sim
 		d.simMu.Lock()
 		if n := len(d.freeSims); n > 0 {
@@ -328,7 +325,7 @@ func (d *Discovery) acquireSim(cfg bgp.Config) *bgp.Sim {
 // until its detached goroutine finishes, so a timed-out attempt can never
 // hand a still-running session to another experiment.
 func (e *Exp) release() {
-	if !e.d.Cfg.FreshSims {
+	if !e.d.freshSims {
 		e.d.simMu.Lock()
 		e.d.freeSims = append(e.d.freeSims, e.sims...)
 		e.d.simMu.Unlock()

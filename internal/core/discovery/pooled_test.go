@@ -35,8 +35,8 @@ func runPooledCampaign(t *testing.T, workers int, fresh bool, faults *fault.Conf
 	cfg.Workers = workers
 	cfg.Noisy = false
 	cfg.Faults = faults
-	cfg.FreshSims = fresh
 	d := New(tb, cfg)
+	d.freshSims = fresh
 
 	tbl, err := d.MeasureRTTs(chaosSites)
 	if err != nil {

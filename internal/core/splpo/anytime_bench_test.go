@@ -7,8 +7,8 @@ package splpo
 // first-improvement swap search where every candidate pays a full EvaluateSet over all
 // clients. The anytime solver replaces that full re-evaluation with
 // journaled delta moves; these benches record both wall-clock and
-// client-touch counts so BENCH_8.json captures the ≥10× claim in units
-// that survive hardware changes.
+// client-touch counts, so the ≥10× claim is stated in units that survive
+// hardware changes.
 
 import (
 	"math/rand"

@@ -319,28 +319,6 @@ func (d *DeltaEval) RollbackTo(mark int) {
 	}
 }
 
-// GainOfOpen estimates the effect of opening closed site s without mutating
-// state: newlyServed counts currently-unserved clients s would capture, and
-// costDelta is the (weighted) change in finite cost from clients that would
-// switch to s. O(|clients ranking s|).
-func (d *DeltaEval) GainOfOpen(s int) (newlyServed int, costDelta float64) {
-	if d.open.Has(s) {
-		return 0, 0
-	}
-	for _, ref := range d.siteRefs[s] {
-		d.work++
-		cur := d.assignedPos[ref.client]
-		cl := &d.in.Clients[ref.client]
-		if cur < 0 {
-			newlyServed++
-			costDelta += cl.weight() * cl.costAt(int(ref.pos))
-		} else if ref.pos < cur {
-			costDelta += cl.weight() * (cl.costAt(int(ref.pos)) - cl.costAt(int(cur)))
-		}
-	}
-	return newlyServed, costDelta
-}
-
 // Patch rewires the evaluator to a churned instance in place: newIn must
 // have the same shape (site count, client count, Cap identity) with only the
 // clients listed in changed differing from the instance the evaluator was
@@ -404,21 +382,4 @@ func (d *DeltaEval) Patch(newIn *Instance, changed []int) bool {
 		d.applyAssign(int32(c), -1, newPos)
 	}
 	return true
-}
-
-// CostOfClose reports closed-site guidance without mutating state: the
-// weighted cost currently served by s and the load it carries.
-// O(|clients ranking s|).
-func (d *DeltaEval) CostOfClose(s int) (servedWeightedCost float64, load float64) {
-	if !d.open.Has(s) {
-		return 0, 0
-	}
-	for _, ref := range d.siteRefs[s] {
-		d.work++
-		if d.assignedPos[ref.client] == ref.pos {
-			cl := &d.in.Clients[ref.client]
-			servedWeightedCost += cl.weight() * cl.costAt(int(ref.pos))
-		}
-	}
-	return servedWeightedCost, d.siteLoad[s]
 }

@@ -121,20 +121,6 @@ func (s SiteSet) Equal(o SiteSet) bool {
 	return true
 }
 
-// Intersects reports whether the sets share any open site.
-func (s SiteSet) Intersects(o SiteSet) bool {
-	m := len(s.words)
-	if len(o.words) < m {
-		m = len(o.words)
-	}
-	for i := 0; i < m; i++ {
-		if s.words[i]&o.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // RemoveAll closes every site open in o.
 func (s SiteSet) RemoveAll(o SiteSet) {
 	m := len(s.words)

@@ -94,8 +94,14 @@ func (e *Env) Fig5(numConfigs int, churnFrac float64) (Fig5Result, error) {
 	for i := 0; i < numConfigs; i++ {
 		size := 1 + rng.Intn(14)
 		cfgs[i] = drawConfig(e.Sys, rng, size)
-		predCatch[i] = snap.PredictCatchments(cfgs[i])
-		predMeans[i], _ = snap.PredictMeanRTT(cfgs[i])
+		sw := snap.Pred.Sweep(cfgs[i]) // one sweep: catchments and mean RTT
+		predCatch[i] = make(map[anyopt.Client]int, sw.Predicted)
+		for row, at := range sw.Catch {
+			if at >= 0 {
+				predCatch[i][snap.Pred.Providers.ClientAt(row)] = sw.Sites[at]
+			}
+		}
+		predMeans[i], _ = sw.MeanRTT()
 	}
 
 	// Deploy and measure. With churn the topology mutates between

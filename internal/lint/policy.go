@@ -55,21 +55,17 @@ var DefaultPolicies = []PolicyRule{
 	{"anyopt/...", baseline},
 
 	// Simulator packages: results must be a pure function of seeds — and
-	// these hold no RNG of their own, so math/rand is banned outright.
+	// these hold no RNG of their own, so math/rand is banned outright. The
+	// core/... rule is what holds the columnar campaign stores (core/prefs,
+	// core/discovery) to the strictest contract in the repo: snapshot
+	// contents must be byte-identical across worker counts, shard counts and
+	// store layouts, so any map-order leak or entropy source in them
+	// invalidates the campaign determinism proofs.
 	{"anyopt/internal/bgp", simPure},
 	{"anyopt/internal/bgp/wire", simPure},
 	{"anyopt/internal/bgp/invariant", simPure},
 	{"anyopt/internal/netsim", simPure},
 	{"anyopt/internal/core/...", simPure},
-
-	// The columnar campaign stores — the preference matrix in core/prefs and
-	// the RTT table in core/discovery — are pinned here explicitly (the
-	// core/... rule already covers them) because their contract is the
-	// strictest in the repo: snapshot contents must be byte-identical across
-	// worker counts, shard counts and store layouts, so any map-order leak
-	// or entropy source in them invalidates the campaign determinism proofs.
-	{"anyopt/internal/core/prefs", simPure},
-	{"anyopt/internal/core/discovery", simPure},
 
 	// Campaign persistence and shard coordination: streaming snapshot
 	// serialization and checkpoint journals must be byte-deterministic (the

@@ -1,6 +1,6 @@
 package reconcile_test
 
-// BENCH_9 benchmarks: cone inference cost and cone-scoped repair scope. The
+// Reconciler micro-benchmarks: cone inference cost and cone-scoped repair scope. The
 // headline number is cone_frac on BenchmarkStructuralConePaper — the share of
 // the target population a single access-link flap forces the reconciler to
 // re-measure at paper scale. The acceptance bound is 0.10: a cone-scoped
