@@ -52,7 +52,7 @@ invariants:
 chaos:
 	$(GO) test -run 'Chaos|FaultsDisabled|Checkpoint|SaveLoadQuarantine|Pooled' \
 		./internal/core/discovery/ ./internal/campaign/
-	$(GO) test -race -run 'ForEachCtx|Retry|RunTimeout|Flush|SessionReset' \
+	$(GO) test -race -run 'ForEachCtx|RunTimeout|Flush|SessionReset' \
 		./internal/exec/ ./internal/orchestrator/
 
 # chaos-churn runs the churn-reconciliation suite under the race detector:

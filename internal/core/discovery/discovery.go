@@ -72,14 +72,10 @@ type Config struct {
 	QuorumK, QuorumN int
 	// ExperimentTimeout bounds one experiment attempt in wall-clock time;
 	// 0 (the default) disables it. A timeout abandons the attempt's
-	// goroutine and retries with fresh faults; because it depends on
-	// wall-clock speed it makes campaign results machine-dependent, so
-	// leave it off when byte-reproducibility matters.
+	// goroutine and the next attempt runs at once with fresh faults; because
+	// it depends on wall-clock speed it makes campaign results
+	// machine-dependent, so leave it off when byte-reproducibility matters.
 	ExperimentTimeout time.Duration
-	// RetryBase is the base wall-clock backoff between quorum attempts
-	// (exponential, bounded; default 1ms — attempts are simulated, so the
-	// backoff models pacing, not load shedding).
-	RetryBase time.Duration
 
 	// ShardLo/ShardHi, when ShardHi > 0, restrict fresh experiment execution
 	// to campaign nonces in the half-open range [ShardLo, ShardHi): an

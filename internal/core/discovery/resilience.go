@@ -11,11 +11,9 @@ package discovery
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
-	"time"
 
 	"anyopt/internal/exec"
 	"anyopt/internal/fault"
@@ -220,10 +218,6 @@ func (d *Discovery) runExperiment(e *Exp, kind string, i int, run func(*Exp, int
 	return sw, nil
 }
 
-// errQuorumPending signals exec.Retry that more attempts are needed — some
-// row has not yet gathered K matching votes.
-var errQuorumPending = errors.New("discovery: quorum pending")
-
 // runQuorum runs one experiment to an accepted sweep. Fault-free it is a
 // single attempt, exactly the pre-chaos behavior. With faults enabled it
 // re-runs the experiment — each attempt drawing fresh faults but reusing the
@@ -258,25 +252,24 @@ func (d *Discovery) runQuorum(e *Exp, i int, run func(*Exp, int) Sweep) (Sweep, 
 	if n < k {
 		n = k + 3
 	}
-	backoff := exec.Backoff{Base: d.Cfg.RetryBase, Max: 500 * time.Millisecond}
-	if backoff.Base <= 0 {
-		backoff.Base = time.Millisecond
-	}
 	var q rowQuorum
-	err := exec.Retry(context.Background(), n, backoff, func(attempt int) error {
+	var err error
+	for attempt := 0; attempt < n; attempt++ {
 		if attempt > 0 {
 			d.quorumRetries.Add(1)
 		}
-		sw, err := d.runAttempt(e, i, attempt, run)
-		if err != nil {
+		var sw Sweep
+		if sw, err = d.runAttempt(e, i, attempt, run); err != nil {
+			// A timed-out attempt is traced and the next runs at once: the
+			// attempts are simulated, there is no remote party to back off
+			// from.
 			e.trace.Addf("exp %d attempt %d: %v", e.nonce, attempt, err)
-			return err
+			continue
 		}
-		if q.vote(sw, k) > 0 || len(q.attempts) < k {
-			return errQuorumPending
+		if q.vote(sw, k) == 0 && len(q.attempts) >= k {
+			break
 		}
-		return nil
-	})
+	}
 	if len(q.attempts) == 0 {
 		return Sweep{}, fmt.Errorf("discovery: experiment %d failed all %d attempts: %w", e.nonce, n, err)
 	}

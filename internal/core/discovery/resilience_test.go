@@ -47,7 +47,6 @@ func scriptedQuorum(t *testing.T, script []Sweep, k, n int) (Sweep, int, []strin
 	d := &Discovery{Cfg: Config{
 		Faults:  &fault.Config{ProbeLossProb: 0.5}, // any enabled class: quorum on
 		QuorumK: k, QuorumN: n,
-		RetryBase: time.Nanosecond,
 	}}
 	e := &Exp{d: d, nonce: 1}
 	calls := 0

@@ -107,77 +107,6 @@ func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(ctx context.Contex
 	return ctx.Err()
 }
 
-// Backoff computes bounded exponential retry delays.
-type Backoff struct {
-	// Base is the delay before the first retry (default 100ms).
-	Base time.Duration
-	// Max caps the delay (default 10s).
-	Max time.Duration
-	// Factor multiplies the delay per retry (default 2).
-	Factor float64
-}
-
-// Delay returns the wait before retry attempt (attempt 0 = first retry).
-func (b Backoff) Delay(attempt int) time.Duration {
-	base := b.Base
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	max := b.Max
-	if max <= 0 {
-		max = 10 * time.Second
-	}
-	factor := b.Factor
-	if factor < 1 {
-		factor = 2
-	}
-	d := float64(base)
-	for i := 0; i < attempt; i++ {
-		d *= factor
-		if d >= float64(max) {
-			return max
-		}
-	}
-	if d > float64(max) {
-		return max
-	}
-	return time.Duration(d)
-}
-
-// Retry runs op up to attempts times, sleeping b.Delay between tries, and
-// returns nil on the first success or the last error. op receives the attempt
-// number (0-based). Sleeps are interrupted by ctx cancellation, which Retry
-// returns immediately.
-//
-// The wall-clock sleep lives here on purpose: the simulation packages are
-// lint-barred from time.Sleep (anyoptlint's entropy check), so retry pacing
-// is the executor's job, like all other real-time concerns.
-func Retry(ctx context.Context, attempts int, b Backoff, op func(attempt int) error) error {
-	if attempts <= 0 {
-		attempts = 1
-	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		if err = op(i); err == nil {
-			return nil
-		}
-		if i == attempts-1 {
-			break
-		}
-		t := time.NewTimer(b.Delay(i))
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
-		case <-t.C:
-		}
-	}
-	return err
-}
-
 // RunTimeout runs op with a wall-clock budget and returns ErrTimeout if op
 // has not finished within d. The op goroutine is not killed — Go cannot — so
 // a timed-out op keeps running detached; callers must only use RunTimeout

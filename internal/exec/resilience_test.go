@@ -118,76 +118,6 @@ func TestForEachCtxSerialStopsOnError(t *testing.T) {
 	}
 }
 
-func TestBackoffDelays(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: 50 * time.Millisecond}
-	wants := []time.Duration{
-		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
-		50 * time.Millisecond, 50 * time.Millisecond,
-	}
-	for i, want := range wants {
-		if got := b.Delay(i); got != want {
-			t.Errorf("Delay(%d) = %v, want %v", i, got, want)
-		}
-	}
-	// Zero value gets sane defaults rather than a zero (busy) delay.
-	if d := (Backoff{}).Delay(0); d < 50*time.Millisecond {
-		t.Errorf("zero-value Delay(0) = %v, want a real default", d)
-	}
-}
-
-func TestRetryEventualSuccess(t *testing.T) {
-	b := Backoff{Base: 100 * time.Microsecond, Max: time.Millisecond}
-	calls := 0
-	err := Retry(context.Background(), 5, b, func(attempt int) error {
-		calls++
-		if attempt != calls-1 {
-			t.Errorf("attempt = %d on call %d", attempt, calls)
-		}
-		if attempt < 2 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Retry: %v", err)
-	}
-	if calls != 3 {
-		t.Errorf("calls = %d, want 3", calls)
-	}
-}
-
-func TestRetryExhaustsAttempts(t *testing.T) {
-	b := Backoff{Base: 100 * time.Microsecond, Max: time.Millisecond}
-	last := errors.New("still broken")
-	calls := 0
-	err := Retry(context.Background(), 4, b, func(attempt int) error {
-		calls++
-		return last
-	})
-	if !errors.Is(err, last) {
-		t.Fatalf("err = %v, want last op error", err)
-	}
-	if calls != 4 {
-		t.Errorf("calls = %d, want 4", calls)
-	}
-}
-
-func TestRetryCanceledDuringBackoff(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	b := Backoff{Base: time.Minute} // would stall the test if not interrupted
-	start := time.Now()
-	err := Retry(ctx, 3, b, func(attempt int) error {
-		cancel()
-		return errors.New("fail")
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("cancellation took %v; backoff sleep was not interrupted", elapsed)
-	}
-}
-
 func TestRunTimeout(t *testing.T) {
 	if err := RunTimeout(time.Second, func() error { return nil }); err != nil {
 		t.Errorf("fast op: %v", err)
