@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-json escape-baseline fmt race invariants chaos chaos-churn bench bench-check splpo-bench check
+.PHONY: build test vet lint lint-json escape-baseline fmt race invariants chaos chaos-churn fuzz bench bench-check splpo-bench check
 
 build:
 	$(GO) build ./...
@@ -48,7 +48,8 @@ invariants:
 
 # chaos runs the fault-injection suite: the differential test (a faulted
 # campaign must converge to the fault-free preference matrix modulo
-# quarantined sites), failure-trace determinism, and checkpoint/resume.
+# quarantined sites), failure-trace determinism, and checkpoint/resume —
+# the torn-write sweep over the journal included.
 chaos:
 	$(GO) test -run 'Chaos|FaultsDisabled|Checkpoint|SaveLoadQuarantine|Pooled' \
 		./internal/core/discovery/ ./internal/campaign/
@@ -64,6 +65,18 @@ chaos:
 chaos-churn:
 	$(GO) test -race -run 'Churn|Cone|Stale|Health|Repair|Reconcile' \
 		./internal/reconcile/ ./internal/api/
+
+# fuzz runs every fuzzer in the repo for five seconds each, from the seed
+# corpora checked in under testdata/fuzz/ (which plain `go test` already runs
+# as unit tests): the BGP wire codec, the three decoders that take bytes from
+# outside — a checkpoint file, a saved campaign, a /v1/churn body — and
+# /v1/predict's config parser. `go test -fuzz` takes one fuzzer per run.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzUpdateDecode$$' -fuzztime 5s ./internal/bgp/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointOpen$$' -fuzztime 5s ./internal/campaign/
+	$(GO) test -run '^$$' -fuzz '^FuzzCampaignLoad$$' -fuzztime 5s ./internal/campaign/
+	$(GO) test -run '^$$' -fuzz '^FuzzChurnDecode$$' -fuzztime 5s ./internal/api/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime 5s ./internal/api/
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
@@ -83,6 +96,6 @@ splpo-bench:
 		-benchmem -benchtime 1x ./internal/core/splpo/
 
 # check is the CI gate: formatting, static analysis, the full suite, the
-# race pass, the invariant-audited BGP suite, the chaos suites, and the
-# benchmark module's own vet and tests.
-check: fmt vet lint test race invariants chaos chaos-churn bench-check
+# race pass, the invariant-audited BGP suite, the chaos suites, a short run
+# of every fuzzer, and the benchmark module's own vet and tests.
+check: fmt vet lint test race invariants chaos chaos-churn fuzz bench-check

@@ -146,6 +146,9 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
+			if n := ck.Dropped(); n > 0 {
+				fmt.Printf("checkpoint %s: dropped %d bytes of torn tail; what they held is measured again\n", path, n)
+			}
 			if n := ck.Len(); n > 0 {
 				fmt.Printf("resuming: %d experiments already journaled in %s\n", n, path)
 			}
@@ -201,14 +204,9 @@ func main() {
 			}
 		}
 		if *saveTo != "" {
-			f, err := os.Create(*saveTo)
-			if err != nil {
+			if err := campaign.SaveFile(*saveTo, sys); err != nil {
 				log.Fatal(err)
 			}
-			if err := campaign.Save(f, sys); err != nil {
-				log.Fatal(err)
-			}
-			f.Close()
 			fmt.Printf("campaign saved to %s\n", *saveTo)
 		}
 		fmt.Printf("topology: %v\n", sys.Topo.ComputeStats())

@@ -21,6 +21,7 @@ package api
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
 	"sort"
@@ -93,6 +94,47 @@ type churnRequest struct {
 	Seed   int64              `json:"seed"`
 	Count  int                `json:"count"`
 	Kinds  []string           `json:"kinds"`
+
+	kinds []fault.ChurnKind // Kinds, resolved
+}
+
+// maxChurnCount bounds a planned batch: the plan is built in memory before
+// anything is applied, and the body is untrusted.
+const maxChurnCount = 1024
+
+// decodeChurn reads a POST /v1/churn body. Malformed JSON, an unknown kind
+// name and a count beyond maxChurnCount are errors; a count below 1 means 1.
+func decodeChurn(body io.Reader) (churnRequest, error) {
+	var req churnRequest
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return churnRequest{}, fmt.Errorf("bad churn request: %v", err)
+	}
+	for _, name := range req.Kinds {
+		k, err := fault.ChurnKindByName(name)
+		if err != nil {
+			return churnRequest{}, err
+		}
+		req.kinds = append(req.kinds, k)
+	}
+	if req.Count > maxChurnCount {
+		return churnRequest{}, fmt.Errorf("bad churn request: count %d exceeds %d", req.Count, maxChurnCount)
+	}
+	req.Count = max(req.Count, 1)
+	return req, nil
+}
+
+// batch returns the events the request asks for — its explicit events, or a
+// seeded plan against topo's current state — validated whole, so no prefix
+// of a bad batch reaches the topology. The caller holds topoMu.
+func (req *churnRequest) batch(topo *topology.Topology) ([]fault.ChurnEvent, error) {
+	events := req.Events
+	if len(events) == 0 {
+		events = fault.PlanChurn(topo, req.Seed, req.Count, req.kinds)
+	}
+	if len(events) == 0 {
+		return nil, fmt.Errorf("no churn events to apply")
+	}
+	return events, fault.ValidateChurn(topo, events)
 }
 
 // recWalker returns the catchment walker, building it on first use. Caller
@@ -167,23 +209,10 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 	if _, ok := s.snapshot(w); !ok {
 		return
 	}
-	var req churnRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad churn request: %v", err)
+	req, err := decodeChurn(r.Body)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	kinds := make([]fault.ChurnKind, 0, len(req.Kinds))
-	for _, name := range req.Kinds {
-		k, err := fault.ChurnKindByName(name)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		kinds = append(kinds, k)
-	}
-	count := req.Count
-	if count <= 0 {
-		count = 1
 	}
 
 	// Apply under the exclusive topology lock: simulators read the topology
@@ -191,16 +220,8 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 	// diff runs under the same lock — its memo update and the application it
 	// observes are atomic.
 	s.topoMu.Lock()
-	events := req.Events
-	if len(events) == 0 {
-		events = fault.PlanChurn(s.sys.Topo, req.Seed, count, kinds)
-	}
-	if len(events) == 0 {
-		s.topoMu.Unlock()
-		writeErr(w, http.StatusBadRequest, "no churn events to apply")
-		return
-	}
-	if err := fault.ValidateChurn(s.sys.Topo, events); err != nil {
+	events, err := req.batch(s.sys.Topo)
+	if err != nil {
 		s.topoMu.Unlock()
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return

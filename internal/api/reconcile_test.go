@@ -208,6 +208,11 @@ func TestChurnBadRequests(t *testing.T) {
 	if code, _ := postJSON(t, ts.URL+"/v1/churn", `{"kinds":["nope"]}`); code != http.StatusBadRequest {
 		t.Errorf("bad kind: status %d, want 400", code)
 	}
+	// The plan is built in memory before anything applies; an absurd count is
+	// refused, not allocated.
+	if code, _ := postJSON(t, ts.URL+"/v1/churn", `{"seed":1,"count":1000000000000}`); code != http.StatusBadRequest {
+		t.Errorf("huge count: status %d, want 400", code)
+	}
 	// A batch with one bad event is rejected whole — ValidateChurn runs
 	// before any mutation, so no prefix of the batch leaks into the topology.
 	bad := `{"events":[{"kind":"link_cost","link":1,"new_delay":1000000},{"kind":"link_down","link":999999}]}`

@@ -83,6 +83,13 @@ func Save(w io.Writer, sys *anyopt.System) error {
 	return SaveSnapshot(w, &view)
 }
 
+// SaveFile saves sys's discovery results to path so that a crash leaves the
+// previous file or the whole new one, never a truncated campaign: see
+// writeFileSynced.
+func SaveFile(path string, sys *anyopt.System) error {
+	return writeFileSynced(path, func(w io.Writer) error { return Save(w, sys) })
+}
+
 // SaveSnapshot writes one immutable campaign snapshot to w. Because a
 // snapshot is frozen at publication, this is safe to call from any number of
 // goroutines — including concurrently with a discovery job publishing its

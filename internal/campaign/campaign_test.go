@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -124,4 +126,43 @@ func TestSnapshotIsStable(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("two saves of the same campaign differ; serialization is not deterministic")
 	}
+}
+
+// TestSaveFileReplacesWholeOrNotAtAll: SaveFile writes what Save writes and
+// leaves no temp file behind; a save that fails leaves the previous file as
+// it was, never a truncated campaign.
+func TestSaveFileReplacesWholeOrNotAtAll(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "campaign.json")
+	if err := os.WriteFile(path, []byte("previous"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, want []byte) {
+		t.Helper()
+		got, err := os.ReadFile(path)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: file is %d bytes (err %v), want %d", what, len(got), err, len(want))
+		}
+		if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+			t.Errorf("%s: directory holds %d entries, want only the campaign file", what, len(ents))
+		}
+	}
+	undiscovered, err := anyopt.New(anyopt.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveFile(path, undiscovered); err == nil {
+		t.Fatal("saved a system with no campaign")
+	}
+	check("failed save", []byte("previous"))
+
+	src := discovered(t)
+	var want bytes.Buffer
+	if err := Save(&want, src); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveFile(path, src); err != nil {
+		t.Fatal(err)
+	}
+	check("save", want.Bytes())
 }

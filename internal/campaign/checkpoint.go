@@ -1,11 +1,15 @@
 package campaign
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 
 	"anyopt/internal/core/discovery"
@@ -13,122 +17,417 @@ import (
 )
 
 // CheckpointVersion guards against loading incompatible checkpoint files.
-// Version 2 journals each experiment as a discovery.Sweep (dense
-// target-indexed columns); version 1 journaled per-client maps.
-const CheckpointVersion = 2
+// Version 3 is the append-only frame log described on Checkpoint; versions 1
+// and 2 were whole-file JSON documents and are refused, not read.
+const CheckpointVersion = 3
 
-// checkpointFile is the on-disk shape: experiment nonces (as decimal
-// strings, since JSON object keys are strings) to journal entries, plus the
-// reconciler's patch records (absent in pre-churn checkpoints).
-type checkpointFile struct {
-	Version int                               `json:"version"`
-	Entries map[string]discovery.JournalEntry `json:"entries"`
-	Patches map[string]PatchRecord            `json:"patches,omitempty"`
-}
+// checkpointHeader opens every journal: seven magic bytes and the version.
+var checkpointHeader = [8]byte{'A', 'N', 'Y', 'O', 'P', 'T', 'J', CheckpointVersion}
+
+// A frame is [u32 payload length][u32 CRC-32C of the payload][payload], both
+// little-endian; the payload's first byte is its type.
+const (
+	frameHeaderLen = 8
+
+	// frameExperiment: uvarint nonce, kind, uvarint probe count, uvarint
+	// trace length and the trace lines, then the sweep's columns
+	// (discovery.Sweep.AppendBinary). Strings are a uvarint length and bytes.
+	// A trace line is the length of the prefix it shares with the line
+	// before it and then the rest as a string: a faulted experiment logs
+	// "exp N attempt M: probe lost" thousands of times over, and written out
+	// in full those lines are four fifths of the journal.
+	frameExperiment byte = 1
+	// framePatchPending: the patch id, then the PatchRecord as JSON.
+	framePatchPending byte = 2
+	// framePatchDone: the patch id.
+	framePatchDone byte = 3
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// fsync is (*os.File).Sync; the durability test counts calls through it.
+var fsync = (*os.File).Sync
 
 // PatchRecord journals one reconciler repair: the snapshot generation whose
 // rows the churn invalidated, the affected client cone, and the churn events
 // themselves (opaque JSON — the api layer owns the concrete type). A record
-// with Done still false after a crash means the rows it names were marked
-// stale but never repaired; a resuming server must re-apply the events and
-// re-run exactly those cone repairs instead of silently serving pre-churn
-// rows as fresh.
+// still pending after a crash means the rows it names were marked stale but
+// never repaired; a resuming server must re-apply the events and re-run
+// exactly those cone repairs instead of silently serving pre-churn rows as
+// fresh.
 type PatchRecord struct {
 	Gen     uint64          `json:"gen"`
 	Clients []prefs.Client  `json:"clients"`
 	Events  json.RawMessage `json:"events,omitempty"`
-	Done    bool            `json:"done,omitempty"`
 }
 
-// Checkpoint is a file-backed discovery.Journal: every completed experiment
-// is recorded under its campaign nonce and persisted atomically
-// (write-temp-then-rename), so a killed campaign loses at most the
-// experiments that were still in flight. Re-running the same campaign with
-// the same checkpoint replays completed experiments from the file — results,
-// probe counts, and fault traces — making the resumed run byte-identical to
-// an uninterrupted one.
+// Checkpoint is a file-backed discovery.Journal: an append-only log that is
+// the journal. The file is an 8-byte header followed by one checksummed
+// frame per completed experiment (and per reconciler patch event). Record
+// appends its frame with one write and fsyncs before returning, so a killed
+// campaign — or one that lost power — loses at most the frames that were
+// still in flight; whatever the crash tore off the tail is truncated on the
+// next open and re-measured, experiments being idempotent by nonce.
+// Re-running the same campaign with the same checkpoint replays completed
+// experiments from the file — results, probe counts, and fault traces —
+// making the resumed run byte-identical to an uninterrupted one.
+//
+// Memory holds an index, nonce → frame position, and the pending patches —
+// never the sweeps: Lookup reads its frame back, checks the CRC and decodes
+// it. The file is opened per operation (an open-append-close costs
+// microseconds against the fsync's fraction of a millisecond), so a
+// Checkpoint owns no descriptor and needs no Close.
 //
 // Lookup and Record are safe for concurrent use by worker goroutines.
 type Checkpoint struct {
-	mu      sync.Mutex
-	path    string
-	entries map[uint64]discovery.JournalEntry
-	patches map[string]PatchRecord
+	mu   sync.Mutex
+	path string
+	// size is the length of the header plus every valid frame: where the
+	// next frame goes. Zero until the file exists.
+	size    int64
+	index   map[uint64]frameRef
+	patches map[string]PatchRecord // pending repairs only
+	// buf is the frame being written or read back, reused under mu.
+	buf     []byte
+	dropped int64
 }
 
-// NewCheckpoint opens (or creates) the checkpoint at path. An existing file
-// is loaded for replay; a corrupt or truncated file is a clean error, never
-// a panic — the caller decides whether to delete and restart.
+// frameRef locates one frame, header included.
+type frameRef struct {
+	off int64
+	n   int
+}
+
+// NewCheckpoint opens the checkpoint at path for replay, or starts an empty
+// journal if there is none (the file is created by the first append). The
+// frames are scanned into the index; at the first frame whose length, CRC or
+// type does not hold the file is truncated — a torn tail is what a crash
+// leaves, costs only the re-measurement of what followed, and is reported by
+// Dropped, not as an error. A file that does not start with this version's
+// header (any JSON-era checkpoint included) is refused and left untouched —
+// the caller decides whether to delete and restart.
 func NewCheckpoint(path string) (*Checkpoint, error) {
-	c := &Checkpoint{path: path, entries: make(map[uint64]discovery.JournalEntry)}
-	data, err := os.ReadFile(path)
+	c := &Checkpoint{path: path, index: make(map[uint64]frameRef), patches: make(map[string]PatchRecord)}
+	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return c, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("campaign: reading checkpoint %s: %w", path, err)
 	}
-	var f checkpointFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("campaign: checkpoint %s is corrupt (delete it to restart): %w", path, err)
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("campaign: reading checkpoint %s: %w", path, err)
 	}
-	if f.Version != CheckpointVersion {
-		return nil, fmt.Errorf("campaign: checkpoint %s has version %d, want %d", path, f.Version, CheckpointVersion)
+	fileSize := st.Size()
+
+	var head [len(checkpointHeader)]byte
+	n, err := f.ReadAt(head[:], 0)
+	if err != nil && err != io.EOF {
+		return nil, fmt.Errorf("campaign: reading checkpoint %s: %w", path, err)
 	}
-	for k, ent := range f.Entries {
-		nonce, err := strconv.ParseUint(k, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: checkpoint %s has invalid experiment key %q", path, k)
+	switch got := head[:n]; {
+	case n < len(head) && bytes.HasPrefix(checkpointHeader[:], got):
+		// A torn creation: nothing was journaled yet.
+	case n < len(head) || !bytes.Equal(got[:7], checkpointHeader[:7]):
+		return nil, fmt.Errorf("campaign: checkpoint %s is not a version %d journal (earlier versions were JSON and are not read; delete it to restart)",
+			path, CheckpointVersion)
+	case got[7] != CheckpointVersion:
+		return nil, fmt.Errorf("campaign: checkpoint %s has version %d, want %d", path, got[7], CheckpointVersion)
+	default:
+		c.size = int64(len(head))
+		for {
+			payload, ok := c.readFrame(f, c.size, fileSize)
+			if !ok || !c.apply(frameRef{c.size, frameHeaderLen + len(payload)}, payload) {
+				break
+			}
+			c.size += int64(frameHeaderLen + len(payload))
 		}
-		c.entries[nonce] = ent
 	}
-	for id, p := range f.Patches {
-		if c.patches == nil {
-			c.patches = make(map[string]PatchRecord)
+	if c.dropped = fileSize - c.size; c.dropped > 0 {
+		if err := os.Truncate(path, c.size); err != nil {
+			return nil, fmt.Errorf("campaign: truncating torn checkpoint %s: %w", path, err)
 		}
-		c.patches[id] = p
 	}
 	return c, nil
+}
+
+// readFrame reads the frame at off into c.buf and returns its payload, or
+// false if the frame runs past limit or fails its CRC. The length is checked
+// against the bytes that remain before anything is allocated for it.
+func (c *Checkpoint) readFrame(f *os.File, off, limit int64) ([]byte, bool) {
+	var head [frameHeaderLen]byte
+	if off+frameHeaderLen > limit {
+		return nil, false
+	}
+	if _, err := f.ReadAt(head[:], off); err != nil {
+		return nil, false
+	}
+	n := int64(binary.LittleEndian.Uint32(head[:4]))
+	if off+frameHeaderLen+n > limit {
+		return nil, false
+	}
+	if int64(cap(c.buf)) < n {
+		c.buf = make([]byte, n)
+	}
+	payload := c.buf[:n]
+	if _, err := f.ReadAt(payload, off+frameHeaderLen); err != nil {
+		return nil, false
+	}
+	return payload, crc32.Checksum(payload, castagnoli) == binary.LittleEndian.Uint32(head[4:])
+}
+
+// apply folds one frame into the index, or returns false if its payload is
+// not a frame this version writes.
+func (c *Checkpoint) apply(ref frameRef, payload []byte) bool {
+	if len(payload) == 0 {
+		return false
+	}
+	r := frameReader{b: payload[1:]}
+	switch payload[0] {
+	case frameExperiment:
+		nonce := r.uvarint()
+		if r.bad {
+			return false
+		}
+		c.index[nonce] = ref
+	case framePatchPending:
+		id := r.str()
+		var rec PatchRecord
+		if r.bad || json.Unmarshal(r.b, &rec) != nil {
+			return false
+		}
+		c.patches[id] = rec
+	case framePatchDone:
+		delete(c.patches, string(r.b))
+	default:
+		return false
+	}
+	return true
+}
+
+// frameReader walks a payload; bad latches on the first short read.
+type frameReader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *frameReader) uvarint() uint64 {
+	v, w := binary.Uvarint(r.b)
+	if w <= 0 {
+		r.bad, w = true, 0
+	}
+	r.b = r.b[w:]
+	return v
+}
+
+func (r *frameReader) str() string {
+	n := r.uvarint()
+	if n > uint64(len(r.b)) {
+		r.bad, n = true, 0
+	}
+	s := string(r.b[:n])
+	r.b = r.b[n:]
+	return s
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// beginFrame starts a frame of the given type in c.buf.
+func (c *Checkpoint) beginFrame(typ byte) []byte {
+	return append(c.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0, typ)
+}
+
+// appendFrame seals the frame begun by beginFrame — length and CRC filled in
+// — and appends it to the log.
+func (c *Checkpoint) appendFrame(b []byte) (frameRef, error) {
+	c.buf = b
+	payload := b[frameHeaderLen:]
+	binary.LittleEndian.PutUint32(b[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[4:], crc32.Checksum(payload, castagnoli))
+	off, err := c.appendBytes(b)
+	return frameRef{off, len(b)}, err
+}
+
+// appendBytes writes whole frames at the end of the log with one write and
+// one fsync, creating the file — header written, file and directory synced —
+// if this is the first append. It returns the offset the bytes went to.
+func (c *Checkpoint) appendBytes(frames []byte) (int64, error) {
+	if c.size == 0 {
+		err := writeFileSynced(c.path, func(w io.Writer) error {
+			_, err := w.Write(checkpointHeader[:])
+			return err
+		})
+		if err != nil {
+			return 0, fmt.Errorf("campaign: creating checkpoint: %w", err)
+		}
+		c.size = int64(len(checkpointHeader))
+	}
+	f, err := os.OpenFile(c.path, os.O_WRONLY, 0)
+	if err != nil {
+		return 0, fmt.Errorf("campaign: opening checkpoint: %w", err)
+	}
+	if _, err = f.WriteAt(frames, c.size); err == nil {
+		err = fsync(f)
+	}
+	if err != nil {
+		_ = f.Truncate(c.size) // best effort: the next open drops a torn tail anyway
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return 0, fmt.Errorf("campaign: writing checkpoint: %w", err)
+	}
+	off := c.size
+	c.size += int64(len(frames))
+	return off, nil
+}
+
+// writeFileSynced creates (or replaces) path with what write produces such
+// that a crash, power loss included, leaves either the previous state or the
+// whole new file: a temp file in the same directory is written, fsynced,
+// closed and renamed over path, and the directory is fsynced.
+func writeFileSynced(path string, write func(io.Writer) error) (err error) {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	if err = write(tmp); err != nil {
+		return err
+	}
+	if err = tmp.Chmod(0o644); err != nil {
+		return err
+	}
+	if err = fsync(tmp); err != nil {
+		return err
+	}
+	if err = tmp.Close(); err != nil {
+		return err
+	}
+	if err = os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return fsync(d)
 }
 
 // Len returns the number of checkpointed experiments.
 func (c *Checkpoint) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return len(c.index)
 }
 
-// Lookup implements discovery.Journal.
-func (c *Checkpoint) Lookup(nonce uint64) (discovery.JournalEntry, bool) {
+// Dropped returns how many bytes of torn tail NewCheckpoint truncated.
+func (c *Checkpoint) Dropped() int64 { return c.dropped }
+
+// Lookup implements discovery.Journal: it reads the experiment's frame back
+// from the file. A frame that no longer reads back intact is a miss — the
+// experiment is measured again.
+func (c *Checkpoint) Lookup(nonce uint64) (ent discovery.JournalEntry, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ent, ok := c.entries[nonce]
-	return ent, ok
+	ref, ok := c.index[nonce]
+	if !ok {
+		return ent, false
+	}
+	f, err := os.Open(c.path)
+	if err != nil {
+		return ent, false
+	}
+	defer f.Close()
+	if payload, ok := c.readFrame(f, ref.off, ref.off+int64(ref.n)); ok {
+		return decodeExperiment(payload)
+	}
+	return ent, false
 }
 
-// Record implements discovery.Journal: it stores the entry and persists the
-// whole journal atomically. A persistence failure is returned (and the entry
-// kept in memory) so the campaign driver can abort instead of running
-// unrecoverable experiments.
+// decodeExperiment decodes a frameExperiment payload; false if it is not one.
+func decodeExperiment(payload []byte) (discovery.JournalEntry, bool) {
+	r := frameReader{b: payload[1:]}
+	r.uvarint() // the nonce, already in the index
+	ent := discovery.JournalEntry{Kind: r.str(), Probes: r.uvarint()}
+	// A line takes at least two bytes, so a count the payload cannot hold
+	// is refused before the slice is made.
+	if lines := r.uvarint(); lines > uint64(len(r.b)) {
+		return ent, false
+	} else if lines > 0 {
+		ent.Trace = make([]string, lines)
+	}
+	prev := ""
+	for i := range ent.Trace {
+		shared, rest := r.uvarint(), r.str()
+		switch {
+		case shared > uint64(len(prev)):
+			r.bad = true
+		case rest != "" || shared < uint64(len(prev)):
+			prev = prev[:shared] + rest
+		} // else the line repeats the one before it and shares its string
+		ent.Trace[i] = prev
+	}
+	var err error
+	ent.Result, r.b, err = discovery.DecodeSweep(r.b)
+	return ent, !r.bad && err == nil && len(r.b) == 0
+}
+
+// Record implements discovery.Journal: it appends the entry's frame and
+// fsyncs. A persistence failure is returned so the campaign driver can abort
+// instead of running unrecoverable experiments.
 func (c *Checkpoint) Record(nonce uint64, ent discovery.JournalEntry) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries[nonce] = ent
-	return c.persistLocked()
+	b := binary.AppendUvarint(c.beginFrame(frameExperiment), nonce)
+	b = appendString(b, ent.Kind)
+	b = binary.AppendUvarint(b, ent.Probes)
+	b = binary.AppendUvarint(b, uint64(len(ent.Trace)))
+	prev := ""
+	for _, line := range ent.Trace {
+		shared := 0
+		for shared < len(prev) && shared < len(line) && prev[shared] == line[shared] {
+			shared++
+		}
+		b = appendString(binary.AppendUvarint(b, uint64(shared)), line[shared:])
+		prev = line
+	}
+	ref, err := c.appendFrame(ent.Result.AppendBinary(b))
+	if err != nil {
+		return err
+	}
+	c.index[nonce] = ref
+	return nil
 }
 
 // RecordPatchPending journals a reconciler repair before it runs: the rows in
-// rec are stale from this moment until RecordPatchDone. Persisted atomically,
+// rec are stale from this moment until RecordPatchDone. Appended and fsynced
 // like experiment entries.
 func (c *Checkpoint) RecordPatchPending(id string, rec PatchRecord) error {
+	body, err := json.Marshal(&rec)
+	if err != nil {
+		return fmt.Errorf("campaign: encoding patch record: %w", err)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.patches == nil {
-		c.patches = make(map[string]PatchRecord)
+	b := appendString(c.beginFrame(framePatchPending), id)
+	if _, err := c.appendFrame(append(b, body...)); err != nil {
+		return err
 	}
-	rec.Done = false
 	c.patches[id] = rec
-	return c.persistLocked()
+	return nil
 }
 
 // RecordPatchDone marks a patch record's repair as committed. Unknown ids are
@@ -136,13 +435,14 @@ func (c *Checkpoint) RecordPatchPending(id string, rec PatchRecord) error {
 func (c *Checkpoint) RecordPatchDone(id string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rec, ok := c.patches[id]
-	if !ok {
+	if _, ok := c.patches[id]; !ok {
 		return nil
 	}
-	rec.Done = true
-	c.patches[id] = rec
-	return c.persistLocked()
+	if _, err := c.appendFrame(append(c.beginFrame(framePatchDone), id...)); err != nil {
+		return err
+	}
+	delete(c.patches, id)
+	return nil
 }
 
 // PendingPatches returns the patch records whose repairs never committed —
@@ -150,48 +450,5 @@ func (c *Checkpoint) RecordPatchDone(id string) error {
 func (c *Checkpoint) PendingPatches() map[string]PatchRecord {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[string]PatchRecord)
-	for id, rec := range c.patches {
-		if !rec.Done {
-			out[id] = rec
-		}
-	}
-	return out
-}
-
-// persistLocked writes the journal to a temp file in the same directory and
-// renames it over the checkpoint path, so readers never observe a torn file.
-func (c *Checkpoint) persistLocked() error {
-	f := checkpointFile{
-		Version: CheckpointVersion,
-		Entries: make(map[string]discovery.JournalEntry, len(c.entries)),
-		Patches: c.patches,
-	}
-	for nonce, ent := range c.entries {
-		f.Entries[strconv.FormatUint(nonce, 10)] = ent
-	}
-	data, err := json.Marshal(&f)
-	if err != nil {
-		return fmt.Errorf("campaign: encoding checkpoint: %w", err)
-	}
-	dir := filepath.Dir(c.path)
-	tmp, err := os.CreateTemp(dir, ".checkpoint-*")
-	if err != nil {
-		return fmt.Errorf("campaign: checkpoint temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("campaign: writing checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("campaign: closing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmpName, c.path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("campaign: installing checkpoint: %w", err)
-	}
-	return nil
+	return maps.Clone(c.patches)
 }

@@ -17,6 +17,19 @@ import (
 // enough to stay fast, large enough that a "killed" run leaves work behind.
 var resumeSites = []int{1, 3, 4, 5}
 
+// resumeFaults is the fault mix the faulted resume tests run under: hot
+// enough that the four-experiment schedule always logs a trace.
+func resumeFaults() *fault.Config {
+	return &fault.Config{
+		Seed:          5,
+		ProbeLossProb: 0.005,
+		FlapProb:      0.1,
+		FlapWindow:    20 * time.Minute,
+		FlapDownMin:   30 * time.Second,
+		FlapDownMax:   2 * time.Minute,
+	}
+}
+
 func newSystem(t *testing.T, faults *fault.Config) *anyopt.System {
 	t.Helper()
 	opts := anyopt.DefaultOptions()
@@ -90,24 +103,13 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 // traces so the resumed campaign's failure log matches the uninterrupted one.
 func TestCheckpointResumeReplaysFaultTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaign.ckpt")
-	faults := func() *fault.Config {
-		return &fault.Config{
-			Seed:          5,
-			ProbeLossProb: 0.005,
-			FlapProb:      0.1,
-			FlapWindow:    20 * time.Minute,
-			FlapDownMin:   30 * time.Second,
-			FlapDownMax:   2 * time.Minute,
-		}
-	}
-
-	ref := newSystem(t, faults())
+	ref := newSystem(t, resumeFaults())
 	refTbl, err := ref.Disc.MeasureRTTs(resumeSites)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	part := newSystem(t, faults())
+	part := newSystem(t, resumeFaults())
 	ck1, err := NewCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +119,7 @@ func TestCheckpointResumeReplaysFaultTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res := newSystem(t, faults())
+	res := newSystem(t, resumeFaults())
 	ck2, err := NewCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
@@ -190,28 +192,31 @@ func TestCheckpointScheduleMismatch(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejectsCorruptFiles: a damaged checkpoint is a clean error —
-// never a panic, never silently treated as empty.
+// TestCheckpointRejectsCorruptFiles: a file that is not this version's log is
+// a clean error naming the version — never a panic, never silently treated as
+// empty, and never modified: there is one format, and a JSON-era journal is
+// turned away whole, not migrated. (A log that is this version's but torn is
+// not an error at all; see checkpoint_log_test.go.)
 func TestCheckpointRejectsCorruptFiles(t *testing.T) {
 	dir := t.TempDir()
+	future := checkpointHeader
+	future[7] = 9
 	cases := map[string]struct{ data, wantErr string }{
-		"garbage":       {"not json{{{", "corrupt"},
-		"truncated":     {`{"version":2,"entries":{"1":{"kind":"rtt"`, "corrupt"},
-		"wrong version": {`{"version":99,"entries":{}}`, "version 99, want 2"},
-		"bad nonce key": {`{"version":2,"entries":{"x":{"kind":"rtt","result":null,"probes":0}}}`, "invalid experiment key"},
-		// A version-1 journal holds per-client maps where version 2 holds
-		// sweeps; it must be turned away whole, never decoded entry by entry.
-		"map-era version": {`{"version":1,"entries":{"1":{"kind":"rtt","result":{"65":1000000},"probes":7}}}`, "version 1, want 2"},
+		"garbage":        {"not json{{{", "not a version 3 journal"},
+		"short garbage":  {"ANX", "not a version 3 journal"},
+		"version-2 JSON": {`{"version":2,"entries":{"1":{"kind":"rtt","result":{"rtt":[1000000]},"probes":7}}}`, "not a version 3 journal"},
+		"future version": {string(future[:]) + "whatever follows", "version 9, want 3"},
 	}
-	i := 0
 	for name, tc := range cases {
-		i++
-		p := filepath.Join(dir, "ck"+string(rune('0'+i)))
+		p := filepath.Join(dir, strings.ReplaceAll(name, " ", "-"))
 		if err := os.WriteFile(p, []byte(tc.data), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := NewCheckpoint(p); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: err = %v, want one mentioning %q", name, err, tc.wantErr)
+		}
+		if got, err := os.ReadFile(p); err != nil || string(got) != tc.data {
+			t.Errorf("%s: a refused file was modified (%d bytes now, err %v)", name, len(got), err)
 		}
 	}
 	// A missing file is a fresh campaign, not an error.

@@ -6,12 +6,15 @@ package campaign
 // file derived from the operator's base path. `-shard merge/n` folds the n
 // shard journals into one checkpoint and replays the full schedule through
 // it, reproducing the single-process campaign byte for byte. Shards never
-// share a checkpoint file: Checkpoint rewrites the whole file on every
-// Record, so concurrent writers would clobber each other.
+// share a checkpoint file: each Checkpoint appends at the end of the log it
+// opened, so two writers would overwrite each other's frames — and they have
+// no reason to, since the shards' nonce ranges are disjoint and the merge is
+// a copy of their frames.
 
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"slices"
 	"strconv"
 	"strings"
@@ -79,32 +82,67 @@ func MergeShardCheckpoints(base string, n int) (*Checkpoint, int, error) {
 			return nil, 0, fmt.Errorf("campaign: merging %s: %w", path, err)
 		}
 	}
-	if err := merged.persist(); err != nil {
-		return nil, 0, err
-	}
 	return merged, merged.Len(), nil
 }
 
-// absorb copies other's entries into c without persisting, erroring on a
-// conflicting duplicate nonce.
+// absorb appends other's experiment frames to c's log, verbatim and in nonce
+// order, with one write and one fsync. A nonce c already holds must carry the
+// same frame byte for byte and is not copied again, so a repeated merge adds
+// nothing.
 func (c *Checkpoint) absorb(other *Checkpoint) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	other.mu.Lock()
 	defer other.mu.Unlock()
-	for nonce, ent := range other.entries {
-		if have, ok := c.entries[nonce]; ok && !(have.Kind == ent.Kind && have.Probes == ent.Probes &&
-			bytes.Equal(have.Result, ent.Result) && slices.Equal(have.Trace, ent.Trace)) {
-			return fmt.Errorf("conflicting results for experiment %d", nonce)
+	nonces := make([]uint64, 0, len(other.index))
+	for nonce := range other.index {
+		nonces = append(nonces, nonce)
+	}
+	slices.Sort(nonces)
+
+	var batch []byte
+	var added []uint64
+	for _, nonce := range nonces {
+		frame, err := other.rawFrame(other.index[nonce])
+		if err != nil {
+			return err
 		}
-		c.entries[nonce] = ent
+		if have, dup := c.index[nonce]; dup {
+			mine, err := c.rawFrame(have)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(mine, frame) {
+				return fmt.Errorf("conflicting results for experiment %d", nonce)
+			}
+			continue
+		}
+		added = append(added, nonce)
+		batch = append(batch, frame...)
+	}
+	if len(batch) == 0 {
+		return nil
+	}
+	off, err := c.appendBytes(batch)
+	if err != nil {
+		return err
+	}
+	for _, nonce := range added {
+		n := other.index[nonce].n
+		c.index[nonce] = frameRef{off, n}
+		off += int64(n)
 	}
 	return nil
 }
 
-// persist writes the journal to disk once, for bulk loads that bypass Record.
-func (c *Checkpoint) persist() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.persistLocked()
+// rawFrame reads the frame at ref as it lies in the file, header included.
+func (c *Checkpoint) rawFrame(ref frameRef) ([]byte, error) {
+	f, err := os.Open(c.path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	frame := make([]byte, ref.n)
+	_, err = f.ReadAt(frame, ref.off)
+	return frame, err
 }

@@ -10,7 +10,6 @@ package discovery
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
@@ -19,15 +18,15 @@ import (
 	"anyopt/internal/fault"
 )
 
-// JournalEntry is one checkpointed experiment result. Result holds the
-// experiment's Sweep as JSON; Probes and Trace restore the
-// campaign's accounting and fault log on replay so a resumed campaign is
-// byte-identical to an uninterrupted one.
+// JournalEntry is one checkpointed experiment: its accepted Sweep, plus the
+// probe count and fault trace that restore the campaign's accounting and
+// fault log on replay, so a resumed campaign is byte-identical to an
+// uninterrupted one.
 type JournalEntry struct {
-	Kind   string          `json:"kind"`
-	Result json.RawMessage `json:"result"`
-	Probes uint64          `json:"probes"`
-	Trace  []string        `json:"trace,omitempty"`
+	Kind   string
+	Result Sweep
+	Probes uint64
+	Trace  []string
 }
 
 // Journal checkpoints completed experiments, keyed by campaign nonce — the
@@ -175,10 +174,7 @@ func (d *Discovery) runExperiment(e *Exp, kind string, i int, run func(*Exp, int
 					"discovery: checkpoint entry for experiment %d is %q, want %q (campaign schedule changed?)",
 					e.nonce, ent.Kind, kind)
 			}
-			var sw Sweep
-			if err := json.Unmarshal(ent.Result, &sw); err != nil {
-				return Sweep{}, fmt.Errorf("discovery: checkpoint entry for experiment %d: %w", e.nonce, err)
-			}
+			sw := ent.Result
 			// Columns are read by target position, so a journal written over
 			// a different topology must fail here, not index out of range.
 			if n := len(d.TB.Topo.Targets); n == 0 || sw.rows()%n != 0 {
@@ -206,11 +202,7 @@ func (d *Discovery) runExperiment(e *Exp, kind string, i int, run func(*Exp, int
 		return Sweep{}, err
 	}
 	if d.journal != nil {
-		raw, merr := json.Marshal(sw)
-		if merr != nil {
-			return Sweep{}, fmt.Errorf("discovery: encoding experiment %d for checkpoint: %w", e.nonce, merr)
-		}
-		ent := JournalEntry{Kind: kind, Result: raw, Probes: e.probes, Trace: e.trace.Entries()}
+		ent := JournalEntry{Kind: kind, Result: sw, Probes: e.probes, Trace: e.trace.Entries()}
 		if jerr := d.journal.Record(e.nonce, ent); jerr != nil {
 			return Sweep{}, fmt.Errorf("discovery: checkpointing experiment %d: %w", e.nonce, jerr)
 		}

@@ -138,7 +138,10 @@ func (d *RoutingDelta) String() string {
 // the topology's current state: down events pick live links, up events pick
 // currently-down links (falling back to a cost change when none are down),
 // and policy flips land on a transit edge — a customer/provider link with a
-// non-stub customer side, or any link of a transit AS.
+// non-stub customer side, or any link of a transit AS. A kind the topology
+// has no room left for (every link already down, no transit edge) cannot
+// stall the plan: after a long run of fruitless draws it returns the events
+// it has, possibly fewer than n.
 func PlanChurn(t *topology.Topology, seed int64, n int, kinds []ChurnKind) []ChurnEvent {
 	if n <= 0 || len(t.Links) == 0 {
 		return nil
@@ -154,7 +157,10 @@ func PlanChurn(t *topology.Topology, seed int64, n int, kinds []ChurnKind) []Chu
 		down[id] = true
 	}
 	events := make([]ChurnEvent, 0, n)
-	for len(events) < n {
+	for have, misses := 0, 0; len(events) < n && misses < 1000; misses++ {
+		if len(events) > have {
+			have, misses = len(events), 0
+		}
 		kind := kinds[rng.Intn(len(kinds))]
 		if kind == ChurnLinkUp {
 			var cand []topology.LinkID

@@ -195,3 +195,26 @@ func TestZeroRateConfigIsDisabled(t *testing.T) {
 		t.Error("unknown scenario accepted")
 	}
 }
+
+// TestPlanChurnCannotStall asks for more link-down events than there are
+// links: the plan returns every link once and stops, instead of drawing
+// forever for a kind the topology has no room left for.
+func TestPlanChurnCannotStall(t *testing.T) {
+	p := topology.TestParams()
+	p.NumTransit, p.NumStub = 4, 6
+	topo, err := topology.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := PlanChurn(topo, 1, 10*len(topo.Links), []ChurnKind{ChurnLinkDown})
+	if len(events) == 0 || len(events) > len(topo.Links) {
+		t.Fatalf("planned %d link-down events over %d links", len(events), len(topo.Links))
+	}
+	seen := map[topology.LinkID]bool{}
+	for _, ev := range events {
+		if ev.Kind != ChurnLinkDown || seen[ev.Link] {
+			t.Fatalf("event %+v repeats a link or is not a link-down", ev)
+		}
+		seen[ev.Link] = true
+	}
+}
