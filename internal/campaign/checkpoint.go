@@ -43,7 +43,12 @@ const (
 	framePatchDone byte = 3
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// frameCRC is the CRC-32C of a payload. MakeTable hands back the standard
+// library's one Castagnoli table, built on first use — so a process that
+// never journals never builds it.
+func frameCRC(payload []byte) uint32 {
+	return crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))
+}
 
 // fsync is (*os.File).Sync; the durability test counts calls through it.
 var fsync = (*os.File).Sync
@@ -175,7 +180,7 @@ func (c *Checkpoint) readFrame(f *os.File, off, limit int64) ([]byte, bool) {
 	if _, err := f.ReadAt(payload, off+frameHeaderLen); err != nil {
 		return nil, false
 	}
-	return payload, crc32.Checksum(payload, castagnoli) == binary.LittleEndian.Uint32(head[4:])
+	return payload, frameCRC(payload) == binary.LittleEndian.Uint32(head[4:])
 }
 
 // apply folds one frame into the index, or returns false if its payload is
@@ -247,7 +252,7 @@ func (c *Checkpoint) appendFrame(b []byte) (frameRef, error) {
 	c.buf = b
 	payload := b[frameHeaderLen:]
 	binary.LittleEndian.PutUint32(b[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[4:], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(b[4:], frameCRC(payload))
 	off, err := c.appendBytes(b)
 	return frameRef{off, len(b)}, err
 }

@@ -179,3 +179,47 @@ func TestRowQuorumSkippedSlot(t *testing.T) {
 		t.Fatalf("zero sweep: %d rows after %d attempts, trace %q", got.rows(), attempts, trace)
 	}
 }
+
+// TestQuorumTimedOutAttempts: an attempt that overruns ExperimentTimeout is
+// traced and the next one runs at once — it casts no vote, so the quorum is
+// gathered from the attempts that did finish — and an experiment whose every
+// attempt overruns is an error, not an empty sweep.
+func TestQuorumTimedOutAttempts(t *testing.T) {
+	block := make(chan struct{})
+	defer close(block)
+	want := Sweep{Site: []int32{4, 0, 7}}
+	newDisc := func() *Discovery {
+		return &Discovery{Cfg: Config{
+			Faults:  &fault.Config{ProbeLossProb: 0.5},
+			QuorumK: 2, QuorumN: 4,
+			ExperimentTimeout: 100 * time.Millisecond,
+		}}
+	}
+
+	d := newDisc()
+	e := &Exp{d: d, nonce: 9}
+	got, err := d.runQuorum(e, 0, func(a *Exp, _ int) Sweep {
+		if a.attempt == 1 {
+			<-block
+		}
+		return want
+	})
+	if err != nil || !slices.Equal(got.Site, want.Site) {
+		t.Fatalf("accepted %+v, err %v; want %+v from attempts 0 and 2", got, err, want)
+	}
+	if d.QuorumRetries() != 2 {
+		t.Errorf("QuorumRetries = %d, want 2 (attempts 1 and 2)", d.QuorumRetries())
+	}
+	if trace := e.trace.Entries(); len(trace) != 1 || !strings.Contains(trace[0], "exp 9 attempt 1") || !strings.Contains(trace[0], "timed out") {
+		t.Errorf("trace = %q, want the one timed-out attempt", trace)
+	}
+
+	d = newDisc()
+	e = &Exp{d: d, nonce: 9}
+	if _, err := d.runQuorum(e, 0, func(*Exp, int) Sweep { <-block; return want }); err == nil || !strings.Contains(err.Error(), "failed all 4 attempts") {
+		t.Errorf("every attempt timed out: err = %v", err)
+	}
+	if trace := e.trace.Entries(); len(trace) != 4 {
+		t.Errorf("trace has %d lines, want one per timed-out attempt: %q", len(trace), trace)
+	}
+}
