@@ -49,9 +49,10 @@ invariants:
 # chaos runs the fault-injection suite: the differential test (a faulted
 # campaign must converge to the fault-free preference matrix modulo
 # quarantined sites), failure-trace determinism, and checkpoint/resume —
-# the torn-write sweep over the journal included.
+# the torn-write sweep over the journal and whole faulted campaigns killed
+# mid-run included.
 chaos:
-	$(GO) test -run 'Chaos|FaultsDisabled|Checkpoint|SaveLoadQuarantine|Pooled' \
+	$(GO) test -run 'Chaos|FaultsDisabled|Checkpoint|CampaignResume|SaveLoadQuarantine|Pooled' \
 		./internal/core/discovery/ ./internal/campaign/
 	$(GO) test -race -run 'ForEachCtx|RunTimeout|Flush|SessionReset' \
 		./internal/exec/ ./internal/orchestrator/

@@ -85,7 +85,7 @@ func PaperScaleOptions() Options {
 // InternetScaleOptions sizes the synthetic Internet at ~100k ASes with a
 // power-law provider-degree distribution — the §4.5 extrapolation target.
 // Campaigns at this scale want the RTT heuristic (pairwise site experiments
-// are quadratic) and usually sharded discovery.
+// are quadratic); the campaign still runs in one process.
 func InternetScaleOptions() Options {
 	o := DefaultOptions()
 	o.Topology = topology.InternetParams()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"anyopt/internal/core/discovery"
 	"anyopt/internal/core/predict"
 )
 
@@ -159,6 +160,31 @@ func TestOptimizeWithBudget(t *testing.T) {
 	}
 	if len(res.Config) == 0 {
 		t.Error("empty config from budgeted search")
+	}
+}
+
+// TestCampaignExperimentsMatchesSchedule pins discovery.CampaignExperiments —
+// the job-progress denominator — to the schedule RunDiscovery really runs,
+// with measured site preferences and with the RTT heuristic the internet
+// preset uses in their place.
+func TestCampaignExperimentsMatchesSchedule(t *testing.T) {
+	for _, heuristic := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.UseRTTHeuristic = heuristic
+		sys, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.RunDiscovery(); err != nil {
+			t.Fatal(err)
+		}
+		want := discovery.CampaignExperiments(sys.TB, heuristic)
+		if got := sys.Experiments(); got != want {
+			t.Errorf("UseRTTHeuristic=%v: campaign ran %d experiments, CampaignExperiments says %d", heuristic, got, want)
+		}
+		if got := sys.Disc.CompletedExperiments(); got != uint64(want) {
+			t.Errorf("UseRTTHeuristic=%v: %d experiments completed, CampaignExperiments says %d", heuristic, got, want)
+		}
 	}
 }
 

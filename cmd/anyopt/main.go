@@ -15,13 +15,8 @@
 // Chaos and recovery: -faults none|paper|harsh injects deterministic
 // transport faults into the campaign (seed from -fault-seed, default
 // ANYOPT_FAULT_SEED or 1); -checkpoint FILE journals completed experiments
-// so a killed discover run resumes where it left off.
-//
-// Sharding: -shard i/n runs the i-th of n contiguous slices of the campaign
-// schedule as an independent process, journaling to FILE.shard-i-of-n; once
-// all shards finish, -shard merge/n folds the journals together and replays
-// them into a campaign byte-identical to a single-process run. Requires
-// -checkpoint and fault-free operation.
+// so a killed discover run resumes where it left off. A campaign is one
+// process at every scale, faults included; -workers is its parallelism.
 //
 // Profiling: -cpuprofile FILE and -memprofile FILE write stdlib pprof
 // profiles for the run (heap profile taken after a final GC on exit).
@@ -41,7 +36,6 @@ import (
 	"anyopt/internal/analysis"
 	"anyopt/internal/bgp"
 	"anyopt/internal/campaign"
-	"anyopt/internal/core/discovery"
 	"anyopt/internal/core/predict"
 	"anyopt/internal/experiments"
 	"anyopt/internal/fault"
@@ -75,7 +69,6 @@ func main() {
 	faults := flag.String("faults", "none", "fault-injection scenario: none, paper, or harsh")
 	faultSeed := flag.Int64("fault-seed", fault.SeedFromEnv(), "fault injection seed (default $"+fault.SeedEnv+" or 1)")
 	checkpoint := flag.String("checkpoint", "", "journal completed experiments to this file; a rerun resumes from it")
-	shardSpec := flag.String("shard", "", "run one campaign shard (i/n) or merge shard journals (merge/n); requires -checkpoint")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Usage = usage
@@ -108,52 +101,18 @@ func main() {
 		log.Fatal(err)
 	}
 	sys.Disc.Cfg.Faults = faultCfg
-	var shard campaign.Shard
-	if *shardSpec != "" {
-		shard, err = campaign.ParseShard(*shardSpec)
+	if path := *checkpoint; path != "" {
+		ck, err := campaign.NewCheckpoint(path)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if cmd != "discover" {
-			log.Fatal("-shard applies only to the discover command")
+		if n := ck.Dropped(); n > 0 {
+			fmt.Printf("checkpoint %s: dropped %d bytes of torn tail; what they held is measured again\n", path, n)
 		}
-		if *checkpoint == "" {
-			log.Fatal("-shard requires -checkpoint BASE for the per-shard journals")
+		if n := ck.Len(); n > 0 {
+			fmt.Printf("resuming: %d experiments already journaled in %s\n", n, path)
 		}
-		if faultCfg.Enabled() {
-			log.Fatal("sharded campaigns must run fault-free: quarantine is cross-shard state")
-		}
-	}
-	if *checkpoint != "" {
-		path := *checkpoint
-		if *shardSpec != "" && shard.Merge() {
-			ck, n, err := campaign.MergeShardCheckpoints(*checkpoint, shard.Count)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("merged %d experiments from %d shard journals into %s\n", n, shard.Count, *checkpoint)
-			sys.Disc.SetJournal(ck)
-		} else {
-			if *shardSpec != "" {
-				path = campaign.ShardCheckpointPath(*checkpoint, shard.Index, shard.Count)
-				total := discovery.CampaignExperiments(sys.TB, sys.Options().UseRTTHeuristic)
-				lo, hi := discovery.ShardRange(total, shard.Index-1, shard.Count)
-				sys.Disc.Cfg.ShardLo, sys.Disc.Cfg.ShardHi = lo, hi
-				fmt.Printf("shard %d/%d: experiments %d-%d of %d, journal %s\n",
-					shard.Index, shard.Count, lo, hi-1, total, path)
-			}
-			ck, err := campaign.NewCheckpoint(path)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if n := ck.Dropped(); n > 0 {
-				fmt.Printf("checkpoint %s: dropped %d bytes of torn tail; what they held is measured again\n", path, n)
-			}
-			if n := ck.Len(); n > 0 {
-				fmt.Printf("resuming: %d experiments already journaled in %s\n", n, path)
-			}
-			sys.Disc.SetJournal(ck)
-		}
+		sys.Disc.SetJournal(ck)
 	}
 	if *campaignFile != "" {
 		f, err := os.Open(*campaignFile)
@@ -176,24 +135,12 @@ func main() {
 		fs := flag.NewFlagSet("discover", flag.ExitOnError)
 		saveTo := fs.String("save", "", "write the campaign snapshot to this file")
 		fs.Parse(args)
-		if *shardSpec != "" && !shard.Merge() && *saveTo != "" {
-			log.Fatalf("a worker shard's snapshot is partial; save from `-shard merge/%d` instead", shard.Count)
-		}
 		start := time.Now()
 		if err := env.Discover(); err != nil {
 			log.Fatal(err)
 		}
 		if err := sys.Disc.Err(); err != nil {
 			log.Fatal(err)
-		}
-		if *shardSpec != "" && !shard.Merge() {
-			// The worker's in-memory snapshot covers only its own slice of
-			// the schedule; its real output is the journal. Merge reassembles
-			// the campaign.
-			fmt.Printf("shard %d/%d complete in %v: %d experiments journaled; merge with -shard merge/%d\n",
-				shard.Index, shard.Count, time.Since(start).Round(time.Millisecond),
-				sys.Disc.Cfg.ShardHi-sys.Disc.Cfg.ShardLo, shard.Count)
-			return
 		}
 		if faultCfg.Enabled() {
 			fmt.Printf("faults: scenario %q seed %d, %d events logged\n",

@@ -4,6 +4,7 @@
 //
 //	go run ./cmd/figures                  # everything, test scale
 //	go run ./cmd/figures -scale paper     # full-size client population
+//	go run ./cmd/figures -scale internet  # ~100k ASes, far slower
 //	go run ./cmd/figures -only fig6,fig7  # a subset
 package main
 
@@ -21,7 +22,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
 	var (
-		scale   = flag.String("scale", "test", "topology scale: test or paper")
+		scale   = flag.String("scale", "test", "topology scale: test, paper, or internet")
 		seed    = flag.Int64("seed", 1, "topology seed")
 		only    = flag.String("only", "", "comma-separated subset: table1,fig4a,fig4b,fig4c,fig5,fig6,fig7,sec45,repstab,stability,ablations")
 		configs = flag.Int("configs", 38, "number of random configurations for Figure 5")

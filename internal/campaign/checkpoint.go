@@ -247,35 +247,29 @@ func (c *Checkpoint) beginFrame(typ byte) []byte {
 }
 
 // appendFrame seals the frame begun by beginFrame — length and CRC filled in
-// — and appends it to the log.
+// — and writes it at the end of the log with one write and one fsync,
+// creating the file — header written, file and directory synced — if this
+// is the first append.
 func (c *Checkpoint) appendFrame(b []byte) (frameRef, error) {
 	c.buf = b
 	payload := b[frameHeaderLen:]
 	binary.LittleEndian.PutUint32(b[:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(b[4:], frameCRC(payload))
-	off, err := c.appendBytes(b)
-	return frameRef{off, len(b)}, err
-}
-
-// appendBytes writes whole frames at the end of the log with one write and
-// one fsync, creating the file — header written, file and directory synced —
-// if this is the first append. It returns the offset the bytes went to.
-func (c *Checkpoint) appendBytes(frames []byte) (int64, error) {
 	if c.size == 0 {
 		err := writeFileSynced(c.path, func(w io.Writer) error {
 			_, err := w.Write(checkpointHeader[:])
 			return err
 		})
 		if err != nil {
-			return 0, fmt.Errorf("campaign: creating checkpoint: %w", err)
+			return frameRef{}, fmt.Errorf("campaign: creating checkpoint: %w", err)
 		}
 		c.size = int64(len(checkpointHeader))
 	}
 	f, err := os.OpenFile(c.path, os.O_WRONLY, 0)
 	if err != nil {
-		return 0, fmt.Errorf("campaign: opening checkpoint: %w", err)
+		return frameRef{}, fmt.Errorf("campaign: opening checkpoint: %w", err)
 	}
-	if _, err = f.WriteAt(frames, c.size); err == nil {
+	if _, err = f.WriteAt(b, c.size); err == nil {
 		err = fsync(f)
 	}
 	if err != nil {
@@ -285,11 +279,11 @@ func (c *Checkpoint) appendBytes(frames []byte) (int64, error) {
 		err = cerr
 	}
 	if err != nil {
-		return 0, fmt.Errorf("campaign: writing checkpoint: %w", err)
+		return frameRef{}, fmt.Errorf("campaign: writing checkpoint: %w", err)
 	}
-	off := c.size
-	c.size += int64(len(frames))
-	return off, nil
+	ref := frameRef{c.size, len(b)}
+	c.size += int64(len(b))
+	return ref, nil
 }
 
 // writeFileSynced creates (or replaces) path with what write produces such

@@ -207,8 +207,7 @@ func TestCheckpointPatchFrames(t *testing.T) {
 }
 
 // TestCheckpointSyncsOncePerFrame counts the fsyncs: creating the file syncs
-// it and its directory once, each experiment or patch frame is one fsync, and
-// a shard merge is one per shard.
+// it and its directory once, and each experiment or patch frame is one fsync.
 func TestCheckpointSyncsOncePerFrame(t *testing.T) {
 	var files, dirs int
 	defer func(orig func(*os.File) error) { fsync = orig }(fsync)
@@ -229,60 +228,30 @@ func TestCheckpointSyncsOncePerFrame(t *testing.T) {
 	}
 	ent := discovery.JournalEntry{Kind: "rtt", Result: discovery.Sweep{RTT: []int64{1, -1, 3}}, Probes: 3}
 
-	base := filepath.Join(t.TempDir(), "campaign.ckpt")
-	for i := 1; i <= 2; i++ {
-		ck, err := NewCheckpoint(ShardCheckpointPath(base, i, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		expect("opening a missing file", 0, 0)
-		if err := ck.Record(uint64(2*i), ent); err != nil {
-			t.Fatal(err)
-		}
-		expect("first record", 2, 1) // the new file with its header, the directory, the frame
-		if err := ck.Record(uint64(2*i+1), ent); err != nil {
-			t.Fatal(err)
-		}
-		expect("second record", 1, 0)
-		if _, ok := ck.Lookup(uint64(2 * i)); !ok {
-			t.Fatal("recorded entry not found")
-		}
-		if err := ck.RecordPatchPending("p", PatchRecord{Gen: 1}); err != nil {
-			t.Fatal(err)
-		}
-		expect("pending patch", 1, 0)
-		if err := ck.RecordPatchDone("p"); err != nil {
-			t.Fatal(err)
-		}
-		expect("done patch", 1, 0)
+	ck, err := NewCheckpoint(filepath.Join(t.TempDir(), "campaign.ckpt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, n, err := MergeShardCheckpoints(base, 2); err != nil || n != 4 {
-		t.Fatalf("merge: %d experiments, err %v", n, err)
+	expect("opening a missing file", 0, 0)
+	if err := ck.Record(2, ent); err != nil {
+		t.Fatal(err)
 	}
-	expect("merging two shards", 3, 1)
-	if _, n, err := MergeShardCheckpoints(base, 2); err != nil || n != 4 {
-		t.Fatalf("second merge: %d experiments, err %v", n, err)
+	expect("first record", 2, 1) // the new file with its header, the directory, the frame
+	if err := ck.Record(3, ent); err != nil {
+		t.Fatal(err)
 	}
-	expect("merging again", 0, 0)
-}
-
-// TestCheckpointMergeConflict: two shard journals that disagree on a nonce
-// belong to different campaigns and must not merge.
-func TestCheckpointMergeConflict(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "campaign.ckpt")
-	for i, rtt := range []int64{100, 200} {
-		ck, err := NewCheckpoint(ShardCheckpointPath(base, i+1, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ent := discovery.JournalEntry{Kind: "rtt", Result: discovery.Sweep{RTT: []int64{rtt}}, Probes: 1}
-		if err := ck.Record(7, ent); err != nil {
-			t.Fatal(err)
-		}
+	expect("second record", 1, 0)
+	if _, ok := ck.Lookup(2); !ok {
+		t.Fatal("recorded entry not found")
 	}
-	if _, _, err := MergeShardCheckpoints(base, 2); err == nil {
-		t.Fatal("conflicting shard journals merged")
+	if err := ck.RecordPatchPending("p", PatchRecord{Gen: 1}); err != nil {
+		t.Fatal(err)
 	}
+	expect("pending patch", 1, 0)
+	if err := ck.RecordPatchDone("p"); err != nil {
+		t.Fatal(err)
+	}
+	expect("done patch", 1, 0)
 }
 
 // TestCheckpointConcurrentRecordLookup has two writers and a reader share the

@@ -2,14 +2,17 @@ package campaign
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"anyopt"
+	"anyopt/internal/core/discovery"
 	"anyopt/internal/fault"
 )
 
@@ -142,6 +145,168 @@ func TestCheckpointResumeReplaysFaultTrace(t *testing.T) {
 	}
 	if ref.Disc.ProbesSent != res.Disc.ProbesSent {
 		t.Errorf("probe accounting diverged: %d vs %d", ref.Disc.ProbesSent, res.Disc.ProbesSent)
+	}
+}
+
+// failAfter wraps a Checkpoint and fails every Record after the first n — a
+// campaign killed mid-run: the journal keeps what was persisted before the
+// crash, and the campaign aborts.
+type failAfter struct {
+	ck *Checkpoint
+	n  int
+	// mu guards records: campaign workers record concurrently.
+	mu      sync.Mutex
+	records int
+}
+
+func (f *failAfter) Lookup(nonce uint64) (discovery.JournalEntry, bool) { return f.ck.Lookup(nonce) }
+
+func (f *failAfter) Record(nonce uint64, ent discovery.JournalEntry) error {
+	f.mu.Lock()
+	crashed := f.records >= f.n
+	if !crashed {
+		f.records++
+	}
+	f.mu.Unlock()
+	if crashed {
+		return fmt.Errorf("simulated crash after %d records", f.n)
+	}
+	return f.ck.Record(nonce, ent)
+}
+
+// wholeCampaign is what a resumed campaign must reproduce of the
+// uninterrupted one.
+type wholeCampaign struct {
+	saved       []byte
+	faultLog    []string
+	probes      uint64
+	quarantined []int
+}
+
+// runWholeCampaign runs RunDiscovery in a fresh system under faults,
+// journaling to j, and returns the system and the error the campaign ended
+// with, if any.
+func runWholeCampaign(t *testing.T, faults *fault.Config, j discovery.Journal) (*anyopt.System, error) {
+	t.Helper()
+	sys := newSystem(t, faults)
+	sys.Disc.SetJournal(j)
+	if err := sys.RunDiscovery(); err != nil {
+		return sys, err
+	}
+	return sys, sys.Disc.Err()
+}
+
+func outcomeOf(t *testing.T, sys *anyopt.System) wholeCampaign {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Save(&buf, sys); err != nil {
+		t.Fatal(err)
+	}
+	return wholeCampaign{buf.Bytes(), sys.Disc.FaultLog(), sys.Disc.ProbesSent, sys.Disc.QuarantinedSites()}
+}
+
+// TestCampaignResumeAfterKill kills a whole campaign partway through — once
+// inside each of the RTT, provider and site phases — and resumes it in a
+// fresh system from the same journal file. The resumed campaign must save the
+// same bytes, log the same faults, count the same probes and quarantine the
+// same sites as the uninterrupted one. It runs fault-free, under the harsh
+// scenario, and under harsh with site 1 blacked out: the harsh scenario
+// quarantines nothing at this scale, and a dead representative makes the
+// resumed campaign re-derive from replayed rows a quarantine that changes
+// which sites the later phases announce.
+func TestCampaignResumeAfterKill(t *testing.T) {
+	harsh, err := fault.Scenario("harsh", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blackout := *harsh
+	blackout.BlackoutSites = []int{1}
+	for _, tc := range []struct {
+		faults      string
+		cfg         *fault.Config
+		quarantines bool
+	}{
+		{"none", nil, false},
+		{"harsh", harsh, false},
+		{"harsh+blackout", &blackout, true},
+	} {
+		ref, err := NewCheckpoint(filepath.Join(t.TempDir(), "reference.ckpt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := runWholeCampaign(t, tc.cfg, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := outcomeOf(t, sys)
+		if tc.cfg != nil && len(want.faultLog) == 0 {
+			t.Fatalf("%s: the campaign logged no fault; the trace would go untested", tc.faults)
+		}
+		if tc.quarantines != (len(want.quarantined) > 0) {
+			t.Fatalf("%s: quarantined %v", tc.faults, want.quarantined)
+		}
+		// The journal holds one entry per nonce, in schedule order: count
+		// each phase's experiments to place a crash inside it.
+		perKind := map[string]int{}
+		for nonce := uint64(1); nonce <= uint64(ref.Len()); nonce++ {
+			ent, ok := ref.Lookup(nonce)
+			if !ok {
+				t.Fatalf("%s: reference journal lacks experiment %d of %d", tc.faults, nonce, ref.Len())
+			}
+			perKind[ent.Kind]++
+		}
+		nRTT, nProv, nSite := perKind["rtt"], perKind["config"], perKind["simpair"]
+		if nRTT+nProv+nSite != ref.Len() || nRTT < 2 || nProv < 2 || nSite < 2 {
+			t.Fatalf("%s: unexpected schedule %v", tc.faults, perKind)
+		}
+		t.Logf("%s: schedule %v, %d fault-log lines, quarantined %v", tc.faults, perKind, len(want.faultLog), want.quarantined)
+		for _, crash := range []struct {
+			phase string
+			after int
+		}{
+			{"rtt", nRTT / 2},
+			{"provider", nRTT + nProv/2},
+			{"site", nRTT + nProv + nSite/2},
+		} {
+			t.Run(tc.faults+"/"+crash.phase, func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), "campaign.ckpt")
+				ck, err := NewCheckpoint(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := runWholeCampaign(t, tc.cfg, &failAfter{ck: ck, n: crash.after}); err == nil {
+					t.Fatal("the crashing journal did not abort the campaign")
+				}
+
+				ck, err = NewCheckpoint(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ck.Len() != crash.after {
+					t.Fatalf("killed campaign left %d experiments journaled, want %d", ck.Len(), crash.after)
+				}
+				sys, err := runWholeCampaign(t, tc.cfg, ck)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ck.Len() != ref.Len() {
+					t.Errorf("resumed journal holds %d experiments, want %d", ck.Len(), ref.Len())
+				}
+				got := outcomeOf(t, sys)
+				if !bytes.Equal(got.saved, want.saved) {
+					t.Errorf("resumed campaign saves %d bytes that differ from the uninterrupted run's %d", len(got.saved), len(want.saved))
+				}
+				if !reflect.DeepEqual(got.faultLog, want.faultLog) {
+					t.Errorf("fault logs diverged: uninterrupted %d lines vs resumed %d", len(want.faultLog), len(got.faultLog))
+				}
+				if got.probes != want.probes {
+					t.Errorf("probe accounting diverged: uninterrupted %d vs resumed %d", want.probes, got.probes)
+				}
+				if !reflect.DeepEqual(got.quarantined, want.quarantined) {
+					t.Errorf("quarantine diverged: uninterrupted %v vs resumed %v", want.quarantined, got.quarantined)
+				}
+			})
+		}
 	}
 }
 

@@ -135,7 +135,9 @@ func (d *Discovery) ProviderPrefs(reps map[topology.ASN]int) (*prefs.Store, erro
 	for k, pr := range pairs {
 		winAB, winBA := sweeps[2*k].Site, sweeps[2*k+1].Site
 		if len(winAB) != len(winBA) {
-			continue // one order was skipped (another shard's nonce)
+			// One order never ran (its batch was aborted, leaving a zero
+			// sweep), or the journal replayed an entry of another shape.
+			continue
 		}
 		for p, siteAB := range winAB {
 			siteBA := winBA[p]

@@ -77,20 +77,6 @@ type Config struct {
 	// machine-dependent, so leave it off when byte-reproducibility matters.
 	ExperimentTimeout time.Duration
 
-	// ShardLo/ShardHi, when ShardHi > 0, restrict fresh experiment execution
-	// to campaign nonces in the half-open range [ShardLo, ShardHi): an
-	// out-of-range experiment still consumes its nonce — keeping the
-	// deterministic schedule aligned with an unsharded campaign — but is
-	// skipped (zero result) instead of run, unless the journal already holds
-	// it, in which case it replays as usual. Shards of one campaign run as
-	// independent OS processes, each journaling its own nonce range to its
-	// own checkpoint file; merging the journals and replaying the schedule
-	// reproduces the single-process campaign byte for byte (see
-	// internal/campaign.MergeShardCheckpoints). Sharded campaigns must run
-	// fault-free: quarantine is cross-shard state no single shard can
-	// observe, so runBatch rejects the combination.
-	ShardLo, ShardHi uint64
-
 	// TargetFilter, when non-nil, restricts probing to targets whose client
 	// AS is in the set. Experiments still run the full BGP schedule (every
 	// announcement, every nonce), so routing state matches an unfiltered

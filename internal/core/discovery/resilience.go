@@ -126,13 +126,6 @@ func sortedIntKeys[V any](m map[int]V) []int {
 // — and is surfaced through Err.
 func (d *Discovery) runBatch(kind string, n int, run func(e *Exp, i int) Sweep) []Sweep {
 	out := make([]Sweep, n)
-	if d.sharded() && d.Cfg.Faults.Enabled() {
-		if d.runErr == nil {
-			d.runErr = fmt.Errorf(
-				"discovery: sharded campaigns cannot run with fault injection (quarantine is cross-shard state)")
-		}
-		return out
-	}
 	exps := make([]*Exp, n)
 	for i := range exps {
 		d.nonce++
@@ -189,13 +182,6 @@ func (d *Discovery) runExperiment(e *Exp, kind string, i int, run func(*Exp, int
 			}
 			return sw, nil
 		}
-	}
-	// A sharded campaign runs only its own nonce range fresh; everything
-	// else is another shard's work. The nonce is already consumed (schedule
-	// stays aligned), the zero sweep feeds the shard's throwaway snapshot,
-	// and nothing is journaled — the merge replays the owning shard's entry.
-	if d.sharded() && !d.inShard(e.nonce) {
-		return Sweep{}, nil
 	}
 	sw, err := d.runQuorum(e, i, run)
 	if err != nil {

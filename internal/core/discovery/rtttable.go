@@ -300,7 +300,10 @@ func (d *Discovery) MeasureRTTsParallel(siteIDs []int) (*RTTTable, error) {
 	rows := make([][]int64, len(siteIDs))
 	for slot, sw := range sweeps {
 		if len(sw.RTT) != len(group(slot))*nTargets {
-			continue // skipped slot (another shard's nonce): rows stay nil
+			// The slot never ran (its batch was aborted, leaving a zero
+			// sweep), or the journal replayed an entry of another shape —
+			// one laid out for a different prefix count. Its rows stay nil.
+			continue
 		}
 		for i := range group(slot) {
 			rows[slot*nPrefixes+i] = sw.RTT[i*nTargets : (i+1)*nTargets]

@@ -1,5 +1,30 @@
 package discovery
 
+import "anyopt/internal/testbed"
+
+// CampaignExperiments returns the number of experiments RunDiscovery submits
+// over tb — the length of the deterministic nonce schedule, and the
+// denominator of a discovery job's progress. It mirrors the schedule exactly:
+// one singleton RTT experiment per site, two order-controlled experiments per
+// transit-provider pair, and (unless the RTT heuristic replaces them) one
+// simultaneous experiment per site pair within each multi-site provider.
+// Exact only for fault-free campaigns: quarantine under faults prunes
+// representatives mid-schedule.
+func CampaignExperiments(tb *testbed.Testbed, useRTTHeuristic bool) int {
+	total := len(tb.Sites)
+	providers := tb.TransitProviders()
+	p := len(providers)
+	total += p * (p - 1) // both orders of every provider pair
+	if !useRTTHeuristic {
+		for _, pASN := range providers {
+			if s := len(tb.SitesOfTransit(pASN)); s >= 2 {
+				total += s * (s - 1) / 2
+			}
+		}
+	}
+	return total
+}
+
 // Schedule estimates the wall-clock cost of a measurement campaign (§4.5
 // "Analysis"): experiments spaced two hours apart, parallelized across test
 // prefixes.

@@ -11,8 +11,8 @@ import (
 // Sweep is one experiment's result: a Verfploeter sweep (§3.1) — one flat
 // (target → site, rtt) row per pinged target — held as dense columns over
 // the position in tb.Topo.Targets. A column the experiment does not measure
-// stays nil, and the zero Sweep (a skipped slot: quarantined pair, another
-// shard's nonce) reads as "no answer" everywhere. Every layer between the
+// stays nil, and the zero Sweep (a quarantined pair's skipped slot, or an
+// experiment an aborted batch never ran) reads as "no answer" everywhere. Every layer between the
 // probe and the columnar stores — quorum, journal, store append — works on
 // these columns by index.
 type Sweep struct {

@@ -151,16 +151,6 @@ func (p *Predictor) MeanRTT(cfg Config) (time.Duration, int) {
 	return p.Sweep(cfg).MeanRTT()
 }
 
-// FracPredictable returns the fraction of known clients with a predictable
-// catchment under cfg.
-func (p *Predictor) FracPredictable(cfg Config) float64 {
-	sw := p.Sweep(cfg)
-	if len(sw.Catch) == 0 {
-		return 0
-	}
-	return float64(sw.Predicted) / float64(len(sw.Catch))
-}
-
 // Accuracy compares predicted and measured catchments over the clients
 // present in both maps, returning the match fraction and the overlap count —
 // the metric of Figure 5a.

@@ -75,8 +75,9 @@ func TestCatchmentPredictionAccuracy(t *testing.T) {
 			t.Fatalf("config %v: only %d comparable clients", cfg, n)
 		}
 		accs = append(accs, acc)
+		sw := pl.pred.Sweep(cfg)
 		t.Logf("config %v: accuracy %.3f over %d clients (predictable %.2f)",
-			cfg, acc, n, pl.pred.FracPredictable(cfg))
+			cfg, acc, n, float64(sw.Predicted)/float64(len(sw.Catch)))
 	}
 	mean := analysis.Mean(accs)
 	t.Logf("mean accuracy %.3f (paper: 0.947)", mean)
@@ -171,7 +172,7 @@ func TestSingleSiteConfigTrivial(t *testing.T) {
 			t.Fatalf("client %d predicted site %d under single-site config", c, site)
 		}
 	}
-	if pl.pred.FracPredictable(cfg) < 0.95 {
+	if sw := pl.pred.Sweep(cfg); float64(sw.Predicted)/float64(len(sw.Catch)) < 0.95 {
 		t.Errorf("single-site config should be predictable for nearly everyone")
 	}
 }

@@ -27,7 +27,7 @@ type Env struct {
 // NewEnv builds the experiment environment. scale is "test" (fast,
 // CI-sized), "paper" (thousands of client networks, as the evaluation
 // should be read), or "internet" (~100k ASes with power-law attachment, the
-// scale the columnar stores and sharded campaigns exist for).
+// scale the columnar stores exist for).
 func NewEnv(scale string, seed int64) (*Env, error) {
 	var opts anyopt.Options
 	switch scale {

@@ -58,20 +58,20 @@ var DefaultPolicies = []PolicyRule{
 	// these hold no RNG of their own, so math/rand is banned outright. The
 	// core/... rule is what holds the columnar campaign stores (core/prefs,
 	// core/discovery) to the strictest contract in the repo: snapshot
-	// contents must be byte-identical across worker counts, shard counts and
-	// store layouts, so any map-order leak or entropy source in them
-	// invalidates the campaign determinism proofs.
+	// contents must be byte-identical across worker counts and store layouts,
+	// and a resumed campaign byte-identical to an uninterrupted one
+	// (TestCampaignResumeAfterKill, TestCampaignBytesPinned), so any map-order
+	// leak or entropy source in them invalidates those proofs.
 	{"anyopt/internal/bgp", simPure},
 	{"anyopt/internal/bgp/wire", simPure},
 	{"anyopt/internal/bgp/invariant", simPure},
 	{"anyopt/internal/netsim", simPure},
 	{"anyopt/internal/core/...", simPure},
 
-	// Campaign persistence and shard coordination: streaming snapshot
-	// serialization and checkpoint journals must be byte-deterministic (the
-	// shard merge proof rests on it), so the package holds no entropy and no
-	// goroutines of its own — shard parallelism lives in separate OS
-	// processes, not in-process concurrency.
+	// Campaign persistence: streaming snapshot serialization and checkpoint
+	// journals must be byte-deterministic — resume byte-identity and
+	// TestCampaignBytesPinned rest on it — so the package holds no entropy and
+	// no goroutines of its own; a campaign's parallelism is internal/exec's.
 	{"anyopt/internal/campaign", simPure},
 
 	// Seeded-RNG owners: these construct their own *rand.Rand over a source
