@@ -23,14 +23,9 @@ func (s *Store) ForEachRelation(fn func(DumpedRelation)) {
 		base := row * s.nPairs
 		for a := 0; a < len(s.items); a++ {
 			for b := a + 1; b < len(s.items); b++ {
-				p := s.pairIdx(a, b)
-				rel := s.rels[base+p]
+				rel, winner := s.relationOf(s.cells[base+s.pairIdx(a, b)], a, b)
 				if rel == RelUnknown {
 					continue
-				}
-				var winner Item
-				if rel == RelStrict {
-					winner = s.items[s.winIdx[base+p]]
 				}
 				fn(DumpedRelation{
 					Client: c, I: s.items[a], J: s.items[b],
@@ -45,8 +40,8 @@ func (s *Store) ForEachRelation(fn func(DumpedRelation)) {
 // slice Dump would build — without materializing it.
 func (s *Store) NumRelations() int {
 	n := 0
-	for _, rel := range s.rels {
-		if rel != RelUnknown {
+	for _, c := range s.cells {
+		if c != cellUnknown {
 			n++
 		}
 	}
@@ -93,7 +88,7 @@ func (s *Store) Restore(rels []DumpedRelation) error {
 			return fmt.Errorf("prefs: restore with relation %v", r.Rel)
 		}
 		row := s.ensureClient(r.Client)
-		s.set(row, s.pairIdx(ii, jj), r.Rel, winnerIdx)
+		s.set(row, ii, jj, r.Rel, winnerIdx)
 	}
 	return nil
 }

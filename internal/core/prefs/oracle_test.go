@@ -110,7 +110,7 @@ func oracleFracWithTotalOrder(s *Store, announce []Item) float64 {
 	}
 	n := 0
 	for i := range s.keys {
-		if _, ok := oracleTotalOrder(&s.views[i], announce); ok {
+		if _, ok := oracleTotalOrder(&ClientPrefs{store: s, idx: i}, announce); ok {
 			n++
 		}
 	}

@@ -59,8 +59,7 @@ func (s *Store) PatchClients(patch *Store, cone func(Client) bool) (*Store, erro
 	// O(1) tail path.
 	appendRow := func(c Client, src *Store, row int) {
 		dst := out.ensureClient(c)
-		copy(out.rels[dst*out.nPairs:(dst+1)*out.nPairs], src.rels[row*src.nPairs:(row+1)*src.nPairs])
-		copy(out.winIdx[dst*out.nPairs:(dst+1)*out.nPairs], src.winIdx[row*src.nPairs:(row+1)*src.nPairs])
+		copy(out.cells[dst*out.nPairs:(dst+1)*out.nPairs], src.cells[row*src.nPairs:(row+1)*src.nPairs])
 	}
 	si, pi := 0, 0
 	for si < len(s.keys) || pi < len(patch.keys) {

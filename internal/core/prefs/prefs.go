@@ -13,17 +13,18 @@
 // why they manufacture cyclic preferences (Figure 4).
 //
 // The store is columnar (struct-of-arrays): one sorted client-ID column and
-// two flat relation columns shared by every client, indexed row-major as
-// rels[clientRow*NumPairs+pairIdx]. Point lookups binary-search the client
+// one flat relation column shared by every client, indexed row-major as
+// cells[clientRow*NumPairs+pairIdx]. Point lookups binary-search the client
 // column; recording appends in O(1) because campaigns record each experiment
 // in target order and targets are sorted by client (discovery reads its
-// dense sweeps by target position), so the sorted column grows at the tail. Compared to the former
-// map[Client]*ClientPrefs backing, a client row costs 3 bytes per pair
-// (1-byte relation + 2-byte winner index) in two contiguous slabs instead of
-// a map entry, a heap-allocated struct, and a 16-byte-per-pair slice — the
-// layout internet-scale campaigns (100k clients) need to stay in cache and
-// under memory ceilings. Campaign builders call Compact once recording ends,
-// trimming append-growth slack before the store is published.
+// dense sweeps by target position), so the sorted column grows at the tail.
+// Compared to the former map[Client]*ClientPrefs backing, a client row costs
+// one byte per pair (the relation and, when strict, which item won) in one
+// contiguous slab instead of a map entry, a heap-allocated struct, and a
+// 16-byte-per-pair slice — the layout internet-scale campaigns (100k clients)
+// need to stay in cache and under memory ceilings. Campaign builders call
+// Compact once recording ends, trimming append-growth slack before the store
+// is published.
 package prefs
 
 import (
@@ -64,7 +65,7 @@ func (r Relation) String() string {
 	}
 }
 
-// ClientPrefs is a view of one client's row in the store's relation columns.
+// ClientPrefs is a view of one client's row in the store's relation column.
 // Views are positional: a view stays valid across appends of later clients,
 // but recording an out-of-order client (which shifts rows) invalidates
 // previously obtained views — callers record first, then read.
@@ -73,33 +74,37 @@ type ClientPrefs struct {
 	idx   int
 }
 
+// cell is one client's relation for one unordered pair of store indices
+// a < b: whether it is known, and who wins. Relation and winner Item are
+// how it reads from outside the store.
+type cell uint8
+
+const (
+	cellUnknown cell = iota
+	cellEqual
+	// cellLowWins: the item with store index a wins strictly.
+	cellLowWins
+	// cellHighWins: the item with store index b wins strictly.
+	cellHighWins
+)
+
 // Store collects pairwise preferences for a fixed item universe, columnar:
-// keys is the sorted client-ID column; rels and winIdx are parallel flat
-// relation columns of len(keys)*NumPairs() cells each.
+// keys is the sorted client-ID column and cells the flat relation column of
+// len(keys)*NumPairs() cells.
 type Store struct {
 	items  []Item
 	index  map[Item]int
 	nPairs int
 	// keys holds every recorded client, ascending.
 	keys []Client
-	// rels[row*nPairs+p] is client keys[row]'s relation for pair p.
-	rels []Relation
-	// winIdx[row*nPairs+p] is the item index of the strict winner; read
-	// only when the relation is RelStrict. uint16 bounds the item universe
-	// at 65536 — enforced by NewStore, and far beyond any testbed.
-	winIdx []uint16
-	// views[i] is the ClientPrefs view for row i; views[i].idx == i always,
-	// so Get can return a stable pointer without allocating per call.
-	views []ClientPrefs
+	// cells[row*nPairs+p] is client keys[row]'s relation for pair p.
+	cells []cell
 }
 
 // NewStore creates a store over the given items. Items must be distinct.
 func NewStore(items []Item) (*Store, error) {
 	if len(items) < 1 {
 		return nil, fmt.Errorf("prefs: store needs at least one item")
-	}
-	if len(items) > 1<<16 {
-		return nil, fmt.Errorf("prefs: item universe of %d exceeds the %d limit", len(items), 1<<16)
 	}
 	s := &Store{
 		items: append([]Item(nil), items...),
@@ -168,34 +173,21 @@ func (s *Store) ensureClient(c Client) int {
 	copy(s.keys[i+1:], s.keys[i:])
 	s.keys[i] = c
 	s.grow()
-	base := i * s.nPairs
-	copy(s.rels[base+s.nPairs:], s.rels[base:])
-	copy(s.winIdx[base+s.nPairs:], s.winIdx[base:])
-	for p := 0; p < s.nPairs; p++ {
-		s.rels[base+p] = RelUnknown
-	}
+	row := s.cells[i*s.nPairs:]
+	copy(row[s.nPairs:], row)
+	clear(row[:s.nPairs])
 	return i
 }
 
-// grow extends the relation columns and the view table by one row.
+// grow extends the relation column by one row of unknown cells.
 func (s *Store) grow() {
-	if cap(s.rels) < len(s.rels)+s.nPairs {
-		// Grow all columns together so one client append reallocates at
-		// most once per column.
-		nr := make([]Relation, len(s.rels), (cap(s.rels)+s.nPairs)*2)
-		copy(nr, s.rels)
-		s.rels = nr
-		nw := make([]uint16, len(s.winIdx), (cap(s.winIdx)+s.nPairs)*2)
-		copy(nw, s.winIdx)
-		s.winIdx = nw
+	if cap(s.cells) < len(s.cells)+s.nPairs {
+		nc := make([]cell, len(s.cells), (cap(s.cells)+s.nPairs)*2)
+		copy(nc, s.cells)
+		s.cells = nc
 	}
-	s.rels = s.rels[:len(s.rels)+s.nPairs]
-	s.winIdx = s.winIdx[:len(s.winIdx)+s.nPairs]
-	for p := len(s.rels) - s.nPairs; p < len(s.rels); p++ {
-		s.rels[p] = RelUnknown
-		s.winIdx[p] = 0
-	}
-	s.views = append(s.views, ClientPrefs{store: s, idx: len(s.views)})
+	s.cells = s.cells[:len(s.cells)+s.nPairs]
+	clear(s.cells[len(s.cells)-s.nPairs:])
 }
 
 // Compact trims the append-growth slack off every column, shrinking the
@@ -205,47 +197,56 @@ func (s *Store) grow() {
 // it is what keeps the measured bytes/client at the columnar floor.
 // Recording remains legal afterwards — the next append just reallocates.
 func (s *Store) Compact() {
-	if cap(s.keys) == len(s.keys) && cap(s.rels) == len(s.rels) &&
-		cap(s.winIdx) == len(s.winIdx) && cap(s.views) == len(s.views) {
+	if cap(s.keys) == len(s.keys) && cap(s.cells) == len(s.cells) {
 		return
 	}
 	s.keys = append(make([]Client, 0, len(s.keys)), s.keys...)
-	s.rels = append(make([]Relation, 0, len(s.rels)), s.rels...)
-	s.winIdx = append(make([]uint16, 0, len(s.winIdx)), s.winIdx...)
-	views := make([]ClientPrefs, len(s.views))
-	for i := range views {
-		views[i] = ClientPrefs{store: s, idx: i}
-	}
-	s.views = views
+	s.cells = append(make([]cell, 0, len(s.cells)), s.cells...)
 }
 
 // Get returns the per-client view, or nil if the client was never recorded.
+// Served read paths walk rows (Announce, ClientAt, Seek) and never call it.
 func (s *Store) Get(c Client) *ClientPrefs {
 	i, ok := s.findClient(c)
 	if !ok {
 		return nil
 	}
-	return &s.views[i]
+	return &ClientPrefs{store: s, idx: i}
 }
 
-// at returns the (relation, winner) cell for the given row and pair index.
-func (s *Store) at(row, pair int) (Relation, Item) {
-	off := row*s.nPairs + pair
-	r := s.rels[off]
-	if r != RelStrict {
-		return r, 0
+// relationOf decodes one cell of the pair of store indices (a, b), a < b.
+func (s *Store) relationOf(c cell, a, b int) (Relation, Item) {
+	switch c {
+	case cellEqual:
+		return RelEqual, 0
+	case cellLowWins:
+		return RelStrict, s.items[a]
+	case cellHighWins:
+		return RelStrict, s.items[b]
 	}
-	return r, s.items[s.winIdx[off]]
+	return RelUnknown, 0
 }
 
-// set writes one cell. winner must already be validated as an item index
-// holder; pass winnerIdx < 0 for non-strict relations.
-func (s *Store) set(row, pair int, rel Relation, winnerIdx int) {
-	off := row*s.nPairs + pair
-	s.rels[off] = rel
-	if winnerIdx >= 0 {
-		s.winIdx[off] = uint16(winnerIdx)
+// at returns the relation, and for RelStrict the winner, of the given row
+// for the pair of store indices (a, b), in either order.
+func (s *Store) at(row, a, b int) (Relation, Item) {
+	if a > b {
+		a, b = b, a
 	}
+	return s.relationOf(s.cells[row*s.nPairs+s.pairIdx(a, b)], a, b)
+}
+
+// set records rel for the pair of store indices (a, b), in either order;
+// winner is the store index of the strict winner and ignored otherwise.
+func (s *Store) set(row, a, b int, rel Relation, winner int) {
+	c := cellEqual
+	if rel == RelStrict {
+		c = cellLowWins
+		if winner == max(a, b) {
+			c = cellHighWins
+		}
+	}
+	s.cells[row*s.nPairs+s.pairIdx(a, b)] = c
 }
 
 // RecordOrdered stores the outcome of the two order-controlled experiments
@@ -270,15 +271,14 @@ func (s *Store) RecordOrdered(c Client, i, j Item, winnerIFirst, winnerJFirst It
 		}
 	}
 	row := s.ensureClient(c)
-	idx := s.pairIdx(ii, jj)
 	switch {
 	case winnerIFirst == winnerJFirst:
-		s.set(row, idx, RelStrict, s.index[winnerIFirst])
+		s.set(row, ii, jj, RelStrict, s.index[winnerIFirst])
 	default:
 		// The winner flipped with the announcement order (whichever
 		// direction): the client is indifferent and route age decides
 		// (§4.2: "otherwise ... it has equivalent preferences").
-		s.set(row, idx, RelEqual, -1)
+		s.set(row, ii, jj, RelEqual, -1)
 	}
 	return nil
 }
@@ -301,7 +301,7 @@ func (s *Store) RecordSimultaneous(c Client, i, j, winner Item) error {
 		return fmt.Errorf("prefs: winner %d not in pair (%d, %d)", winner, i, j)
 	}
 	row := s.ensureClient(c)
-	s.set(row, s.pairIdx(ii, jj), RelStrict, s.index[winner])
+	s.set(row, ii, jj, RelStrict, s.index[winner])
 	return nil
 }
 
@@ -314,7 +314,7 @@ func (cp *ClientPrefs) Relation(i, j Item) (Relation, Item) {
 	if !ok1 || !ok2 || ii == jj {
 		return RelUnknown, 0
 	}
-	return s.at(cp.idx, s.pairIdx(ii, jj))
+	return s.at(cp.idx, ii, jj)
 }
 
 // Complete reports whether every pair over the given items has a recorded
@@ -412,20 +412,25 @@ func (s *Store) tournament(row int, sc scratch) bool {
 			if ia|ib < 0 || ia == ib {
 				return false
 			}
-			off := base + s.pairIdx(int(ia), int(ib))
-			rel := s.rels[off]
-			if rel == RelUnknown {
+			c := s.cells[base+s.pairIdx(int(ia), int(ib))]
+			if c == cellUnknown {
 				return false
+			}
+			// a wins strictly on cellLowWins when it holds the lower store
+			// index and on cellHighWins when it holds the higher one.
+			aWins := cellLowWins
+			if ia > ib {
+				aWins = cellHighWins
 			}
 			// Branch-free on the data: who wins a measured pair is a coin
 			// flip to the predictor, and a candidate order is judged on
 			// hundreds of signatures.
 			w := int32(0)
-			if rel == RelEqual {
+			if c == cellEqual {
 				w = 1 // the earlier-announced item wins
 			}
-			if int32(s.winIdx[off]) == ia {
-				w = 1 // a won strictly (or the pair is equal anyway)
+			if c == aWins {
+				w = 1 // a won strictly
 			}
 			won += w
 			wins[b] += 1 - w
@@ -568,12 +573,12 @@ type class struct {
 // over the items ix, in first-seen row order. Catchment is decided by a
 // handful of preference relations per network, so thousands of clients share
 // a few hundred signatures and every candidate announcement order is then
-// judged once per signature instead of once per client. The signature is one
-// byte per pair of ix — 0 equal, 1 the earlier-listed item wins, 2 the later
-// one — so two rows with the same signature have the same tournament under
-// every ordering of ix. Rows with an unmeasured pair among ix have no total
-// order under any of them and are dropped here, once. The map only finds a
-// signature's class; nothing iterates it.
+// judged once per signature instead of once per client. The signature is the
+// row's cells of the pairs of ix, in listed order, so two rows with the same
+// signature have the same tournament under every ordering of ix. Rows with
+// an unmeasured pair among ix have no total order under any of them and are
+// dropped here, once. The map only finds a signature's class; nothing
+// iterates it.
 func (s *Store) classes(ix []int32) []class {
 	n := len(ix)
 	for a := 0; a < n; a++ {
@@ -592,19 +597,11 @@ rows:
 		base := row * s.nPairs
 		for a := 0; a < n; a++ {
 			for b := a + 1; b < n; b++ {
-				off := base + s.pairIdx(int(ix[a]), int(ix[b]))
-				switch s.rels[off] {
-				case RelStrict:
-					if int32(s.winIdx[off]) == ix[a] {
-						sig = append(sig, 1)
-					} else {
-						sig = append(sig, 2)
-					}
-				case RelEqual:
-					sig = append(sig, 0)
-				default:
+				c := s.cells[base+s.pairIdx(int(ix[a]), int(ix[b]))]
+				if c == cellUnknown {
 					continue rows
 				}
+				sig = append(sig, byte(c))
 			}
 		}
 		c, ok := seen[string(sig)]

@@ -137,7 +137,7 @@ func TestOrderSearchMatchesOracle(t *testing.T) {
 			enabled := randomAnnouncement(rng, items)
 			resolved := s.Announce(ann)
 			for i := range s.keys {
-				cp := &s.views[i]
+				cp := &ClientPrefs{store: s, idx: i}
 				order, ok := cp.TotalOrder(ann)
 				wantOrder, wantOK := oracleTotalOrder(cp, ann)
 				if ok != wantOK || !reflect.DeepEqual(order, wantOrder) {

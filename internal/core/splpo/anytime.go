@@ -358,7 +358,7 @@ func (s *searcher) buildInitial() SiteSet {
 		for i := range s.in.Clients {
 			c := &s.in.Clients[i]
 			for p, site := range c.Ranking {
-				sums[site] += c.costAt(p)
+				sums[site] += c.RankCost[p]
 				counts[site]++
 			}
 		}
@@ -470,7 +470,7 @@ func (s *searcher) gatherCandidates() {
 			limit = len(cl.Ranking)
 			curCost = 10 * unservedBonus
 		} else {
-			curCost = cl.costAt(cur)
+			curCost = cl.RankCost[cur]
 		}
 		w := cl.weight()
 		for p := 0; p < limit; p++ {
@@ -481,7 +481,7 @@ func (s *searcher) gatherCandidates() {
 			if s.score[site] == 0 {
 				s.touched = append(s.touched, site)
 			}
-			gain := w * (curCost - cl.costAt(p))
+			gain := w * (curCost - cl.RankCost[p])
 			if cur < 0 {
 				gain = w * unservedBonus
 			}

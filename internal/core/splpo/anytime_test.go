@@ -484,7 +484,12 @@ func TestWarmReoptimize(t *testing.T) {
 		for s := range cost {
 			cost[s] = 10 + rng.Float64()*190
 		}
-		next.Clients[c] = Client{Ranking: rng.Perm(nSites), Cost: cost}
+		ranking := rng.Perm(nSites)
+		rankCost := make([]float64, nSites)
+		for i, s := range ranking {
+			rankCost[i] = cost[s]
+		}
+		next.Clients[c] = Client{Ranking: ranking, RankCost: rankCost}
 	}
 	res, err := w.Reoptimize(next, 2, changed, sopts)
 	if err != nil {

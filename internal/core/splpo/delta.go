@@ -130,7 +130,7 @@ func (d *DeltaEval) Reset(open SiteSet) {
 			if d.open.Has(s) {
 				d.assignedPos[i] = int32(p)
 				w := c.weight()
-				d.finiteCost += w * c.costAt(p)
+				d.finiteCost += w * c.RankCost[p]
 				d.weight += w
 				d.served++
 				d.siteLoad[s] += c.Load
@@ -215,7 +215,7 @@ func (d *DeltaEval) applyAssign(c int32, oldPos, newPos int32) {
 	w := cl.weight()
 	if oldPos >= 0 {
 		s := cl.Ranking[oldPos]
-		d.finiteCost -= w * cl.costAt(int(oldPos))
+		d.finiteCost -= w * cl.RankCost[oldPos]
 		d.weight -= w
 		d.served--
 		old := d.siteLoad[s]
@@ -224,7 +224,7 @@ func (d *DeltaEval) applyAssign(c int32, oldPos, newPos int32) {
 	}
 	if newPos >= 0 {
 		s := cl.Ranking[newPos]
-		d.finiteCost += w * cl.costAt(int(newPos))
+		d.finiteCost += w * cl.RankCost[newPos]
 		d.weight += w
 		d.served++
 		old := d.siteLoad[s]

@@ -30,27 +30,14 @@ func ReduceDominatingSet(g Graph) *Instance {
 	}
 	in := &Instance{NumSites: n + 1}
 	for v := 0; v < n; v++ {
-		cost := make([]float64, n+1)
-		for i := range cost {
-			cost[i] = huge
-		}
-		cost[v] = 0
-		ranking := []int{v}
-		for _, w := range adj[v] {
-			cost[w] = 0
-			ranking = append(ranking, w)
-		}
-		cost[n] = huge
-		ranking = append(ranking, n) // s* is acceptable but hugely costly
-		in.Clients = append(in.Clients, Client{Ranking: ranking, Cost: cost})
+		ranking := append([]int{v}, adj[v]...)
+		ranking = append(ranking, n)
+		cost := make([]float64, len(ranking)) // s_v and its neighbours cost 0
+		cost[len(cost)-1] = huge              // s* is acceptable but hugely costly
+		in.Clients = append(in.Clients, Client{Ranking: ranking, RankCost: cost})
 	}
 	// c*: accepts only s*, at zero cost.
-	cost := make([]float64, n+1)
-	for i := range cost {
-		cost[i] = huge
-	}
-	cost[n] = 0
-	in.Clients = append(in.Clients, Client{Ranking: []int{n}, Cost: cost})
+	in.Clients = append(in.Clients, Client{Ranking: []int{n}, RankCost: []float64{0}})
 	return in
 }
 

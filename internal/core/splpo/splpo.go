@@ -34,17 +34,11 @@ const Infinity = math.MaxFloat64 / 4
 type Client struct {
 	// Ranking lists site indices most-preferred first. A client assigned to
 	// an open site always picks the first open entry (constraint (6) in
-	// Appendix B).
+	// Appendix B). Sites absent from Ranking are never used.
 	Ranking []int
-	// Cost[s] is the cost of serving this client from site s. Sites absent
-	// from Ranking are never used regardless of cost. Cost may be nil when
-	// RankCost is set.
-	Cost []float64
-	// RankCost is the sparse alternative to Cost: RankCost[i] is the cost of
-	// serving this client from Ranking[i]. For internet-scale instances a
-	// dense per-site cost row is O(sites) per client; rankings are short
-	// (only acceptable sites appear), so RankCost keeps instances linear in
-	// the total ranking length. When both are set, RankCost wins.
+	// RankCost[i] is the cost of serving this client from Ranking[i]. Costs
+	// follow the ranking rather than the site index, so an instance stays
+	// linear in the total ranking length at any site count.
 	RankCost []float64
 	// Load is the demand this client adds to its chosen site.
 	Load float64
@@ -74,13 +68,8 @@ func (in *Instance) Validate() error {
 	seen := make([]bool, in.NumSites)
 	for i := range in.Clients {
 		c := &in.Clients[i]
-		switch {
-		case c.RankCost != nil:
-			if len(c.RankCost) != len(c.Ranking) {
-				return fmt.Errorf("splpo: client %d has %d rank costs for %d ranked sites", i, len(c.RankCost), len(c.Ranking))
-			}
-		case len(c.Cost) != in.NumSites:
-			return fmt.Errorf("splpo: client %d has %d costs for %d sites", i, len(c.Cost), in.NumSites)
+		if len(c.RankCost) != len(c.Ranking) {
+			return fmt.Errorf("splpo: client %d has %d rank costs for %d ranked sites", i, len(c.RankCost), len(c.Ranking))
 		}
 		for _, s := range c.Ranking {
 			if s < 0 || s >= in.NumSites {
@@ -96,14 +85,6 @@ func (in *Instance) Validate() error {
 		}
 	}
 	return nil
-}
-
-// costAt returns the cost of serving c from its pos-th ranked site.
-func (c *Client) costAt(pos int) float64 {
-	if c.RankCost != nil {
-		return c.RankCost[pos]
-	}
-	return c.Cost[c.Ranking[pos]]
 }
 
 // weight returns the client's cost weight (default 1).
@@ -207,7 +188,7 @@ func (in *Instance) EvaluateSet(open SiteSet, siteLoad []float64) Stats {
 			continue
 		}
 		w := c.weight()
-		st.FiniteCost += w * c.costAt(pos)
+		st.FiniteCost += w * c.RankCost[pos]
 		st.Weight += w
 		st.Served++
 		siteLoad[c.Ranking[pos]] += c.Load
@@ -223,9 +204,10 @@ func (in *Instance) EvaluateSet(open SiteSet, siteLoad []float64) Stats {
 }
 
 // evaluateWord is EvaluateSet for a set held in one machine word (bit s =
-// site s): Exhaustive's private kernel. Enumeration evaluates every subset
-// in full, and the one-word membership test is measurably cheaper there
-// than SiteSet.Has (DESIGN.md §12); nothing else may use it.
+// site s): Exhaustive's private kernel. Enumeration evaluates in full every
+// subset the lower bound cannot rule out, and the one-word membership test
+// is measurably cheaper there than SiteSet.Has (DESIGN.md §12); nothing else
+// may use it.
 func (in *Instance) evaluateWord(open uint64, siteLoad []float64) Stats {
 	clear(siteLoad)
 	st := Stats{Open: bits.OnesCount64(open)}
@@ -243,7 +225,7 @@ func (in *Instance) evaluateWord(open uint64, siteLoad []float64) Stats {
 			continue
 		}
 		w := c.weight()
-		st.FiniteCost += w * c.costAt(pos)
+		st.FiniteCost += w * c.RankCost[pos]
 		st.Weight += w
 		st.Served++
 		siteLoad[c.Ranking[pos]] += c.Load
@@ -281,17 +263,29 @@ const maxExhaustiveSites = 63
 // budgeted) and returns the minimum-mean-cost assignment plus the number of
 // subsets evaluated. It is the only solver with a site limit, because
 // enumeration is the only technique that has one.
+//
+// Every enumerated subset counts as evaluated, but only the ones a lower
+// bound cannot rule out reach the exact kernel (bound.go): a subset whose
+// proven mean is no better than the incumbent's could not have replaced it,
+// so the answer is the one a full evaluation of every subset gives.
 func Exhaustive(in *Instance, opts Options) (Assignment, int, error) {
+	best, evaluated, _, err := exhaustive(in, opts)
+	return best, evaluated, err
+}
+
+// exhaustive is Exhaustive that also reports how many subsets the exact
+// kernel evaluated, the rest having been ruled out by the lower bound.
+func exhaustive(in *Instance, opts Options) (best Assignment, evaluated, exact int, err error) {
 	if err := in.Validate(); err != nil {
-		return Assignment{}, 0, err
+		return Assignment{}, 0, 0, err
 	}
 	if in.NumSites > maxExhaustiveSites {
-		return Assignment{}, 0, fmt.Errorf("splpo: Exhaustive enumerates at most %d sites, got %d; use Search or SearchParallel (anytime local search)", maxExhaustiveSites, in.NumSites)
+		return Assignment{}, 0, 0, fmt.Errorf("splpo: Exhaustive enumerates at most %d sites, got %d; use Search or SearchParallel (anytime local search)", maxExhaustiveSites, in.NumSites)
 	}
 	forbidden := opts.Forbidden.word()
 	bestMean, bestOpen := Infinity, uint64(0)
 	siteLoad := make([]float64, in.NumSites)
-	evaluated := 0
+	lb := newLowerBound(in)
 	limit := uint64(1) << uint(in.NumSites)
 	for open := uint64(1); open < limit; open++ {
 		if open&forbidden != 0 {
@@ -304,6 +298,10 @@ func Exhaustive(in *Instance, opts Options) (Assignment, int, error) {
 			break
 		}
 		evaluated++
+		if bestOpen != 0 && lb.rulesOut(open, bestMean) {
+			continue
+		}
+		exact++
 		st := in.evaluateWord(open, siteLoad)
 		if opts.RequireFeasible && !st.Feasible() {
 			continue
@@ -313,9 +311,9 @@ func Exhaustive(in *Instance, opts Options) (Assignment, int, error) {
 		}
 	}
 	if bestOpen == 0 {
-		return Assignment{TotalCost: Infinity, MeanCost: Infinity}, evaluated, fmt.Errorf("splpo: no acceptable subset found")
+		return Assignment{TotalCost: Infinity, MeanCost: Infinity}, evaluated, exact, fmt.Errorf("splpo: no acceptable subset found")
 	}
-	return in.assign(siteSetOfWord(in.NumSites, bestOpen)), evaluated, nil
+	return in.assign(siteSetOfWord(in.NumSites, bestOpen)), evaluated, exact, nil
 }
 
 // GreedyByCost returns the k sites with the lowest mean cost over all
@@ -338,7 +336,7 @@ func GreedyByCost(in *Instance, k int) (Assignment, error) {
 		c := &in.Clients[i]
 		// Only clients that can use the site contribute.
 		for p, s := range c.Ranking {
-			sums[s] += c.costAt(p)
+			sums[s] += c.RankCost[p]
 			counts[s]++
 		}
 	}

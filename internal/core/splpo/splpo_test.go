@@ -11,9 +11,9 @@ func tinyInstance() *Instance {
 	return &Instance{
 		NumSites: 3,
 		Clients: []Client{
-			{Ranking: []int{0, 1, 2}, Cost: []float64{10, 20, 30}},
-			{Ranking: []int{1, 2, 0}, Cost: []float64{30, 10, 20}},
-			{Ranking: []int{2, 0, 1}, Cost: []float64{20, 30, 10}},
+			{Ranking: []int{0, 1, 2}, RankCost: []float64{10, 20, 30}},
+			{Ranking: []int{1, 2, 0}, RankCost: []float64{10, 20, 30}},
+			{Ranking: []int{2, 0, 1}, RankCost: []float64{10, 20, 30}},
 		},
 	}
 }
@@ -35,7 +35,7 @@ func TestEvaluatePreferenceNotCost(t *testing.T) {
 	// A client may prefer an expensive site — BGP doesn't optimize latency.
 	in := &Instance{
 		NumSites: 2,
-		Clients:  []Client{{Ranking: []int{1, 0}, Cost: []float64{1, 100}}},
+		Clients:  []Client{{Ranking: []int{1, 0}, RankCost: []float64{100, 1}}},
 	}
 	a := in.assign(SiteSetOf(2, 0, 1))
 	if a.TotalCost != 100 {
@@ -46,7 +46,7 @@ func TestEvaluatePreferenceNotCost(t *testing.T) {
 func TestEvaluateUnservedClient(t *testing.T) {
 	in := &Instance{
 		NumSites: 2,
-		Clients:  []Client{{Ranking: []int{0}, Cost: []float64{1, 1}}},
+		Clients:  []Client{{Ranking: []int{0}, RankCost: []float64{1}}},
 	}
 	a := in.assign(SiteSetOf(2, 1)) // client accepts only site 0
 	if a.Feasible {
@@ -85,8 +85,8 @@ func TestEvaluateWeights(t *testing.T) {
 	in := &Instance{
 		NumSites: 1,
 		Clients: []Client{
-			{Ranking: []int{0}, Cost: []float64{10}, Weight: 3},
-			{Ranking: []int{0}, Cost: []float64{20}},
+			{Ranking: []int{0}, RankCost: []float64{10}, Weight: 3},
+			{Ranking: []int{0}, RankCost: []float64{20}},
 		},
 	}
 	a := in.assign(SiteSetOf(1, 0))
@@ -142,7 +142,7 @@ func TestExhaustiveBudget(t *testing.T) {
 }
 
 func TestExhaustiveInfeasibleInstance(t *testing.T) {
-	in := &Instance{NumSites: 1, Clients: []Client{{Ranking: nil, Cost: []float64{1}}}}
+	in := &Instance{NumSites: 1, Clients: []Client{{Ranking: nil}}}
 	_, _, err := Exhaustive(in, Options{RequireFeasible: true})
 	if err == nil {
 		t.Error("instance with unservable client solved")
@@ -156,10 +156,9 @@ func TestValidateErrors(t *testing.T) {
 	}{
 		{&Instance{NumSites: 0}, "splpo: NumSites = 0"},
 		{&Instance{NumSites: 2, Cap: []float64{1}}, "splpo: Cap has 1 entries for 2 sites"},
-		{&Instance{NumSites: 2, Clients: []Client{{Ranking: []int{0}, Cost: []float64{1}}}}, "splpo: client 0 has 1 costs for 2 sites"},
 		{&Instance{NumSites: 2, Clients: []Client{{Ranking: []int{0, 1}, RankCost: []float64{1}}}}, "splpo: client 0 has 1 rank costs for 2 ranked sites"},
-		{&Instance{NumSites: 2, Clients: []Client{{Ranking: []int{5}, Cost: []float64{1, 1}}}}, "splpo: client 0 ranks unknown site 5"},
-		{&Instance{NumSites: 2, Clients: []Client{{Ranking: []int{0, 0}, Cost: []float64{1, 1}}}}, "splpo: client 0 ranks site 0 twice"},
+		{&Instance{NumSites: 2, Clients: []Client{{Ranking: []int{5}, RankCost: []float64{1}}}}, "splpo: client 0 ranks unknown site 5"},
+		{&Instance{NumSites: 2, Clients: []Client{{Ranking: []int{0, 0}, RankCost: []float64{1, 1}}}}, "splpo: client 0 ranks site 0 twice"},
 		// The duplicate check shares one scratch between clients: a site two
 		// clients rank is not a duplicate, one the second ranks twice is.
 		{&Instance{NumSites: 3, Clients: []Client{
@@ -186,8 +185,8 @@ func TestGreedyByCost(t *testing.T) {
 	in := &Instance{
 		NumSites: 3,
 		Clients: []Client{
-			{Ranking: []int{2, 0, 1}, Cost: []float64{5, 50, 40}},
-			{Ranking: []int{2, 0, 1}, Cost: []float64{5, 50, 40}},
+			{Ranking: []int{2, 0, 1}, RankCost: []float64{40, 5, 50}},
+			{Ranking: []int{2, 0, 1}, RankCost: []float64{40, 5, 50}},
 		},
 	}
 	g, err := GreedyByCost(in, 1)
@@ -244,7 +243,11 @@ func randomInstance(rng *rand.Rand, nSites, nClients int) *Instance {
 			cost[s] = 10 + rng.Float64()*190
 		}
 		ranking := rng.Perm(nSites)
-		in.Clients = append(in.Clients, Client{Ranking: ranking, Cost: cost})
+		rankCost := make([]float64, nSites)
+		for i, s := range ranking {
+			rankCost[i] = cost[s]
+		}
+		in.Clients = append(in.Clients, Client{Ranking: ranking, RankCost: rankCost})
 	}
 	return in
 }

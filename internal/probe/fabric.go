@@ -7,6 +7,7 @@ import (
 	"anyopt/internal/bgp"
 	"anyopt/internal/netproto"
 	"anyopt/internal/testbed"
+	"anyopt/internal/topology"
 )
 
 // SimFabric carries probe packets over the simulated Internet: requests leave
@@ -37,8 +38,8 @@ type SimFabric struct {
 	wireBuf  []byte
 }
 
-// NewSimFabric builds a fabric for one prefix. Target lookup uses the
-// testbed's shared by-address index rather than a per-fabric copy.
+// NewSimFabric builds a fabric for one prefix. Targets are resolved through
+// the testbed (Testbed.TargetByAddr), with no per-fabric index.
 func NewSimFabric(tb *testbed.Testbed, sim *bgp.Sim, prefix bgp.PrefixID, noise *NoiseModel) *SimFabric {
 	return &SimFabric{TB: tb, Sim: sim, Prefix: prefix, Noise: noise}
 }
@@ -67,6 +68,7 @@ func (f *SimFabric) probe(req []byte, sentAt time.Duration) ([]byte, time.Durati
 	var inner netproto.IPv4
 	var icmpBytes []byte
 	var fwdDelay time.Duration // orchestrator → target
+	var target topology.Target
 
 	switch outer.Protocol {
 	case netproto.ProtoGRE:
@@ -92,8 +94,8 @@ func (f *SimFabric) probe(req []byte, sentAt time.Duration) ([]byte, time.Durati
 		if err != nil {
 			return nil, 0, fmt.Errorf("probe: inner request: %w", err)
 		}
-		target, ok := f.TB.TargetByAddr(inner.Dst)
-		if !ok {
+		var ok bool
+		if target, ok = f.TB.TargetByAddr(inner.Dst); !ok {
 			return nil, 0, fmt.Errorf("probe: unknown target %v", inner.Dst)
 		}
 		// Orchestrator → site over the tunnel, then site → target. The
@@ -109,8 +111,8 @@ func (f *SimFabric) probe(req []byte, sentAt time.Duration) ([]byte, time.Durati
 	case netproto.ProtoICMP:
 		// Catchment-mode probe: sent directly toward the target.
 		inner, icmpBytes = outer, payload
-		target, ok := f.TB.TargetByAddr(inner.Dst)
-		if !ok {
+		var ok bool
+		if target, ok = f.TB.TargetByAddr(inner.Dst); !ok {
 			return nil, 0, fmt.Errorf("probe: unknown target %v", inner.Dst)
 		}
 		// Direct unicast leg orchestrator → target.
@@ -127,7 +129,6 @@ func (f *SimFabric) probe(req []byte, sentAt time.Duration) ([]byte, time.Durati
 	if echo.Type != netproto.ICMPEchoRequest {
 		return nil, 0, fmt.Errorf("probe: request ICMP type %d", echo.Type)
 	}
-	target, _ := f.TB.TargetByAddr(inner.Dst)
 
 	// Request leg noise and loss.
 	fwdDelay, alive := f.noise(fwdDelay)

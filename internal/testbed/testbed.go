@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -92,10 +93,6 @@ type Testbed struct {
 
 	// linkSite maps origin-side links (transit and peering) back to sites.
 	linkSite map[topology.LinkID]*Site
-	// targetByAddr indexes measurement targets by address; built once here
-	// and shared by every measurement fabric over this testbed instead of
-	// being rebuilt per experiment.
-	targetByAddr map[netip.Addr]topology.Target
 }
 
 // Options configures testbed construction.
@@ -208,10 +205,6 @@ func New(topo *topology.Topology, opts Options) (*Testbed, error) {
 		}
 		tb.Sites = append(tb.Sites, site)
 	}
-	tb.targetByAddr = make(map[netip.Addr]topology.Target, len(topo.Targets))
-	for _, t := range topo.Targets {
-		tb.targetByAddr[t.Addr] = t
-	}
 	return tb, nil
 }
 
@@ -305,10 +298,17 @@ func (tb *Testbed) Site(id int) *Site {
 // SiteByLink maps an origin-side link to the site owning it, or nil.
 func (tb *Testbed) SiteByLink(id topology.LinkID) *Site { return tb.linkSite[id] }
 
-// TargetByAddr resolves a measurement target by its unicast address.
+// TargetByAddr resolves a measurement target by its unicast address. It
+// binary-searches Topo.Targets, which generation and ImportJSON both keep
+// sorted by address.
 func (tb *Testbed) TargetByAddr(a netip.Addr) (topology.Target, bool) {
-	t, ok := tb.targetByAddr[a]
-	return t, ok
+	i, ok := slices.BinarySearchFunc(tb.Topo.Targets, a, func(t topology.Target, a netip.Addr) int {
+		return t.Addr.Compare(a)
+	})
+	if !ok {
+		return topology.Target{}, false
+	}
+	return tb.Topo.Targets[i], true
 }
 
 // SiteByTunnelKey resolves a GRE tunnel key to its site, ignoring the

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"net/netip"
 	"testing"
 	"time"
 
@@ -275,5 +276,22 @@ func TestTunnelRTTPlausible(t *testing.T) {
 	}
 	if newark < time.Millisecond || tokyo > time.Second {
 		t.Errorf("tunnel RTTs out of range: %v, %v", newark, tokyo)
+	}
+}
+
+// TestTargetByAddr: every target resolves to itself, and an address before
+// or after the targets, or of another family, resolves to nothing.
+func TestTargetByAddr(t *testing.T) {
+	tb, topo := build(t)
+	for _, want := range topo.Targets {
+		if got, ok := tb.TargetByAddr(want.Addr); !ok || got != want {
+			t.Fatalf("TargetByAddr(%v) = %+v, %v; want %+v", want.Addr, got, ok, want)
+		}
+	}
+	first, last := topo.Targets[0].Addr, topo.Targets[len(topo.Targets)-1].Addr
+	for _, a := range []netip.Addr{first.Prev(), last.Next(), tb.OrchAddr, netip.IPv6Loopback()} {
+		if got, ok := tb.TargetByAddr(a); ok {
+			t.Errorf("TargetByAddr(%v) = %+v, want no target", a, got)
+		}
 	}
 }

@@ -166,6 +166,12 @@ func ImportJSON(data []byte) (*Topology, error) {
 		if t.ASes[jt.AS] == nil {
 			return nil, fmt.Errorf("topology: target references unknown AS %d", jt.AS)
 		}
+		// Targets are the campaign's row order and are looked up by binary
+		// search, so they must arrive as ExportJSON writes them: sorted by
+		// address, no address twice.
+		if n := len(t.Targets); n > 0 && !t.Targets[n-1].Addr.Less(addr) {
+			return nil, fmt.Errorf("topology: target %s follows %s: targets must be sorted by address, each once", addr, t.Targets[n-1].Addr)
+		}
 		t.Targets = append(t.Targets, Target{Addr: addr, AS: jt.AS, FlowSalt: jt.FlowSalt})
 	}
 	return t, nil

@@ -117,3 +117,23 @@ func TestImportJSONErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestImportJSONTargetsSorted: targets must arrive sorted by address, each
+// address once, because they are the campaign's row order and
+// Testbed.TargetByAddr binary-searches them.
+func TestImportJSONTargetsSorted(t *testing.T) {
+	const head = `{"version": 1, "ases": [{"asn": 1}], "targets": [`
+	got, err := ImportJSON([]byte(head + `{"addr": "10.0.0.1", "as": 1}, {"addr": "10.0.0.2", "as": 1}]}`))
+	if err != nil || len(got.Targets) != 2 {
+		t.Fatalf("sorted targets: %v", err)
+	}
+	for _, tc := range []struct{ name, targets string }{
+		{"unsorted", `{"addr": "10.0.0.2", "as": 1}, {"addr": "10.0.0.1", "as": 1}`},
+		{"duplicate", `{"addr": "10.0.0.1", "as": 1}, {"addr": "10.0.0.1", "as": 1}`},
+	} {
+		_, err := ImportJSON([]byte(head + tc.targets + `]}`))
+		if err == nil || !strings.Contains(err.Error(), "sorted by address") {
+			t.Errorf("%s targets: err = %v, want a sort-order refusal", tc.name, err)
+		}
+	}
+}
