@@ -11,7 +11,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 	"time"
 
@@ -21,15 +23,25 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses args and writes the requested figures to w.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	var (
-		scale   = flag.String("scale", "test", "topology scale: test, paper, or internet")
-		seed    = flag.Int64("seed", 1, "topology seed")
-		only    = flag.String("only", "", "comma-separated subset: table1,fig4a,fig4b,fig4c,fig5,fig6,fig7,sec45,repstab,stability,ablations")
-		configs = flag.Int("configs", 38, "number of random configurations for Figure 5")
-		churn   = flag.Float64("churn", 0.01, "inter-experiment churn fraction for Figure 5")
-		k       = flag.Int("k", 12, "configuration size for Figures 6 and 7")
+		scale   = fs.String("scale", "test", "topology scale: test, paper, or internet")
+		seed    = fs.Int64("seed", 1, "topology seed")
+		only    = fs.String("only", "", "comma-separated subset: table1,fig4a,fig4b,fig4c,fig5,fig6,fig7,sec45,repstab,stability,ablations")
+		configs = fs.Int("configs", 38, "number of random configurations for Figure 5")
+		churn   = fs.Float64("churn", 0.01, "inter-experiment churn fraction for Figure 5")
+		k       = fs.Int("k", 12, "configuration size for Figures 6 and 7")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	want := map[string]bool{}
 	if *only != "" {
@@ -41,73 +53,78 @@ func main() {
 
 	env, err := experiments.NewEnv(*scale, *seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("# AnyOpt evaluation — scale=%s seed=%d\n", *scale, *seed)
-	fmt.Printf("# topology: %v\n\n", env.Sys.Topo.ComputeStats())
+	fmt.Fprintf(w, "# AnyOpt evaluation — scale=%s seed=%d\n", *scale, *seed)
+	fmt.Fprintf(w, "# topology: %v\n\n", env.Sys.Topo.ComputeStats())
 
-	section := func(name string, run func() (string, error)) {
-		if !enabled(name) {
-			return
+	sections := []struct {
+		name   string
+		render func() (string, error)
+	}{
+		{"table1", func() (string, error) { return env.Table1(), nil }},
+		{"fig4a", func() (string, error) { return env.Fig4a().Render(), nil }},
+		{"fig4b", func() (string, error) {
+			r, err := env.Fig4b()
+			return r.Render(), err
+		}},
+		{"fig4c", func() (string, error) {
+			r, err := env.Fig4c(nil)
+			return r.Render(), err
+		}},
+		{"fig5", func() (string, error) {
+			r, err := env.Fig5(*configs, *churn)
+			return r.Render(), err
+		}},
+		{"fig6", func() (string, error) {
+			r, err := env.Fig6(*k)
+			return r.Render(), err
+		}},
+		{"fig7", func() (string, error) {
+			r, err := env.Fig7(*k)
+			return r.Render(), err
+		}},
+		{"sec45", func() (string, error) { return experiments.Sec45Schedule(), nil }},
+		{"repstab", func() (string, error) {
+			r, err := env.RepresentativeStability()
+			return r.Render(), err
+		}},
+		{"stability", func() (string, error) {
+			r, err := env.Stability(*k, 3, 0.04)
+			return r.Render(), err
+		}},
+		{"ablations", func() (string, error) {
+			var b strings.Builder
+			a1, err := env.AblationArrivalOrder()
+			if err != nil {
+				return "", err
+			}
+			b.WriteString(a1.Render())
+			b.WriteString(env.AblationTwoLevel().Render())
+			a3, err := env.AblationRTTHeuristic()
+			if err != nil {
+				return "", err
+			}
+			b.WriteString(a3.Render())
+			a4, err := env.AblationSolvers(6)
+			if err != nil {
+				return "", err
+			}
+			b.WriteString(a4.Render())
+			return b.String(), nil
+		}},
+	}
+	for _, s := range sections {
+		if !enabled(s.name) {
+			continue
 		}
 		start := time.Now()
-		out, err := run()
+		out, err := s.render()
 		if err != nil {
-			log.Fatalf("%s: %v", name, err)
+			return fmt.Errorf("%s: %w", s.name, err)
 		}
-		fmt.Println(out)
-		fmt.Printf("[%s completed in %v, %d experiments total]\n\n", name, time.Since(start).Round(time.Millisecond), env.Sys.Experiments())
+		fmt.Fprintln(w, out)
+		fmt.Fprintf(w, "[%s completed in %v, %d experiments total]\n\n", s.name, time.Since(start).Round(time.Millisecond), env.Sys.Experiments())
 	}
-
-	section("table1", func() (string, error) { return env.Table1(), nil })
-	section("fig4a", func() (string, error) { return env.Fig4a().Render(), nil })
-	section("fig4b", func() (string, error) {
-		r, err := env.Fig4b()
-		return r.Render(), err
-	})
-	section("fig4c", func() (string, error) {
-		r, err := env.Fig4c(nil)
-		return r.Render(), err
-	})
-	section("fig5", func() (string, error) {
-		r, err := env.Fig5(*configs, *churn)
-		return r.Render(), err
-	})
-	section("fig6", func() (string, error) {
-		r, err := env.Fig6(*k)
-		return r.Render(), err
-	})
-	section("fig7", func() (string, error) {
-		r, err := env.Fig7(*k)
-		return r.Render(), err
-	})
-	section("sec45", func() (string, error) { return experiments.Sec45Schedule(), nil })
-	section("repstab", func() (string, error) {
-		r, err := env.RepresentativeStability()
-		return r.Render(), err
-	})
-	section("stability", func() (string, error) {
-		r, err := env.Stability(*k, 3, 0.04)
-		return r.Render(), err
-	})
-	section("ablations", func() (string, error) {
-		var b strings.Builder
-		a1, err := env.AblationArrivalOrder()
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(a1.Render())
-		b.WriteString(env.AblationTwoLevel().Render())
-		a3, err := env.AblationRTTHeuristic()
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(a3.Render())
-		a4, err := env.AblationSolvers(6)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(a4.Render())
-		return b.String(), nil
-	})
+	return nil
 }

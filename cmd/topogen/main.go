@@ -80,8 +80,8 @@ func main() {
 	if *distPct {
 		hist := map[int]int{}
 		maxDeg := 0
-		for asn := range topo.ASes {
-			d := len(topo.LinksOf(asn))
+		for _, a := range topo.ASes() {
+			d := len(topo.LinksOf(a.ASN))
 			hist[d]++
 			if d > maxDeg {
 				maxDeg = d

@@ -1,27 +1,20 @@
 package bgp
 
-import (
-	"anyopt/internal/geo"
-	"anyopt/internal/topology"
-)
+import "anyopt/internal/topology"
 
 // interiorCost models the hot-potato "lowest interior cost" step at the
 // single-speaker abstraction: the distance from the AS to the route's exit
 // point, bucketed so that comparably distant exits still tie. For an AS with
 // PoP structure the exit is its own attachment PoP; a single-location AS
 // discriminates by where its neighbor's attachment sits.
-func (s *Sim) interiorCost(as *topology.AS, l *topology.Link) int {
+//
+// The distance is the link's precomputed ExitKm, so the bucket division is
+// bit-identical to recomputing the haversine per update.
+func (s *Sim) interiorCost(a topology.ASN, l *topology.Link) int {
 	if s.Cfg.InteriorCostBucketKm <= 0 {
 		return 0
 	}
-	var exit geo.Coord
-	if len(as.PoPs) > 0 {
-		exit = as.PoPCoord(l.PoPAt(as.ASN))
-	} else {
-		nb := s.Topo.AS(l.Other(as.ASN))
-		exit = nb.PoPCoord(l.PoPAt(nb.ASN))
-	}
-	return int(geo.DistanceKm(as.Coord, exit) / s.Cfg.InteriorCostBucketKm)
+	return int(l.ExitKm(a) / s.Cfg.InteriorCostBucketKm)
 }
 
 // selectBest runs the BGP decision process over AS a's Adj-RIB-In and returns
@@ -40,46 +33,32 @@ func (s *Sim) interiorCost(as *topology.AS, l *topology.Link) int {
 //  7. oldest route (arrival order) — implementation tie-breaker, optional
 //  8. lowest neighbor router ID
 //  9. lowest neighbor address (modeled by link ID)
-func (s *Sim) selectBest(a topology.ASN, rib *ribState) (*route, []*route) {
-	if len(rib.in) == 0 {
-		return nil, nil
-	}
-	// The working slice lives on the Sim and is reused across decisions; only
-	// the candidate set (stored in the RIB) gets its own allocation.
-	routes := s.routeScratch[:0]
-	//lint:orderinvariant candidates are insertion-sorted by link ID just below
+//
+// The Adj-RIB-In is walked in link-ID order (it is parallel to the AS's
+// adjacency), which is the deterministic base order every step below and
+// the candidate set inherit.
+func (s *Sim) selectBest(rib *ribState) (*route, []*route) {
+	var best *route
 	for _, r := range rib.in {
-		routes = append(routes, r)
-	}
-	// Deterministic base order regardless of map iteration. Insertion sort:
-	// the slice is bounded by the AS's degree and usually tiny, and
-	// sort.Slice would allocate a closure and swapper per decision.
-	for i := 1; i < len(routes); i++ {
-		r := routes[i]
-		j := i - 1
-		for j >= 0 && routes[j].link.ID > r.link.ID {
-			routes[j+1] = routes[j]
-			j--
+		if r == nil {
+			continue
 		}
-		routes[j+1] = r
-	}
-	s.routeScratch = routes[:0]
-
-	best := routes[0]
-	for _, r := range routes[1:] {
-		if s.better(r, best) {
+		if best == nil || s.better(r, best) {
 			best = r
 		}
 	}
+	if best == nil {
+		return nil, nil
+	}
 	nCand := 0
-	for _, r := range routes {
-		if r.localPref == best.localPref && r.pathLen() == best.pathLen() {
+	for _, r := range rib.in {
+		if r != nil && r.localPref == best.localPref && r.pathLen() == best.pathLen() {
 			nCand++
 		}
 	}
 	candidates := s.cands.alloc(nCand)
-	for _, r := range routes {
-		if r.localPref == best.localPref && r.pathLen() == best.pathLen() {
+	for _, r := range rib.in {
+		if r != nil && r.localPref == best.localPref && r.pathLen() == best.pathLen() {
 			candidates = append(candidates, r)
 		}
 	}

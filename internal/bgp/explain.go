@@ -2,7 +2,6 @@ package bgp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -128,7 +127,7 @@ func (s *Sim) Explain(p PrefixID, target topology.Target) (*Explanation, bool) {
 
 	ingressPoP := -1
 	for i, asn := range res.ASPath {
-		rib := ps.ribs[asn]
+		rib := s.ribOf(ps, asn)
 		if rib == nil || rib.best == nil {
 			break
 		}
@@ -144,14 +143,12 @@ func (s *Sim) Explain(p PrefixID, target topology.Target) (*Explanation, bool) {
 			nextLink = res.EntryLink
 		}
 
-		// Candidates, sorted by link for stable output.
-		routes := make([]*route, 0, len(rib.in))
-		for _, r := range rib.in {
-			routes = append(routes, r)
-		}
-		sort.Slice(routes, func(a, b int) bool { return routes[a].link.ID < routes[b].link.ID })
+		// Candidates in link-ID order, the Adj-RIB-In's own.
 		var selected, rival *route
-		for _, r := range routes {
+		for _, r := range rib.in {
+			if r == nil {
+				continue
+			}
 			ci := CandidateInfo{
 				Neighbor:  r.link.Other(asn),
 				Link:      r.link.ID,
@@ -168,8 +165,8 @@ func (s *Sim) Explain(p PrefixID, target topology.Target) (*Explanation, bool) {
 			}
 		}
 		// Strongest rival: the best among the rest.
-		for _, r := range routes {
-			if r == selected {
+		for _, r := range rib.in {
+			if r == nil || r == selected {
 				continue
 			}
 			if rival == nil || s.better(r, rival) {

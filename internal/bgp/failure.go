@@ -16,20 +16,20 @@ func (s *Sim) FailLink(id topology.LinkID) {
 	if l == nil {
 		panic(fmt.Sprintf("bgp: FailLink on unknown link %d", id))
 	}
-	if s.failed[id] {
+	if s.LinkFailed(id) {
 		return
+	}
+	if int(id) >= len(s.failed) { // a link added after New
+		s.failed = append(s.failed, make([]bool, int(id)+1-len(s.failed))...)
 	}
 	s.failed[id] = true
 	for _, ps := range s.orderedPrefixStates() {
 		for _, end := range []topology.ASN{l.From, l.To} {
-			rib := ps.ribs[end]
-			if rib == nil {
+			rib, slot := s.ribOf(ps, end), l.Slot(end)
+			if rib == nil || slot >= len(rib.in) || rib.in[slot] == nil {
 				continue
 			}
-			if _, ok := rib.in[id]; !ok {
-				continue
-			}
-			delete(rib.in, id)
+			rib.in[slot] = nil
 			s.runDecision(psID(s, ps), ps, end, rib)
 		}
 	}
@@ -46,10 +46,10 @@ func (s *Sim) RestoreLink(id topology.LinkID) {
 	if l == nil {
 		panic(fmt.Sprintf("bgp: RestoreLink on unknown link %d", id))
 	}
-	if !s.failed[id] {
+	if !s.LinkFailed(id) {
 		return
 	}
-	delete(s.failed, id)
+	s.failed[id] = false
 	for _, ps := range s.orderedPrefixStates() {
 		p := psID(s, ps)
 		// Origin-side announcements resume.
@@ -66,7 +66,7 @@ func (s *Sim) RestoreLink(id topology.LinkID) {
 			if end == ps.origin || other == ps.origin {
 				continue
 			}
-			rib := ps.ribs[end]
+			rib := s.ribOf(ps, end)
 			if rib == nil || rib.best == nil || rib.best.link.ID == id {
 				continue
 			}
@@ -80,7 +80,9 @@ func (s *Sim) RestoreLink(id topology.LinkID) {
 }
 
 // LinkFailed reports whether the link is currently down.
-func (s *Sim) LinkFailed(id topology.LinkID) bool { return s.failed[id] }
+func (s *Sim) LinkFailed(id topology.LinkID) bool {
+	return int(id) < len(s.failed) && s.failed[id]
+}
 
 // orderedPrefixStates returns prefix states in PrefixID order for
 // deterministic iteration.

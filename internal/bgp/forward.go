@@ -45,7 +45,8 @@ type ForwardResult struct {
 type fwdKind uint8
 
 const (
-	fwdSimple fwdKind = iota
+	fwdUnresolved fwdKind = iota // not classified yet this generation
+	fwdSimple
 	fwdHot
 	fwdMulti
 )
@@ -57,24 +58,33 @@ type fwdHotKey struct {
 	ingress int32
 }
 
-// fwdTerm is a path-compressed walk suffix: a packet entering key.as at
-// key.ingress deterministically reaches the origin over link after delay more
-// one-way latency, for every target. ok=false records states that must not be
-// compressed because a multipath AS, a routeless AS, or an over-long chain
-// lies downstream — those walks stay per-hop.
+// termState says what a term slot holds.
+type termState uint8
+
+const (
+	termUnknown  termState = iota // not resolved yet this generation
+	termOK                        // a compressed suffix
+	termPoisoned                  // must not be compressed
+)
+
+// fwdTerm is a path-compressed walk suffix: a packet entering an AS at an
+// ingress PoP deterministically reaches the origin over link after delay more
+// one-way latency, for every target. termPoisoned records states that must
+// not be compressed because a multipath AS, a routeless AS, or an over-long
+// chain lies downstream — those walks stay per-hop. Sixteen bytes a slot.
 type fwdTerm struct {
-	link  topology.LinkID
 	delay time.Duration
-	ok    bool
+	link  topology.LinkID
+	state termState
 }
 
 // fwdCache memoizes forwarding resolution for one prefix within one routing
-// generation.
+// generation. classes is indexed by AS index, term by termSlot.
 type fwdCache struct {
 	gen     uint64
-	classes map[topology.ASN]fwdKind
+	classes []fwdKind
 	hot     map[fwdHotKey]*route
-	term    map[fwdHotKey]fwdTerm
+	term    []fwdTerm
 }
 
 // fwdCacheOf returns ps's cache, cleared if a decision ran since it was last
@@ -82,10 +92,14 @@ type fwdCache struct {
 func (s *Sim) fwdCacheOf(ps *prefixState) *fwdCache {
 	c := &ps.fwd
 	if c.gen != s.fwdGen {
-		if c.classes == nil {
-			c.classes = make(map[topology.ASN]fwdKind, s.Topo.NumASes())
+		if s.termLinks != len(s.Topo.Links) || len(s.termBase) != s.Topo.NumASes()+1 {
+			s.layoutTerms()
+		}
+		n, slots := s.Topo.NumASes(), int(s.termBase[len(s.termBase)-1])
+		if len(c.classes) != n || len(c.term) != slots {
+			c.classes = make([]fwdKind, n)
 			c.hot = make(map[fwdHotKey]*route)
-			c.term = make(map[fwdHotKey]fwdTerm, s.Topo.NumASes())
+			c.term = make([]fwdTerm, slots)
 		} else {
 			clear(c.classes)
 			clear(c.hot)
@@ -96,10 +110,45 @@ func (s *Sim) fwdCacheOf(ps *prefixState) *fwdCache {
 	return c
 }
 
+// layoutTerms gives every AS one term slot per ingress PoP a packet can
+// enter it at, plus one for packets originating inside it: a PoP-less AS
+// gets one slot, an AS with PoPs at most len(PoPs)+1. Ingress PoPs are
+// attachment PoPs of incident links, so the layout follows the adjacency.
+func (s *Sim) layoutTerms() {
+	ases := s.Topo.ASes()
+	s.termBase = make([]int32, len(ases)+1)
+	next := int32(0)
+	for i, a := range ases {
+		s.termBase[i] = next
+		slots := int32(1)
+		for _, l := range s.Topo.LinksOf(a.ASN) {
+			slots = max(slots, int32(l.PoPAt(a.ASN))+2)
+		}
+		next += slots
+	}
+	s.termBase[len(ases)] = next
+	s.termLinks = len(s.Topo.Links)
+}
+
+// termSlot returns the term slot of a packet entering AS index i at ingress
+// PoP ingress, or -1 when the layout has none (the state is then walked per
+// hop).
+func (s *Sim) termSlot(i, ingress int) int {
+	if i < 0 || i+1 >= len(s.termBase) {
+		return -1
+	}
+	j := int(s.termBase[i]) + 1 + ingress
+	if j >= int(s.termBase[i+1]) {
+		return -1
+	}
+	return j
+}
+
 // fwdClassOf resolves (once per AS per generation) how cur chooses among its
 // candidates.
 func (s *Sim) fwdClassOf(c *fwdCache, ps *prefixState, cur topology.ASN, rib *ribState) fwdKind {
-	if k, ok := c.classes[cur]; ok {
+	i := s.Topo.Index(cur)
+	if k := c.classes[i]; k != fwdUnresolved {
 		return k
 	}
 	k := fwdSimple
@@ -117,7 +166,7 @@ func (s *Sim) fwdClassOf(c *fwdCache, ps *prefixState, cur topology.ASN, rib *ri
 			k = fwdMulti
 		}
 	}
-	c.classes[cur] = k
+	c.classes[i] = k
 	return k
 }
 
@@ -190,7 +239,7 @@ func (s *Sim) Forward(p PrefixID, target topology.Target) (ForwardResult, bool) 
 		}
 		visited = append(visited, cur)
 
-		rib := ps.ribs[cur]
+		rib := s.ribOf(ps, cur)
 		if rib == nil || rib.best == nil {
 			s.fwdScratch = visited
 			return ForwardResult{}, false
@@ -257,7 +306,7 @@ func (s *Sim) CatchmentEntry(p PrefixID, target topology.Target) (topology.LinkI
 		}
 		visited = append(visited, cur)
 
-		rib := ps.ribs[cur]
+		rib := s.ribOf(ps, cur)
 		if rib == nil || rib.best == nil {
 			s.fwdScratch = visited
 			return 0, 0, false
@@ -289,13 +338,17 @@ func (s *Sim) CatchmentEntry(p PrefixID, target topology.Target) (topology.LinkI
 // stretch so those walks stay per-hop (where revisit detection and the
 // original panic semantics apply).
 func (s *Sim) resolveTerm(c *fwdCache, ps *prefixState, cur topology.ASN, ingressPoP int) (fwdTerm, bool) {
-	if t, ok := c.term[fwdHotKey{cur, int32(ingressPoP)}]; ok {
-		return t, t.ok
+	first := s.termSlot(s.Topo.Index(cur), ingressPoP)
+	if first < 0 {
+		return fwdTerm{}, false
+	}
+	if t := c.term[first]; t.state != termUnknown {
+		return t, t.state == termOK
 	}
 	// chain records every state traversed plus the delay accumulated before
 	// entering it, so each gets its own term entry (path compression).
 	var chain [maxForwardHops + 1]struct {
-		key   fwdHotKey
+		slot  int
 		delay time.Duration
 	}
 	n := 0
@@ -303,14 +356,16 @@ func (s *Sim) resolveTerm(c *fwdCache, ps *prefixState, cur topology.ASN, ingres
 	var link topology.LinkID
 	good := false
 
-	as, ing := cur, ingressPoP
+	as, ing, slot := cur, ingressPoP, first
 walk:
 	for {
-		k := fwdHotKey{as, int32(ing)}
 		if n > 0 { // state 0's absence was just checked
-			if t, ok := c.term[k]; ok {
+			if slot = s.termSlot(s.Topo.Index(as), ing); slot < 0 {
+				break walk // outside the layout: poison the stretch
+			}
+			if t := c.term[slot]; t.state != termUnknown {
 				// Splice onto an already-resolved suffix.
-				if t.ok {
+				if t.state == termOK {
 					link = t.link
 					delay += t.delay
 					good = true
@@ -321,11 +376,11 @@ walk:
 		if n == len(chain) {
 			break walk // over-long chain: leave good=false, poison the stretch
 		}
-		chain[n].key = k
+		chain[n].slot = slot
 		chain[n].delay = delay
 		n++
 
-		rib := ps.ribs[as]
+		rib := s.ribOf(ps, as)
 		if rib == nil || rib.best == nil {
 			break walk // unreachable downstream: per-hop walk reports it
 		}
@@ -353,13 +408,13 @@ walk:
 	}
 	for i := 0; i < n; i++ {
 		if good {
-			c.term[chain[i].key] = fwdTerm{link: link, delay: delay - chain[i].delay, ok: true}
+			c.term[chain[i].slot] = fwdTerm{link: link, delay: delay - chain[i].delay, state: termOK}
 		} else {
-			c.term[chain[i].key] = fwdTerm{}
+			c.term[chain[i].slot] = fwdTerm{state: termPoisoned}
 		}
 	}
-	t := c.term[fwdHotKey{cur, int32(ingressPoP)}]
-	return t, t.ok
+	t := c.term[first]
+	return t, t.state == termOK
 }
 
 // chooseForwardingRoute picks the route a packet entering AS cur at

@@ -3,8 +3,6 @@
 package bgp
 
 import (
-	"sort"
-
 	"anyopt/internal/bgp/invariant"
 	"anyopt/internal/topology"
 )
@@ -37,11 +35,13 @@ func (s *Sim) invCheckExport(a topology.ASN, learnedFrom, to topology.NeighborRo
 }
 
 func (s *Sim) invCheckBest(a topology.ASN, rib *ribState) {
-	routes := make([]invariant.Route, 0, len(rib.in))
+	// rib.in is parallel to the adjacency, so already in link-ID order.
+	var routes []invariant.Route
 	for _, r := range rib.in {
-		routes = append(routes, invRoute(r))
+		if r != nil {
+			routes = append(routes, invRoute(r))
+		}
 	}
-	sort.Slice(routes, func(i, j int) bool { return routes[i].LinkID < routes[j].LinkID })
 	var best *invariant.Route
 	if rib.best != nil {
 		b := invRoute(rib.best)

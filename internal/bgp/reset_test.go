@@ -23,16 +23,16 @@ type simSnapshot struct {
 
 func snapshotSim(s *Sim, topo *topology.Topology) simSnapshot {
 	snap := simSnapshot{
-		best:    make(map[topology.ASN]RouteInfo, len(topo.ASes)),
+		best:    make(map[topology.ASN]RouteInfo, topo.NumASes()),
 		fwd:     make(map[topology.ASN]ForwardResult, len(topo.Targets)),
 		routed:  make(map[topology.ASN]bool, len(topo.Targets)),
 		stats:   s.Stats(0),
 		updates: s.Updates,
 		steps:   s.Engine.Steps(),
 	}
-	for asn := range topo.ASes {
-		if r := s.BestRoute(0, asn); r != nil {
-			snap.best[asn] = *r
+	for _, a := range topo.ASes() {
+		if r := s.BestRoute(0, a.ASN); r != nil {
+			snap.best[a.ASN] = *r
 		}
 	}
 	for _, tg := range topo.Targets {
@@ -74,19 +74,47 @@ func dirtySession(s *Sim, origin topology.ASN, links []*topology.Link) {
 	s.Converge()
 }
 
+// announceSimultaneous announces every site link at virtual time zero, which
+// leaves arrival order to jitter and makes decision-process ties most common.
+func announceSimultaneous(s *Sim, origin topology.ASN, links []*topology.Link) {
+	for _, l := range links {
+		s.Announce(0, origin, l.ID, 0)
+	}
+	s.Converge()
+}
+
 // TestResetReproducesFreshSim is the session-reuse acceptance test at the
 // simulator level: a Sim dirtied by a full prior experiment and then Reset
 // must replay a reference experiment with byte-identical routes, forwarding
 // results, stats, and event counts — including a second reuse generation.
+// The paper-scale simultaneous case is where arrival-order ties are densest,
+// so it also pins that the decision process walks each Adj-RIB-In in the
+// same (link-ID) order in a fresh and in a reused session.
 func TestResetReproducesFreshSim(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		params   topology.Params
+		announce func(*Sim, topology.ASN, []*topology.Link)
+	}{
+		{"test/spaced", topology.TestParams(), announceSpaced},
+		{"paper/simultaneous", topology.DefaultParams(), announceSimultaneous},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testResetReproducesFreshSim(t, tc.params, tc.announce) })
+	}
+}
+
+func testResetReproducesFreshSim(t *testing.T, params topology.Params, announce func(*Sim, topology.ASN, []*topology.Link)) {
 	cfgA := DefaultConfig()
 	cfgA.JitterNonce = 42
 
-	fresh, topo, origin, links := buildAnycast(t, topology.TestParams(), cfgA, 1)
-	announceSpaced(fresh, origin, links)
+	fresh, topo, origin, links := buildAnycast(t, params, cfgA, 1)
+	announce(fresh, origin, links)
 	want := snapshotSim(fresh, topo)
 	if want.stats.ReachableASes == 0 || want.steps == 0 {
 		t.Fatalf("reference experiment is degenerate: %+v", want.stats)
+	}
+	if want.stats.TiedBest == 0 {
+		t.Fatalf("reference experiment has no tied decisions: %+v", want.stats)
 	}
 
 	// The reused session starts from a different configuration and a messy
@@ -103,7 +131,7 @@ func TestResetReproducesFreshSim(t *testing.T) {
 			t.Fatalf("gen %d: Reset left residue: pending=%d now=%v updates=%d",
 				gen, reused.Engine.Pending(), reused.Engine.Now(), reused.Updates)
 		}
-		announceSpaced(reused, origin, links)
+		announce(reused, origin, links)
 		got := snapshotSim(reused, topo)
 		if !reflect.DeepEqual(want, got) {
 			if !reflect.DeepEqual(want.best, got.best) {

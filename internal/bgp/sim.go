@@ -113,8 +113,11 @@ func (r *route) pathLen() int { return len(r.path) }
 
 // ribState is the per-AS, per-prefix routing state.
 type ribState struct {
-	// in is the Adj-RIB-In keyed by incoming link.
-	in map[topology.LinkID]*route
+	// in is the Adj-RIB-In, parallel to Topo.LinksOf(a): in[l.Slot(a)] is
+	// the route learned over link l, nil when there is none. The adjacency
+	// is in ascending link-ID order, so walking in is the decision process's
+	// deterministic base order.
+	in []*route
 	// best is the route selected by the full decision process; nil if the
 	// prefix is unreachable from this AS.
 	best *route
@@ -138,20 +141,21 @@ type Sim struct {
 	// Updates counts BGP update messages delivered, for reporting.
 	Updates uint64
 
-	// failed marks links that are administratively or physically down.
-	failed map[topology.LinkID]bool
+	// failed marks, by link ID, links that are administratively or
+	// physically down.
+	failed []bool
 
 	// paths hands out announced-path storage without a make per update.
 	paths pathArena
-	// routes and ribs slab-allocate the two per-update object kinds. routes
-	// is rewound by Reset; ribs never is, because ribStates stay reachable
-	// from prefixState.ribs across sessions.
+	// routes slab-allocates routes, the per-update object; Reset rewinds it.
 	routes slab[route]
-	ribs   slab[ribState]
 	// cands backs the candidate sets stored in RIBs, rewound by Reset.
 	cands candArena
-	// routeScratch backs selectBest's working slice across decisions.
-	routeScratch []*route
+	// termBase lays out the forwarding memo's term slots (forward.go):
+	// AS index i owns slots [termBase[i], termBase[i+1]). termLinks is the
+	// link count the layout was computed for.
+	termBase  []int32
+	termLinks int
 	// linkScratch backs WithdrawAll's snapshot of announced links.
 	linkScratch []topology.LinkID
 	// fwdScratch backs the forwarding walk's visited list (forward.go).
@@ -279,7 +283,8 @@ type prefixState struct {
 	// and with how much prepending; meds holds each link's MED.
 	announced map[topology.LinkID]int
 	meds      map[topology.LinkID]int
-	ribs      map[topology.ASN]*ribState
+	// ribs holds the RIB of the AS with dense index i at i.
+	ribs []ribState
 	// fwd memoizes forwarding resolution for the current routing generation
 	// (see forward.go).
 	fwd fwdCache
@@ -295,14 +300,14 @@ func New(topo *topology.Topology, cfg Config) *Sim {
 		Engine:   &netsim.Engine{},
 		Cfg:      cfg,
 		prefixes: make(map[PrefixID]*prefixState),
-		failed:   make(map[topology.LinkID]bool),
+		failed:   make([]bool, len(topo.Links)),
 		fwdGen:   1, // so a zero-valued fwdCache (gen 0) is never current
 	}
 }
 
 // Reset returns a used simulator to the state New(s.Topo, cfg) would produce
-// while retaining every topology-sized allocation: prefix and RIB maps are
-// cleared in place, the route slab, path arena, and candidate arena are
+// while retaining every topology-sized allocation: prefix maps and RIB slices
+// are cleared in place, the route slab, path arena, and candidate arena are
 // rewound, and the event engine keeps its queue storage and event pool. A
 // warm session therefore runs a whole new experiment with near-zero
 // steady-state allocation. Callers must not hold references into the old
@@ -322,7 +327,8 @@ func (s *Sim) Reset(cfg Config) {
 		ps.origin = 0
 		clear(ps.announced)
 		clear(ps.meds)
-		for _, rib := range ps.ribs {
+		for i := range ps.ribs {
+			rib := &ps.ribs[i]
 			clear(rib.in)
 			rib.best = nil
 			rib.candidates = nil
@@ -331,39 +337,56 @@ func (s *Sim) Reset(cfg Config) {
 	s.routes.reset()
 	s.paths.reset()
 	s.cands.reset()
-	s.routeScratch = s.routeScratch[:0]
 	// A new generation invalidates all forwarding memoization; the per-prefix
 	// caches clear themselves lazily on first use.
 	s.fwdGen++
 }
 
-// state returns (creating if needed) the per-prefix state. The RIB map is
-// pre-sized for the topology: a converged announcement reaches essentially
-// every AS, so growing the map incrementally just reallocates on the way
-// there.
+// state returns (creating if needed) the per-prefix state. A converged
+// announcement reaches essentially every AS, so the RIBs are laid out for the
+// whole topology at once: one ribState per AS, and every Adj-RIB-In carved
+// from a single backing array in adjacency order.
 func (s *Sim) state(p PrefixID) *prefixState {
 	ps := s.prefixes[p]
 	if ps == nil {
+		ases := s.Topo.ASes()
 		ps = &prefixState{
 			announced: make(map[topology.LinkID]int),
 			meds:      make(map[topology.LinkID]int),
-			ribs:      make(map[topology.ASN]*ribState, s.Topo.NumASes()),
+			ribs:      make([]ribState, len(ases)),
+		}
+		in := make([]*route, 2*len(s.Topo.Links))
+		for i, a := range ases {
+			n := len(s.Topo.LinksOf(a.ASN))
+			ps.ribs[i].in, in = in[:n:n], in[n:]
 		}
 		s.prefixes[p] = ps
 	}
 	return ps
 }
 
-// rib returns (creating if needed) AS a's per-prefix RIB, with the Adj-RIB-In
-// pre-sized to the AS's degree — its maximum possible population.
+// rib returns AS a's per-prefix RIB for writing. The layout covers the
+// topology as it was when the prefix state was created; an AS or link added
+// since then grows it here.
 func (s *Sim) rib(ps *prefixState, a topology.ASN) *ribState {
-	r := ps.ribs[a]
-	if r == nil {
-		r = s.ribs.alloc()
-		r.in = make(map[topology.LinkID]*route, len(s.Topo.LinksOf(a)))
-		ps.ribs[a] = r
+	i := s.Topo.Index(a)
+	if i >= len(ps.ribs) {
+		ps.ribs = append(ps.ribs, make([]ribState, i+1-len(ps.ribs))...)
+	}
+	r := &ps.ribs[i]
+	if n := len(s.Topo.LinksOf(a)); len(r.in) < n {
+		r.in = append(r.in, make([]*route, n-len(r.in))...)
 	}
 	return r
+}
+
+// ribOf returns AS a's per-prefix RIB for reading, or nil when a has none.
+func (s *Sim) ribOf(ps *prefixState, a topology.ASN) *ribState {
+	i := s.Topo.Index(a)
+	if i < 0 || i >= len(ps.ribs) {
+		return nil
+	}
+	return &ps.ribs[i]
 }
 
 // Announce starts advertising prefix from origin over the given origin-side
@@ -465,7 +488,7 @@ func (s *Sim) AppendAnnouncedLinks(p PrefixID, buf []topology.LinkID) []topology
 // (path == nil) at AS dst over link l, after the link's propagation delay
 // plus the sender-side serialization and receiver processing delay.
 func (s *Sim) deliver(p PrefixID, l *topology.Link, dst topology.ASN, path []topology.ASN, med int) {
-	if s.failed[l.ID] {
+	if s.LinkFailed(l.ID) {
 		return
 	}
 	delay := l.Delay + s.procDelay(dst, p)
@@ -492,7 +515,7 @@ func (s *Sim) deliver(p PrefixID, l *topology.Link, dst topology.ASN, path []top
 // points into pooled event storage; only its fields — which alias Sim-owned
 // arena memory — are kept.
 func (s *Sim) HandleEvent(ev *netsim.Payload) {
-	if s.failed[ev.Link.ID] {
+	if s.LinkFailed(ev.Link.ID) {
 		return // the link went down while the update was in flight
 	}
 	s.receive(PrefixID(ev.Prefix), ev.Link, ev.Dst, ev.Path, int(ev.MED))
@@ -518,15 +541,13 @@ func (s *Sim) receive(p PrefixID, l *topology.Link, a topology.ASN, path []topol
 	s.Updates++
 	ps := s.state(p)
 	rib := s.rib(ps, a)
-	as := s.Topo.AS(a)
-	neighbor := l.Other(a)
-
+	slot := l.Slot(a)
 	if path == nil {
 		// Withdrawal.
-		if _, ok := rib.in[l.ID]; !ok {
+		if rib.in[slot] == nil {
 			return
 		}
-		delete(rib.in, l.ID)
+		rib.in[slot] = nil
 	} else {
 		// Loop prevention: drop paths containing our own ASN.
 		for _, hop := range path {
@@ -534,23 +555,22 @@ func (s *Sim) receive(p PrefixID, l *topology.Link, a topology.ASN, path []topol
 				return
 			}
 		}
-		nb := s.Topo.AS(neighbor)
 		r := s.routes.alloc()
 		*r = route{
 			link:             l,
 			path:             path,
-			localPref:        s.importPref(as, l),
+			localPref:        s.importPref(s.Topo.AS(a), l),
 			med:              med,
 			arrival:          s.Engine.Now(),
-			neighborRouterID: nb.RouterID,
-			interiorCost:     s.interiorCost(as, l),
+			neighborRouterID: s.Topo.AS(l.Other(a)).RouterID,
+			interiorCost:     s.interiorCost(a, l),
 		}
-		if old := rib.in[l.ID]; old != nil {
+		if old := rib.in[slot]; old != nil {
 			if samePath(old.path, path) && old.med == med {
 				return // duplicate re-advertisement; keep original arrival time
 			}
 		}
-		rib.in[l.ID] = r
+		rib.in[slot] = r
 	}
 	s.runDecision(p, ps, a, rib)
 }
@@ -580,7 +600,7 @@ func (s *Sim) runDecision(p PrefixID, ps *prefixState, a topology.ASN, rib *ribS
 	// hot-potato choice, so export equivalence is not forwarding equivalence.
 	s.fwdGen++
 	oldBest := rib.best
-	rib.best, rib.candidates = s.selectBest(a, rib)
+	rib.best, rib.candidates = s.selectBest(rib)
 	s.invCheckBest(a, rib)
 
 	if routesEquivalentForExport(oldBest, rib.best) {
@@ -689,7 +709,7 @@ func (s *Sim) BestRouteView(p PrefixID, a topology.ASN) (RouteInfo, bool) {
 	if ps == nil {
 		return RouteInfo{}, false
 	}
-	rib := ps.ribs[a]
+	rib := s.ribOf(ps, a)
 	if rib == nil || rib.best == nil {
 		return RouteInfo{}, false
 	}
@@ -710,8 +730,8 @@ func (s *Sim) ReachableCount(p PrefixID) int {
 		return 0
 	}
 	n := 0
-	for _, rib := range ps.ribs {
-		if rib.best != nil {
+	for i := range ps.ribs {
+		if ps.ribs[i].best != nil {
 			n++
 		}
 	}

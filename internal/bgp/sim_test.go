@@ -123,6 +123,48 @@ func TestSingleSiteReachability(t *testing.T) {
 	}
 }
 
+// TestSimFollowsTopologyGrowth: per-AS and per-link state is laid out by
+// dense index when a prefix is first used, so an AS or link added to the
+// topology afterwards must grow it — RIBs, the failed-link set and the
+// forwarding memo's slots — instead of indexing past it.
+func TestSimFollowsTopologyGrowth(t *testing.T) {
+	l := newLab()
+	t1a := l.addT1("T1A", "New York", "London")
+	t1b := l.addT1("T1B", "Frankfurt", "Tokyo")
+	l.peerT1s(t1a, t1b)
+	old := l.addStub("old", "Boston", t1a)
+	siteLink := l.site(t1a, "New York")
+
+	s := New(l.topo, DefaultConfig())
+	s.Announce(0, l.origin.ASN, siteLink.ID, 0)
+	s.Converge()
+	if _, ok := s.Forward(0, target(old)); !ok {
+		t.Fatal("stub unroutable before growth")
+	}
+
+	grown := l.addStub("grown", "Tokyo", t1b, t1a)
+	second := l.site(t1b, "Tokyo")
+	s.FailLink(second.ID)
+	s.Announce(0, l.origin.ASN, second.ID, 0)
+	s.Converge()
+	if !s.LinkFailed(second.ID) || s.BestRoute(0, t1b.ASN).Link == second.ID {
+		t.Fatal("a failed link added after New carried the announcement")
+	}
+	s.RestoreLink(second.ID)
+	s.Converge()
+	for _, a := range []*topology.AS{old, grown} {
+		link, delay, ok := s.CatchmentEntry(0, target(a))
+		res, ok2 := s.Forward(0, target(a))
+		if !ok || !ok2 || link != res.EntryLink || delay != res.Delay {
+			t.Fatalf("AS%d after growth: CatchmentEntry (%d, %v, %v) vs Forward (%d, %v, %v)",
+				a.ASN, link, delay, ok, res.EntryLink, res.Delay, ok2)
+		}
+	}
+	if got := s.BestRoute(0, grown.ASN); got == nil || got.Neighbor != t1b.ASN {
+		t.Fatalf("grown stub's best route %+v, want one via T1B's new site", got)
+	}
+}
+
 func TestValleyFreeExport(t *testing.T) {
 	// origin -> T1A; T1B peers with T1A; T1C peers only with T1B. T1B learns
 	// the route (customer route at T1A exports to peers), but must not

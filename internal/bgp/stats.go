@@ -34,8 +34,13 @@ func (s *Sim) Stats(p PrefixID) ConvergenceStats {
 	if ps == nil {
 		return st
 	}
-	for _, rib := range ps.ribs {
-		st.Routes += len(rib.in)
+	for i := range ps.ribs {
+		rib := &ps.ribs[i]
+		for _, r := range rib.in {
+			if r != nil {
+				st.Routes++
+			}
+		}
 		if rib.best == nil {
 			continue
 		}

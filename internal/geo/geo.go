@@ -43,8 +43,12 @@ func DistanceKm(a, b Coord) float64 {
 	lat2 := b.Lat * degToRad
 	dLat := (b.Lat - a.Lat) * degToRad
 	dLon := (b.Lon - a.Lon) * degToRad
-	s := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(lat1)*math.Cos(lat2)*math.Sin(dLon/2)*math.Sin(dLon/2)
+	// Each half-angle sine is computed once. The expression keeps the shape
+	// of the textbook formula, so the result is bit-identical to it
+	// (TestDistanceMatchesTextbookFormula).
+	sLat, sLon := math.Sin(dLat/2), math.Sin(dLon/2)
+	s := sLat*sLat +
+		math.Cos(lat1)*math.Cos(lat2)*sLon*sLon
 	// Clamp against floating-point drift before the square roots.
 	if s > 1 {
 		s = 1

@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -65,6 +66,44 @@ func TestPropertyDistanceSymmetricNonnegative(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// textbookDistanceKm is the haversine as first written, with four sine
+// calls. DistanceKm must reproduce it bit for bit: topology generation,
+// link delays and the BGP interior-cost buckets are all pinned downstream.
+func textbookDistanceKm(a, b Coord) float64 {
+	const degToRad = math.Pi / 180
+	lat1 := a.Lat * degToRad
+	lat2 := b.Lat * degToRad
+	dLat := (b.Lat - a.Lat) * degToRad
+	dLon := (b.Lon - a.Lon) * degToRad
+	s := math.Sin(dLat/2)*math.Sin(dLat/2) +
+		math.Cos(lat1)*math.Cos(lat2)*math.Sin(dLon/2)*math.Sin(dLon/2)
+	if s > 1 {
+		s = 1
+	}
+	return 2 * EarthRadiusKm * math.Atan2(math.Sqrt(s), math.Sqrt(1-s))
+}
+
+func TestDistanceMatchesTextbookFormula(t *testing.T) {
+	check := func(a, b Coord) {
+		t.Helper()
+		if got, want := DistanceKm(a, b), textbookDistanceKm(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("DistanceKm(%v, %v) = %v (%#x), textbook %v (%#x)",
+				a, b, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, x := range Cities {
+		for _, y := range Cities {
+			check(x.Coord, y.Coord)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100_000; i++ {
+		a := Coord{rng.Float64()*180 - 90, rng.Float64()*360 - 180}
+		b := Coord{rng.Float64()*180 - 90, rng.Float64()*360 - 180}
+		check(a, b)
 	}
 }
 

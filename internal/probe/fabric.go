@@ -2,6 +2,7 @@ package probe
 
 import (
 	"fmt"
+	"net/netip"
 	"time"
 
 	"anyopt/internal/bgp"
@@ -36,12 +37,30 @@ type SimFabric struct {
 	innerBuf []byte
 	greBuf   []byte
 	wireBuf  []byte
+
+	// lastAddr and lastTarget remember the most recent address resolution:
+	// an RTT measurement sends all its probes to one target in a row.
+	lastAddr   netip.Addr
+	lastTarget topology.Target
 }
 
 // NewSimFabric builds a fabric for one prefix. Targets are resolved through
 // the testbed (Testbed.TargetByAddr), with no per-fabric index.
 func NewSimFabric(tb *testbed.Testbed, sim *bgp.Sim, prefix bgp.PrefixID, noise *NoiseModel) *SimFabric {
 	return &SimFabric{TB: tb, Sim: sim, Prefix: prefix, Noise: noise}
+}
+
+// target resolves a probed address, searching the testbed only when it
+// differs from the previous probe's.
+func (f *SimFabric) target(a netip.Addr) (topology.Target, bool) {
+	if a == f.lastAddr {
+		return f.lastTarget, true
+	}
+	tg, ok := f.TB.TargetByAddr(a)
+	if ok {
+		f.lastAddr, f.lastTarget = a, tg
+	}
+	return tg, ok
 }
 
 // Probe implements Fabric.
@@ -69,6 +88,11 @@ func (f *SimFabric) probe(req []byte, sentAt time.Duration) ([]byte, time.Durati
 	var icmpBytes []byte
 	var fwdDelay time.Duration // orchestrator → target
 	var target topology.Target
+	// The reply's catchment entry. An RTT probe resolves it for its request
+	// leg already; nothing touches the sim in between, so it is reused.
+	var entryLink topology.LinkID
+	var retDelay0 time.Duration
+	resolved := false
 
 	switch outer.Protocol {
 	case netproto.ProtoGRE:
@@ -95,24 +119,24 @@ func (f *SimFabric) probe(req []byte, sentAt time.Duration) ([]byte, time.Durati
 			return nil, 0, fmt.Errorf("probe: inner request: %w", err)
 		}
 		var ok bool
-		if target, ok = f.TB.TargetByAddr(inner.Dst); !ok {
+		if target, ok = f.target(inner.Dst); !ok {
 			return nil, 0, fmt.Errorf("probe: unknown target %v", inner.Dst)
 		}
 		// Orchestrator → site over the tunnel, then site → target. The
 		// site→target leg mirrors the BGP return path of the reply.
 		// CatchmentEntry is Forward on the memoized fast path — the AS path
 		// is never needed here.
-		entry, fwd, routed := f.Sim.CatchmentEntry(f.Prefix, target)
-		if !routed || f.TB.SiteByLink(entry) == nil {
+		entryLink, retDelay0, resolved = f.Sim.CatchmentEntry(f.Prefix, target)
+		if !resolved || f.TB.SiteByLink(entryLink) == nil {
 			return nil, 0, ErrUnreachable
 		}
-		fwdDelay = site.TunnelRTT/2 + fwd
+		fwdDelay = site.TunnelRTT/2 + retDelay0
 
 	case netproto.ProtoICMP:
 		// Catchment-mode probe: sent directly toward the target.
 		inner, icmpBytes = outer, payload
 		var ok bool
-		if target, ok = f.TB.TargetByAddr(inner.Dst); !ok {
+		if target, ok = f.target(inner.Dst); !ok {
 			return nil, 0, fmt.Errorf("probe: unknown target %v", inner.Dst)
 		}
 		// Direct unicast leg orchestrator → target.
@@ -138,9 +162,10 @@ func (f *SimFabric) probe(req []byte, sentAt time.Duration) ([]byte, time.Durati
 
 	// The target replies to the anycast source; BGP routes it to the
 	// catchment site.
-	entryLink, retDelay0, ok := f.Sim.CatchmentEntry(f.Prefix, target)
-	if !ok {
-		return nil, 0, ErrUnreachable
+	if !resolved {
+		if entryLink, retDelay0, resolved = f.Sim.CatchmentEntry(f.Prefix, target); !resolved {
+			return nil, 0, ErrUnreachable
+		}
 	}
 	site := f.TB.SiteByLink(entryLink)
 	if site == nil {

@@ -269,6 +269,28 @@ func TestNoiseBeginTargetAllocatesNothing(t *testing.T) {
 	}
 }
 
+// sweepAllocs is the allocation budget of one catchment sweep through
+// SimFabric over every test-scale target: probe packets, replies and the
+// fabric's target resolution all live in per-session scratch, and the sim's
+// catchment memo is warm after the first sweep of a routing generation.
+const sweepAllocs = 0
+
+func TestCatchmentSweepAllocationBudget(t *testing.T) {
+	r := newRig(t, 1, 4, 6)
+	p := r.prober(DefaultNoise(3))
+	sweep := func() {
+		for _, tg := range r.topo.Targets {
+			p.BeginTarget(uint64(tg.AS))
+			if _, err := p.CatchmentRetry(tg.Addr, 3); err != nil && !errors.Is(err, ErrLost) {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(10, sweep); got != sweepAllocs {
+		t.Fatalf("catchment sweep of %d targets allocates %v objects, budget %d", len(r.topo.Targets), got, sweepAllocs)
+	}
+}
+
 // BenchmarkNoiseBeginTarget is one target's worth of stream work: the rewind
 // plus one traversal's draws.
 func BenchmarkNoiseBeginTarget(b *testing.B) {

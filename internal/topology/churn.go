@@ -28,7 +28,7 @@ type ChurnStats struct {
 func Churn(t *Topology, frac float64, seed int64) ChurnStats {
 	rng := rand.New(rand.NewSource(seed ^ 0xc4012))
 	var st ChurnStats
-	for _, a := range t.sortedASes() {
+	for i, a := range t.ases {
 		if a.Tier == TierOrigin {
 			continue
 		}
@@ -43,7 +43,7 @@ func Churn(t *Topology, frac float64, seed int64) ChurnStats {
 			}
 			if rng.Float64() < 0.5 {
 				a.LocalPrefDelta = make(map[ASN]int)
-				for _, l := range t.adj[a.ASN] {
+				for _, l := range t.adj[i] {
 					a.LocalPrefDelta[l.Other(a.ASN)] = rng.Intn(2*spread+1) - spread
 				}
 			} else {

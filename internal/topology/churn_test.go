@@ -17,10 +17,9 @@ func TestChurnPerturbsDeterministically(t *testing.T) {
 		t.Fatal("churn touched nothing")
 	}
 	// Same perturbations applied to identical topologies keep them equal.
-	for asn, asA := range a.ASes {
-		asB := b.ASes[asn]
-		if asA.RouterID != asB.RouterID {
-			t.Fatalf("AS %d router IDs diverged", asn)
+	for _, asA := range a.ASes() {
+		if asB := b.AS(asA.ASN); asA.RouterID != asB.RouterID {
+			t.Fatalf("AS %d router IDs diverged", asA.ASN)
 		}
 	}
 	if err := a.Validate(); err != nil {
@@ -30,16 +29,16 @@ func TestChurnPerturbsDeterministically(t *testing.T) {
 
 func TestChurnZeroFrac(t *testing.T) {
 	topo := mustGen(t, TestParams())
-	before := make(map[ASN]uint32)
-	for asn, a := range topo.ASes {
-		before[asn] = a.RouterID
+	before := make([]uint32, topo.NumASes())
+	for i, a := range topo.ASes() {
+		before[i] = a.RouterID
 	}
 	st := Churn(topo, 0, 1)
 	if st.PolicyChanges != 0 || st.RouterSwaps != 0 || st.DelayShifts != 0 {
 		t.Fatalf("zero-frac churn changed things: %+v", st)
 	}
-	for asn, a := range topo.ASes {
-		if a.RouterID != before[asn] {
+	for i, a := range topo.ASes() {
+		if a.RouterID != before[i] {
 			t.Fatal("router ID changed with zero churn")
 		}
 	}

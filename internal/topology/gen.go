@@ -173,14 +173,7 @@ func Generate(p Params) (*Topology, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
-	t := &Topology{
-		ASes:   make(map[ASN]*AS),
-		adj:    make(map[ASN][]*Link),
-		Model:  p.Model,
-		Params: p,
-		// Leave room below for well-known test ASNs; start at 100.
-		nextASN: 100,
-	}
+	t := &Topology{Model: p.Model, Params: p, base: firstASN}
 
 	genTier1s(t, p, rng)
 	transits := genTransits(t, p, rng)
@@ -378,7 +371,7 @@ func markDeviants(t *Topology, p Params, rng *rand.Rand) {
 	if p.FracDeviant <= 0 || p.DeviantPrefSpread <= 0 {
 		return
 	}
-	for _, a := range t.sortedASes() {
+	for i, a := range t.ases {
 		if a.Tier == TierT1 {
 			continue // tier-1s receive anycast routes as peers uniformly
 		}
@@ -386,7 +379,7 @@ func markDeviants(t *Topology, p Params, rng *rand.Rand) {
 			continue
 		}
 		a.LocalPrefDelta = make(map[ASN]int)
-		for _, l := range t.adj[a.ASN] {
+		for _, l := range t.adj[i] {
 			// Deltas are small so they reorder equally-related neighbors
 			// without inverting customer/peer/provider classes.
 			a.LocalPrefDelta[l.Other(a.ASN)] = rng.Intn(2*p.DeviantPrefSpread+1) - p.DeviantPrefSpread
@@ -398,7 +391,7 @@ func markDeviants(t *Topology, p Params, rng *rand.Rand) {
 // mirroring the paper's "one representative router per client network".
 func genTargets(t *Topology, rng *rand.Rand) {
 	var targets []Target
-	for _, a := range t.sortedASes() {
+	for _, a := range t.ases {
 		if a.Tier != TierStub && a.Tier != TierTransit {
 			continue
 		}
@@ -421,7 +414,7 @@ func targetAddr(a ASN) netip.Addr {
 // byTier returns ASes of the given tier in ASN order.
 func (t *Topology) byTier(tier Tier) []*AS {
 	var out []*AS
-	for _, a := range t.sortedASes() {
+	for _, a := range t.ases {
 		if a.Tier == tier {
 			out = append(out, a)
 		}
@@ -437,17 +430,6 @@ func (t *Topology) Transits() []*AS { return t.byTier(TierTransit) }
 
 // Stubs returns the stub ASes in ASN order.
 func (t *Topology) Stubs() []*AS { return t.byTier(TierStub) }
-
-// sortedASes returns all ASes in ASN order (map iteration is randomized, and
-// generation must be deterministic).
-func (t *Topology) sortedASes() []*AS {
-	out := make([]*AS, 0, len(t.ASes))
-	for _, a := range t.ASes {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ASN < out[j].ASN })
-	return out
-}
 
 // samplePoPs picks n distinct cities for a transit footprint.
 func samplePoPs(rng *rand.Rand, n int) []PoP {

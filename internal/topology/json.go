@@ -66,7 +66,7 @@ const topologyFormatVersion = 1
 // after generation (origin AS, site and peering links).
 func (t *Topology) ExportJSON() ([]byte, error) {
 	dump := jsonTopology{Version: topologyFormatVersion, Params: t.Params}
-	for _, a := range t.sortedASes() {
+	for _, a := range t.ases {
 		ja := jsonAS{
 			ASN: a.ASN, Name: a.Name, Tier: uint8(a.Tier),
 			Lat: a.Coord.Lat, Lon: a.Coord.Lon,
@@ -111,15 +111,20 @@ func ImportJSON(data []byte) (*Topology, error) {
 		return nil, fmt.Errorf("topology: format version %d, want %d", dump.Version, topologyFormatVersion)
 	}
 	t := &Topology{
-		ASes:   make(map[ASN]*AS, len(dump.ASes)),
-		adj:    make(map[ASN][]*Link),
 		Model:  dump.Params.Model,
 		Params: dump.Params,
+		ases:   make([]*AS, 0, len(dump.ASes)),
+		adj:    make([][]*Link, len(dump.ASes)),
+		base:   firstASN,
 	}
-	var maxASN ASN
-	for _, ja := range dump.ASes {
-		if _, dup := t.ASes[ja.ASN]; dup {
-			return nil, fmt.Errorf("topology: duplicate AS %d", ja.ASN)
+	if len(dump.ASes) > 0 {
+		t.base = dump.ASes[0].ASN
+	}
+	for i, ja := range dump.ASes {
+		// The dense AS index needs what ExportJSON writes: ascending ASNs
+		// with no gap and no duplicate.
+		if want := t.base + ASN(i); ja.ASN != want {
+			return nil, fmt.Errorf("topology: AS %d listed where AS %d belongs: ASNs must be contiguous and ascending", ja.ASN, want)
 		}
 		a := &AS{
 			ASN: ja.ASN, Name: ja.Name, Tier: Tier(ja.Tier),
@@ -135,35 +140,28 @@ func ImportJSON(data []byte) (*Topology, error) {
 				a.LocalPrefDelta[d.Neighbor] = d.Delta
 			}
 		}
-		t.ASes[a.ASN] = a
-		if a.ASN > maxASN {
-			maxASN = a.ASN
-		}
+		t.ases = append(t.ases, a)
 	}
-	t.nextASN = maxASN + 1
+	t.Links = make([]*Link, 0, len(dump.Links))
 	for i, jl := range dump.Links {
-		fa, ta := t.ASes[jl.From], t.ASes[jl.To]
+		fa, ta := t.AS(jl.From), t.AS(jl.To)
 		if fa == nil || ta == nil {
 			return nil, fmt.Errorf("topology: link %d references unknown AS", i)
 		}
 		if jl.DelayNs <= 0 {
 			return nil, fmt.Errorf("topology: link %d has non-positive delay", i)
 		}
-		l := &Link{
-			ID: LinkID(i), From: jl.From, To: jl.To, Rel: Relationship(jl.Rel),
+		t.insertLink(&Link{
+			From: jl.From, To: jl.To, Rel: Relationship(jl.Rel),
 			FromPoP: jl.FromPoP, ToPoP: jl.ToPoP, Delay: time.Duration(jl.DelayNs),
-		}
-		t.Links = append(t.Links, l)
-		t.adj[l.From] = append(t.adj[l.From], l)
-		t.adj[l.To] = append(t.adj[l.To], l)
+		}, fa, ta)
 	}
-	t.nextLinkID = LinkID(len(t.Links))
 	for _, jt := range dump.Targets {
 		addr, err := netip.ParseAddr(jt.Addr)
 		if err != nil {
 			return nil, fmt.Errorf("topology: target address %q: %w", jt.Addr, err)
 		}
-		if t.ASes[jt.AS] == nil {
+		if t.AS(jt.AS) == nil {
 			return nil, fmt.Errorf("topology: target references unknown AS %d", jt.AS)
 		}
 		// Targets are the campaign's row order and are looked up by binary

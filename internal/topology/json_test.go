@@ -18,8 +18,9 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if got.NumASes() != orig.NumASes() {
 		t.Fatalf("AS count %d vs %d", got.NumASes(), orig.NumASes())
 	}
-	for asn, a := range orig.ASes {
-		b := got.ASes[asn]
+	for _, a := range orig.ASes() {
+		asn := a.ASN
+		b := got.AS(asn)
 		if b == nil {
 			t.Fatalf("AS %d missing after import", asn)
 		}
@@ -50,7 +51,8 @@ func TestExportImportRoundTrip(t *testing.T) {
 	for i, la := range orig.Links {
 		lb := got.Links[i]
 		if la.From != lb.From || la.To != lb.To || la.Rel != lb.Rel ||
-			la.FromPoP != lb.FromPoP || la.ToPoP != lb.ToPoP || la.Delay != lb.Delay {
+			la.FromPoP != lb.FromPoP || la.ToPoP != lb.ToPoP || la.Delay != lb.Delay ||
+			la.exitKm != lb.exitKm || la.slot != lb.slot {
 			t.Fatalf("link %d differs: %+v vs %+v", i, la, lb)
 		}
 	}
@@ -71,8 +73,45 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if got.Link(l.ID) != l {
 		t.Error("links added after import are not addressable")
 	}
-	if orig.ASes[a.ASN] != nil {
+	if orig.AS(a.ASN) != nil {
 		t.Error("import aliases the original topology")
+	}
+}
+
+// TestImportJSONDenseASNs: per-AS state is indexed by ASN − base, so an
+// import must list ASNs ascending from the first one with no gap and no
+// duplicate — which is exactly what ExportJSON writes, testbed additions
+// included.
+func TestImportJSONDenseASNs(t *testing.T) {
+	for _, tc := range []struct{ name, ases string }{
+		{"gap", `{"asn": 100}, {"asn": 102}`},
+		{"duplicate", `{"asn": 100}, {"asn": 100}`},
+		{"descending", `{"asn": 101}, {"asn": 100}`},
+	} {
+		_, err := ImportJSON([]byte(`{"version": 1, "ases": [` + tc.ases + `]}`))
+		if err == nil || !strings.Contains(err.Error(), "contiguous") {
+			t.Errorf("%s: err = %v, want a contiguity refusal", tc.name, err)
+		}
+	}
+
+	orig := mustGen(t, TestParams())
+	origin := orig.AddAS("origin", TierOrigin, orig.Tier1s()[0].Coord)
+	orig.AddLink(origin.ASN, orig.Tier1s()[0].ASN, CustomerProvider, -1, 0)
+	data, err := orig.ExportJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ImportJSON(data)
+	if err != nil {
+		t.Fatalf("round trip refused: %v", err)
+	}
+	for i, a := range got.ASes() {
+		if got.Index(a.ASN) != i || got.AS(a.ASN) != a {
+			t.Fatalf("AS %d at index %d does not resolve to itself", a.ASN, i)
+		}
+	}
+	if got.Index(origin.ASN+1) != -1 || got.Index(firstASN-1) != -1 || got.AS(origin.ASN+1) != nil {
+		t.Error("an ASN outside the topology resolves")
 	}
 }
 

@@ -35,10 +35,10 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatalf("link %d differs: %+v vs %+v", i, la, lb)
 		}
 	}
-	for asn, as := range a.ASes {
-		bs := b.ASes[asn]
+	for _, as := range a.ASes() {
+		bs := b.AS(as.ASN)
 		if bs == nil || as.Name != bs.Name || as.RouterID != bs.RouterID || as.Multipath != bs.Multipath {
-			t.Fatalf("AS %d differs", asn)
+			t.Fatalf("AS %d differs", as.ASN)
 		}
 	}
 	if len(a.Targets) != len(b.Targets) {
@@ -47,6 +47,35 @@ func TestGenerateDeterministic(t *testing.T) {
 	for i := range a.Targets {
 		if a.Targets[i] != b.Targets[i] {
 			t.Fatalf("target %d differs: %+v vs %+v", i, a.Targets[i], b.Targets[i])
+		}
+	}
+}
+
+// TestLinkSlotsAndExitDistances pins what the simulator reads per (link,
+// endpoint): the link's position in the endpoint's adjacency, which is in
+// ascending link-ID order, and the exit distance recomputed on demand.
+func TestLinkSlotsAndExitDistances(t *testing.T) {
+	topo := mustGen(t, TestParams())
+	for i, a := range topo.ASes() {
+		if topo.Index(a.ASN) != i {
+			t.Fatalf("AS %d has index %d, want %d", a.ASN, topo.Index(a.ASN), i)
+		}
+		links := topo.LinksOf(a.ASN)
+		for j, l := range links {
+			if l.Slot(a.ASN) != j {
+				t.Fatalf("link %d sits at %d in AS %d's adjacency, Slot says %d", l.ID, j, a.ASN, l.Slot(a.ASN))
+			}
+			if j > 0 && links[j-1].ID >= l.ID {
+				t.Fatalf("AS %d's adjacency is not in ascending link-ID order at %d", a.ASN, j)
+			}
+			exit := a.PoPCoord(l.PoPAt(a.ASN))
+			if len(a.PoPs) == 0 {
+				nb := topo.AS(l.Other(a.ASN))
+				exit = nb.PoPCoord(l.PoPAt(nb.ASN))
+			}
+			if want := geo.DistanceKm(a.Coord, exit); l.ExitKm(a.ASN) != want {
+				t.Fatalf("link %d at AS %d: ExitKm %v, recomputed %v", l.ID, a.ASN, l.ExitKm(a.ASN), want)
+			}
 		}
 	}
 }

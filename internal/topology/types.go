@@ -141,7 +141,31 @@ type Link struct {
 	ToPoP   int
 	// Delay is the one-way propagation delay of the link.
 	Delay time.Duration
+
+	// Per endpoint, indexed by side (0: From, 1: To), fixed when the link is
+	// added: exitKm is the distance ExitKm reports, and slot the link's
+	// position in that endpoint's LinksOf list.
+	exitKm [2]float64
+	slot   [2]int32
 }
+
+// side returns 0 when a is the From end of l, else 1.
+func (l *Link) side(a ASN) int {
+	if l.From == a {
+		return 0
+	}
+	return 1
+}
+
+// Slot returns l's position in LinksOf(a), for either endpoint a.
+func (l *Link) Slot(a ASN) int { return int(l.slot[l.side(a)]) }
+
+// ExitKm returns the distance from AS a's location to where a route learned
+// over l leaves a's network: a's own attachment PoP when a has PoPs, else the
+// far end's attachment PoP. The BGP interior-cost step buckets it. It is
+// computed once when the link is added, since coordinates and PoP lists never
+// change after an AS has links.
+func (l *Link) ExitKm(a ASN) float64 { return l.exitKm[l.side(a)] }
 
 // Other returns the far endpoint as seen from a.
 func (l *Link) Other(a ASN) ASN {
@@ -208,12 +232,17 @@ type Target struct {
 	FlowSalt uint64
 }
 
+// firstASN is where AddAS starts counting, leaving room below for
+// well-known test ASNs.
+const firstASN ASN = 100
+
 // Topology is an immutable-after-generation AS graph.
+//
+// ASNs are contiguous: AddAS counts up from base and ImportJSON refuses
+// gaps, so ASN − base is a dense index (Index) that per-AS state elsewhere
+// can key slices by.
 type Topology struct {
-	ASes  map[ASN]*AS
 	Links []*Link
-	// adj maps each AS to its incident links.
-	adj map[ASN][]*Link
 	// Targets are the measurement targets, sorted by address.
 	Targets []Target
 	// Model converts distance to delay; shared by all consumers.
@@ -221,7 +250,12 @@ type Topology struct {
 	// Params echoes the generation parameters.
 	Params Params
 
-	nextASN    ASN
+	// ases holds AS base+i at index i; adj holds its incident links at the
+	// same index, in ascending link-ID order.
+	ases []*AS
+	adj  [][]*Link
+	base ASN
+
 	nextLinkID LinkID
 
 	// down marks links taken out of service by persistent routing churn
@@ -234,20 +268,39 @@ type Topology struct {
 // NewEmpty returns an empty topology ready for manual construction via AddAS
 // and AddLink — used for hand-crafted scenarios in tests and examples.
 func NewEmpty(model geo.LatencyModel) *Topology {
-	return &Topology{
-		ASes:    make(map[ASN]*AS),
-		adj:     make(map[ASN][]*Link),
-		Model:   model,
-		nextASN: 100,
+	return &Topology{Model: model, base: firstASN}
+}
+
+// Index returns a's dense index in [0, NumASes()), or -1 when the topology
+// has no such AS.
+func (t *Topology) Index(a ASN) int {
+	i := int(a) - int(t.base)
+	if uint(i) >= uint(len(t.ases)) {
+		return -1
 	}
+	return i
 }
 
 // AS returns the AS with the given number, or nil.
-func (t *Topology) AS(a ASN) *AS { return t.ASes[a] }
+func (t *Topology) AS(a ASN) *AS {
+	if i := t.Index(a); i >= 0 {
+		return t.ases[i]
+	}
+	return nil
+}
 
-// LinksOf returns the links incident to a. The returned slice must not be
-// modified.
-func (t *Topology) LinksOf(a ASN) []*Link { return t.adj[a] }
+// ASes returns every AS in ASN order; element i has index i. The returned
+// slice must not be modified.
+func (t *Topology) ASes() []*AS { return t.ases }
+
+// LinksOf returns the links incident to a, in ascending link-ID order. The
+// returned slice must not be modified.
+func (t *Topology) LinksOf(a ASN) []*Link {
+	if i := t.Index(a); i >= 0 {
+		return t.adj[i]
+	}
+	return nil
+}
 
 // Link returns the link with the given ID, or nil.
 func (t *Topology) Link(id LinkID) *Link {
@@ -258,34 +311,51 @@ func (t *Topology) Link(id LinkID) *Link {
 }
 
 // NumASes returns the number of ASes.
-func (t *Topology) NumASes() int { return len(t.ASes) }
+func (t *Topology) NumASes() int { return len(t.ases) }
 
 // AddAS inserts a new AS with the next free ASN and returns it.
 func (t *Topology) AddAS(name string, tier Tier, c geo.Coord) *AS {
-	asn := t.nextASN
-	t.nextASN++
+	asn := t.base + ASN(len(t.ases))
 	a := &AS{ASN: asn, Name: name, Tier: tier, Coord: c, RouterID: uint32(asn)}
-	t.ASes[asn] = a
+	t.ases = append(t.ases, a)
+	t.adj = append(t.adj, nil)
 	return a
 }
 
 // AddLink inserts a link between two existing ASes, computing its delay from
 // the attachment-PoP coordinates, and returns it.
 func (t *Topology) AddLink(from, to ASN, rel Relationship, fromPoP, toPoP int) *Link {
-	fa, ta := t.ASes[from], t.ASes[to]
+	fa, ta := t.AS(from), t.AS(to)
 	if fa == nil || ta == nil {
 		panic(fmt.Sprintf("topology: AddLink with unknown AS %d or %d", from, to))
 	}
-	delay := t.Model.LinkDelay(fa.PoPCoord(fromPoP), ta.PoPCoord(toPoP))
 	l := &Link{
-		ID: t.nextLinkID, From: from, To: to, Rel: rel,
-		FromPoP: fromPoP, ToPoP: toPoP, Delay: delay,
+		From: from, To: to, Rel: rel, FromPoP: fromPoP, ToPoP: toPoP,
+		Delay: t.Model.LinkDelay(fa.PoPCoord(fromPoP), ta.PoPCoord(toPoP)),
 	}
+	t.insertLink(l, fa, ta)
+	return l
+}
+
+// insertLink numbers l, appends it to the adjacency of both endpoints (fa
+// and ta, already resolved), and fixes its per-endpoint slots and exit
+// distances.
+func (t *Topology) insertLink(l *Link, fa, ta *AS) {
+	l.ID = t.nextLinkID
 	t.nextLinkID++
 	t.Links = append(t.Links, l)
-	t.adj[from] = append(t.adj[from], l)
-	t.adj[to] = append(t.adj[to], l)
-	return l
+	ends := [2]*AS{fa, ta}
+	for side, end := range ends {
+		i := t.Index(end.ASN)
+		l.slot[side] = int32(len(t.adj[i]))
+		t.adj[i] = append(t.adj[i], l)
+		far := ends[1-side]
+		exit := end.PoPCoord(l.PoPAt(end.ASN))
+		if len(end.PoPs) == 0 {
+			exit = far.PoPCoord(l.PoPAt(far.ASN))
+		}
+		l.exitKm[side] = geo.DistanceKm(end.Coord, exit)
+	}
 }
 
 // SetLinkDown marks a link persistently down (or restores it). Down links
@@ -324,7 +394,7 @@ func (t *Topology) DownLinks() []LinkID {
 // NearestPoP returns the index of the PoP of a closest to c, or -1 when the
 // AS has no PoP structure.
 func (t *Topology) NearestPoP(a ASN, c geo.Coord) int {
-	as := t.ASes[a]
+	as := t.AS(a)
 	if as == nil || len(as.PoPs) == 0 {
 		return -1
 	}
@@ -341,7 +411,7 @@ func (t *Topology) NearestPoP(a ASN, c geo.Coord) int {
 // modeled as the great-circle distance in kilometers. Indices outside the PoP
 // list (including -1) denote the AS's primary location.
 func (t *Topology) IGPCost(a ASN, popA, popB int) float64 {
-	as := t.ASes[a]
+	as := t.AS(a)
 	if as == nil {
 		return 0
 	}
@@ -350,7 +420,7 @@ func (t *Topology) IGPCost(a ASN, popA, popB int) float64 {
 
 // IGPDelay converts an intra-AS PoP-to-PoP traversal into a delay.
 func (t *Topology) IGPDelay(a ASN, popA, popB int) time.Duration {
-	as := t.ASes[a]
+	as := t.AS(a)
 	if as == nil || popA == popB {
 		return 0
 	}

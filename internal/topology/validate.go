@@ -24,7 +24,7 @@ func (t *Topology) Validate() error {
 	// Tier-1 clique and no tier-1 providers.
 	for _, a := range t1s {
 		peers := make(map[ASN]bool)
-		for _, l := range t.adj[a.ASN] {
+		for _, l := range t.LinksOf(a.ASN) {
 			switch l.RoleOf(a.ASN) {
 			case RoleProvider:
 				return fmt.Errorf("tier-1 %s(%d) has a provider %d", a.Name, a.ASN, l.Other(a.ASN))
@@ -42,7 +42,7 @@ func (t *Topology) Validate() error {
 
 	// Links are well-formed.
 	for _, l := range t.Links {
-		fa, ta := t.ASes[l.From], t.ASes[l.To]
+		fa, ta := t.AS(l.From), t.AS(l.To)
 		if fa == nil || ta == nil {
 			return fmt.Errorf("link %d references unknown AS (%d-%d)", l.ID, l.From, l.To)
 		}
@@ -58,7 +58,7 @@ func (t *Topology) Validate() error {
 	}
 
 	// Every non-tier-1 AS has a provider; provider-reachability of the clique.
-	reach := make(map[ASN]bool, len(t.ASes))
+	reach := make(map[ASN]bool, len(t.ases))
 	for asn := range t1set {
 		reach[asn] = true
 	}
@@ -67,11 +67,11 @@ func (t *Topology) Validate() error {
 	// passes suffice, but loop until stable to be safe.
 	for changed := true; changed; {
 		changed = false
-		for _, a := range t.sortedASes() {
+		for i, a := range t.ases {
 			if reach[a.ASN] {
 				continue
 			}
-			for _, l := range t.adj[a.ASN] {
+			for _, l := range t.adj[i] {
 				if l.RoleOf(a.ASN) == RoleProvider && reach[l.Other(a.ASN)] {
 					reach[a.ASN] = true
 					changed = true
@@ -80,12 +80,12 @@ func (t *Topology) Validate() error {
 			}
 		}
 	}
-	for _, a := range t.sortedASes() {
+	for i, a := range t.ases {
 		if a.Tier == TierT1 || a.Tier == TierOrigin {
 			continue
 		}
 		hasProvider := false
-		for _, l := range t.adj[a.ASN] {
+		for _, l := range t.adj[i] {
 			if l.RoleOf(a.ASN) == RoleProvider {
 				hasProvider = true
 				break
@@ -102,7 +102,7 @@ func (t *Topology) Validate() error {
 	// Targets are unique and reference existing ASes.
 	seen := make(map[string]bool, len(t.Targets))
 	for _, tg := range t.Targets {
-		if t.ASes[tg.AS] == nil {
+		if t.AS(tg.AS) == nil {
 			return fmt.Errorf("target %s references unknown AS %d", tg.Addr, tg.AS)
 		}
 		k := tg.Addr.String()
@@ -128,7 +128,7 @@ type Stats struct {
 // ComputeStats tallies summary statistics.
 func (t *Topology) ComputeStats() Stats {
 	var s Stats
-	for _, a := range t.ASes {
+	for _, a := range t.ases {
 		switch a.Tier {
 		case TierT1:
 			s.Tier1s++
