@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-json escape-baseline fmt race invariants chaos chaos-churn fuzz bench bench-check splpo-bench check
+.PHONY: build test vet lint fmt race invariants chaos chaos-churn fuzz bench bench-check splpo-bench check
 
 build:
 	$(GO) build ./...
@@ -12,23 +12,12 @@ vet:
 	$(GO) vet ./...
 
 # lint runs anyoptlint (internal/lint), the repo's own invariant analyzer:
-# one process covers the default build and the invariants-tagged variant
-# (sharing the module load), plus the escape-analysis allocation gate over
-# the hot-path packages against the checked-in baseline.
+# one process covers the default build and the invariants-tagged variant,
+# sharing the module load. Allocation contracts are not static checks here:
+# they are testing.AllocsPerRun budgets that `test` and `race` run (the
+# ledger is DESIGN.md §9).
 lint:
-	$(GO) run ./cmd/anyoptlint -tags '' -tags invariants \
-		-escape lint/escape_baseline.txt ./...
-
-# lint-json is lint with the machine-readable report on stdout, for CI
-# annotation tooling.
-lint-json:
-	$(GO) run ./cmd/anyoptlint -tags '' -tags invariants \
-		-escape lint/escape_baseline.txt -json ./...
-
-# escape-baseline regenerates lint/escape_baseline.txt from the current tree
-# after a deliberate allocation change. Review the diff before committing.
-escape-baseline:
-	$(GO) run ./cmd/anyoptlint -escape lint/escape_baseline.txt -escape-write
+	$(GO) run ./cmd/anyoptlint -tags '' -tags invariants ./...
 
 # fmt fails if any file is not gofmt-clean.
 fmt:
@@ -96,7 +85,8 @@ splpo-bench:
 	$(GO) test -run xxx -bench 'BenchmarkSolver15|BenchmarkFeasible500|BenchmarkAnytime|BenchmarkFullEval500|BenchmarkDeltaMove500|BenchmarkWarmVsCold500' \
 		-benchmem -benchtime 1x ./internal/core/splpo/
 
-# check is the CI gate: formatting, static analysis, the full suite, the
-# race pass, the invariant-audited BGP suite, the chaos suites, a short run
-# of every fuzzer, and the benchmark module's own vet and tests.
+# check is the whole gate: formatting, static analysis, the full suite with
+# its allocation budgets, the race pass, the invariant-audited BGP suite, the
+# chaos suites, a short run of every fuzzer, and the benchmark module's own
+# vet and tests.
 check: fmt vet lint test race invariants chaos chaos-churn fuzz bench-check

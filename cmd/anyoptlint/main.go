@@ -1,21 +1,18 @@
 // Command anyoptlint enforces the repository's statically checked
 // invariants: order-insensitive map iteration, seeded-entropy-only simulator
 // packages, no copied sync primitives, no goroutines outside the worker
-// pool, snapshot immutability, atomic access discipline, and the heap-escape
-// budget on the hot-path packages. See internal/lint for the checks and
-// policy table, and DESIGN.md §11 for the invariant model.
+// pool, snapshot immutability, and atomic access discipline. See
+// internal/lint for the checks and policy table, and DESIGN.md §11 for the
+// invariant model.
 //
 // Usage:
 //
-//	anyoptlint [-tags taglist]... [-json] [-escape baseline [-escape-write]] [packages]
+//	anyoptlint [-tags taglist]... [packages]
 //
 // With no packages it lints ./... from the current module. -tags may repeat:
 // each occurrence is one build-tag combination, and all tag sets are loaded
 // in a single process sharing one module resolution (use -tags ” to include
-// the untagged variant explicitly). -escape additionally runs the
-// escape-analysis allocation gate against the named baseline file;
-// -escape-write regenerates that file from the current tree instead of
-// diffing. -json emits the machine-readable report on stdout.
+// the untagged variant explicitly). Findings go to stdout, one a line.
 //
 // Exit status: 0 clean, 1 findings, 2 load or tool failure. A final
 // "N findings in M packages" summary always goes to stderr.
@@ -29,7 +26,6 @@ import (
 	"strings"
 
 	"anyopt/internal/lint"
-	"anyopt/internal/lint/escape"
 )
 
 // tagSetsFlag collects repeated -tags occurrences, each one tag set.
@@ -61,22 +57,11 @@ func main() {
 func run() int {
 	var tagSets tagSetsFlag
 	flag.Var(&tagSets, "tags", "comma-separated build tags forming one tag set; repeatable, '' for the untagged set")
-	jsonOut := flag.Bool("json", false, "emit the findings report as JSON on stdout")
-	escapeBaseline := flag.String("escape", "", "run the escape-analysis allocation gate against this baseline file")
-	escapeWrite := flag.Bool("escape-write", false, "regenerate the -escape baseline from the current tree and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: anyoptlint [-tags taglist]... [-json] [-escape baseline [-escape-write]] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: anyoptlint [-tags taglist]... [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *escapeWrite {
-		if *escapeBaseline == "" {
-			fmt.Fprintln(os.Stderr, "anyoptlint: -escape-write requires -escape <baseline>")
-			return 2
-		}
-		return writeBaseline(*escapeBaseline)
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -89,89 +74,20 @@ func run() int {
 		return 2
 	}
 	diags := (&lint.Runner{}).Run(pkgs)
-
-	if *escapeBaseline != "" {
-		escDiags, err := escapeGate(*escapeBaseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "anyoptlint:", err)
-			return 2
-		}
-		diags = append(diags, escDiags...)
-		lint.SortDiagnostics(diags)
-	}
-	diags = lint.DedupeDiagnostics(diags)
-
-	findingPackages := countFindingPackages(diags)
-	rep := lint.NewReport(diags, len(pkgs), findingPackages)
-	if *jsonOut {
-		if err := rep.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "anyoptlint:", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	fmt.Fprintf(os.Stderr, "anyoptlint: %d findings in %d packages (%d analyzed)\n",
-		len(diags), findingPackages, len(pkgs))
+		len(diags), countFindingPackages(diags), len(pkgs))
 	if len(diags) > 0 {
 		return 1
 	}
 	return 0
 }
 
-// escapeGate runs the allocation gate and converts regressions into
-// diagnostics so they flow through the same text/JSON reporting.
-func escapeGate(baselinePath string) ([]lint.Diagnostic, error) {
-	findings, err := escape.Analyze(".", escape.DefaultPackages)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(baselinePath)
-	if err != nil {
-		return nil, fmt.Errorf("opening escape baseline (run with -escape-write to create it): %w", err)
-	}
-	defer f.Close()
-	base, err := escape.ParseBaseline(f)
-	if err != nil {
-		return nil, err
-	}
-	var diags []lint.Diagnostic
-	for _, r := range escape.Diff(findings, base) {
-		d := lint.Diagnostic{
-			Check: "escape",
-			Message: fmt.Sprintf("%s.%s: %s (%d sites, baseline allows %d); fix the allocation or regenerate with make escape-baseline",
-				r.Pkg, r.Func, r.Msg, r.Have, r.Allowed),
-		}
-		d.Pos.Filename = r.File
-		d.Pos.Line = r.Line
-		d.Pos.Column = r.Col
-		diags = append(diags, d)
-	}
-	return diags, nil
-}
-
-// writeBaseline regenerates the escape baseline from the current tree.
-func writeBaseline(path string) int {
-	findings, err := escape.Analyze(".", escape.DefaultPackages)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "anyoptlint:", err)
-		return 2
-	}
-	counts := escape.Counts(findings)
-	if err := os.WriteFile(path, escape.FormatBaseline(counts), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "anyoptlint:", err)
-		return 2
-	}
-	fmt.Fprintf(os.Stderr, "anyoptlint: wrote %s: %d sites across %d packages\n",
-		path, len(counts), len(escape.DefaultPackages))
-	return 0
-}
-
 // countFindingPackages counts the distinct packages owning at least one
-// finding, using each finding's source directory as the package identity
-// (escape-gate findings may fall outside the loaded package set).
+// finding, using each finding's source directory as the package identity:
+// the variants one package has under several tag sets count once.
 func countFindingPackages(diags []lint.Diagnostic) int {
 	dirs := make(map[string]bool)
 	for _, d := range diags {

@@ -98,3 +98,27 @@ func TestExhaustiveBoundPrunesAtPaperScale(t *testing.T) {
 		t.Logf("seed %d, every size, no budget: %d of %d subsets evaluated exactly", i+1, exact, evaluated)
 	}
 }
+
+// exhaustiveAllocs is the allocation budget of one Exhaustive call on a
+// paper-scale instance: the site-load scratch, the lower bound's tree and
+// the returned assignment. Nothing is allocated per subset.
+const exhaustiveAllocs = 7
+
+// TestExhaustiveAllocationBudget holds Exhaustive to its budget whether it
+// enumerates every subset, stops at serve_mixed's 2,000, or walks one size:
+// the four runs evaluate from 455 to 32,767 subsets, so one allocation per
+// subset fails it.
+func TestExhaustiveAllocationBudget(t *testing.T) {
+	in := paperInstances(t)[0]
+	for _, opts := range []splpo.Options{{}, {MaxSubsets: 2000}, {ExactSize: 3}, {ExactSize: 7}} {
+		got := testing.AllocsPerRun(3, func() {
+			if _, _, err := splpo.Exhaustive(in, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != exhaustiveAllocs {
+			t.Errorf("%+v: Exhaustive over %d clients and %d sites allocates %v, budget %d",
+				opts, len(in.Clients), in.NumSites, got, exhaustiveAllocs)
+		}
+	}
+}

@@ -31,20 +31,13 @@
 //     Load/Store/Add methods, and guarded fields (System.snap) mutate only
 //     inside their sanctioned write points.
 //
-// The sibling package internal/lint/escape adds the allocation gate: a
-// compiler-driven escape-analysis pass over the hot-path packages, diffed
-// against a checked-in baseline, so the zero-allocation event engine cannot
-// silently regain heap traffic.
-//
 // Which checks apply to which package is driven by the policy table in
 // policy.go.
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
-	"io"
 	"sort"
 )
 
@@ -53,7 +46,7 @@ type Diagnostic struct {
 	// Pos locates the finding.
 	Pos token.Position
 	// Check names the check that produced it (maporder, entropy, copylocks,
-	// nogo, snapimmut, atomicuse, escape).
+	// nogo, snapimmut, atomicuse).
 	Check string
 	// Message describes the violation.
 	Message string
@@ -61,50 +54,6 @@ type Diagnostic struct {
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s (%s)", d.Pos, d.Message, d.Check)
-}
-
-// diagnosticJSON is the machine-readable rendering of one Diagnostic, shaped
-// for CI line annotators.
-type diagnosticJSON struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
-}
-
-// Report is the machine-readable result of one lint run, emitted by
-// anyoptlint -json.
-type Report struct {
-	// Findings lists every diagnostic in position order.
-	Findings []diagnosticJSON `json:"findings"`
-	// Packages counts packages analyzed; FindingPackages counts packages
-	// with at least one finding.
-	Packages        int `json:"packages"`
-	FindingPackages int `json:"finding_packages"`
-}
-
-// NewReport assembles the JSON report for diags over analyzed packages.
-func NewReport(diags []Diagnostic, packages, findingPackages int) Report {
-	rep := Report{
-		Findings:        make([]diagnosticJSON, 0, len(diags)),
-		Packages:        packages,
-		FindingPackages: findingPackages,
-	}
-	for _, d := range diags {
-		rep.Findings = append(rep.Findings, diagnosticJSON{
-			File: d.Pos.Filename, Line: d.Pos.Line, Column: d.Pos.Column,
-			Check: d.Check, Message: d.Message,
-		})
-	}
-	return rep
-}
-
-// WriteJSON writes the report as indented JSON.
-func (rep Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
 
 // Runner applies a policy table to loaded packages.
@@ -119,7 +68,10 @@ type Runner struct {
 	AtomicGuards []AtomicGuard
 }
 
-// Run analyzes pkgs and returns all diagnostics sorted by position.
+// Run analyzes pkgs and returns all diagnostics sorted by position, exact
+// duplicates removed. Duplicates arise when LoadTagSets analyzes two
+// file-list variants of one package (a tag set adds files): the shared files
+// are walked once per variant and produce identical findings.
 func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 	rules := r.Policies
 	if rules == nil {
@@ -137,8 +89,8 @@ func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 	for _, pkg := range pkgs {
 		diags = append(diags, r.runPackage(pkg, rules, snapRules, guards)...)
 	}
-	SortDiagnostics(diags)
-	return diags
+	sortDiagnostics(diags)
+	return dedupeDiagnostics(diags)
 }
 
 // runPackage analyzes one package under the resolved configuration.
@@ -168,13 +120,8 @@ func (r *Runner) runPackage(pkg *Package, rules []PolicyRule, snapRules []Snapsh
 	return diags
 }
 
-// SortDiagnostics orders diags by file, line, column, then message — the
-// stable order every output mode uses.
-// DedupeDiagnostics removes exact duplicates from a sorted slice. Duplicates
-// arise when LoadTagSets analyzes two file-list variants of one package (a
-// tag set adds files): the shared files are walked once per variant and
-// produce identical findings.
-func DedupeDiagnostics(diags []Diagnostic) []Diagnostic {
+// dedupeDiagnostics removes exact duplicates from a sorted slice.
+func dedupeDiagnostics(diags []Diagnostic) []Diagnostic {
 	out := diags[:0]
 	for _, d := range diags {
 		if len(out) > 0 {
@@ -188,7 +135,8 @@ func DedupeDiagnostics(diags []Diagnostic) []Diagnostic {
 	return out
 }
 
-func SortDiagnostics(diags []Diagnostic) {
+// sortDiagnostics orders diags by file, line, column, then message.
+func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
 		if a.Filename != b.Filename {

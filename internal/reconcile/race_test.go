@@ -1,0 +1,7 @@
+//go:build race
+
+package reconcile_test
+
+// raceRepairAllocs is what the race detector's instrumentation adds to one
+// repair's allocation count.
+const raceRepairAllocs = 1
