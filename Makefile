@@ -78,11 +78,11 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# splpo-bench runs just the solver head-to-heads (exhaustive vs the anytime
-# solver, plus the delta-vs-full move cost and warm-vs-cold reoptimization)
-# with human-readable output.
+# splpo-bench runs the solver benchmarks with human-readable output:
+# Exhaustive on a random 15-site instance, and the branch-and-bound on the
+# 36-site dnscloud testbed at six sizes, with its node counts.
 splpo-bench:
-	$(GO) test -run xxx -bench 'BenchmarkSolver15|BenchmarkFeasible500|BenchmarkAnytime|BenchmarkFullEval500|BenchmarkDeltaMove500|BenchmarkWarmVsCold500' \
+	$(GO) test -run xxx -bench 'BenchmarkSolver15Exhaustive|BenchmarkSolveDNSCloud' \
 		-benchmem -benchtime 1x ./internal/core/splpo/
 
 # check is the whole gate: formatting, static analysis, the full suite with

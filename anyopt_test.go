@@ -2,6 +2,7 @@ package anyopt
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -161,6 +162,9 @@ func TestOptimizeWithBudget(t *testing.T) {
 	if len(res.Config) == 0 {
 		t.Error("empty config from budgeted search")
 	}
+	if res.Proven {
+		t.Error("a budget that ran out reported a proven optimum")
+	}
 }
 
 // TestCampaignExperimentsMatchesSchedule pins discovery.CampaignExperiments —
@@ -257,8 +261,8 @@ func TestOptimizeWithLoadsAndCaps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exclude + caps: %v", err)
 	}
-	if len(both.Config) != k || both.Anytime {
-		t.Errorf("exclude + caps: config %v, anytime %v; want %d sites from the exact solver", both.Config, both.Anytime, k)
+	if len(both.Config) != k || !both.Proven {
+		t.Errorf("exclude + caps: config %v, proven %v; want %d sites, proven", both.Config, both.Proven, k)
 	}
 	for _, id := range both.Config {
 		if id == hotSite {
@@ -331,78 +335,38 @@ func TestOptimizeWithAnytimeMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exact.Anytime || exact.Evals != 0 {
-		t.Errorf("15 sites without a time budget ran the anytime solver: %+v", exact)
+	if !exact.Proven {
+		t.Errorf("15 sites without a budget: %+v, want a proven optimum", exact)
 	}
-	// A time budget routes the same search to the anytime solver; on the
-	// paper-scale testbed it must land on the same optimum.
-	any, err := snap.OptimizeWith(OptimizeOptions{
-		K: 6, TimeBudget: 2 * time.Second, Restarts: 4,
-	})
+	// A time budget routes the same question to the branch-and-bound, which
+	// lands on the same optimum and proves it well inside the deadline.
+	bnb, err := snap.OptimizeWith(OptimizeOptions{K: 6, TimeBudget: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if any.PredictedMean != exact.PredictedMean {
-		t.Errorf("anytime mean %v, exact optimum %v", any.PredictedMean, exact.PredictedMean)
-	}
-	if len(any.Config) != 6 {
-		t.Errorf("anytime config %v, want 6 sites", any.Config)
-	}
-	if !any.Anytime || any.Evals == 0 {
-		t.Errorf("time-budgeted solve: anytime %v with %d evals", any.Anytime, any.Evals)
+	if !slices.Equal(bnb.Config, exact.Config) || bnb.PredictedMean != exact.PredictedMean || !bnb.Proven {
+		t.Errorf("time-budgeted solve: %v mean %v proven %v; exact optimum %v mean %v",
+			bnb.Config, bnb.PredictedMean, bnb.Proven, exact.Config, exact.PredictedMean)
 	}
 
-	// Exclusion carries through the anytime path too.
+	// A deadline already past still answers with a configuration, unproven.
+	cut, err := snap.OptimizeWith(OptimizeOptions{K: 6, TimeBudget: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cut.Config) != 6 || cut.Proven || cut.PredictedMean < exact.PredictedMean {
+		t.Errorf("expired deadline: %v mean %v proven %v; want 6 sites, unproven, no better than %v",
+			cut.Config, cut.PredictedMean, cut.Proven, exact.PredictedMean)
+	}
+
+	// Exclusion carries through the branch-and-bound too.
 	excl, err := snap.OptimizeWith(OptimizeOptions{
-		K: 6, TimeBudget: time.Second, Exclude: []int{any.Config[0]},
+		K: 6, TimeBudget: time.Minute, Exclude: []int{exact.Config[0]},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range excl.Config {
-		if id == any.Config[0] {
-			t.Errorf("excluded site %d present in %v", id, excl.Config)
-		}
-	}
-}
-
-func TestWarmOptimizerAcrossGenerations(t *testing.T) {
-	sys := getSystem(t)
-	snap := sys.CurrentSnapshot()
-	w := NewWarmOptimizer()
-	opts := OptimizeOptions{K: 6, TimeBudget: time.Second}
-	res1, raw1, err := w.Reoptimize(snap, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw1.Patched != 0 {
-		t.Errorf("cold solve reported %d patched clients", raw1.Patched)
-	}
-	if w.Gen() != snap.Gen {
-		t.Errorf("gen %d, want %d", w.Gen(), snap.Gen)
-	}
-	// Same generation: continue refining; result stays at the optimum.
-	res2, _, err := w.Reoptimize(snap, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.PredictedMean != res1.PredictedMean {
-		t.Errorf("same-gen re-solve moved the optimum: %v vs %v", res2.PredictedMean, res1.PredictedMean)
-	}
-	// Republishing the identical campaign bumps the generation with zero
-	// client churn: the warm path patches nothing and keeps the optimum.
-	snap2 := sys.InstallCampaign(snap.Pred, snap.RTT, snap.AnnOrder, snap.Experiments, snap.Quarantined)
-	res3, raw3, err := w.Reoptimize(snap2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw3.Patched != 0 {
-		t.Errorf("no-churn republish patched %d clients", raw3.Patched)
-	}
-	if res3.PredictedMean != res1.PredictedMean {
-		t.Errorf("no-churn republish moved the optimum: %v vs %v", res3.PredictedMean, res1.PredictedMean)
-	}
-	if w.Gen() != snap2.Gen {
-		t.Errorf("gen %d, want %d", w.Gen(), snap2.Gen)
+	if slices.Contains(excl.Config, exact.Config[0]) || !excl.Proven {
+		t.Errorf("excluded site %d: got %v, proven %v", exact.Config[0], excl.Config, excl.Proven)
 	}
 }

@@ -51,7 +51,7 @@ commands:
   discover    run the full measurement campaign and summarize it
   predict     predict a configuration (-config 1,3,5) and validate by deployment
   optimize    find the best configuration (-k sites, 0 = any size; -budget subsets;
-              -time-budget runs the anytime solver, over -restarts parallel starts)
+              -time-budget runs the branch-and-bound under a deadline)
   peers       one-pass peering evaluation on top of the optimum (-k, -max links)
   trace       explain a client's routing toward a configuration (-config, -client ASN)
   breakdown   count which BGP attribute decides each client's catchment (-config)
@@ -202,23 +202,27 @@ func main() {
 		fs := flag.NewFlagSet("optimize", flag.ExitOnError)
 		k := fs.Int("k", 12, "number of sites (0 = any size)")
 		budget := fs.Int("budget", 0, "max subsets to evaluate (0 = all)")
-		timeBudget := fs.Duration("time-budget", 0, "anytime solver wall-clock budget (0 = exact solver)")
-		restarts := fs.Int("restarts", 1, "anytime solver parallel restarts")
+		timeBudget := fs.Duration("time-budget", 0, "branch-and-bound wall-clock budget (0 = none)")
 		fs.Parse(args)
 		if err := env.Discover(); err != nil {
 			log.Fatal(err)
 		}
 		snap := sys.CurrentSnapshot()
 		opt, err := snap.OptimizeWith(anyopt.OptimizeOptions{
-			K: *k, MaxSubsets: *budget, TimeBudget: *timeBudget, Restarts: *restarts,
+			K: *k, MaxSubsets: *budget, TimeBudget: *timeBudget,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("optimum: %v (predicted mean %v, %d subsets, %d orderable clients)\n",
 			opt.Config, opt.PredictedMean.Round(10*time.Microsecond), opt.SubsetsEvaluated, opt.OrderableClients)
-		if opt.Anytime {
-			fmt.Printf("anytime solver: %d moves accepted over %d candidate evals\n", opt.Moves, opt.Evals)
+		switch {
+		case opt.Proven:
+			fmt.Println("proven optimal")
+		case *timeBudget > 0:
+			fmt.Println("not proven optimal: -time-budget cut the search short")
+		default:
+			fmt.Println("not proven optimal: -budget cut the enumeration short")
 		}
 		_, rtts := sys.MeasureConfiguration(opt.Config)
 		mean, _ := predict.MeasuredMeanRTT(rtts)

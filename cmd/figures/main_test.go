@@ -11,7 +11,7 @@ import (
 // wallClock matches the only text of a figure run that depends on the
 // machine: section wall times, and the solver-ablation rows' trailing
 // "in <duration>".
-var wallClock = regexp.MustCompile(`(?m)( completed in )[^,]+(,)|^(  (?:exhaustive|local search) mean cost +[0-9.]+ ms) in \S+$`)
+var wallClock = regexp.MustCompile(`(?m)( completed in )[^,]+(,)|^(  (?:exhaustive|branch-and-bound) mean cost +[0-9.]+ ms) in \S+$`)
 
 func maskWallClock(s string) string { return wallClock.ReplaceAllString(s, "$1$2$3") }
 
@@ -53,7 +53,7 @@ func TestMaskWallClock(t *testing.T) {
 	for in, want := range map[string]string{
 		"[fig4a completed in 284ms, 30 experiments total]":               "[fig4a completed in , 30 experiments total]",
 		"  exhaustive mean cost                       203.0 ms in 214ms": "  exhaustive mean cost                       203.0 ms",
-		"  local search mean cost                     203.0 ms in 1.2s":  "  local search mean cost                     203.0 ms",
+		"  branch-and-bound mean cost                 203.0 ms in 1.2s":  "  branch-and-bound mean cost                 203.0 ms",
 		"  greedy-by-unicast mean cost                207.3 ms":          "  greedy-by-unicast mean cost                207.3 ms",
 	} {
 		if got := maskWallClock(in); got != want {

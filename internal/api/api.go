@@ -339,22 +339,18 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, "%v", err)
 		return
 	}
-	if body.SolverEvals != nil {
-		s.metrics.solverEvals.Add(uint64(*body.SolverEvals))
-		s.metrics.solverMoves.Add(uint64(*body.SolverMoves))
-	}
 	writeJSON(w, http.StatusOK, body)
 }
 
 // optimizeBody is the /v1/optimize response, fields in sorted key order like
-// predictBody's. The two solver counters are present exactly when the anytime
-// solver answered, zero or not.
+// predictBody's. proven is present exactly when a time budget was asked for,
+// true or not: whether the answer is the optimum or the deadline cut the
+// search short.
 type optimizeBody struct {
 	Config           anyopt.Config `json:"config"`
 	OrderableClients int           `json:"orderable_clients"`
 	PredictedMeanMs  float64       `json:"predicted_mean_ms"`
-	SolverEvals      *int          `json:"solver_evals,omitempty"`
-	SolverMoves      *int          `json:"solver_moves,omitempty"`
+	Proven           *bool         `json:"proven,omitempty"`
 	Subsets          int           `json:"subsets"`
 }
 
@@ -376,8 +372,8 @@ func optimizeResponse(snap *anyopt.Snapshot, k, budget, timeBudgetMs int, exclud
 		PredictedMeanMs:  float64(res.PredictedMean) / 1e6,
 		Subsets:          res.SubsetsEvaluated,
 	}
-	if res.Anytime {
-		body.SolverEvals, body.SolverMoves = &res.Evals, &res.Moves
+	if timeBudgetMs > 0 {
+		body.Proven = &res.Proven
 	}
 	return body, nil
 }

@@ -7,7 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"slices"
 	"testing"
 	"time"
 
@@ -163,31 +163,18 @@ func TestDiscoverPredictOptimizeFlow(t *testing.T) {
 		}
 	}
 
-	// A time budget routes to the anytime solver, whose counters show up in
-	// the response and in /metrics.
+	// A time budget routes to the branch-and-bound, which proves the same
+	// optimum well inside it and says so.
 	var opt3 struct {
 		Config []int   `json:"config"`
 		Mean   float64 `json:"predicted_mean_ms"`
-		Evals  int     `json:"solver_evals"`
-		Moves  int     `json:"solver_moves"`
+		Proven *bool   `json:"proven"`
 	}
-	if code := getJSON(t, ts.URL+"/v1/optimize?k=6&time_budget_ms=500", &opt3); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/optimize?k=6&time_budget_ms=60000", &opt3); code != 200 {
 		t.Fatalf("optimize with time budget: status %d", code)
 	}
-	if len(opt3.Config) != 6 || opt3.Mean <= 0 {
-		t.Fatalf("anytime optimize: %+v", opt3)
-	}
-	if opt3.Evals <= 0 {
-		t.Fatalf("anytime optimize reported no solver evals: %+v", opt3)
-	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(raw), "anyoptd_solver_evals_total") {
-		t.Error("solver counters missing from /metrics")
+	if !slices.Equal(opt3.Config, opt.Config) || opt3.Mean != opt.Mean || opt3.Proven == nil || !*opt3.Proven {
+		t.Fatalf("time-budgeted optimize: %+v, want %v at %v ms, proven", opt3, opt.Config, opt.Mean)
 	}
 }
 

@@ -56,12 +56,6 @@ func (e *endpointStats) record(status int, elapsed time.Duration) {
 type metrics struct {
 	endpoints map[string]*endpointStats
 	names     []string
-
-	// solverEvals/solverMoves aggregate the anytime SPLPO solver's
-	// candidate-move evaluations and accepted moves across /v1/optimize
-	// requests that used it.
-	solverEvals atomic.Uint64
-	solverMoves atomic.Uint64
 }
 
 func newMetrics() *metrics {
@@ -166,13 +160,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE anyoptd_measure_sessions gauge\n")
 	fmt.Fprintf(w, "anyoptd_measure_sessions{state=\"created\"} %d\n", created)
 	fmt.Fprintf(w, "anyoptd_measure_sessions{state=\"idle\"} %d\n", idle)
-
-	fmt.Fprintf(w, "# HELP anyoptd_solver_evals_total Anytime SPLPO candidate moves evaluated by /v1/optimize.\n")
-	fmt.Fprintf(w, "# TYPE anyoptd_solver_evals_total counter\n")
-	fmt.Fprintf(w, "anyoptd_solver_evals_total %d\n", s.metrics.solverEvals.Load())
-	fmt.Fprintf(w, "# HELP anyoptd_solver_moves_total Anytime SPLPO moves accepted by /v1/optimize.\n")
-	fmt.Fprintf(w, "# TYPE anyoptd_solver_moves_total counter\n")
-	fmt.Fprintf(w, "anyoptd_solver_moves_total %d\n", s.metrics.solverMoves.Load())
 
 	counts := s.jobs.stateCounts()
 	fmt.Fprintf(w, "# HELP anyoptd_discovery_jobs Discovery jobs, by state.\n")

@@ -41,10 +41,6 @@ type reconciler struct {
 	// repairMu serializes repair cycles (background loop vs ?sync=1).
 	repairMu sync.Mutex
 
-	// warmOpt re-optimizes incrementally across patched generations. Only
-	// touched under repairMu.
-	warmOpt *anyopt.WarmOptimizer
-
 	// mu guards everything below.
 	mu sync.Mutex
 
@@ -72,12 +68,12 @@ type reconciler struct {
 	lastError      string
 	quarantined    []quarantinedCone
 
-	// warm-optimizer result of the last successful repair.
-	warmGen     uint64
-	warmPatched int
-	warmEvals   int
-	warmMoves   int
-	warmMeanMS  float64
+	// The optimum of the generation the last successful repair published,
+	// as GET /v1/optimize answers it with no options.
+	optGen     uint64
+	optConfig  anyopt.Config
+	optMeanMS  float64
+	optSubsets int
 }
 
 // quarantinedCone records a cone whose repair failed: its rows stay
@@ -380,12 +376,9 @@ func (s *Server) runRepairCycle() {
 	walker.Refresh()
 	s.topoMu.Unlock()
 
-	// Warm-restart the optimizer against the patched generation: only the
-	// cone's rows changed, so the incremental path converges in few moves.
-	if s.rec.warmOpt == nil {
-		s.rec.warmOpt = anyopt.NewWarmOptimizer()
-	}
-	opt, raw, optErr := s.rec.warmOpt.Reoptimize(patched, anyopt.OptimizeOptions{})
+	// Re-optimize the healed generation with /v1/optimize's solver, so the
+	// two answer alike.
+	opt, optErr := patched.OptimizeWith(anyopt.OptimizeOptions{})
 
 	s.rec.mu.Lock()
 	s.rec.repairs++
@@ -394,11 +387,8 @@ func (s *Server) runRepairCycle() {
 	s.rec.quorumRetries += res.QuorumRetries
 	s.rec.lastError = ""
 	if optErr == nil {
-		s.rec.warmGen = patched.Gen
-		s.rec.warmPatched = raw.Patched
-		s.rec.warmEvals = raw.Evals
-		s.rec.warmMoves = raw.Moves
-		s.rec.warmMeanMS = float64(opt.PredictedMean) / 1e6
+		s.rec.optGen, s.rec.optConfig = patched.Gen, opt.Config
+		s.rec.optMeanMS, s.rec.optSubsets = float64(opt.PredictedMean)/1e6, opt.SubsetsEvaluated
 	} else {
 		s.rec.lastError = optErr.Error()
 	}
@@ -564,13 +554,12 @@ func (s *Server) recHealthView() (health reconcile.Health, stats map[string]any)
 	if len(s.rec.quarantined) > 0 {
 		stats["quarantined_cones"] = append([]quarantinedCone(nil), s.rec.quarantined...)
 	}
-	if s.rec.warmGen > 0 {
-		stats["warm_optimize"] = map[string]any{
-			"gen":               s.rec.warmGen,
-			"patched_rows":      s.rec.warmPatched,
-			"evals":             s.rec.warmEvals,
-			"moves":             s.rec.warmMoves,
-			"predicted_mean_ms": s.rec.warmMeanMS,
+	if s.rec.optGen > 0 {
+		stats["optimize"] = map[string]any{
+			"gen":               s.rec.optGen,
+			"config":            s.rec.optConfig,
+			"predicted_mean_ms": s.rec.optMeanMS,
+			"subsets":           s.rec.optSubsets,
 		}
 	}
 	return s.rec.machine.State(), stats

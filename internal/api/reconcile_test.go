@@ -6,6 +6,7 @@ package api
 // the job-cancel races.
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -57,6 +58,42 @@ func TestChurnRequiresCampaign(t *testing.T) {
 	_, ts := testServer(t)
 	if code, _ := postJSON(t, ts.URL+"/v1/churn", `{"seed":7}`); code != http.StatusConflict {
 		t.Errorf("churn before discovery: status %d, want 409", code)
+	}
+}
+
+// TestHealOptimizeMatchesOptimizeEndpoint: the optimum /v1/reconcile reports
+// for a healed generation is the one GET /v1/optimize serves on it, byte for
+// byte, because the heal asks OptimizeWith the same question.
+func TestHealOptimizeMatchesOptimizeEndpoint(t *testing.T) {
+	_, ts := discoveredChurnServer(t)
+	if code, got := postJSON(t, ts.URL+"/v1/churn?sync=1", `{"seed":7,"count":2}`); code != http.StatusAccepted {
+		t.Fatalf("churn status %d: %v", code, got)
+	}
+	var rec struct {
+		Gen      uint64 `json:"snapshot_gen"`
+		Optimize struct {
+			Gen             uint64          `json:"gen"`
+			Config          json.RawMessage `json:"config"`
+			PredictedMeanMs json.RawMessage `json:"predicted_mean_ms"`
+			Subsets         int             `json:"subsets"`
+		} `json:"optimize"`
+	}
+	if code := getJSON(t, ts.URL+"/v1/reconcile", &rec); code != 200 {
+		t.Fatalf("reconcile status %d", code)
+	}
+	var opt struct {
+		Config          json.RawMessage `json:"config"`
+		PredictedMeanMs json.RawMessage `json:"predicted_mean_ms"`
+		Subsets         int             `json:"subsets"`
+	}
+	if code := getJSON(t, ts.URL+"/v1/optimize?k=0", &opt); code != 200 {
+		t.Fatalf("optimize status %d", code)
+	}
+	if rec.Optimize.Gen != rec.Gen || rec.Optimize.Subsets != opt.Subsets ||
+		!bytes.Equal(rec.Optimize.Config, opt.Config) || !bytes.Equal(rec.Optimize.PredictedMeanMs, opt.PredictedMeanMs) {
+		t.Errorf("heal's optimum (gen %d of %d): config %s, %s ms, %d subsets; /v1/optimize?k=0: config %s, %s ms, %d subsets",
+			rec.Optimize.Gen, rec.Gen, rec.Optimize.Config, rec.Optimize.PredictedMeanMs, rec.Optimize.Subsets,
+			opt.Config, opt.PredictedMeanMs, opt.Subsets)
 	}
 }
 

@@ -6,4 +6,5 @@ var (
 	ExhaustiveCounted = exhaustive
 	ExhaustiveOracle  = exhaustiveOracle
 	KernelTable       = kernelTable
+	SolveCounted      = solve
 )

@@ -16,9 +16,6 @@ func exhaustiveOracle(in *Instance, opts Options, kernel func(open uint64) Stats
 	if err := in.Validate(); err != nil {
 		return Assignment{}, 0, err
 	}
-	if in.NumSites > maxExhaustiveSites {
-		return Assignment{}, 0, fmt.Errorf("splpo: Exhaustive enumerates at most %d sites, got %d; use Search or SearchParallel (anytime local search)", maxExhaustiveSites, in.NumSites)
-	}
 	forbidden := opts.Forbidden.word()
 	bestMean, bestOpen := Infinity, uint64(0)
 	evaluated := 0

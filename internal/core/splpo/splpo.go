@@ -4,18 +4,16 @@
 // cost subject to optional per-site load caps.
 //
 // The general problem is NP-hard (even to approximate — Appendix B.1 reduces
-// Dominating Set to it), so the package offers an exhaustive solver for
-// testbed-sized instances, a budgeted enumerator matching the paper's
-// "as many configurations as we can compute within a time bound" approach
-// (§5.3), and an anytime local-search solver for large networks, plus the
-// baselines the paper compares against (greedy-by-unicast-RTT, random).
+// Dominating Set to it). The package offers two exact solvers that return
+// the same answer: Exhaustive, the enumerator that matches the paper's "as
+// many configurations as we can compute within a time bound" approach (§5.3)
+// and prunes by a lower bound (bound.go), and Solve, a branch-and-bound that
+// proves its answer optimal without enumerating (solve.go). The baselines the
+// paper compares against (greedy-by-unicast-RTT, random) complete it.
 //
 // A set of sites is a SiteSet everywhere: in solver options, in results and
-// in the baselines, at any site count. Exhaustive is the one enumerator and
-// the one solver with a site limit (it counts subsets in a machine word
-// internally); the anytime solver (Search, SearchParallel, Warm.Reoptimize in
-// anytime.go) evaluates moves incrementally through DeltaEval (delta.go) and
-// scales to the §4.5 Akamai analysis (500 sites / 20 transits) and beyond.
+// in the baselines. It is one machine word, so an instance has at most
+// MaxSites sites; the largest testbed the product builds has 36.
 package splpo
 
 import (
@@ -54,11 +52,17 @@ type Instance struct {
 	Cap []float64
 }
 
-// Validate checks structural sanity. Instances of any site count validate;
-// only Exhaustive has a site limit, and enforces it itself.
+// MaxSites is the largest site count an instance may have: a SiteSet is one
+// machine word, and the solvers count subsets in one.
+const MaxSites = 63
+
+// Validate checks structural sanity.
 func (in *Instance) Validate() error {
 	if in.NumSites <= 0 {
 		return fmt.Errorf("splpo: NumSites = %d", in.NumSites)
+	}
+	if in.NumSites > MaxSites {
+		return fmt.Errorf("splpo: %d sites, at most %d are supported", in.NumSites, MaxSites)
 	}
 	if in.Cap != nil && len(in.Cap) != in.NumSites {
 		return fmt.Errorf("splpo: Cap has %d entries for %d sites", len(in.Cap), in.NumSites)
@@ -133,8 +137,7 @@ func (in *Instance) assign(open SiteSet) Assignment {
 
 // Stats is the evaluation outcome the solvers compare: the quantities
 // Assignment carries, with infeasibility decomposed into its two causes
-// (unserved clients, capacity excess) so local search can descend through
-// infeasible regions.
+// (unserved clients, capacity excess).
 type Stats struct {
 	// FiniteCost is the weighted cost sum over served clients only.
 	FiniteCost float64
@@ -160,54 +163,19 @@ func (st Stats) MeanCost() float64 {
 	return st.FiniteCost / st.Weight
 }
 
-// EvaluateSet is the full (non-incremental) evaluation of a SiteSet, valid
-// at any site count. siteLoad is optional scratch of length NumSites; pass
-// nil to allocate. The per-site loads are left in siteLoad when provided.
+// EvaluateSet evaluates one set of open sites. siteLoad is optional scratch
+// of length NumSites; pass nil to allocate. The per-site loads are left in
+// siteLoad when provided.
 func (in *Instance) EvaluateSet(open SiteSet, siteLoad []float64) Stats {
 	if siteLoad == nil {
 		siteLoad = make([]float64, in.NumSites)
-	} else {
-		siteLoad = siteLoad[:in.NumSites]
-		for i := range siteLoad {
-			siteLoad[i] = 0
-		}
 	}
-	var st Stats
-	st.Open = open.Count()
-	for i := range in.Clients {
-		c := &in.Clients[i]
-		pos := -1
-		for p, s := range c.Ranking {
-			if open.Has(s) {
-				pos = p
-				break
-			}
-		}
-		if pos < 0 {
-			st.Unserved++
-			continue
-		}
-		w := c.weight()
-		st.FiniteCost += w * c.RankCost[pos]
-		st.Weight += w
-		st.Served++
-		siteLoad[c.Ranking[pos]] += c.Load
-	}
-	if in.Cap != nil {
-		open.ForEach(func(s int) {
-			if siteLoad[s] > in.Cap[s] {
-				st.CapExcess += siteLoad[s] - in.Cap[s]
-			}
-		})
-	}
-	return st
+	return in.evaluateWord(open.word(), siteLoad[:in.NumSites])
 }
 
-// evaluateWord is EvaluateSet for a set held in one machine word (bit s =
-// site s): Exhaustive's private kernel. Enumeration evaluates in full every
-// subset the lower bound cannot rule out, and the one-word membership test
-// is measurably cheaper there than SiteSet.Has (DESIGN.md §12); nothing else
-// may use it.
+// evaluateWord is the kernel: the full evaluation of the subset open (bit s =
+// site s), with the per-site loads left in siteLoad. Every solver prices a
+// subset with it, so they agree to the last bit.
 func (in *Instance) evaluateWord(open uint64, siteLoad []float64) Stats {
 	clear(siteLoad)
 	st := Stats{Open: bits.OnesCount64(open)}
@@ -240,13 +208,13 @@ func (in *Instance) evaluateWord(open uint64, siteLoad []float64) Stats {
 	return st
 }
 
-// Options bounds an Exhaustive run.
+// Options is the question a solver answers.
 type Options struct {
 	// ExactSize restricts to subsets with exactly this many open sites
 	// (0 = any size).
 	ExactSize int
-	// MaxSubsets bounds how many subsets the enumerator evaluates — the
-	// paper's offline time budget (0 = unlimited).
+	// MaxSubsets bounds how many subsets Exhaustive evaluates — the
+	// paper's offline time budget (0 = unlimited). Solve ignores it.
 	MaxSubsets int
 	// RequireFeasible rejects infeasible assignments.
 	RequireFeasible bool
@@ -255,14 +223,9 @@ type Options struct {
 	Forbidden SiteSet
 }
 
-// maxExhaustiveSites is the largest instance Exhaustive accepts: it counts
-// subsets in one machine word.
-const maxExhaustiveSites = 63
-
 // Exhaustive enumerates subsets (optionally size-restricted, optionally
 // budgeted) and returns the minimum-mean-cost assignment plus the number of
-// subsets evaluated. It is the only solver with a site limit, because
-// enumeration is the only technique that has one.
+// subsets evaluated.
 //
 // Every enumerated subset counts as evaluated, but only the ones a lower
 // bound cannot rule out reach the exact kernel (bound.go): a subset whose
@@ -278,9 +241,6 @@ func Exhaustive(in *Instance, opts Options) (Assignment, int, error) {
 func exhaustive(in *Instance, opts Options) (best Assignment, evaluated, exact int, err error) {
 	if err := in.Validate(); err != nil {
 		return Assignment{}, 0, 0, err
-	}
-	if in.NumSites > maxExhaustiveSites {
-		return Assignment{}, 0, 0, fmt.Errorf("splpo: Exhaustive enumerates at most %d sites, got %d; use Search or SearchParallel (anytime local search)", maxExhaustiveSites, in.NumSites)
 	}
 	forbidden := opts.Forbidden.word()
 	bestMean, bestOpen := Infinity, uint64(0)

@@ -2,6 +2,8 @@ package anyopt
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -36,10 +38,9 @@ func TestPredictSiteLoadsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFlatInstanceDiffsCleanAgainstRankingOracle is the warm optimizer's view
-// of the flat instance build: against an instance assembled one Ranking and
-// one RTT lookup at a time, the row diff that decides what a heal re-solves
-// reports the same population and no changed row.
+// TestFlatInstanceDiffsCleanAgainstRankingOracle holds the flat instance
+// build to an instance assembled one Ranking and one RTT lookup at a time:
+// the same population and the same rows.
 func TestFlatInstanceDiffsCleanAgainstRankingOracle(t *testing.T) {
 	snap := getSystem(t).CurrentSnapshot()
 	p := snap.Pred
@@ -79,8 +80,8 @@ func TestFlatInstanceDiffsCleanAgainstRankingOracle(t *testing.T) {
 		if tc.caps != nil {
 			want.Cap = got.Cap
 		}
-		if changed := diffInstances(want, got, wantClients, gotClients); changed == nil || len(changed) != 0 {
-			t.Errorf("caps %v: diffInstances(oracle, flat) = %v, want no changed row of %d", tc.caps, changed, len(wantClients))
+		if !reflect.DeepEqual(want, got) || !slices.Equal(wantClients, gotClients) {
+			t.Errorf("caps %v: the flat instance differs from the oracle's %d rows", tc.caps, len(wantClients))
 		}
 		if len(wantClients) < 100 {
 			t.Errorf("only %d orderable clients", len(wantClients))
