@@ -35,16 +35,19 @@ race:
 invariants:
 	$(GO) test -tags=invariants ./internal/bgp/...
 
-# chaos runs the fault-injection suite: the differential test (a faulted
+# chaos runs the fault-injection suite: the differential tests (a faulted
 # campaign must converge to the fault-free preference matrix modulo
-# quarantined sites), failure-trace determinism, and checkpoint/resume —
-# the torn-write sweep over the journal and whole faulted campaigns killed
-# mid-run included.
+# quarantined sites, and quorum retries that skip locked rows must match
+# retries that probe every row), failure-trace determinism, and
+# checkpoint/resume — the torn-write sweep over the journal and whole faulted
+# campaigns killed mid-run included. The race pass covers cancellation,
+# timeouts, and the row quorum with an attempt that overruns its timeout.
 chaos:
 	$(GO) test -run 'Chaos|FaultsDisabled|Checkpoint|CampaignResume|SaveLoadQuarantine|Pooled' \
 		./internal/core/discovery/ ./internal/campaign/
 	$(GO) test -race -run 'ForEachCtx|RunTimeout|Flush|SessionReset' \
 		./internal/exec/ ./internal/orchestrator/
+	$(GO) test -race -run 'RowQuorum|QuorumTimedOut' ./internal/core/discovery/
 
 # chaos-churn runs the churn-reconciliation suite under the race detector:
 # the differential convergence test (a healed churned campaign must be

@@ -61,7 +61,7 @@ func (d *Discovery) simultaneousPrefs(siteIDs []int, item func(siteID int) prefs
 			return Sweep{}
 		}
 		sim := e.deploySimultaneous(pairs[i][0], pairs[i][1])
-		return e.measure(e.prober(sim), nil, false, false)
+		return e.measure(e.prober(sim), nil, false, false, 0)
 	})
 	d.Experiments += len(pairs)
 	targets := d.TB.Topo.Targets

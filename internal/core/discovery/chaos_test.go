@@ -189,6 +189,46 @@ func TestChaosCampaignConvergesToFaultFree(t *testing.T) {
 	}
 }
 
+// TestChaosQuorumSkipsLockedRows is the differential test for the quorum's
+// skip of locked rows: under the harsh fault scenario, a campaign whose
+// retries probe only the rows still open must produce the RTT tables,
+// preference stores, quarantine and schedule of one whose every attempt
+// probes every row — with strictly fewer probes. The parallel-prefix RTT
+// phase lays each prefix's rows end to end in one sweep, so it must skip by
+// row, not by target position: its table matching, while its own probe count
+// falls, is what shows the offset right.
+func TestChaosQuorumSkipsLockedRows(t *testing.T) {
+	harsh, err := fault.Scenario("harsh", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := runCampaign(t, 2, harsh, true)
+	skip := runCampaign(t, 2, harsh, false)
+
+	if !reflect.DeepEqual(all.RTTs, skip.RTTs) {
+		t.Error("RTT tables diverged")
+	}
+	if !reflect.DeepEqual(all.Provider, skip.Provider) || !reflect.DeepEqual(all.Naive, skip.Naive) {
+		t.Error("provider preference stores diverged")
+	}
+	if !reflect.DeepEqual(all.Sites, skip.Sites) {
+		t.Error("site preference stores diverged")
+	}
+	if !reflect.DeepEqual(all.Quarantined, skip.Quarantined) {
+		t.Errorf("quarantine diverged: %v vs %v", all.Quarantined, skip.Quarantined)
+	}
+	if all.Experiments != skip.Experiments || all.Slots != skip.Slots {
+		t.Errorf("schedule diverged: %d experiments in %d slots vs %d in %d",
+			all.Experiments, all.Slots, skip.Experiments, skip.Slots)
+	}
+	if skip.Probes >= all.Probes || skip.RTTProbes >= all.RTTProbes {
+		t.Errorf("skipping locked rows sent %d probes (%d in the RTT phase), probing every row %d (%d)",
+			skip.Probes, skip.RTTProbes, all.Probes, all.RTTProbes)
+	}
+	t.Logf("probes: %d → %d, RTT phase %d → %d; quarantined %v",
+		all.Probes, skip.Probes, all.RTTProbes, skip.RTTProbes, skip.Quarantined)
+}
+
 // TestChaosSameSeedSameFailureTrace pins injection determinism: the same
 // fault seed must reproduce both the campaign outputs and the failure trace
 // byte for byte.

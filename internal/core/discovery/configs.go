@@ -32,7 +32,7 @@ type PeerDeployment struct {
 func (d *Discovery) RunConfigurationsWithPeers(deps []PeerDeployment) []map[prefs.Client]Observation {
 	sweeps := d.runBatch("peers", len(deps), func(e *Exp, i int) Sweep {
 		sim := e.deploy(deps[i].Sites, deps[i].Peers)
-		return e.measure(e.prober(sim), nil, true, true)
+		return e.measure(e.prober(sim), nil, true, true, 0)
 	})
 	d.Experiments += len(deps)
 	targets := d.TB.Topo.Targets
@@ -66,7 +66,7 @@ func (d *Discovery) RunConfigurationWithPeers(siteIDs []int, peers []topology.Li
 func (d *Discovery) runConfigs(kind string, configs [][]int, withRTT bool) []Sweep {
 	out := d.runBatch(kind, len(configs), func(e *Exp, i int) Sweep {
 		sim := e.deploy(configs[i], nil)
-		return e.measure(e.prober(sim), nil, false, withRTT)
+		return e.measure(e.prober(sim), nil, false, withRTT, 0)
 	})
 	d.Experiments += len(configs)
 	return out

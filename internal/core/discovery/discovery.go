@@ -151,6 +151,10 @@ type Discovery struct {
 	// bgp.Sim. Only the differential test that proves reuse byte-identical
 	// sets it.
 	freshSims bool
+	// probeLocked disables the quorum's skip of locked rows: every attempt
+	// probes every row. Only the differential test that proves the skip
+	// byte-identical sets it.
+	probeLocked bool
 
 	// quarantined maps dead site IDs to the reason they were pulled from
 	// the campaign; see QuarantineSite.
@@ -221,10 +225,10 @@ func (d *Discovery) QuorumRetries() uint64 { return d.quorumRetries.Load() }
 
 // Exp is the context of one experiment attempt inside a batch: the jitter
 // nonce fixed at submission time, a private probe counter, and — when fault
-// injection is enabled — the attempt's fault injector and trace. Everything
-// an experiment reads through it — topology, testbed, campaign config — is
-// immutable while the batch runs, so experiments are safe to run on any
-// worker in any order.
+// injection is enabled — the attempt's fault injector and trace and the rows
+// the quorum has already locked. Everything an experiment reads through it —
+// topology, testbed, campaign config — is immutable while the batch runs, so
+// experiments are safe to run on any worker in any order.
 type Exp struct {
 	d       *Discovery
 	nonce   uint64
@@ -232,10 +236,18 @@ type Exp struct {
 	probes  uint64
 	inj     *fault.Injector
 	trace   *fault.Trace
+	// skip marks the rows of this attempt's sweep that earlier attempts
+	// locked: measure does not probe them and they read as no answer. It is
+	// the attempt's own copy, never the vote's, so a timed-out attempt still
+	// running detached reads nothing a later vote writes.
+	skip []bool
 	// sims tracks the simulators this attempt acquired, for release back to
 	// the campaign free list when the attempt completes.
 	sims []*bgp.Sim
 }
+
+// skipped reports whether row r of this attempt's sweep is locked already.
+func (e *Exp) skipped(r int) bool { return r < len(e.skip) && e.skip[r] }
 
 // sim builds this experiment's simulation with its own jitter nonce,
 // modeling an independent experiment run. With fault injection enabled it

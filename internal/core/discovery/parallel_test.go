@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"anyopt/internal/core/prefs"
+	"anyopt/internal/fault"
 	"anyopt/internal/topology"
 )
 
@@ -15,21 +16,27 @@ type campaignResult struct {
 	Provider    []prefs.DumpedRelation
 	Sites       map[topology.ASN][]prefs.DumpedRelation
 	Naive       []prefs.DumpedRelation
+	Quarantined map[int]string
 	Experiments int
 	Slots       int
 	Probes      uint64
+	// RTTProbes is the share of Probes the parallel-prefix RTT phase sent.
+	RTTProbes uint64
 }
 
 // runCampaign executes the full measurement campaign — singleton RTTs
-// (serial and parallel-prefix), order-controlled provider preferences,
-// site-level preferences for every multi-site provider, and the naive
-// baseline — with the given worker count.
-func runCampaign(t *testing.T, workers int) campaignResult {
+// (parallel-prefix), order-controlled provider preferences, site-level
+// preferences for every multi-site provider, and the naive baseline — with
+// the given worker count and fault configuration (nil = fault-free).
+// probeLocked turns off the quorum's skip of locked rows.
+func runCampaign(t *testing.T, workers int, faults *fault.Config, probeLocked bool) campaignResult {
 	t.Helper()
 	tb := newTB(t)
 	cfg := DefaultConfig()
 	cfg.Workers = workers
+	cfg.Faults = faults
 	d := New(tb, cfg)
+	d.probeLocked = probeLocked
 
 	allSites := make([]int, len(tb.Sites))
 	for i, s := range tb.Sites {
@@ -39,6 +46,7 @@ func runCampaign(t *testing.T, workers int) campaignResult {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rttProbes := d.ProbesSent
 	reps := d.Representatives()
 	provider, err := d.ProviderPrefs(reps)
 	if err != nil {
@@ -59,14 +67,19 @@ func runCampaign(t *testing.T, workers int) campaignResult {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := d.Err(); err != nil {
+		t.Fatalf("campaign infrastructure error: %v", err)
+	}
 	return campaignResult{
 		RTTs:        tbl.Export(),
 		Provider:    provider.Dump(),
 		Sites:       sites,
 		Naive:       naive.Dump(),
+		Quarantined: d.Quarantined(),
 		Experiments: d.Experiments,
 		Slots:       d.Slots,
 		Probes:      d.ProbesSent,
+		RTTProbes:   rttProbes,
 	}
 }
 
@@ -75,12 +88,12 @@ func runCampaign(t *testing.T, workers int) campaignResult {
 // tables, and counters no matter how many workers run it. Nonces are
 // assigned at submission time, so scheduling cannot leak into results.
 func TestParallelCampaignDeterminism(t *testing.T) {
-	serial := runCampaign(t, 1)
+	serial := runCampaign(t, 1, nil, false)
 	if serial.Experiments == 0 || serial.Probes == 0 {
 		t.Fatalf("campaign ran no experiments (exps=%d probes=%d)", serial.Experiments, serial.Probes)
 	}
 	for _, workers := range []int{2, 4} {
-		parallel := runCampaign(t, workers)
+		parallel := runCampaign(t, workers, nil, false)
 		if !reflect.DeepEqual(serial, parallel) {
 			if !reflect.DeepEqual(serial.RTTs, parallel.RTTs) {
 				t.Errorf("workers=%d: RTT tables differ", workers)

@@ -212,15 +212,21 @@ func (d *Discovery) runExperiment(e *Exp, kind string, i int, run func(*Exp, int
 // repair probing 10% of the targets accepts byte-identical rows to the full
 // campaign, which is what the reconcile differential test checks.
 //
-// Rows are dense, so every attempt casts a vote on every row and "no answer"
-// is a value like any other: a target that is filtered out, or silent for K
-// attempts, locks as unanswered by the same rule that locks an answer —
-// there is no set of known rows to maintain and nothing to backfill. Rows
-// that never reach quorum within N attempts degrade to their plurality value
-// (earliest wins ties) and the degradation is logged.
+// Rows are dense, so every attempt casts a vote on every row still open and
+// "no answer" is a value like any other: a target that is filtered out, or
+// silent for K attempts, locks as unanswered by the same rule that locks an
+// answer — there is no set of known rows to maintain and nothing to
+// backfill. A locked row is not probed again: each attempt is handed a copy
+// of the rows locked so far, measure skips them, and the vote never reads
+// them. Because a row's measurement is a pure function of (nonce, attempt,
+// target), the rows that are probed come out exactly as if every row were;
+// only probes that cannot change the outcome go unsent, so ProbesSent, the
+// journaled probe count and the "probe lost" trace lines count probed rows
+// only. Rows that never reach quorum within N attempts degrade to their
+// plurality value (earliest wins ties) and the degradation is logged.
 func (d *Discovery) runQuorum(e *Exp, i int, run func(*Exp, int) Sweep) (Sweep, error) {
 	if !d.Cfg.Faults.Enabled() {
-		return d.runAttempt(e, i, 0, run)
+		return d.runAttempt(e, i, 0, nil, run)
 	}
 	e.trace = &fault.Trace{}
 	k, n := d.Cfg.QuorumK, d.Cfg.QuorumN
@@ -236,8 +242,12 @@ func (d *Discovery) runQuorum(e *Exp, i int, run func(*Exp, int) Sweep) (Sweep, 
 		if attempt > 0 {
 			d.quorumRetries.Add(1)
 		}
+		var skip []bool
+		if !d.probeLocked {
+			skip = slices.Clone(q.locked)
+		}
 		var sw Sweep
-		if sw, err = d.runAttempt(e, i, attempt, run); err != nil {
+		if sw, err = d.runAttempt(e, i, attempt, skip, run); err != nil {
 			// A timed-out attempt is traced and the next runs at once: the
 			// attempts are simulated, there is no remote party to back off
 			// from.
@@ -268,7 +278,7 @@ type rowQuorum struct {
 	// out carries the accepted rows; it has the first attempt's columns.
 	out Sweep
 	// locked[r] marks rows whose value reached K votes; pending counts the
-	// rest.
+	// rest. Later attempts get a copy and do not probe these rows.
 	locked  []bool
 	pending int
 }
@@ -344,12 +354,12 @@ func (q *rowQuorum) resolve() Sweep {
 }
 
 // runAttempt runs a single experiment attempt on a private Exp carrying this
-// attempt's fault injector and trace. Its probe count and trace fold into
-// the parent only on completion: a timed-out attempt's goroutine keeps
-// running detached (see exec.RunTimeout) and must not share state with later
-// attempts.
-func (d *Discovery) runAttempt(e *Exp, i, attempt int, run func(*Exp, int) Sweep) (Sweep, error) {
-	a := &Exp{d: d, nonce: e.nonce, attempt: attempt, trace: &fault.Trace{}}
+// attempt's fault injector, trace and skip vector (the rows not to probe).
+// Its probe count and trace fold into the parent only on completion: a
+// timed-out attempt's goroutine keeps running detached (see exec.RunTimeout)
+// and must not share state with later attempts.
+func (d *Discovery) runAttempt(e *Exp, i, attempt int, skip []bool, run func(*Exp, int) Sweep) (Sweep, error) {
+	a := &Exp{d: d, nonce: e.nonce, attempt: attempt, trace: &fault.Trace{}, skip: skip}
 	if d.Cfg.Faults.Enabled() {
 		a.inj = d.Cfg.Faults.Injector(e.nonce, attempt, a.trace)
 	}

@@ -2,6 +2,7 @@ package discovery
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -39,28 +40,41 @@ func refRowVote(votes []row, k int) (val row, lockedAt int) {
 	return ballots[best].v, -1
 }
 
+// withoutSkipped returns a copy of sw in which every row a skips reads as no
+// answer — what measure leaves in a row it does not probe.
+func withoutSkipped(a *Exp, sw Sweep) Sweep {
+	q := rowQuorum{out: Sweep{Site: slices.Clone(sw.Site), Link: slices.Clone(sw.Link), RTT: slices.Clone(sw.RTT)}}
+	for r := range q.out.rows() {
+		if a.skipped(r) {
+			q.set(r, row{rtt: rttMissing})
+		}
+	}
+	return q.out
+}
+
 // scriptedQuorum runs the real runQuorum over a scripted attempt sequence and
-// returns the accepted sweep, the number of attempts it ran, and the
-// experiment's trace.
-func scriptedQuorum(t *testing.T, script []Sweep, k, n int) (Sweep, int, []string) {
+// returns the accepted sweep, the experiment's trace, and the skip vector
+// each attempt it ran was handed. Like measure, a scripted attempt answers no
+// row it was told to skip.
+func scriptedQuorum(t *testing.T, script []Sweep, k, n int) (Sweep, []string, [][]bool) {
 	t.Helper()
 	d := &Discovery{Cfg: Config{
 		Faults:  &fault.Config{ProbeLossProb: 0.5}, // any enabled class: quorum on
 		QuorumK: k, QuorumN: n,
 	}}
 	e := &Exp{d: d, nonce: 1}
-	calls := 0
+	var skips [][]bool
 	got, err := d.runQuorum(e, 0, func(a *Exp, _ int) Sweep {
-		calls++
-		return script[a.attempt]
+		skips = append(skips, slices.Clone(a.skip))
+		return withoutSkipped(a, script[a.attempt])
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := uint64(calls - 1); d.QuorumRetries() != want {
-		t.Fatalf("QuorumRetries = %d after %d attempts", d.QuorumRetries(), calls)
+	if want := uint64(len(skips) - 1); d.QuorumRetries() != want {
+		t.Fatalf("QuorumRetries = %d after %d attempts", d.QuorumRetries(), len(skips))
 	}
-	return got, calls, e.trace.Entries()
+	return got, e.trace.Entries(), skips
 }
 
 // TestRowQuorumMatchesNaiveReplay drives the typed per-row quorum with random
@@ -69,6 +83,11 @@ func scriptedQuorum(t *testing.T, script []Sweep, k, n int) (Sweep, int, []strin
 // the cases the dense representation must get right without special-casing:
 // a row no attempt answers (a filtered target), a value that first appears
 // only after K unanswered attempts (the row must stay unanswered), and a tie.
+//
+// It is also the oracle for the skip vector: each scripted attempt answers
+// nothing on the rows its Exp says to skip, attempt t must skip exactly the
+// rows the reference locked before t, and the outcome must be the
+// reference's, computed from attempts that answered every row.
 func TestRowQuorumMatchesNaiveReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 300; trial++ {
@@ -126,26 +145,37 @@ func TestRowQuorumMatchesNaiveReplay(t *testing.T) {
 		}
 
 		want := make([]row, nRows)
+		lockedAt := make([]int, nRows)
 		wantAttempts, unlocked := k, 0
 		for r := range want {
 			votes := make([]row, n)
 			for a := range votes {
 				votes[a] = script[a].row(r)
 			}
-			var at int
-			if want[r], at = refRowVote(votes, k); at < 0 {
+			if want[r], lockedAt[r] = refRowVote(votes, k); lockedAt[r] < 0 {
 				unlocked++
 			} else {
-				wantAttempts = max(wantAttempts, at+1)
+				wantAttempts = max(wantAttempts, lockedAt[r]+1)
 			}
 		}
 		if unlocked > 0 {
 			wantAttempts = n
 		}
 
-		got, attempts, trace := scriptedQuorum(t, script, k, n)
-		if attempts != wantAttempts {
+		got, trace, skips := scriptedQuorum(t, script, k, n)
+		if attempts := len(skips); attempts != wantAttempts {
 			t.Fatalf("trial %d (k=%d n=%d): ran %d attempts, reference needs %d", trial, k, n, attempts, wantAttempts)
+		}
+		for a, skip := range skips {
+			if len(skip) > nRows {
+				t.Fatalf("trial %d attempt %d: skip vector has %d rows, sweep %d", trial, a, len(skip), nRows)
+			}
+			for r, at := range lockedAt {
+				if skipped := r < len(skip) && skip[r]; skipped != (at >= 0 && at < a) {
+					t.Fatalf("trial %d (k=%d n=%d) attempt %d row %d: skipped %v, reference locked it at attempt %d",
+						trial, k, n, a, r, skipped, at)
+				}
+			}
 		}
 		if got.rows() != nRows || len(got.Site) != len(script[0].Site) ||
 			len(got.Link) != len(script[0].Link) || len(got.RTT) != len(script[0].RTT) {
@@ -174,9 +204,9 @@ func TestRowQuorumMatchesNaiveReplay(t *testing.T) {
 // TestRowQuorumSkippedSlot pins the zero sweep (quarantined pair): it has no
 // rows to lock, still runs K attempts, and is accepted as the zero sweep.
 func TestRowQuorumSkippedSlot(t *testing.T) {
-	got, attempts, trace := scriptedQuorum(t, make([]Sweep, 5), 2, 5)
-	if got.rows() != 0 || attempts != 2 || len(trace) != 0 {
-		t.Fatalf("zero sweep: %d rows after %d attempts, trace %q", got.rows(), attempts, trace)
+	got, trace, skips := scriptedQuorum(t, make([]Sweep, 5), 2, 5)
+	if got.rows() != 0 || len(skips) != 2 || len(trace) != 0 {
+		t.Fatalf("zero sweep: %d rows after %d attempts, trace %q", got.rows(), len(skips), trace)
 	}
 }
 
@@ -184,10 +214,14 @@ func TestRowQuorumSkippedSlot(t *testing.T) {
 // traced and the next one runs at once — it casts no vote, so the quorum is
 // gathered from the attempts that did finish — and an experiment whose every
 // attempt overruns is an error, not an empty sweep.
+//
+// The overrunning attempt keeps reading its skip vector, with no
+// synchronization, while the next attempt votes and locks a further row. Its
+// vector must be its own copy: one shared with the vote is a data race, which
+// `make chaos` runs this test under the race detector to catch.
 func TestQuorumTimedOutAttempts(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
-	want := Sweep{Site: []int32{4, 0, 7}}
 	newDisc := func() *Discovery {
 		return &Discovery{Cfg: Config{
 			Faults:  &fault.Config{ProbeLossProb: 0.5},
@@ -196,27 +230,55 @@ func TestQuorumTimedOutAttempts(t *testing.T) {
 		}}
 	}
 
+	// Attempts 0 and 1 lock rows 0 to 15, attempt 2 overruns, and attempt 3
+	// locks row 16 on the value attempt 0 read. The overrunning attempt reads
+	// only row 16, which the 17-row vector's allocation leaves alone in its
+	// 8-byte word: the race detector remembers a few accesses per word, and
+	// accesses to neighbouring rows would evict the one that shows the race.
+	clean := []int32{1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7, 0, 7}
+	other := append(slices.Clone(clean[:16]), 8)
+	script := []Sweep{{Site: clean}, {Site: other}, {Site: clean}, {Site: clean}}
+	handed := make(chan []bool, 1)
 	d := newDisc()
 	e := &Exp{d: d, nonce: 9}
 	got, err := d.runQuorum(e, 0, func(a *Exp, _ int) Sweep {
-		if a.attempt == 1 {
-			<-block
+		if a.attempt == 2 {
+			// Spin without a timer: a timer the runtime fires on another
+			// goroutine's behalf is a synchronization edge that would hide
+			// the race this loop is here to expose.
+			handed <- slices.Clone(a.skip)
+			for !a.skipped(16) {
+				select {
+				case <-block:
+					return script[2]
+				default:
+					runtime.Gosched()
+				}
+			}
+			return script[2]
 		}
-		return want
+		return withoutSkipped(a, script[a.attempt])
 	})
-	if err != nil || !slices.Equal(got.Site, want.Site) {
-		t.Fatalf("accepted %+v, err %v; want %+v from attempts 0 and 2", got, err, want)
+	if err != nil || !slices.Equal(got.Site, clean) {
+		t.Fatalf("accepted %+v, err %v; want %v from attempts 0, 1 and 3", got, err, clean)
 	}
-	if d.QuorumRetries() != 2 {
-		t.Errorf("QuorumRetries = %d, want 2 (attempts 1 and 2)", d.QuorumRetries())
+	if d.QuorumRetries() != 3 {
+		t.Errorf("QuorumRetries = %d, want 3 (attempts 1 to 3)", d.QuorumRetries())
 	}
-	if trace := e.trace.Entries(); len(trace) != 1 || !strings.Contains(trace[0], "exp 9 attempt 1") || !strings.Contains(trace[0], "timed out") {
+	if trace := e.trace.Entries(); len(trace) != 1 || !strings.Contains(trace[0], "exp 9 attempt 2") || !strings.Contains(trace[0], "timed out") {
 		t.Errorf("trace = %q, want the one timed-out attempt", trace)
+	}
+	wantSkip := make([]bool, len(clean))
+	for r := range 16 {
+		wantSkip[r] = true
+	}
+	if skip := <-handed; !slices.Equal(skip, wantSkip) {
+		t.Errorf("the overrunning attempt was handed skip vector %v, want rows 0 to 15", skip)
 	}
 
 	d = newDisc()
 	e = &Exp{d: d, nonce: 9}
-	if _, err := d.runQuorum(e, 0, func(*Exp, int) Sweep { <-block; return want }); err == nil || !strings.Contains(err.Error(), "failed all 4 attempts") {
+	if _, err := d.runQuorum(e, 0, func(*Exp, int) Sweep { <-block; return script[0] }); err == nil || !strings.Contains(err.Error(), "failed all 4 attempts") {
 		t.Errorf("every attempt timed out: err = %v", err)
 	}
 	if trace := e.trace.Entries(); len(trace) != 4 {

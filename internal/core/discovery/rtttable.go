@@ -248,7 +248,7 @@ func (d *Discovery) MeasureRTTs(siteIDs []int) (*RTTTable, error) {
 	sweeps := d.runBatch("rtt", len(siteIDs), func(e *Exp, i int) Sweep {
 		sim := e.sim()
 		d.TB.NewDeployment(sim, 0).AnnounceSites(siteIDs[i])
-		return e.measure(e.prober(sim), d.TB.Site(siteIDs[i]), false, true)
+		return e.measure(e.prober(sim), d.TB.Site(siteIDs[i]), false, true, 0)
 	})
 	d.Experiments += len(siteIDs)
 	rows := make([][]int64, len(sweeps))
@@ -290,7 +290,7 @@ func (d *Discovery) MeasureRTTsParallel(siteIDs []int) (*RTTTable, error) {
 		out := Sweep{RTT: make([]int64, 0, len(group(slot))*nTargets)}
 		for i, id := range group(slot) {
 			p := e.proberAt(sim, bgp.PrefixID(i), int64(i))
-			out.RTT = append(out.RTT, e.measure(p, d.TB.Site(id), false, true).RTT...)
+			out.RTT = append(out.RTT, e.measure(p, d.TB.Site(id), false, true, i*nTargets).RTT...)
 		}
 		return out
 	})

@@ -116,8 +116,11 @@ func decodeColumn[T int32 | int64](b []byte) ([]T, []byte, error) {
 // catchment (Site, plus Link when withLink) and, when withRTT, the RTT
 // through the catchment site; with via set it measures only the RTT through
 // that site's tunnel (singleton experiments). Targets that are filtered out,
-// or whose probes are lost or unroutable, keep the column's no-answer value.
-func (e *Exp) measure(p *probe.Prober, via *testbed.Site, withLink, withRTT bool) Sweep {
+// that the quorum has already locked, or whose probes are lost or
+// unroutable, keep the column's no-answer value. row0 is the position of
+// this call's first row in the attempt's sweep: a parallel-prefix slot lays
+// its per-prefix rows end to end, so prefix k measures from row k·targets.
+func (e *Exp) measure(p *probe.Prober, via *testbed.Site, withLink, withRTT bool, row0 int) Sweep {
 	tb := e.d.TB
 	n := len(tb.Topo.Targets)
 	var sw Sweep
@@ -131,13 +134,14 @@ func (e *Exp) measure(p *probe.Prober, via *testbed.Site, withLink, withRTT bool
 		sw.RTT = missingRTTs(n)
 	}
 	for i, tg := range tb.Topo.Targets {
-		if !e.d.targetIncluded(tg.AS) {
+		if e.skipped(row0+i) || !e.d.targetIncluded(tg.AS) {
 			continue
 		}
 		// Rewind the noise/fault streams to this target's position: each
 		// target's measurement is then a pure function of (experiment,
-		// target), independent of which other targets were probed — what
-		// keeps a filtered campaign byte-identical to a full one.
+		// attempt, target), independent of which other targets were probed —
+		// what keeps a filtered campaign, and a quorum attempt that skips
+		// locked rows, byte-identical to a full one.
 		p.BeginTarget(uint64(tg.AS))
 		site := via
 		if site == nil {
