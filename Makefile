@@ -60,12 +60,14 @@ chaos-churn:
 		./internal/reconcile/ ./internal/api/
 
 # fuzz runs every fuzzer in the repo for five seconds each, from the seed
-# corpora checked in under testdata/fuzz/ (which plain `go test` already runs
-# as unit tests): the BGP wire codec, the three decoders that take bytes from
-# outside — a checkpoint file, a saved campaign, a /v1/churn body — and
+# corpora checked in under testdata/fuzz/ or added in code (which plain
+# `go test` already runs as unit tests): the BGP wire codec, the Internet
+# checksum against its byte-pair oracle, the three decoders that take bytes
+# from outside — a checkpoint file, a saved campaign, a /v1/churn body — and
 # /v1/predict's config parser. `go test -fuzz` takes one fuzzer per run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUpdateDecode$$' -fuzztime 5s ./internal/bgp/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime 5s ./internal/netproto/
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointOpen$$' -fuzztime 5s ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz '^FuzzCampaignLoad$$' -fuzztime 5s ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz '^FuzzChurnDecode$$' -fuzztime 5s ./internal/api/

@@ -145,6 +145,8 @@ func main() {
 		if faultCfg.Enabled() {
 			fmt.Printf("faults: scenario %q seed %d, %d events logged\n",
 				*faults, *faultSeed, len(sys.Disc.FaultLog()))
+			fmt.Printf("quorum retries %d, experiments settled by plurality %d\n",
+				sys.Disc.QuorumRetries(), sys.Disc.PluralityExperiments())
 			quarantined := sys.Disc.Quarantined()
 			for _, id := range sys.Disc.QuarantinedSites() {
 				fmt.Printf("  quarantined site %d: %s\n", id, quarantined[id])

@@ -229,6 +229,43 @@ func TestChaosQuorumSkipsLockedRows(t *testing.T) {
 		all.Probes, skip.Probes, all.RTTProbes, skip.RTTProbes, skip.Quarantined)
 }
 
+// TestChaosPluralityCounterMatchesTrace: PluralityExperiments counts exactly
+// the experiments whose fault log says they settled rows on plurality, and
+// QuorumRetries is non-zero whenever one did — a plurality needs every
+// attempt spent. The harsh scenario makes some experiments run out of
+// attempts even at test scale.
+func TestChaosPluralityCounterMatchesTrace(t *testing.T) {
+	harsh, err := fault.Scenario("harsh", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Faults = harsh
+	d := New(newTB(t), cfg)
+	if _, err := d.MeasureRTTs(chaosSites); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.ProviderPrefs(d.Representatives()); err != nil {
+		t.Fatal(err)
+	}
+	lines := 0
+	for _, l := range d.FaultLog() {
+		if strings.HasSuffix(l, "accepted per-row plurality") {
+			lines++
+		}
+	}
+	if lines == 0 {
+		t.Fatal("no experiment settled by plurality; the test exercises nothing")
+	}
+	if got := d.PluralityExperiments(); got != uint64(lines) {
+		t.Errorf("PluralityExperiments() = %d, fault log has %d plurality lines", got, lines)
+	}
+	if d.QuorumRetries() == 0 {
+		t.Error("experiments settled by plurality without a single quorum retry")
+	}
+	t.Logf("%d experiments, %d quorum retries, %d settled by plurality", d.Experiments, d.QuorumRetries(), lines)
+}
+
 // TestChaosSameSeedSameFailureTrace pins injection determinism: the same
 // fault seed must reproduce both the campaign outputs and the failure trace
 // byte for byte.

@@ -136,6 +136,10 @@ type Discovery struct {
 	// first — the price of K-of-N re-measurement under faults. Advances from
 	// worker goroutines; read via QuorumRetries.
 	quorumRetries atomic.Uint64
+	// pluralityExperiments counts experiments whose quorum ran out of
+	// attempts with rows still open, which then settled on their plurality
+	// value; read via PluralityExperiments.
+	pluralityExperiments atomic.Uint64
 
 	// freeSims holds converged simulators between experiments: Sim.Reset
 	// clears a session in place, so workers reuse warm topology-sized state
@@ -222,6 +226,13 @@ func (d *Discovery) DropSims() {
 // QuorumRetries returns how many experiment attempts ran beyond each
 // experiment's first — K-of-N re-measurement cost. Safe from any goroutine.
 func (d *Discovery) QuorumRetries() uint64 { return d.quorumRetries.Load() }
+
+// PluralityExperiments returns how many experiments settled rows that lacked
+// K-of-N quorum on their plurality value — one per "accepted per-row
+// plurality" fault-log line this process wrote. Like QuorumRetries it counts
+// experiments run here, not ones replayed from a checkpoint. Safe from any
+// goroutine.
+func (d *Discovery) PluralityExperiments() uint64 { return d.pluralityExperiments.Load() }
 
 // Exp is the context of one experiment attempt inside a batch: the jitter
 // nonce fixed at submission time, a private probe counter, and — when fault

@@ -262,6 +262,7 @@ func (d *Discovery) runQuorum(e *Exp, i int, run func(*Exp, int) Sweep) (Sweep, 
 		return Sweep{}, fmt.Errorf("discovery: experiment %d failed all %d attempts: %w", e.nonce, n, err)
 	}
 	if q.pending > 0 {
+		d.pluralityExperiments.Add(1)
 		e.trace.Addf("exp %d: %d of %d rows lacked %d-of-%d quorum; accepted per-row plurality",
 			e.nonce, q.pending, len(q.locked), k, n)
 	}

@@ -74,13 +74,12 @@ func (m *ICMPEcho) Unmarshal(data []byte) error {
 	if !VerifyChecksum(data) {
 		return fmt.Errorf("netproto: ICMP checksum mismatch")
 	}
-	*m = ICMPEcho{
-		Type:    data[0],
-		Code:    data[1],
-		ID:      binary.BigEndian.Uint16(data[4:]),
-		Seq:     binary.BigEndian.Uint16(data[6:]),
-		Payload: data[icmpEchoHeaderLen:],
-	}
+	// Field by field, as in IPv4.Unmarshal.
+	m.Type = data[0]
+	m.Code = data[1]
+	m.ID = binary.BigEndian.Uint16(data[4:])
+	m.Seq = binary.BigEndian.Uint16(data[6:])
+	m.Payload = data[icmpEchoHeaderLen:]
 	return nil
 }
 

@@ -97,17 +97,17 @@ func (h *IPv4) Unmarshal(data []byte) ([]byte, error) {
 	if total < ihl || total > len(data) {
 		return nil, fmt.Errorf("netproto: total length %d out of range (%d bytes available)", total, len(data))
 	}
+	// Field by field: a composite literal stored through h is built in a
+	// temporary and copied, which costs about a fifth of the parse.
 	frag := binary.BigEndian.Uint16(data[6:])
-	*h = IPv4{
-		TOS:      data[1],
-		ID:       binary.BigEndian.Uint16(data[4:]),
-		Flags:    uint8(frag >> 13),
-		FragOff:  frag & 0x1fff,
-		TTL:      data[8],
-		Protocol: data[9],
-		Src:      netip.AddrFrom4([4]byte(data[12:16])),
-		Dst:      netip.AddrFrom4([4]byte(data[16:20])),
-	}
+	h.TOS = data[1]
+	h.ID = binary.BigEndian.Uint16(data[4:])
+	h.Flags = uint8(frag >> 13)
+	h.FragOff = frag & 0x1fff
+	h.TTL = data[8]
+	h.Protocol = data[9]
+	h.Src = netip.AddrFrom4([4]byte(data[12:16]))
+	h.Dst = netip.AddrFrom4([4]byte(data[16:20]))
 	return data[ihl:total], nil
 }
 

@@ -3,6 +3,7 @@ package netproto
 import (
 	"bytes"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -372,5 +373,37 @@ func TestDissectUnknownProtocol(t *testing.T) {
 	out := Dissect(pkt)
 	if !strings.Contains(out, "payload: 3 bytes (protocol 17)") {
 		t.Errorf("dissection:\n%s", out)
+	}
+}
+
+// TestUnmarshalOverwritesEveryField: the parsers assign a header field by
+// field, so a header struct reused across packets must come out of Unmarshal
+// exactly as a zero one does — no field left over from the previous packet.
+func TestUnmarshalOverwritesEveryField(t *testing.T) {
+	echo := ICMPEcho{Type: ICMPEchoRequest, ID: 7, Seq: 9, Payload: []byte{1, 2, 3, 4}}
+	ip := IPv4{TTL: 61, Protocol: ProtoICMP, Src: addr("192.0.2.1"), Dst: addr("10.0.0.1")}
+	pkt, err := ip.Marshal(echo.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh IPv4
+	want, err := fresh.Unmarshal(pkt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := IPv4{TOS: 0xee, ID: 0xeeee, Flags: 7, FragOff: 0x1eee, TTL: 0xee, Protocol: 0xee,
+		Src: addr("203.0.113.1"), Dst: addr("203.0.113.2")}
+	got, err := stale.Unmarshal(pkt)
+	if err != nil || stale != fresh || !bytes.Equal(got, want) {
+		t.Errorf("IPv4 reused: %+v, %x (%v); fresh: %+v, %x", stale, got, err, fresh, want)
+	}
+
+	var freshEcho ICMPEcho
+	if err := freshEcho.Unmarshal(want); err != nil {
+		t.Fatal(err)
+	}
+	staleEcho := ICMPEcho{Type: ICMPEchoReply, Code: 0xee, ID: 0xeeee, Seq: 0xeeee, Payload: []byte{0xee}}
+	if err := staleEcho.Unmarshal(want); err != nil || !reflect.DeepEqual(staleEcho, freshEcho) {
+		t.Errorf("ICMP echo reused: %+v (%v); fresh: %+v", staleEcho, err, freshEcho)
 	}
 }

@@ -38,29 +38,29 @@ type SimFabric struct {
 	greBuf   []byte
 	wireBuf  []byte
 
-	// lastAddr and lastTarget remember the most recent address resolution:
+	// lastAddr and lastIndex remember the most recent address resolution:
 	// an RTT measurement sends all its probes to one target in a row.
-	lastAddr   netip.Addr
-	lastTarget topology.Target
+	lastAddr  netip.Addr
+	lastIndex int
 }
 
 // NewSimFabric builds a fabric for one prefix. Targets are resolved through
-// the testbed (Testbed.TargetByAddr), with no per-fabric index.
+// the testbed (Testbed.TargetIndex), with no per-fabric index.
 func NewSimFabric(tb *testbed.Testbed, sim *bgp.Sim, prefix bgp.PrefixID, noise *NoiseModel) *SimFabric {
 	return &SimFabric{TB: tb, Sim: sim, Prefix: prefix, Noise: noise}
 }
 
-// target resolves a probed address, searching the testbed only when it
-// differs from the previous probe's.
-func (f *SimFabric) target(a netip.Addr) (topology.Target, bool) {
+// target resolves a probed address to its index in Topo.Targets, searching
+// the testbed only when it differs from the previous probe's.
+func (f *SimFabric) target(a netip.Addr) (int, bool) {
 	if a == f.lastAddr {
-		return f.lastTarget, true
+		return f.lastIndex, true
 	}
-	tg, ok := f.TB.TargetByAddr(a)
+	i, ok := f.TB.TargetIndex(a)
 	if ok {
-		f.lastAddr, f.lastTarget = a, tg
+		f.lastAddr, f.lastIndex = a, i
 	}
-	return tg, ok
+	return i, ok
 }
 
 // Probe implements Fabric.
@@ -87,7 +87,7 @@ func (f *SimFabric) probe(req []byte, sentAt time.Duration) ([]byte, time.Durati
 	var inner netproto.IPv4
 	var icmpBytes []byte
 	var fwdDelay time.Duration // orchestrator → target
-	var target topology.Target
+	var ti int                 // the target's index in Topo.Targets
 	// The reply's catchment entry. An RTT probe resolves it for its request
 	// leg already; nothing touches the sim in between, so it is reused.
 	var entryLink topology.LinkID
@@ -119,14 +119,14 @@ func (f *SimFabric) probe(req []byte, sentAt time.Duration) ([]byte, time.Durati
 			return nil, 0, fmt.Errorf("probe: inner request: %w", err)
 		}
 		var ok bool
-		if target, ok = f.target(inner.Dst); !ok {
+		if ti, ok = f.target(inner.Dst); !ok {
 			return nil, 0, fmt.Errorf("probe: unknown target %v", inner.Dst)
 		}
 		// Orchestrator → site over the tunnel, then site → target. The
 		// site→target leg mirrors the BGP return path of the reply.
 		// CatchmentEntry is Forward on the memoized fast path — the AS path
 		// is never needed here.
-		entryLink, retDelay0, resolved = f.Sim.CatchmentEntry(f.Prefix, target)
+		entryLink, retDelay0, resolved = f.Sim.CatchmentEntry(f.Prefix, f.TB.Topo.Targets[ti])
 		if !resolved || f.TB.SiteByLink(entryLink) == nil {
 			return nil, 0, ErrUnreachable
 		}
@@ -136,11 +136,11 @@ func (f *SimFabric) probe(req []byte, sentAt time.Duration) ([]byte, time.Durati
 		// Catchment-mode probe: sent directly toward the target.
 		inner, icmpBytes = outer, payload
 		var ok bool
-		if target, ok = f.target(inner.Dst); !ok {
+		if ti, ok = f.target(inner.Dst); !ok {
 			return nil, 0, fmt.Errorf("probe: unknown target %v", inner.Dst)
 		}
 		// Direct unicast leg orchestrator → target.
-		fwdDelay = f.TB.Topo.Model.RTT(f.TB.OrchCoord, f.TB.Topo.AS(target.AS).Coord, 8) / 2
+		fwdDelay = f.TB.OrchLeg(ti)
 
 	default:
 		return nil, 0, fmt.Errorf("probe: request protocol %d unsupported", outer.Protocol)
@@ -163,7 +163,7 @@ func (f *SimFabric) probe(req []byte, sentAt time.Duration) ([]byte, time.Durati
 	// The target replies to the anycast source; BGP routes it to the
 	// catchment site.
 	if !resolved {
-		if entryLink, retDelay0, resolved = f.Sim.CatchmentEntry(f.Prefix, target); !resolved {
+		if entryLink, retDelay0, resolved = f.Sim.CatchmentEntry(f.Prefix, f.TB.Topo.Targets[ti]); !resolved {
 			return nil, 0, ErrUnreachable
 		}
 	}

@@ -22,7 +22,6 @@ import (
 	"math/rand"
 	"net/netip"
 	"slices"
-	"sort"
 	"time"
 
 	"anyopt/internal/netproto"
@@ -282,20 +281,19 @@ func (p *Prober) RTT(tunnelKey uint32, siteAddr netip.Addr, tunnelRTT time.Durat
 		}
 		return 0, fmt.Errorf("probe: only %d of %d samples valid: %w", len(p.samples), p.cfg.Attempts, lastErr)
 	}
-	// Median in place on the scratch slice; sample order is never reused.
-	slices.Sort(p.samples)
-	rtt := p.samples[(len(p.samples)-1)/2] - tunnelRTT
+	// The scratch slice's sample order is never reused.
+	rtt := median(p.samples) - tunnelRTT
 	if rtt < 0 {
 		rtt = 0
 	}
 	return rtt, nil
 }
 
-// median returns the median of samples (lower middle for even counts).
+// median sorts samples in place and returns their median (the lower middle
+// for even counts).
 func median(samples []time.Duration) time.Duration {
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[(len(s)-1)/2]
+	slices.Sort(samples)
+	return samples[(len(samples)-1)/2]
 }
 
 // FaultModel injects deterministic measurement-plane faults on top of the

@@ -2,7 +2,10 @@ package probe
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -11,6 +14,7 @@ import (
 	"anyopt/internal/netproto"
 
 	"anyopt/internal/bgp"
+	"anyopt/internal/fault"
 	"anyopt/internal/testbed"
 	"anyopt/internal/topology"
 )
@@ -180,12 +184,16 @@ func TestMedian(t *testing.T) {
 	}{
 		{[]time.Duration{5}, 5},
 		{[]time.Duration{1, 9, 5}, 5},
-		{[]time.Duration{9, 1, 5, 7}, 5},
+		{[]time.Duration{9, 1, 5, 7}, 5},              // even count: the lower middle
 		{[]time.Duration{3, 3, 3, 100, 200, 3, 3}, 3}, // outliers filtered
 	}
 	for _, c := range cases {
+		in := fmt.Sprint(c.in)
 		if got := median(c.in); got != c.want {
-			t.Errorf("median(%v) = %v, want %v", c.in, got, c.want)
+			t.Errorf("median(%s) = %v, want %v", in, got, c.want)
+		}
+		if !slices.IsSorted(c.in) {
+			t.Errorf("median(%s) left %v unsorted; it sorts in place", in, c.in)
 		}
 	}
 }
@@ -364,5 +372,62 @@ func TestFabricPcapCapture(t *testing.T) {
 		if _, _, err := netproto.ParseIPv4(pkt); err != nil {
 			t.Fatalf("packet %d unparseable: %v", i, err)
 		}
+	}
+}
+
+// wireBytesSHA256 pins every byte the orchestrator sends and receives in
+// TestProbeWireBytesPinned, virtual timestamps included. The packet codecs,
+// target resolution and delay lookups may get cheaper; none of that may move
+// a byte on the wire, a noise draw or a fault draw, so this hash never needs
+// re-recording for a performance change.
+const wireBytesSHA256 = "013b4a19f23d0d3b632ab31a11364174e1a0eb284c2c979b6daa7881661ba7ff"
+
+// TestProbeWireBytesPinned captures a full measurement pass at test scale —
+// every site announced, default noise, one blacked-out site and injected
+// probe loss — and pins the SHA-256 of the capture. For every target it runs
+// a catchment probe with retries and then an RTT measurement via every site,
+// so both request forms, every reply path, losses, the dead site's silence
+// and unreachable targets all reach the capture.
+func TestProbeWireBytesPinned(t *testing.T) {
+	all := make([]int, 15)
+	for i := range all {
+		all[i] = i + 1
+	}
+	r := newRig(t, all...)
+	faults := &fault.Config{Seed: 5, ProbeLossProb: 0.03, BlackoutSites: []int{4}}
+	fab := NewSimFabric(r.tb, r.sim, 0, DefaultNoise(11))
+	fab.Fault = faults.Injector(1, 0, nil)
+	var buf bytes.Buffer
+	w, err := netproto.NewPcapWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab.Capture = w
+	p := New(fab, DefaultConfig(r.tb.OrchAddr, r.tb.AnycastAddrs[0]), r.sim.Engine.Now())
+
+	var caught, measured, failed int
+	for _, tg := range r.topo.Targets {
+		p.BeginTarget(uint64(tg.AS))
+		if _, err := p.CatchmentRetry(tg.Addr, 3); err == nil {
+			caught++
+		} else if !errors.Is(err, ErrLost) && !errors.Is(err, ErrUnreachable) {
+			t.Fatalf("catchment of %v: %v", tg.Addr, err)
+		}
+		for _, s := range r.tb.Sites {
+			if _, err := p.RTT(s.TunnelKey, s.TunnelAddr, s.TunnelRTT, tg.Addr); err == nil {
+				measured++
+			} else if !errors.Is(err, ErrLost) && !errors.Is(err, ErrUnreachable) {
+				t.Fatalf("RTT of %v via site %d: %v", tg.Addr, s.ID, err)
+			} else {
+				failed++
+			}
+		}
+	}
+	if caught == 0 || measured == 0 || failed == 0 {
+		t.Fatalf("pass exercised too little: %d caught, %d RTTs measured, %d failed", caught, measured, failed)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != wireBytesSHA256 {
+		t.Errorf("capture of %d packets (%d bytes) hashes to %s, pinned %s", w.Count(), buf.Len(), got, wireBytesSHA256)
 	}
 }

@@ -9,10 +9,10 @@
 package testbed
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"slices"
 	"sort"
 	"time"
 
@@ -91,8 +91,15 @@ type Testbed struct {
 	// testbed can announce in parallel (the paper uses four).
 	AnycastAddrs []netip.Addr
 
-	// linkSite maps origin-side links (transit and peering) back to sites.
-	linkSite map[topology.LinkID]*Site
+	// linkSite maps origin-side links (transit and peering) back to sites,
+	// indexed by LinkID − firstLink: New adds the origin's links one after
+	// another, so they hold consecutive IDs.
+	linkSite  []*Site
+	firstLink topology.LinkID
+	// orchLeg is each target's one-way orchestrator → target delay (half
+	// the RTT model's estimate), indexed like Topo.Targets: the direct leg
+	// of every catchment probe, a pure function of the target.
+	orchLeg []time.Duration
 }
 
 // Options configures testbed construction.
@@ -139,7 +146,10 @@ func New(topo *topology.Topology, opts Options) (*Testbed, error) {
 		Origin:    origin.ASN,
 		OrchCoord: orch.Coord,
 		OrchAddr:  netip.AddrFrom4([4]byte{192, 0, 2, 1}),
-		linkSite:  make(map[topology.LinkID]*Site),
+		orchLeg:   make([]time.Duration, len(topo.Targets)),
+	}
+	for i, tg := range topo.Targets {
+		tb.orchLeg[i] = topo.Model.RTT(orch.Coord, topo.AS(tg.AS).Coord, 8) / 2
 	}
 	// Each test prefix is its own /24, as the paper's four test anycast
 	// prefixes are independently routable.
@@ -182,7 +192,7 @@ func New(topo *topology.Topology, opts Options) (*Testbed, error) {
 		}
 		link := topo.AddLink(origin.ASN, t1.ASN, topology.CustomerProvider, sitePoP, provPoP)
 		site.TransitLink = link.ID
-		tb.linkSite[link.ID] = site
+		tb.addLinkSite(link.ID, site)
 
 		// Tunnel RTT: orchestrator to site over the Internet (GRE), plus a
 		// little encapsulation overhead.
@@ -201,11 +211,23 @@ func New(topo *topology.Topology, opts Options) (*Testbed, error) {
 			popIdx := topo.NearestPoP(p.ASN, city.Coord)
 			pl := topo.AddLink(origin.ASN, p.ASN, topology.PeerPeer, sitePoP, popIdx)
 			site.PeerLinks = append(site.PeerLinks, pl.ID)
-			tb.linkSite[pl.ID] = site
+			tb.addLinkSite(pl.ID, site)
 		}
 		tb.Sites = append(tb.Sites, site)
 	}
 	return tb, nil
+}
+
+// addLinkSite records that the origin-side link id belongs to site. Links
+// arrive in the order New adds them, so each one extends linkSite by one.
+func (tb *Testbed) addLinkSite(id topology.LinkID, site *Site) {
+	if len(tb.linkSite) == 0 {
+		tb.firstLink = id
+	}
+	if int(id-tb.firstLink) != len(tb.linkSite) {
+		panic(fmt.Sprintf("testbed: origin link %d is not next after %d", id, int(tb.firstLink)+len(tb.linkSite)-1))
+	}
+	tb.linkSite = append(tb.linkSite, site)
 }
 
 // pickPeers samples n distinct ASes weighted toward those close to c. Each AS
@@ -296,20 +318,48 @@ func (tb *Testbed) Site(id int) *Site {
 }
 
 // SiteByLink maps an origin-side link to the site owning it, or nil.
-func (tb *Testbed) SiteByLink(id topology.LinkID) *Site { return tb.linkSite[id] }
+func (tb *Testbed) SiteByLink(id topology.LinkID) *Site {
+	i := int(id) - int(tb.firstLink)
+	if i < 0 || i >= len(tb.linkSite) {
+		return nil
+	}
+	return tb.linkSite[i]
+}
 
-// TargetByAddr resolves a measurement target by its unicast address. It
-// binary-searches Topo.Targets, which generation and ImportJSON both keep
-// sorted by address.
+// TargetIndex returns the position in Topo.Targets of the target with unicast
+// address a. It binary-searches on the address read as a big-endian uint32:
+// generation and ImportJSON both keep Topo.Targets sorted by address and hold
+// only IPv4 addresses, so that order is netip's. Any other address — IPv6
+// or IPv4-mapped IPv6 included — is no target.
+func (tb *Testbed) TargetIndex(a netip.Addr) (int, bool) {
+	if !a.Is4() {
+		return 0, false
+	}
+	key := addrKey(a)
+	targets := tb.Topo.Targets
+	i := sort.Search(len(targets), func(m int) bool { return addrKey(targets[m].Addr) >= key })
+	return i, i < len(targets) && addrKey(targets[i].Addr) == key
+}
+
+// addrKey reads an IPv4 address as a big-endian uint32.
+func addrKey(a netip.Addr) uint32 {
+	b := a.As4()
+	return binary.BigEndian.Uint32(b[:])
+}
+
+// TargetByAddr resolves a measurement target by its unicast address; see
+// TargetIndex.
 func (tb *Testbed) TargetByAddr(a netip.Addr) (topology.Target, bool) {
-	i, ok := slices.BinarySearchFunc(tb.Topo.Targets, a, func(t topology.Target, a netip.Addr) int {
-		return t.Addr.Compare(a)
-	})
+	i, ok := tb.TargetIndex(a)
 	if !ok {
 		return topology.Target{}, false
 	}
 	return tb.Topo.Targets[i], true
 }
+
+// OrchLeg returns the one-way orchestrator → target delay of the i-th
+// target of Topo.Targets, precomputed when the testbed was built.
+func (tb *Testbed) OrchLeg(i int) time.Duration { return tb.orchLeg[i] }
 
 // SiteByTunnelKey resolves a GRE tunnel key to its site, ignoring the
 // ingress-interface bits, or nil.

@@ -1,6 +1,8 @@
 package testbed
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"net/netip"
 	"testing"
 	"time"
@@ -279,19 +281,116 @@ func TestTunnelRTTPlausible(t *testing.T) {
 	}
 }
 
-// TestTargetByAddr: every target resolves to itself, and an address before
-// or after the targets, or of another family, resolves to nothing.
+// TestTargetByAddr: every target resolves to itself at its own index, and
+// an address before or after the targets, or of another family, resolves to
+// nothing. The subtests cover the other families, an imported topology off
+// the generator's address plan, and SiteByLink's range.
 func TestTargetByAddr(t *testing.T) {
 	tb, topo := build(t)
-	for _, want := range topo.Targets {
-		if got, ok := tb.TargetByAddr(want.Addr); !ok || got != want {
-			t.Fatalf("TargetByAddr(%v) = %+v, %v; want %+v", want.Addr, got, ok, want)
-		}
-	}
+	resolvesAll(t, tb)
 	first, last := topo.Targets[0].Addr, topo.Targets[len(topo.Targets)-1].Addr
-	for _, a := range []netip.Addr{first.Prev(), last.Next(), tb.OrchAddr, netip.IPv6Loopback()} {
+	for _, a := range []netip.Addr{first.Prev(), last.Next(), tb.OrchAddr, {}} {
 		if got, ok := tb.TargetByAddr(a); ok {
 			t.Errorf("TargetByAddr(%v) = %+v, want no target", a, got)
+		}
+	}
+
+	// The IPv6 and IPv4-mapped forms of a target's own address are no
+	// target, and must not reach As4's panic.
+	t.Run("other families", func(t *testing.T) {
+		b := first.As4()
+		mapped := netip.AddrFrom16(first.As16())
+		v6 := netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 12: b[0], 13: b[1], 14: b[2], 15: b[3]})
+		for _, a := range []netip.Addr{mapped, v6, netip.IPv6Loopback()} {
+			if got, ok := tb.TargetByAddr(a); ok {
+				t.Errorf("TargetByAddr(%v) = %+v, want no target", a, got)
+			}
+			if i, ok := tb.TargetIndex(a); ok {
+				t.Errorf("TargetIndex(%v) = %d, want no target", a, i)
+			}
+		}
+	})
+
+	// An imported topology need not follow the generator's 10.x plan. With
+	// its targets spread over the whole IPv4 space — the high bit set
+	// included, where a signed key would misorder them — every target still
+	// resolves, and the address after each does not.
+	t.Run("imported off-plan", func(t *testing.T) {
+		tb := importedOffPlan(t)
+		resolvesAll(t, tb)
+		for _, tg := range tb.Topo.Targets {
+			if got, ok := tb.TargetByAddr(tg.Addr.Next()); ok {
+				t.Fatalf("TargetByAddr(%v) = %+v, want no target", tg.Addr.Next(), got)
+			}
+		}
+	})
+
+	// Only the origin's own links map to sites: a link elsewhere in the
+	// topology, a negative ID and the ID one past the last link map to nil.
+	t.Run("SiteByLink range", func(t *testing.T) {
+		lastLink := topo.Links[len(topo.Links)-1].ID
+		if tb.SiteByLink(lastLink) == nil {
+			t.Fatalf("the last link %d, added by the testbed, has no site", lastLink)
+		}
+		for _, id := range []topology.LinkID{topo.Links[0].ID, tb.Sites[0].TransitLink - 1, -1, lastLink + 1} {
+			if s := tb.SiteByLink(id); s != nil {
+				t.Errorf("SiteByLink(%d) = site %d, want nil", id, s.ID)
+			}
+		}
+	})
+}
+
+// importedOffPlan round-trips a generated topology through JSON with its
+// targets renumbered evenly across the IPv4 space, and deploys a testbed on
+// the import.
+func importedOffPlan(t *testing.T) *Testbed {
+	t.Helper()
+	topo, err := topology.Generate(topology.TestParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := topo.ExportJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump map[string]any
+	if err := json.Unmarshal(raw, &dump); err != nil {
+		t.Fatal(err)
+	}
+	targets := dump["targets"].([]any)
+	stride := uint32(1<<32/uint64(len(targets)+1)) &^ 1 // even, so addr+1 is never a target
+	for i, jt := range targets {
+		var b [4]byte
+		binary.BigEndian.PutUint32(b[:], uint32(i+1)*stride)
+		jt.(map[string]any)["addr"] = netip.AddrFrom4(b).String()
+	}
+	if raw, err = json.Marshal(dump); err != nil {
+		t.Fatal(err)
+	}
+	imported, err := topology.ImportJSON(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := imported.Targets[len(imported.Targets)-1].Addr; a.As4()[0] < 0x80 {
+		t.Fatalf("last target %v leaves the high half of the address space unused", a)
+	}
+	tb, err := New(imported, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
+// resolvesAll fails t unless every target of tb resolves to itself at its own
+// index.
+func resolvesAll(t *testing.T, tb *Testbed) {
+	t.Helper()
+	for i, want := range tb.Topo.Targets {
+		if got, ok := tb.TargetIndex(want.Addr); !ok || got != i {
+			t.Fatalf("TargetIndex(%v) = %d, %v; want %d", want.Addr, got, ok, i)
+		}
+		if got, ok := tb.TargetByAddr(want.Addr); !ok || got != want {
+			t.Fatalf("TargetByAddr(%v) = %+v, %v; want %+v", want.Addr, got, ok, want)
 		}
 	}
 }

@@ -161,6 +161,11 @@ func ImportJSON(data []byte) (*Topology, error) {
 		if err != nil {
 			return nil, fmt.Errorf("topology: target address %q: %w", jt.Addr, err)
 		}
+		// The measurement plane speaks IPv4 only, and resolves a target by
+		// its address read as a uint32.
+		if !addr.Is4() {
+			return nil, fmt.Errorf("topology: target address %s is not IPv4", addr)
+		}
 		if t.AS(jt.AS) == nil {
 			return nil, fmt.Errorf("topology: target references unknown AS %d", jt.AS)
 		}

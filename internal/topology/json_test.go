@@ -159,7 +159,8 @@ func TestImportJSONErrors(t *testing.T) {
 
 // TestImportJSONTargetsSorted: targets must arrive sorted by address, each
 // address once, because they are the campaign's row order and
-// Testbed.TargetByAddr binary-searches them.
+// Testbed.TargetIndex binary-searches them; and they must be IPv4, the only
+// family the measurement plane speaks.
 func TestImportJSONTargetsSorted(t *testing.T) {
 	const head = `{"version": 1, "ases": [{"asn": 1}], "targets": [`
 	got, err := ImportJSON([]byte(head + `{"addr": "10.0.0.1", "as": 1}, {"addr": "10.0.0.2", "as": 1}]}`))
@@ -173,6 +174,12 @@ func TestImportJSONTargetsSorted(t *testing.T) {
 		_, err := ImportJSON([]byte(head + tc.targets + `]}`))
 		if err == nil || !strings.Contains(err.Error(), "sorted by address") {
 			t.Errorf("%s targets: err = %v, want a sort-order refusal", tc.name, err)
+		}
+	}
+	for _, a := range []string{"2001:db8::1", "::ffff:10.0.0.1"} {
+		_, err := ImportJSON([]byte(head + `{"addr": "` + a + `", "as": 1}]}`))
+		if err == nil || !strings.Contains(err.Error(), "not IPv4") {
+			t.Errorf("target %s: err = %v, want an IPv4-only refusal", a, err)
 		}
 	}
 }
