@@ -40,14 +40,14 @@ invariants:
 # quarantined sites, and quorum retries that skip locked rows must match
 # retries that probe every row), failure-trace determinism, and
 # checkpoint/resume — the torn-write sweep over the journal and whole faulted
-# campaigns killed mid-run included. The race pass covers cancellation,
-# timeouts, and the row quorum with an attempt that overruns its timeout.
+# campaigns killed mid-run included. The race pass covers batch and flush
+# cancellation, session resets, and the row quorum with its skip vector.
 chaos:
 	$(GO) test -run 'Chaos|FaultsDisabled|Checkpoint|CampaignResume|SaveLoadQuarantine|Pooled' \
 		./internal/core/discovery/ ./internal/campaign/
-	$(GO) test -race -run 'ForEachCtx|RunTimeout|Flush|SessionReset' \
+	$(GO) test -race -run 'ForEachCtx|Flush|SessionReset' \
 		./internal/exec/ ./internal/orchestrator/
-	$(GO) test -race -run 'RowQuorum|QuorumTimedOut' ./internal/core/discovery/
+	$(GO) test -race -run 'RowQuorum' ./internal/core/discovery/
 
 # chaos-churn runs the churn-reconciliation suite under the race detector:
 # the differential convergence test (a healed churned campaign must be

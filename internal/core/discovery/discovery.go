@@ -70,12 +70,6 @@ type Config struct {
 	// reproduces the fault-free row exactly — which is why agreement
 	// converges to it.
 	QuorumK, QuorumN int
-	// ExperimentTimeout bounds one experiment attempt in wall-clock time;
-	// 0 (the default) disables it. A timeout abandons the attempt's
-	// goroutine and the next attempt runs at once with fresh faults; because
-	// it depends on wall-clock speed it makes campaign results
-	// machine-dependent, so leave it off when byte-reproducibility matters.
-	ExperimentTimeout time.Duration
 
 	// TargetFilter, when non-nil, restricts probing to targets whose client
 	// AS is in the set. Experiments still run the full BGP schedule (every
@@ -249,8 +243,8 @@ type Exp struct {
 	trace   *fault.Trace
 	// skip marks the rows of this attempt's sweep that earlier attempts
 	// locked: measure does not probe them and they read as no answer. It is
-	// the attempt's own copy, never the vote's, so a timed-out attempt still
-	// running detached reads nothing a later vote writes.
+	// the vote's own vector, read in place: the attempt finishes before the
+	// next vote writes it.
 	skip []bool
 	// sims tracks the simulators this attempt acquired, for release back to
 	// the campaign free list when the attempt completes.
@@ -321,11 +315,8 @@ func (d *Discovery) acquireSim(cfg bgp.Config) *bgp.Sim {
 	return bgp.New(d.TB.Topo, cfg)
 }
 
-// release returns the attempt's simulators to the campaign's free list. It
-// must run on the attempt's own goroutine, after its last use of them: an
-// attempt abandoned by exec.RunTimeout keeps exclusive ownership of its sims
-// until its detached goroutine finishes, so a timed-out attempt can never
-// hand a still-running session to another experiment.
+// release returns the attempt's simulators to the campaign's free list,
+// after its last use of them.
 func (e *Exp) release() {
 	if !e.d.freshSims {
 		e.d.simMu.Lock()

@@ -3,8 +3,8 @@ package discovery
 // This file is the self-healing half of the campaign runner: every batch
 // experiment flows through runBatch → runExperiment → runQuorum →
 // runAttempt, which together add checkpoint replay, K-of-N quorum
-// re-measurement under injected faults, per-attempt timeouts, and a
-// deterministic campaign fault log on top of the plain worker-pool fan-out.
+// re-measurement under injected faults, and a deterministic campaign fault
+// log on top of the plain worker-pool fan-out.
 // With Cfg.Faults disabled and no journal installed, the path reduces
 // exactly to the old single-attempt batch — byte-identical results.
 
@@ -14,7 +14,6 @@ import (
 	"slices"
 	"sort"
 
-	"anyopt/internal/exec"
 	"anyopt/internal/fault"
 )
 
@@ -45,9 +44,9 @@ type Journal interface {
 func (d *Discovery) SetJournal(j Journal) { d.journal = j }
 
 // Err returns the first experiment-infrastructure error — checkpoint I/O
-// failure, checkpoint/schedule mismatch, or an experiment whose every
-// attempt failed — encountered by batch APIs that do not return errors
-// themselves. Campaign drivers should check it after a run.
+// failure, checkpoint/schedule mismatch, or a canceled campaign context —
+// encountered by batch APIs that do not return errors themselves. Campaign
+// drivers should check it after a run.
 func (d *Discovery) Err() error { return d.runErr }
 
 // FaultLog returns the campaign's failure trace: injected-fault events in
@@ -183,10 +182,7 @@ func (d *Discovery) runExperiment(e *Exp, kind string, i int, run func(*Exp, int
 			return sw, nil
 		}
 	}
-	sw, err := d.runQuorum(e, i, run)
-	if err != nil {
-		return Sweep{}, err
-	}
+	sw := d.runQuorum(e, i, run)
 	if d.journal != nil {
 		ent := JournalEntry{Kind: kind, Result: sw, Probes: e.probes, Trace: e.trace.Entries()}
 		if jerr := d.journal.Record(e.nonce, ent); jerr != nil {
@@ -216,15 +212,15 @@ func (d *Discovery) runExperiment(e *Exp, kind string, i int, run func(*Exp, int
 // "no answer" is a value like any other: a target that is filtered out, or
 // silent for K attempts, locks as unanswered by the same rule that locks an
 // answer — there is no set of known rows to maintain and nothing to
-// backfill. A locked row is not probed again: each attempt is handed a copy
-// of the rows locked so far, measure skips them, and the vote never reads
-// them. Because a row's measurement is a pure function of (nonce, attempt,
+// backfill. A locked row is not probed again: each attempt reads the vote's
+// locked vector, measure skips those rows, and the vote never reads them.
+// Because a row's measurement is a pure function of (nonce, attempt,
 // target), the rows that are probed come out exactly as if every row were;
 // only probes that cannot change the outcome go unsent, so ProbesSent, the
 // journaled probe count and the "probe lost" trace lines count probed rows
 // only. Rows that never reach quorum within N attempts degrade to their
 // plurality value (earliest wins ties) and the degradation is logged.
-func (d *Discovery) runQuorum(e *Exp, i int, run func(*Exp, int) Sweep) (Sweep, error) {
+func (d *Discovery) runQuorum(e *Exp, i int, run func(*Exp, int) Sweep) Sweep {
 	if !d.Cfg.Faults.Enabled() {
 		return d.runAttempt(e, i, 0, nil, run)
 	}
@@ -237,36 +233,24 @@ func (d *Discovery) runQuorum(e *Exp, i int, run func(*Exp, int) Sweep) (Sweep, 
 		n = k + 3
 	}
 	var q rowQuorum
-	var err error
 	for attempt := 0; attempt < n; attempt++ {
 		if attempt > 0 {
 			d.quorumRetries.Add(1)
 		}
 		var skip []bool
 		if !d.probeLocked {
-			skip = slices.Clone(q.locked)
+			skip = q.locked
 		}
-		var sw Sweep
-		if sw, err = d.runAttempt(e, i, attempt, skip, run); err != nil {
-			// A timed-out attempt is traced and the next runs at once: the
-			// attempts are simulated, there is no remote party to back off
-			// from.
-			e.trace.Addf("exp %d attempt %d: %v", e.nonce, attempt, err)
-			continue
-		}
-		if q.vote(sw, k) == 0 && len(q.attempts) >= k {
+		if q.vote(d.runAttempt(e, i, attempt, skip, run), k) == 0 && len(q.attempts) >= k {
 			break
 		}
-	}
-	if len(q.attempts) == 0 {
-		return Sweep{}, fmt.Errorf("discovery: experiment %d failed all %d attempts: %w", e.nonce, n, err)
 	}
 	if q.pending > 0 {
 		d.pluralityExperiments.Add(1)
 		e.trace.Addf("exp %d: %d of %d rows lacked %d-of-%d quorum; accepted per-row plurality",
 			e.nonce, q.pending, len(q.locked), k, n)
 	}
-	return q.resolve(), nil
+	return q.resolve()
 }
 
 // rowQuorum is the typed per-row K-of-N vote over sweep columns. Every
@@ -279,7 +263,7 @@ type rowQuorum struct {
 	// out carries the accepted rows; it has the first attempt's columns.
 	out Sweep
 	// locked[r] marks rows whose value reached K votes; pending counts the
-	// rest. Later attempts get a copy and do not probe these rows.
+	// rest. Later attempts read it and do not probe these rows.
 	locked  []bool
 	pending int
 }
@@ -355,31 +339,16 @@ func (q *rowQuorum) resolve() Sweep {
 }
 
 // runAttempt runs a single experiment attempt on a private Exp carrying this
-// attempt's fault injector, trace and skip vector (the rows not to probe).
-// Its probe count and trace fold into the parent only on completion: a
-// timed-out attempt's goroutine keeps running detached (see exec.RunTimeout)
-// and must not share state with later attempts.
-func (d *Discovery) runAttempt(e *Exp, i, attempt int, skip []bool, run func(*Exp, int) Sweep) (Sweep, error) {
+// attempt's fault injector, trace and skip vector (the rows not to probe),
+// then folds its probe count and trace into the experiment's.
+func (d *Discovery) runAttempt(e *Exp, i, attempt int, skip []bool, run func(*Exp, int) Sweep) Sweep {
 	a := &Exp{d: d, nonce: e.nonce, attempt: attempt, trace: &fault.Trace{}, skip: skip}
 	if d.Cfg.Faults.Enabled() {
 		a.inj = d.Cfg.Faults.Injector(e.nonce, attempt, a.trace)
 	}
-	var sw Sweep
-	op := func() error {
-		sw = run(a, i)
-		a.release()
-		return nil
-	}
-	var err error
-	if t := d.Cfg.ExperimentTimeout; t > 0 {
-		err = exec.RunTimeout(t, op)
-	} else {
-		err = op()
-	}
-	if err != nil {
-		return Sweep{}, err
-	}
+	sw := run(a, i)
+	a.release()
 	e.probes += a.probes
 	e.trace.Append(a.trace.Entries()...)
-	return sw, nil
+	return sw
 }

@@ -2,14 +2,9 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 )
-
-// ErrTimeout marks an operation abandoned by RunTimeout.
-var ErrTimeout = errors.New("exec: operation timed out")
 
 // ForEachCtx is ForEach with cancellation: it runs fn(ctx, i) for every i in
 // [0, n), stops handing out new indices once ctx is canceled or any call
@@ -100,47 +95,7 @@ func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(ctx context.Contex
 	if firstErr != nil {
 		return firstErr
 	}
-	if int(next.Load()) < n {
-		// Workers bailed early without an fn error: the context did it.
-		return ctx.Err()
-	}
+	// No fn failed: workers that bailed early did so because the context
+	// was canceled, which reports itself here.
 	return ctx.Err()
 }
-
-// RunTimeout runs op with a wall-clock budget and returns ErrTimeout if op
-// has not finished within d. The op goroutine is not killed — Go cannot — so
-// a timed-out op keeps running detached; callers must only use RunTimeout
-// around ops whose side effects are confined to state the caller discards on
-// timeout (each discovery experiment runs on its own Sim, which satisfies
-// this). d <= 0 runs op inline with no budget.
-func RunTimeout(d time.Duration, op func() error) error {
-	if d <= 0 {
-		return op()
-	}
-	done := make(chan error, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				done <- &panicError{val: r}
-			}
-		}()
-		done <- op()
-	}()
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case err := <-done:
-		if pe, ok := err.(*panicError); ok {
-			panic(pe.val)
-		}
-		return err
-	case <-t.C:
-		return ErrTimeout
-	}
-}
-
-// panicError carries a recovered panic across the RunTimeout channel so it
-// can be re-raised on the caller's goroutine.
-type panicError struct{ val any }
-
-func (p *panicError) Error() string { return "exec: panic in timed operation" }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestForEachCtxRunsAll(t *testing.T) {
@@ -116,38 +115,4 @@ func TestForEachCtxSerialStopsOnError(t *testing.T) {
 	if calls != 3 {
 		t.Errorf("serial path ran %d calls after the error, want 3 total", calls)
 	}
-}
-
-func TestRunTimeout(t *testing.T) {
-	if err := RunTimeout(time.Second, func() error { return nil }); err != nil {
-		t.Errorf("fast op: %v", err)
-	}
-	sentinel := errors.New("op failed")
-	if err := RunTimeout(time.Second, func() error { return sentinel }); !errors.Is(err, sentinel) {
-		t.Errorf("op error not propagated: %v", err)
-	}
-	block := make(chan struct{})
-	defer close(block)
-	err := RunTimeout(5*time.Millisecond, func() error {
-		<-block
-		return nil
-	})
-	if !errors.Is(err, ErrTimeout) {
-		t.Errorf("blocked op: err = %v, want ErrTimeout", err)
-	}
-	// d <= 0 runs inline, no goroutine, no budget.
-	inline := false
-	if err := RunTimeout(0, func() error { inline = true; return nil }); err != nil || !inline {
-		t.Errorf("inline path: err=%v ran=%v", err, inline)
-	}
-}
-
-func TestRunTimeoutPanicPropagates(t *testing.T) {
-	defer func() {
-		if r := recover(); r != "kaboom" {
-			t.Errorf("recovered %v, want kaboom", r)
-		}
-	}()
-	RunTimeout(time.Second, func() error { panic("kaboom") })
-	t.Fatal("panic did not propagate")
 }
