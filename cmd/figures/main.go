@@ -6,6 +6,7 @@
 //	go run ./cmd/figures -scale paper     # full-size client population
 //	go run ./cmd/figures -scale internet  # ~100k ASes, far slower
 //	go run ./cmd/figures -only fig6,fig7  # a subset
+//	go run ./cmd/figures -faults paper -only fig4a,fig4b,fig4c  # Figure 4 under injected faults
 package main
 
 import (
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"anyopt/internal/experiments"
+	"anyopt/internal/fault"
 )
 
 func main() {
@@ -32,14 +34,20 @@ func main() {
 func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	var (
-		scale   = fs.String("scale", "test", "topology scale: test, paper, or internet")
-		seed    = fs.Int64("seed", 1, "topology seed")
-		only    = fs.String("only", "", "comma-separated subset: table1,fig4a,fig4b,fig4c,fig5,fig6,fig7,sec45,repstab,stability,ablations")
-		configs = fs.Int("configs", 38, "number of random configurations for Figure 5")
-		churn   = fs.Float64("churn", 0.01, "inter-experiment churn fraction for Figure 5")
-		k       = fs.Int("k", 12, "configuration size for Figures 6 and 7")
+		scale     = fs.String("scale", "test", "topology scale: test, paper, or internet")
+		seed      = fs.Int64("seed", 1, "topology seed")
+		only      = fs.String("only", "", "comma-separated subset: table1,fig4a,fig4b,fig4c,fig5,fig6,fig7,sec45,repstab,stability,ablations")
+		configs   = fs.Int("configs", 38, "number of random configurations for Figure 5")
+		churn     = fs.Float64("churn", 0.01, "inter-experiment churn fraction for Figure 5")
+		k         = fs.Int("k", 12, "configuration size for Figures 6 and 7")
+		faults    = fs.String("faults", "none", "fault-injection scenario: none, paper, or harsh")
+		faultSeed = fs.Int64("fault-seed", fault.SeedFromEnv(), "fault injection seed (default $"+fault.SeedEnv+" or 1)")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	faultCfg, err := fault.Scenario(*faults, *faultSeed)
+	if err != nil {
 		return err
 	}
 
@@ -55,6 +63,7 @@ func run(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
+	env.Sys.Disc.Cfg.Faults = faultCfg
 	fmt.Fprintf(w, "# AnyOpt evaluation — scale=%s seed=%d\n", *scale, *seed)
 	fmt.Fprintf(w, "# topology: %v\n\n", env.Sys.Topo.ComputeStats())
 
@@ -125,6 +134,13 @@ func run(w io.Writer, args []string) error {
 		}
 		fmt.Fprintln(w, out)
 		fmt.Fprintf(w, "[%s completed in %v, %d experiments total]\n\n", s.name, time.Since(start).Round(time.Millisecond), env.Sys.Experiments())
+	}
+	if err := env.Sys.Disc.Err(); err != nil {
+		return err
+	}
+	if faultCfg.Enabled() {
+		fmt.Fprintf(w, "faults: scenario %q seed %d, %d events logged, %d sites quarantined\n",
+			*faults, *faultSeed, len(env.Sys.Disc.FaultLog()), len(env.Sys.Disc.QuarantinedSites()))
 	}
 	return nil
 }

@@ -61,3 +61,30 @@ func TestMaskWallClock(t *testing.T) {
 		}
 	}
 }
+
+// TestFiguresFaults: under -faults the figures run on the faulted campaign
+// and end with the one summary line; an unknown scenario is refused by name
+// before anything is measured.
+func TestFiguresFaults(t *testing.T) {
+	var got bytes.Buffer
+	if err := run(&got, []string{"-only", "fig4b", "-faults", "paper", "-fault-seed", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	out := got.String()
+	if !strings.Contains(out, "Figure 4b") {
+		t.Errorf("no Figure 4b in output:\n%s", out)
+	}
+	summary := regexp.MustCompile(`(?m)^faults: scenario "paper" seed 1, [1-9][0-9]* events logged, 0 sites quarantined$`)
+	if !summary.MatchString(out) {
+		t.Errorf("no faults summary line in output:\n%s", out)
+	}
+
+	got.Reset()
+	err := run(&got, []string{"-faults", "bogus"})
+	if err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Errorf("-faults bogus: err = %v, want one naming the scenario", err)
+	}
+	if got.Len() != 0 {
+		t.Errorf("-faults bogus wrote %q", got.String())
+	}
+}

@@ -38,7 +38,7 @@ import (
 )
 
 // SeedEnv names the environment variable that supplies the default fault
-// seed for the command-line drivers (cmd/anyopt, cmd/calibrate).
+// seed for the command-line drivers (cmd/anyopt, cmd/figures).
 const SeedEnv = "ANYOPT_FAULT_SEED"
 
 // SeedFromEnv returns ANYOPT_FAULT_SEED when set to an integer, else 1.

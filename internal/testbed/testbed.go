@@ -347,16 +347,6 @@ func addrKey(a netip.Addr) uint32 {
 	return binary.BigEndian.Uint32(b[:])
 }
 
-// TargetByAddr resolves a measurement target by its unicast address; see
-// TargetIndex.
-func (tb *Testbed) TargetByAddr(a netip.Addr) (topology.Target, bool) {
-	i, ok := tb.TargetIndex(a)
-	if !ok {
-		return topology.Target{}, false
-	}
-	return tb.Topo.Targets[i], true
-}
-
 // OrchLeg returns the one-way orchestrator → target delay of the i-th
 // target of Topo.Targets, precomputed when the testbed was built.
 func (tb *Testbed) OrchLeg(i int) time.Duration { return tb.orchLeg[i] }

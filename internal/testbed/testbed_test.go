@@ -281,17 +281,17 @@ func TestTunnelRTTPlausible(t *testing.T) {
 	}
 }
 
-// TestTargetByAddr: every target resolves to itself at its own index, and
+// TestTargetIndex: every target resolves to itself at its own index, and
 // an address before or after the targets, or of another family, resolves to
 // nothing. The subtests cover the other families, an imported topology off
 // the generator's address plan, and SiteByLink's range.
-func TestTargetByAddr(t *testing.T) {
+func TestTargetIndex(t *testing.T) {
 	tb, topo := build(t)
 	resolvesAll(t, tb)
 	first, last := topo.Targets[0].Addr, topo.Targets[len(topo.Targets)-1].Addr
 	for _, a := range []netip.Addr{first.Prev(), last.Next(), tb.OrchAddr, {}} {
-		if got, ok := tb.TargetByAddr(a); ok {
-			t.Errorf("TargetByAddr(%v) = %+v, want no target", a, got)
+		if i, ok := tb.TargetIndex(a); ok {
+			t.Errorf("TargetIndex(%v) = %d, want no target", a, i)
 		}
 	}
 
@@ -302,9 +302,6 @@ func TestTargetByAddr(t *testing.T) {
 		mapped := netip.AddrFrom16(first.As16())
 		v6 := netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 12: b[0], 13: b[1], 14: b[2], 15: b[3]})
 		for _, a := range []netip.Addr{mapped, v6, netip.IPv6Loopback()} {
-			if got, ok := tb.TargetByAddr(a); ok {
-				t.Errorf("TargetByAddr(%v) = %+v, want no target", a, got)
-			}
 			if i, ok := tb.TargetIndex(a); ok {
 				t.Errorf("TargetIndex(%v) = %d, want no target", a, i)
 			}
@@ -319,8 +316,8 @@ func TestTargetByAddr(t *testing.T) {
 		tb := importedOffPlan(t)
 		resolvesAll(t, tb)
 		for _, tg := range tb.Topo.Targets {
-			if got, ok := tb.TargetByAddr(tg.Addr.Next()); ok {
-				t.Fatalf("TargetByAddr(%v) = %+v, want no target", tg.Addr.Next(), got)
+			if i, ok := tb.TargetIndex(tg.Addr.Next()); ok {
+				t.Fatalf("TargetIndex(%v) = %d, want no target", tg.Addr.Next(), i)
 			}
 		}
 	})
@@ -388,9 +385,6 @@ func resolvesAll(t *testing.T, tb *Testbed) {
 	for i, want := range tb.Topo.Targets {
 		if got, ok := tb.TargetIndex(want.Addr); !ok || got != i {
 			t.Fatalf("TargetIndex(%v) = %d, %v; want %d", want.Addr, got, ok, i)
-		}
-		if got, ok := tb.TargetByAddr(want.Addr); !ok || got != want {
-			t.Fatalf("TargetByAddr(%v) = %+v, %v; want %+v", want.Addr, got, ok, want)
 		}
 	}
 }
