@@ -409,7 +409,7 @@ func (s *Server) handleCampaignExport(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	if err := campaign.SaveSnapshot(w, snap); err != nil {
 		writeErr(w, http.StatusConflict, "%v", err)
 	}

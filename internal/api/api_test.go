@@ -234,10 +234,13 @@ func TestCampaignRoundTripOverHTTP(t *testing.T) {
 	if err != nil || resp.StatusCode != 200 {
 		t.Fatalf("export: status %d err %v", resp.StatusCode, err)
 	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Errorf("export Content-Type %q, want application/octet-stream", ct)
+	}
 
 	// A fresh server imports the campaign and can predict immediately.
 	_, ts2 := testServer(t)
-	resp, err = http.Post(ts2.URL+"/v1/campaign", "application/json", bytes.NewReader(snapshot))
+	resp, err = http.Post(ts2.URL+"/v1/campaign", "application/octet-stream", bytes.NewReader(snapshot))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,10 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -95,21 +97,121 @@ func TestSaveRequiresDiscovery(t *testing.T) {
 	}
 }
 
+// splitFrames cuts a saved campaign into its header and frame payloads.
+func splitFrames(t *testing.T, file []byte) (head []byte, payloads [][]byte) {
+	t.Helper()
+	rest := file[len(campaignHeader):]
+	for len(rest) > 0 {
+		payload, after, ok := cutFrame(rest)
+		if !ok {
+			t.Fatalf("saved campaign has a bad frame %d bytes from the end", len(rest))
+		}
+		payloads = append(payloads, bytes.Clone(payload))
+		rest = after
+	}
+	return bytes.Clone(file[:len(campaignHeader)]), payloads
+}
+
+// joinFrames seals the payloads into frames behind head.
+func joinFrames(head []byte, payloads [][]byte) []byte {
+	out := bytes.Clone(head)
+	for _, p := range payloads {
+		b := append(beginFrame(nil, p[0]), p[1:]...)
+		sealFrame(b)
+		out = append(out, b...)
+	}
+	return out
+}
+
+// TestLoadRejectsBadSnapshots edits a saved campaign in each way Save never
+// writes — every edited frame resealed with a good CRC, so that the check
+// under test is the one that refuses it — and wants each refused with its
+// own error, without a panic.
 func TestLoadRejectsBadSnapshots(t *testing.T) {
-	sys, err := anyopt.New(anyopt.DefaultOptions())
-	if err != nil {
+	src := discovered(t)
+	var buf bytes.Buffer
+	if err := Save(&buf, src); err != nil {
 		t.Fatal(err)
 	}
-	cases := map[string]string{
-		"garbage":        "not json",
-		"wrong version":  `{"version": 99, "sites": 15}`,
-		"wrong sites":    `{"version": 1, "sites": 3}`,
-		"bad provider":   `{"version": 1, "sites": 15, "providers": {"items": [], "relations": []}}`,
-		"unknown winner": `{"version": 1, "sites": 15, "providers": {"items": [1, 2], "relations": [{"c": 7, "i": 1, "j": 2, "r": 1, "w": 9}]}}`,
+	file := buf.Bytes()
+	wrongVersion := bytes.Clone(file)
+	wrongVersion[7] = 99
+	head, payloads := splitFrames(t, file)
+	rtt := len(payloads) - 1
+	if payloads[0][0] != frameCampaign || payloads[1][0] != frameProviderStore || payloads[rtt][0] != frameRTT {
+		t.Fatalf("frame types %d, %d, …, %d", payloads[0][0], payloads[1][0], payloads[rtt][0])
 	}
-	for name, data := range cases {
-		if err := Load(strings.NewReader(data), sys); err == nil {
-			t.Errorf("%s: loaded successfully", name)
+	le := binary.LittleEndian
+	// Offsets into a store payload (items, then clients, then cells) and an
+	// RTT payload (sites, then clients, then the slab).
+	nItems := int(le.Uint32(payloads[1][1:]))
+	clients := 1 + 4 + 8*nItems + 4
+	nClients := int(le.Uint32(payloads[1][clients-4:]))
+	cells := clients + 8*nClients
+	nPairs := nItems * (nItems - 1) / 2
+	nSites := int(le.Uint32(payloads[rtt][1:]))
+	slab := 1 + 4 + 8*nSites + 4 + 8*int(le.Uint32(payloads[rtt][1+4+8*nSites:]))
+
+	edit := func(frame int, fn func(p []byte)) []byte {
+		ps := slices.Clone(payloads)
+		ps[frame] = bytes.Clone(ps[frame])
+		fn(ps[frame])
+		return joinFrames(head, ps)
+	}
+	swap8 := func(p []byte, i, j int) {
+		a, b := bytes.Clone(p[i:i+8]), bytes.Clone(p[j:j+8])
+		copy(p[i:], b)
+		copy(p[j:], a)
+	}
+	for _, tc := range []struct {
+		name, data, want string
+	}{
+		{"garbage", "not a campaign", "not a campaign file"},
+		{"empty", "", "not a campaign file"},
+		{"JSON-era file", "{\n \"version\": 1,\n \"sites\": 15\n}\n", "JSON campaign file"},
+		{"wrong version", string(wrongVersion), "version 99"},
+		{"wrong sites", string(edit(0, func(p []byte) { le.PutUint32(p[1:], 3) })), "3 sites"},
+		{"no items", string(joinFrames(head, slices.Concat(payloads[:1], [][]byte{{frameProviderStore, 0, 0, 0, 0, 0, 0, 0, 0}}, payloads[2:]))),
+			"needs at least one item"},
+		{"unsorted clients", string(edit(1, func(p []byte) { swap8(p, clients, clients+8) })), "not strictly ascending"},
+		{"repeated client", string(edit(1, func(p []byte) { copy(p[clients+8:], p[clients:clients+8]) })), "not strictly ascending"},
+		{"cell above 3", string(edit(1, func(p []byte) { p[cells] = 4 })), "has cell 4"},
+		{"row all unknown", string(edit(1, func(p []byte) { clear(p[cells : cells+nPairs]) })), "no known relation"},
+		{"unsorted sites", string(edit(rtt, func(p []byte) { swap8(p, 5, 13) })), "site column is not strictly ascending"},
+		{"RTT below -1", string(edit(rtt, func(p []byte) { le.PutUint64(p[slab:], uint64(0xFFFFFFFFFFFFFFFE)) })), "RTT -2"},
+		{"client no site measured", string(edit(rtt, func(p []byte) {
+			nRTTClients := (len(p) - slab) / 8 / nSites
+			for si := 0; si < nSites; si++ {
+				le.PutUint64(p[slab+8*si*nRTTClients:], uint64(0xFFFFFFFFFFFFFFFF))
+			}
+		})), "no site measured client"},
+		{"flag byte 2", string(edit(0, func(p []byte) { p[5] = 2 })), "malformed campaign frame"},
+		{"flipped CRC bit", string(func() []byte {
+			b := bytes.Clone(file)
+			b[len(campaignHeader)+4] ^= 1
+			return b
+		}()), "checksum"},
+		{"frame length past the end", string(func() []byte {
+			b := bytes.Clone(file)
+			le.PutUint32(b[len(campaignHeader):], uint32(len(file)))
+			return b
+		}()), "torn"},
+		{"truncated", string(file[:len(file)-1]), "torn"},
+		{"trailing bytes", string(append(bytes.Clone(file), 0)), "after the last frame"},
+		{"missing RTT frame", string(joinFrames(head, payloads[:rtt])), "ends before its frame of type 4"},
+	} {
+		sys, err := anyopt.New(anyopt.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = Load(strings.NewReader(tc.data), sys)
+		switch {
+		case err == nil:
+			t.Errorf("%s: loaded successfully", tc.name)
+		case !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: refused with %q, want an error naming %q", tc.name, err, tc.want)
+		case sys.CurrentSnapshot() != nil:
+			t.Errorf("%s: refused, but a campaign was published", tc.name)
 		}
 	}
 }
@@ -133,7 +235,7 @@ func TestSnapshotIsStable(t *testing.T) {
 // it was, never a truncated campaign.
 func TestSaveFileReplacesWholeOrNotAtAll(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "campaign.json")
+	path := filepath.Join(dir, "campaign.bin")
 	if err := os.WriteFile(path, []byte("previous"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"maps"
 	"os"
@@ -24,11 +23,8 @@ const CheckpointVersion = 3
 // checkpointHeader opens every journal: seven magic bytes and the version.
 var checkpointHeader = [8]byte{'A', 'N', 'Y', 'O', 'P', 'T', 'J', CheckpointVersion}
 
-// A frame is [u32 payload length][u32 CRC-32C of the payload][payload], both
-// little-endian; the payload's first byte is its type.
+// The journal's frame types (frame.go has the layout).
 const (
-	frameHeaderLen = 8
-
 	// frameExperiment: uvarint nonce, kind, uvarint probe count, uvarint
 	// trace length and the trace lines, then the sweep's columns
 	// (discovery.Sweep.AppendBinary). Strings are a uvarint length and bytes.
@@ -42,13 +38,6 @@ const (
 	// framePatchDone: the patch id.
 	framePatchDone byte = 3
 )
-
-// frameCRC is the CRC-32C of a payload. MakeTable hands back the standard
-// library's one Castagnoli table, built on first use — so a process that
-// never journals never builds it.
-func frameCRC(payload []byte) uint32 {
-	return crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))
-}
 
 // fsync is (*os.File).Sync; the durability test counts calls through it.
 var fsync = (*os.File).Sync
@@ -169,7 +158,7 @@ func (c *Checkpoint) readFrame(f *os.File, off, limit int64) ([]byte, bool) {
 	if _, err := f.ReadAt(head[:], off); err != nil {
 		return nil, false
 	}
-	n := int64(binary.LittleEndian.Uint32(head[:4]))
+	n := frameLen(head[:])
 	if off+frameHeaderLen+n > limit {
 		return nil, false
 	}
@@ -180,7 +169,7 @@ func (c *Checkpoint) readFrame(f *os.File, off, limit int64) ([]byte, bool) {
 	if _, err := f.ReadAt(payload, off+frameHeaderLen); err != nil {
 		return nil, false
 	}
-	return payload, frameCRC(payload) == binary.LittleEndian.Uint32(head[4:])
+	return payload, frameIntact(head[:], payload)
 }
 
 // apply folds one frame into the index, or returns false if its payload is
@@ -212,49 +201,13 @@ func (c *Checkpoint) apply(ref frameRef, payload []byte) bool {
 	return true
 }
 
-// frameReader walks a payload; bad latches on the first short read.
-type frameReader struct {
-	b   []byte
-	bad bool
-}
-
-func (r *frameReader) uvarint() uint64 {
-	v, w := binary.Uvarint(r.b)
-	if w <= 0 {
-		r.bad, w = true, 0
-	}
-	r.b = r.b[w:]
-	return v
-}
-
-func (r *frameReader) str() string {
-	n := r.uvarint()
-	if n > uint64(len(r.b)) {
-		r.bad, n = true, 0
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-func appendString(b []byte, s string) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
-}
-
-// beginFrame starts a frame of the given type in c.buf.
-func (c *Checkpoint) beginFrame(typ byte) []byte {
-	return append(c.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0, typ)
-}
-
 // appendFrame seals the frame begun by beginFrame — length and CRC filled in
 // — and writes it at the end of the log with one write and one fsync,
 // creating the file — header written, file and directory synced — if this
 // is the first append.
 func (c *Checkpoint) appendFrame(b []byte) (frameRef, error) {
 	c.buf = b
-	payload := b[frameHeaderLen:]
-	binary.LittleEndian.PutUint32(b[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[4:], frameCRC(payload))
+	sealFrame(b)
 	if c.size == 0 {
 		err := writeFileSynced(c.path, func(w io.Writer) error {
 			_, err := w.Write(checkpointHeader[:])
@@ -390,7 +343,7 @@ func decodeExperiment(payload []byte) (discovery.JournalEntry, bool) {
 func (c *Checkpoint) Record(nonce uint64, ent discovery.JournalEntry) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	b := binary.AppendUvarint(c.beginFrame(frameExperiment), nonce)
+	b := binary.AppendUvarint(beginFrame(c.buf[:0], frameExperiment), nonce)
 	b = appendString(b, ent.Kind)
 	b = binary.AppendUvarint(b, ent.Probes)
 	b = binary.AppendUvarint(b, uint64(len(ent.Trace)))
@@ -421,7 +374,7 @@ func (c *Checkpoint) RecordPatchPending(id string, rec PatchRecord) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	b := appendString(c.beginFrame(framePatchPending), id)
+	b := appendString(beginFrame(c.buf[:0], framePatchPending), id)
 	if _, err := c.appendFrame(append(b, body...)); err != nil {
 		return err
 	}
@@ -437,7 +390,7 @@ func (c *Checkpoint) RecordPatchDone(id string) error {
 	if _, ok := c.patches[id]; !ok {
 		return nil
 	}
-	if _, err := c.appendFrame(append(c.beginFrame(framePatchDone), id...)); err != nil {
+	if _, err := c.appendFrame(append(beginFrame(c.buf[:0], framePatchDone), id...)); err != nil {
 		return err
 	}
 	delete(c.patches, id)

@@ -13,13 +13,15 @@ import (
 )
 
 // The seed corpora under testdata/fuzz/ are real files — a journal and a
-// saved campaign this package wrote — in the Go fuzzing corpus format, so
+// saved campaign this package wrote, and a campaign file of format version 1
+// (JSON) that Load must refuse — in the Go fuzzing corpus format, so
 // `go test` runs them as unit tests and the fuzzer mutates from well-formed
 // input. TestFuzzSeedsAreLive fails when a format change has made them stale.
 
-// fuzzSystem is the smallest system the campaign seed was saved from: the
-// full 15-site testbed on an Internet of a dozen stub networks, so the seed stays a few
-// tens of kilobytes.
+// fuzzSystem is the smallest system the campaign seed was saved from (with
+// site 7 quarantined, "operator pull"): the full 15-site testbed on an
+// Internet of a dozen stub networks, so the seed stays a few tens of
+// kilobytes.
 func fuzzSystem(t testing.TB) *anyopt.System {
 	t.Helper()
 	opts := anyopt.DefaultOptions()
@@ -63,8 +65,15 @@ func TestFuzzSeedsAreLive(t *testing.T) {
 			t.Errorf("journal seed: experiment %d does not read back", nonce)
 		}
 	}
-	if err := Load(bytes.NewReader(readSeed(t, "FuzzCampaignLoad", "campaign")), fuzzSystem(t)); err != nil {
+	sys := fuzzSystem(t)
+	if err := Load(bytes.NewReader(readSeed(t, "FuzzCampaignLoad", "campaign")), sys); err != nil {
 		t.Errorf("campaign seed no longer loads: %v", err)
+	} else if len(sys.CurrentSnapshot().Pred.Sites) == 0 || len(sys.Disc.Quarantined()) != 1 {
+		t.Errorf("campaign seed loads without site stores or without its quarantined site")
+	}
+	err = Load(bytes.NewReader(readSeed(t, "FuzzCampaignLoad", "json-v1")), sys)
+	if err == nil || !strings.Contains(err.Error(), "JSON") {
+		t.Errorf("json-v1 seed: Load returned %v, want a refusal naming JSON", err)
 	}
 }
 
@@ -111,17 +120,44 @@ func FuzzCheckpointOpen(f *testing.F) {
 	})
 }
 
-// FuzzCampaignLoad hands Load arbitrary bytes as a saved campaign: it errors
-// or it installs a campaign that saves again, and never panics.
+// FuzzCampaignLoad hands Load's decode and install arbitrary bytes as a saved
+// campaign. They never panic; the columns decode makes never hold more bytes
+// than the input does, and none of them is a window of it; and the encoding
+// is canonical — what they accept, Save writes back byte for byte.
 func FuzzCampaignLoad(f *testing.F) {
 	sys := fuzzSystem(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := Load(bytes.NewReader(data), sys); err != nil {
+		in := bytes.Clone(data)
+		s, err := decode(in)
+		if err != nil {
 			return
 		}
+		if n := columnBytes(s); n > len(data) {
+			t.Fatalf("a %d-byte file decoded into %d bytes of columns", len(data), n)
+		}
+		if err := s.install(sys); err != nil {
+			return
+		}
+		clear(in) // the installed campaign must not read it
 		var out bytes.Buffer
 		if err := Save(&out, sys); err != nil {
 			t.Fatalf("Load accepted a campaign Save rejects: %v", err)
 		}
+		if !bytes.Equal(out.Bytes(), data) {
+			off, _, _ := firstDiff(data, out.Bytes())
+			t.Fatalf("Load accepted %d bytes that Save writes back as %d, differing from offset %d", len(data), out.Len(), off)
+		}
 	})
+}
+
+// columnBytes is the size of the columns decode made for s.
+func columnBytes(s *saved) int {
+	n := 8 * (cap(s.annOrder) + cap(s.rttSites) + cap(s.rttClients) + cap(s.rtt))
+	for _, why := range s.quarantined {
+		n += 8 + len(why)
+	}
+	for _, st := range append([]savedStore{s.providers}, s.siteStores...) {
+		n += 8*(cap(st.items)+cap(st.clients)) + cap(st.cells)
+	}
+	return n
 }

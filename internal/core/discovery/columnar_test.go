@@ -3,12 +3,43 @@ package discovery
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"anyopt/internal/core/prefs"
 )
+
+// importRTT builds a table from Export's site → client → RTT form through
+// NewRTTTableColumns, the constructor a saved campaign is loaded with.
+func importRTT(t *testing.T, data map[int]map[prefs.Client]int64) *RTTTable {
+	t.Helper()
+	var sites []int
+	var clients []prefs.Client
+	for site, row := range data {
+		sites = append(sites, site)
+		for c := range row {
+			clients = append(clients, c)
+		}
+	}
+	sort.Ints(sites)
+	slices.Sort(clients)
+	clients = slices.Compact(clients)
+	slab := missingRTTs(len(sites) * len(clients))
+	for si, site := range sites {
+		for ci, c := range clients {
+			if ns, ok := data[site][c]; ok {
+				slab[si*len(clients)+ci] = ns
+			}
+		}
+	}
+	tbl, err := NewRTTTableColumns(sites, clients, slab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
 
 // refRTT is the nested-map reference model: the exact semantics of the
 // pre-columnar RTTTable. The columnar table must be observationally
@@ -146,7 +177,7 @@ func TestRTTColumnarDifferential(t *testing.T) {
 			clientPool[i] = prefs.Client(rng.Intn(900))
 		}
 		data := randRTTData(rng, sites, clientPool)
-		tbl := ImportRTTTable(data)
+		tbl := importRTT(t, data)
 		ref := &refRTT{bySite: map[int]map[prefs.Client]time.Duration{}}
 		for s, row := range data {
 			m := make(map[prefs.Client]time.Duration, len(row))
@@ -163,7 +194,7 @@ func TestRTTColumnarDifferential(t *testing.T) {
 				cut := prefs.Client(rng.Intn(900))
 				cone := func(c prefs.Client) bool { return c >= cut }
 				pd := randRTTData(rng, sites[:rng.Intn(len(sites))+1], clientPool)
-				ptbl := ImportRTTTable(pd)
+				ptbl := importRTT(t, pd)
 				pref := &refRTT{bySite: map[int]map[prefs.Client]time.Duration{}}
 				for s, row := range pd {
 					m := make(map[prefs.Client]time.Duration, len(row))
@@ -174,10 +205,15 @@ func TestRTTColumnarDifferential(t *testing.T) {
 				}
 				tbl = tbl.Patch(ptbl, cone)
 				ref = ref.patch(pref, cone)
-			case 1: // export → import round trip
-				tbl = ImportRTTTable(tbl.Export())
+			case 1: // columns → constructor round trip
+				sites, clients, slab := tbl.Columns()
+				var err error
+				tbl, err = NewRTTTableColumns(slices.Clone(sites), slices.Clone(clients), slices.Clone(slab))
+				if err != nil {
+					t.Fatal(err)
+				}
 			case 2: // empty-cone patch must hand the receiver back
-				empty := ImportRTTTable(nil)
+				empty := importRTT(t, nil)
 				got := tbl.Patch(empty, func(prefs.Client) bool { return false })
 				if got != tbl {
 					t.Fatalf("step %d: empty-cone patch did not return the receiver", step)

@@ -21,12 +21,17 @@ import (
 type RTTTable struct {
 	// sites is the sorted site-ID column.
 	sites []int
-	// clients is the sorted client-ID column, the union across sites.
-	clients []prefs.Client
-	// cols[si][ci] is the RTT in nanoseconds from sites[si] to clients[ci],
-	// or rttMissing when that cell was never measured.
-	cols [][]int64
-	// counts[si] is the number of measured cells in cols[si].
+	// clients is the sorted client-ID column: the clients some site
+	// measured.
+	clients prefs.ClientColumn
+	// slab[si*len(clients)+ci] is the RTT in nanoseconds from sites[si] to
+	// clients[ci], or rttMissing when that cell was never measured. Every
+	// value column is a window of this one allocation: a single large
+	// allocation is page-rounded by the allocator, where per-column slabs
+	// each eat the gap to their size class — measurable bytes-per-client at
+	// campaign scale.
+	slab []int64
+	// counts[si] is the number of measured cells in col(si).
 	counts []int
 }
 
@@ -52,13 +57,10 @@ func (t *RTTTable) siteIdx(site int) int {
 	return -1
 }
 
-// clientIdx binary-searches the client column; returns -1 when absent.
-func (t *RTTTable) clientIdx(c prefs.Client) int {
-	i := sort.Search(len(t.clients), func(k int) bool { return t.clients[k] >= c })
-	if i < len(t.clients) && t.clients[i] == c {
-		return i
-	}
-	return -1
+// col is the value column of the site at index si.
+func (t *RTTTable) col(si int) []int64 {
+	n := len(t.clients)
+	return t.slab[si*n : (si+1)*n : (si+1)*n]
 }
 
 // RTT returns the measured RTT between site and client.
@@ -67,34 +69,23 @@ func (t *RTTTable) RTT(site int, c prefs.Client) (time.Duration, bool) {
 	if si < 0 {
 		return 0, false
 	}
-	ci := t.clientIdx(c)
-	if ci < 0 {
+	ci, ok := t.clients.Find(c)
+	if !ok {
 		return 0, false
 	}
-	ns := t.cols[si][ci]
-	if ns == rttMissing {
-		return 0, false
-	}
-	return time.Duration(ns), true
+	return t.At(si, ci)
 }
 
 // Column resolves a site to its value column for At, -1 when the table has no
 // such site — once per configuration, where RTT searches per cell.
 func (t *RTTTable) Column(site int) int { return t.siteIdx(site) }
 
-// Seek returns the first row of the client column at or after from whose
-// client is not below c, and whether that row is c's. Like prefs.Store.Seek
-// it scans forward, for callers walking another sorted client column.
-func (t *RTTTable) Seek(from int, c prefs.Client) (int, bool) {
-	for from < len(t.clients) && t.clients[from] < c {
-		from++
-	}
-	return from, from < len(t.clients) && t.clients[from] == c
-}
+// Seek is prefs.ClientColumn.Seek on the table's client column.
+func (t *RTTTable) Seek(from int, c prefs.Client) (int, bool) { return t.clients.Seek(from, c) }
 
 // At is RTT by position: the cell of a Column (col ≥ 0) at a row Seek found.
 func (t *RTTTable) At(col, row int) (time.Duration, bool) {
-	ns := t.cols[col][row]
+	ns := t.slab[col*len(t.clients)+row]
 	if ns == rttMissing {
 		return 0, false
 	}
@@ -121,27 +112,12 @@ func (t *RTTTable) MeanUnicast(site int) time.Duration {
 		return 0
 	}
 	var sum time.Duration
-	for _, ns := range t.cols[si] {
+	for _, ns := range t.col(si) {
 		if ns != rttMissing {
 			sum += time.Duration(ns)
 		}
 	}
 	return sum / time.Duration(t.counts[si])
-}
-
-// SiteRTTs calls fn for every measured cell of the given site in ascending
-// client order — the streaming accessor campaign persistence serializes
-// through, one cell at a time.
-func (t *RTTTable) SiteRTTs(site int, fn func(c prefs.Client, ns int64)) {
-	si := t.siteIdx(site)
-	if si < 0 {
-		return
-	}
-	for ci, ns := range t.cols[si] {
-		if ns != rttMissing {
-			fn(t.clients[ci], ns)
-		}
-	}
 }
 
 // newRTTTable builds the columnar table from dense per-site RTT columns:
@@ -181,7 +157,7 @@ func newRTTTable(siteIDs []int, clients []prefs.Client, rows [][]int64) *RTTTabl
 	t := &RTTTable{
 		sites:   make([]int, len(siteIDs)),
 		clients: keys,
-		cols:    make([][]int64, len(siteIDs)),
+		slab:    missingRTTs(len(siteIDs) * len(keys)),
 		counts:  make([]int, len(siteIDs)),
 	}
 	// cell[p] is position p's index in the client column, resolved once per
@@ -189,16 +165,13 @@ func newRTTTable(siteIDs []int, clients []prefs.Client, rows [][]int64) *RTTTabl
 	cell := make([]int32, len(clients))
 	for p, ok := range measured {
 		if ok {
-			cell[p] = int32(t.clientIdx(clients[p]))
+			ci, _ := t.clients.Find(clients[p])
+			cell[p] = int32(ci)
 		}
 	}
-	// All value columns share one backing slab: a single large allocation is
-	// page-rounded by the allocator, where per-column slabs each eat the gap
-	// to their size class — measurable bytes-per-client at campaign scale.
-	backing := missingRTTs(len(siteIDs) * len(keys))
 	for si, oi := range order {
 		t.sites[si] = siteIDs[oi]
-		col := backing[si*len(keys) : (si+1)*len(keys) : (si+1)*len(keys)]
+		col := t.col(si)
 		for p, ns := range rows[oi] {
 			if ns == rttMissing {
 				continue
@@ -208,7 +181,6 @@ func newRTTTable(siteIDs []int, clients []prefs.Client, rows [][]int64) *RTTTabl
 			}
 			col[cell[p]] = ns
 		}
-		t.cols[si] = col
 	}
 	return t
 }
@@ -343,17 +315,17 @@ func (t *RTTTable) Patch(patch *RTTTable, cone func(prefs.Client) bool) *RTTTabl
 	}
 	for p, c := range union {
 		if !cone(c) {
-			if ci := t.clientIdx(c); ci >= 0 {
+			if ci, ok := t.clients.Find(c); ok {
 				for si := range rows {
-					rows[si][p] = t.cols[si][ci]
+					rows[si][p] = t.col(si)[ci]
 				}
 			}
 			continue
 		}
-		if ci := patch.clientIdx(c); ci >= 0 {
+		if ci, ok := patch.clients.Find(c); ok {
 			for si, psi := range patchSite {
 				if psi >= 0 {
-					rows[si][p] = patch.cols[psi][ci]
+					rows[si][p] = patch.col(psi)[ci]
 				}
 			}
 		}
@@ -366,7 +338,7 @@ func (t *RTTTable) Export() map[int]map[prefs.Client]int64 {
 	out := make(map[int]map[prefs.Client]int64, len(t.sites))
 	for si, site := range t.sites {
 		row := make(map[prefs.Client]int64, t.counts[si])
-		for ci, ns := range t.cols[si] {
+		for ci, ns := range t.col(si) {
 			if ns != rttMissing {
 				row[t.clients[ci]] = ns
 			}
@@ -376,29 +348,45 @@ func (t *RTTTable) Export() map[int]map[prefs.Client]int64 {
 	return out
 }
 
-// ImportRTTTable rebuilds a table from Export's format.
-func ImportRTTTable(data map[int]map[prefs.Client]int64) *RTTTable {
-	siteIDs := make([]int, 0, len(data))
-	var clients []prefs.Client
-	for site, row := range data {
-		siteIDs = append(siteIDs, site)
-		for c := range row {
-			clients = append(clients, c)
+// Columns returns the table's sorted site column, its client column and its
+// sites × clients slab of RTT nanoseconds, row-major by site, −1 where a cell
+// was never measured. All three are the table's own slices, for a caller
+// that serializes them: they must not be written.
+func (t *RTTTable) Columns() (sites []int, clients []prefs.Client, slab []int64) {
+	return t.sites, t.clients, t.slab
+}
+
+// NewRTTTableColumns is the inverse of Columns. It takes ownership of the
+// three slices, and refuses columns that Columns never returns: a site or
+// client column that is not strictly ascending, a slab of the wrong length,
+// an RTT below −1, and a client no site measured.
+func NewRTTTableColumns(sites []int, clients []prefs.Client, slab []int64) (*RTTTable, error) {
+	for i := 1; i < len(sites); i++ {
+		if sites[i-1] >= sites[i] {
+			return nil, fmt.Errorf("discovery: RTT site column is not strictly ascending")
 		}
 	}
-	sort.Ints(siteIDs)
-	slices.Sort(clients)
-	clients = slices.Compact(clients)
-	rows := make([][]int64, len(siteIDs))
-	for i, site := range siteIDs {
-		rows[i] = make([]int64, len(clients))
-		for p, c := range clients {
-			ns, ok := data[site][c]
-			if !ok {
-				ns = rttMissing
+	if !prefs.ClientColumn(clients).Ascending() {
+		return nil, fmt.Errorf("discovery: RTT client column is not strictly ascending")
+	}
+	if len(slab) != len(sites)*len(clients) {
+		return nil, fmt.Errorf("discovery: %d RTT cells for %d sites and %d clients", len(slab), len(sites), len(clients))
+	}
+	t := &RTTTable{sites: sites, clients: clients, slab: slab, counts: make([]int, len(sites))}
+	measured := make([]bool, len(clients))
+	for si := range sites {
+		for ci, ns := range t.col(si) {
+			if ns < rttMissing {
+				return nil, fmt.Errorf("discovery: RTT %d from site %d to client %d", ns, sites[si], clients[ci])
 			}
-			rows[i][p] = ns
+			if ns != rttMissing {
+				t.counts[si]++
+				measured[ci] = true
+			}
 		}
 	}
-	return newRTTTable(siteIDs, clients, rows)
+	if ci := slices.Index(measured, false); ci >= 0 {
+		return nil, fmt.Errorf("discovery: no site measured client %d", clients[ci])
+	}
+	return t, nil
 }

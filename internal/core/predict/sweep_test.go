@@ -3,6 +3,7 @@ package predict
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -21,6 +22,9 @@ import (
 
 // rewriteStore rebuilds st with fn applied to each client's relations: fn
 // returns the relations to keep for the client (nil drops it from the store).
+// An equal relation is recorded as two ordered experiments whose winner
+// followed the announcement, a strict one as a naive experiment its winner
+// won.
 func rewriteStore(t *testing.T, st *prefs.Store, fn func(c prefs.Client, rels []prefs.DumpedRelation) []prefs.DumpedRelation) *prefs.Store {
 	t.Helper()
 	out, err := prefs.NewStore(st.Items())
@@ -33,8 +37,15 @@ func rewriteStore(t *testing.T, st *prefs.Store, fn func(c prefs.Client, rels []
 		for n < len(dump) && dump[n].Client == dump[0].Client {
 			n++
 		}
-		if err := out.Restore(fn(dump[0].Client, dump[:n])); err != nil {
-			t.Fatal(err)
+		for _, r := range fn(dump[0].Client, dump[:n]) {
+			if r.Rel == prefs.RelEqual {
+				err = out.RecordOrdered(r.Client, r.I, r.J, r.I, r.J)
+			} else {
+				err = out.RecordSimultaneous(r.Client, r.I, r.J, r.Winner)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 		dump = dump[n:]
 	}
@@ -74,7 +85,8 @@ func bend(t *testing.T, st *prefs.Store) *prefs.Store {
 
 // bendRTT rebuilds an RTT table with whole clients, single cells and one
 // site's column missing, and every RTT rounded to 20 ms so that sites tie.
-func bendRTT(rtt *discovery.RTTTable, dropSite int) *discovery.RTTTable {
+func bendRTT(t *testing.T, rtt *discovery.RTTTable, dropSite int) *discovery.RTTTable {
+	t.Helper()
 	data := rtt.Export()
 	delete(data, dropSite)
 	for site, row := range data {
@@ -87,7 +99,34 @@ func bendRTT(rtt *discovery.RTTTable, dropSite int) *discovery.RTTTable {
 			}
 		}
 	}
-	return discovery.ImportRTTTable(data)
+	// Back to columns: the sorted sites, the sorted clients some site still
+	// measures, and the slab with −1 where a cell is gone.
+	var sites []int
+	var clients []prefs.Client
+	for site, row := range data {
+		sites = append(sites, site)
+		for c := range row {
+			clients = append(clients, c)
+		}
+	}
+	slices.Sort(sites)
+	slices.Sort(clients)
+	clients = slices.Compact(clients)
+	slab := make([]int64, 0, len(sites)*len(clients))
+	for _, site := range sites {
+		for _, c := range clients {
+			ns, ok := data[site][c]
+			if !ok {
+				ns = -1
+			}
+			slab = append(slab, ns)
+		}
+	}
+	out, err := discovery.NewRTTTableColumns(sites, clients, slab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 type variant struct {
@@ -120,7 +159,7 @@ func oracleVariants(t *testing.T) []variant {
 	provHoles.Providers = bend(t, base.Providers)
 
 	rttHoles := base
-	rttHoles.RTT = bendRTT(base.RTT, 3)
+	rttHoles.RTT = bendRTT(t, base.RTT, 3)
 	rttHolesHeuristic := rttHoles
 	rttHolesHeuristic.UseRTTHeuristic = true
 

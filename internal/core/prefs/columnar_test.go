@@ -3,6 +3,7 @@ package prefs
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -201,8 +202,9 @@ func TestColumnarDifferential(t *testing.T) {
 				}
 				ref.recordSimultaneous(c, i, j, w)
 			case 7: // export → import round trip replaces the store
-				fresh := mustStore(t, items...)
-				if err := fresh.Restore(s.Dump()); err != nil {
+				clients, cells := s.Columns()
+				fresh, err := NewStoreColumns(s.Items(), slices.Clone(clients), slices.Clone(cells))
+				if err != nil {
 					t.Fatal(err)
 				}
 				s = fresh
@@ -297,7 +299,7 @@ func TestSeekMatchesBinarySearch(t *testing.T) {
 	at := 0
 	for c := Client(-2); c < 1210; c++ {
 		row, ok := s.Seek(at, c)
-		wantRow, wantOK := s.findClient(c)
+		wantRow, wantOK := s.keys.Find(c)
 		if row != wantRow || ok != wantOK {
 			t.Fatalf("Seek(%d, %d) = %d, %v; binary search %d, %v", at, c, row, ok, wantRow, wantOK)
 		}

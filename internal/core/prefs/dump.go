@@ -12,83 +12,63 @@ type DumpedRelation struct {
 	Winner Item `json:"w,omitempty"`
 }
 
-// ForEachRelation calls fn for every recorded relation in canonical
-// (client, pair) order — clients ascending (the order of the sorted client
-// column), pairs in item order. It is the streaming backbone of Dump and of
-// campaign persistence: one relation is materialized at a time, so a caller
-// serializing an internet-scale store never holds the full relation list in
-// memory.
-func (s *Store) ForEachRelation(fn func(DumpedRelation)) {
+// Dump exports every recorded relation in canonical (client, pair) order:
+// clients ascending — the natural order of the sorted client column — and
+// pairs in item order. Two stores holding the same relations dump
+// identically even when their clients were recorded in different sequences
+// (a full campaign vs. a cone-scoped repair that re-recorded only part of
+// the client set).
+func (s *Store) Dump() []DumpedRelation {
+	var out []DumpedRelation
 	for row, c := range s.keys {
 		base := row * s.nPairs
 		for a := 0; a < len(s.items); a++ {
 			for b := a + 1; b < len(s.items); b++ {
 				rel, winner := s.relationOf(s.cells[base+s.pairIdx(a, b)], a, b)
-				if rel == RelUnknown {
-					continue
+				if rel != RelUnknown {
+					out = append(out, DumpedRelation{Client: c, I: s.items[a], J: s.items[b], Rel: rel, Winner: winner})
 				}
-				fn(DumpedRelation{
-					Client: c, I: s.items[a], J: s.items[b],
-					Rel: rel, Winner: winner,
-				})
 			}
 		}
 	}
-}
-
-// NumRelations returns the number of recorded relations — the length of the
-// slice Dump would build — without materializing it.
-func (s *Store) NumRelations() int {
-	n := 0
-	for _, c := range s.cells {
-		if c != cellUnknown {
-			n++
-		}
-	}
-	return n
-}
-
-// Dump exports every recorded relation, in canonical (client, pair) order,
-// for persistence. Clients are emitted ascending — the natural order of the
-// sorted client column — so two stores holding the same relations dump
-// byte-identically even when their clients were recorded in different
-// sequences (a full campaign vs. a cone-scoped repair that re-recorded only
-// part of the client set).
-func (s *Store) Dump() []DumpedRelation {
-	var out []DumpedRelation
-	s.ForEachRelation(func(r DumpedRelation) { out = append(out, r) })
 	return out
 }
 
-// Restore installs previously dumped relations. The store's item universe
-// must contain every referenced item.
-func (s *Store) Restore(rels []DumpedRelation) error {
-	for _, r := range rels {
-		ii, ok := s.index[r.I]
-		if !ok {
-			return fmt.Errorf("prefs: restore references unknown item %d", r.I)
-		}
-		jj, ok := s.index[r.J]
-		if !ok {
-			return fmt.Errorf("prefs: restore references unknown item %d", r.J)
-		}
-		if ii == jj {
-			return fmt.Errorf("prefs: restore with degenerate pair (%d, %d)", r.I, r.J)
-		}
-		winnerIdx := -1
-		switch r.Rel {
-		case RelStrict:
-			if r.Winner != r.I && r.Winner != r.J {
-				return fmt.Errorf("prefs: restore winner %d not in pair (%d, %d)", r.Winner, r.I, r.J)
-			}
-			winnerIdx = s.index[r.Winner]
-		case RelEqual:
-			// no winner
-		default:
-			return fmt.Errorf("prefs: restore with relation %v", r.Rel)
-		}
-		row := s.ensureClient(r.Client)
-		s.set(row, ii, jj, r.Rel, winnerIdx)
+// Columns returns the store's client column and its relation column,
+// NumPairs cells per client, row-major, pairs in item order. A cell is 0 for
+// an unknown pair, 1 for an equal one, 2 when the first item of the pair wins
+// strictly and 3 when the second does. Both are the store's own slices, for
+// a caller that serializes them: they must not be written.
+func (s *Store) Columns() ([]Client, []byte) { return s.keys, s.cells }
+
+// NewStoreColumns is the inverse of Columns: a store over items whose client
+// column is clients and whose relation column is cells. It takes ownership
+// of both slices. It refuses columns that Columns never returns: a client
+// column that is not strictly ascending, a cells column of the wrong length,
+// a cell above 3, and a client whose cells are all unknown.
+func NewStoreColumns(items []Item, clients []Client, cells []byte) (*Store, error) {
+	s, err := NewStore(items)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	if !ClientColumn(clients).Ascending() {
+		return nil, fmt.Errorf("prefs: client column is not strictly ascending")
+	}
+	if len(cells) != len(clients)*s.nPairs {
+		return nil, fmt.Errorf("prefs: %d cells for %d clients of %d pairs", len(cells), len(clients), s.nPairs)
+	}
+	for row, c := range clients {
+		known := false
+		for _, v := range cells[row*s.nPairs : (row+1)*s.nPairs] {
+			if v > cellHighWins {
+				return nil, fmt.Errorf("prefs: client %d has cell %d", c, v)
+			}
+			known = known || v != cellUnknown
+		}
+		if !known {
+			return nil, fmt.Errorf("prefs: client %d has no known relation", c)
+		}
+	}
+	s.keys, s.cells = clients, cells
+	return s, nil
 }

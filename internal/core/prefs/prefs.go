@@ -27,10 +27,7 @@
 // is published.
 package prefs
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Item identifies a comparable alternative: a site ID at the intra-AS level
 // or a provider's ASN at the inter-AS level.
@@ -76,8 +73,9 @@ type ClientPrefs struct {
 
 // cell is one client's relation for one unordered pair of store indices
 // a < b: whether it is known, and who wins. Relation and winner Item are
-// how it reads from outside the store.
-type cell uint8
+// how it reads from outside the store. It is a byte, so that the relation
+// column is a []byte that Columns and NewStoreColumns hand over as it is.
+type cell = byte
 
 const (
 	cellUnknown cell = iota
@@ -96,7 +94,7 @@ type Store struct {
 	index  map[Item]int
 	nPairs int
 	// keys holds every recorded client, ascending.
-	keys []Client
+	keys ClientColumn
 	// cells[row*nPairs+p] is client keys[row]'s relation for pair p.
 	cells []cell
 }
@@ -142,16 +140,6 @@ func (s *Store) pairIdx(a, b int) int {
 	return a*(2*n-a-1)/2 + (b - a - 1)
 }
 
-// findClient binary-searches the client column; returns (row, true) when c
-// is recorded.
-func (s *Store) findClient(c Client) (int, bool) {
-	i := sort.Search(len(s.keys), func(k int) bool { return s.keys[k] >= c })
-	if i < len(s.keys) && s.keys[i] == c {
-		return i, true
-	}
-	return i, false
-}
-
 // ensureClient returns c's row, creating it when absent. Appending past the
 // current maximum client is O(1) amortized — the campaign's common case;
 // an out-of-order insert shifts the columns.
@@ -165,7 +153,7 @@ func (s *Store) ensureClient(c Client) int {
 		s.grow()
 		return n
 	}
-	i, ok := s.findClient(c)
+	i, ok := s.keys.Find(c)
 	if ok {
 		return i
 	}
@@ -207,7 +195,7 @@ func (s *Store) Compact() {
 // Get returns the per-client view, or nil if the client was never recorded.
 // Served read paths walk rows (Announce, ClientAt, Seek) and never call it.
 func (s *Store) Get(c Client) *ClientPrefs {
-	i, ok := s.findClient(c)
+	i, ok := s.keys.Find(c)
 	if !ok {
 		return nil
 	}
@@ -551,16 +539,8 @@ func (a *Announcement) Order(row int) ([]int32, bool) {
 // 0 ≤ row < NumClients().
 func (s *Store) ClientAt(row int) Client { return s.keys[row] }
 
-// Seek returns the first row at or after from whose client is not below c,
-// and whether that row is c's. It scans forward, so a caller walking another
-// sorted client column and feeding each result back as the next from pays one
-// pass over this one in total.
-func (s *Store) Seek(from int, c Client) (int, bool) {
-	for from < len(s.keys) && s.keys[from] < c {
-		from++
-	}
-	return from, from < len(s.keys) && s.keys[from] == c
-}
+// Seek is ClientColumn.Seek on the store's client column.
+func (s *Store) Seek(from int, c Client) (int, bool) { return s.keys.Seek(from, c) }
 
 // class is one distinct relation signature over an announced item set: the
 // first row that carries it stands for all n rows that do.
