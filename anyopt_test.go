@@ -1,8 +1,10 @@
 package anyopt
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -53,6 +55,35 @@ func TestDiscoveryRequired(t *testing.T) {
 	}
 	if _, err := sys.RandomConfig(4, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("random config before discovery succeeded")
+	}
+}
+
+// failingJournal refuses every checkpoint write, the way a full disk would.
+type failingJournal struct{}
+
+func (failingJournal) Lookup(uint64) (discovery.JournalEntry, bool) {
+	return discovery.JournalEntry{}, false
+}
+
+func (failingJournal) Record(uint64, discovery.JournalEntry) error {
+	return errors.New("disk full")
+}
+
+// TestRunDiscoveryRefusesFailedCampaign: a campaign whose checkpoint writes
+// failed is incomplete, so RunDiscovery reports the failure and publishes no
+// snapshot built over it.
+func TestRunDiscoveryRefusesFailedCampaign(t *testing.T) {
+	sys, err := New(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Disc.SetJournal(failingJournal{})
+	err = sys.RunDiscovery()
+	if err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("RunDiscovery = %v, want the journal's disk full error", err)
+	}
+	if snap := sys.CurrentSnapshot(); snap != nil {
+		t.Fatalf("a snapshot with %d experiments was published over a failed campaign", snap.Experiments)
 	}
 }
 

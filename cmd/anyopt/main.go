@@ -139,9 +139,6 @@ func main() {
 		if err := env.Discover(); err != nil {
 			log.Fatal(err)
 		}
-		if err := sys.Disc.Err(); err != nil {
-			log.Fatal(err)
-		}
 		if faultCfg.Enabled() {
 			fmt.Printf("faults: scenario %q seed %d, %d events logged\n",
 				*faults, *faultSeed, len(sys.Disc.FaultLog()))

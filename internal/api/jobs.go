@@ -248,12 +248,6 @@ func (s *Server) runDiscoverJob(j *job) {
 	s.topoMu.RLock()
 	pred, rtt, err := predict.NewPredictor(s.sys.TB, j.disc, s.sys.Options().UseRTTHeuristic)
 	s.topoMu.RUnlock()
-	if err == nil {
-		// Batch APIs surface infrastructure errors (cancellation, checkpoint
-		// I/O, schedule mismatch) out of band; a campaign built over them is
-		// incomplete and must not be published.
-		err = j.disc.Err()
-	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			j.finish(jobCancelled, "cancelled by operator", nil)

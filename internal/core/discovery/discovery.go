@@ -54,8 +54,6 @@ type Config struct {
 	// NoiseSeed seeds per-experiment measurement noise; Noisy toggles it.
 	NoiseSeed int64
 	Noisy     bool
-	// ProbeAttempts overrides the per-measurement attempt count (default 7).
-	ProbeAttempts int
 	// Workers bounds how many experiments run concurrently; <= 0 selects
 	// exec.DefaultWorkers (ANYOPT_WORKERS or GOMAXPROCS).
 	Workers int
@@ -376,9 +374,6 @@ func (e *Exp) proberAt(sim *bgp.Sim, prefix bgp.PrefixID, seedExtra int64) *prob
 		fab.Fault = e.inj
 	}
 	cfg := probe.DefaultConfig(e.d.TB.OrchAddr, e.d.TB.AnycastAddrs[prefix])
-	if e.d.Cfg.ProbeAttempts > 0 {
-		cfg.Attempts = e.d.Cfg.ProbeAttempts
-	}
 	return probe.New(fab, cfg, sim.Engine.Now())
 }
 

@@ -188,6 +188,12 @@ func MeasuredMeanRTT(rtts map[prefs.Client]time.Duration) (time.Duration, int) {
 // NewPredictor assembles a predictor from the standard two-level discovery
 // campaign: ordered provider prefs, per-provider site prefs (or the RTT
 // heuristic when useRTTHeuristic is set), and the singleton RTT table.
+//
+// It also fails when the campaign hit an infrastructure error that the batch
+// APIs report only through d.Err (cancellation, checkpoint I/O, a schedule
+// mismatch): a predictor built over such a campaign is incomplete and must
+// not be published. The error wraps d.Err, so errors.Is still sees
+// context.Canceled.
 func NewPredictor(tb *testbed.Testbed, d *discovery.Discovery, useRTTHeuristic bool) (*Predictor, *discovery.RTTTable, error) {
 	allSites := make([]int, len(tb.Sites))
 	for i, s := range tb.Sites {
@@ -213,6 +219,9 @@ func NewPredictor(tb *testbed.Testbed, d *discovery.Discovery, useRTTHeuristic b
 			}
 			sites[pASN] = st
 		}
+	}
+	if err := d.Err(); err != nil {
+		return nil, nil, fmt.Errorf("predict: campaign: %w", err)
 	}
 	return &Predictor{
 		TB:              tb,

@@ -19,6 +19,7 @@
 package exec
 
 import (
+	"context"
 	"os"
 	"runtime"
 	"strconv"
@@ -44,7 +45,6 @@ func DefaultWorkers() int {
 // Pool fans independent jobs across a fixed number of workers.
 type Pool struct {
 	workers int
-	closed  atomic.Bool
 }
 
 // New creates a pool with the given worker count; workers <= 0 selects
@@ -59,27 +59,39 @@ func New(workers int) *Pool {
 // Workers returns the pool's worker count.
 func (p *Pool) Workers() int { return p.workers }
 
-// Close marks the pool as retired. It is idempotent and safe to call
-// concurrently; any later submission panics. The pool holds no goroutines or
-// queues between calls, so Close frees nothing — it exists to turn
-// use-after-retirement into a loud failure instead of silent extra work.
-func (p *Pool) Close() { p.closed.Store(true) }
-
 // ForEach runs fn(i) for every i in [0, n) and returns when all calls have
 // completed. Calls must be mutually independent and may only write to
 // index-distinct locations; under those rules the result is identical to the
 // serial loop `for i := 0; i < n; i++ { fn(i) }`.
 //
+// It is ForEachCtx with a context that is never canceled and calls that never
+// fail, so every index runs.
+func (p *Pool) ForEach(n int, fn func(i int)) {
+	p.ForEachCtx(context.Background(), n, func(_ context.Context, i int) error {
+		fn(i)
+		return nil
+	})
+}
+
+// ForEachCtx is the pool's one worker loop: it runs fn(ctx, i) for every i in
+// [0, n), stops handing out new indices once ctx is canceled or any call
+// returns an error, and returns the first error by index order (ties broken
+// toward the lowest index so the result does not depend on worker timing for
+// a fixed input). In-flight calls are not interrupted — fn must watch ctx
+// itself if an individual job can block — but the queue drains immediately,
+// which is what lets a failed campaign abort instead of running every
+// remaining experiment.
+//
 // With one worker (or one job) fn runs inline on the caller's goroutine.
 // Otherwise min(workers, n) goroutines pull indices from a shared atomic
 // counter; a panic in any call is re-raised on the caller after the
 // remaining workers drain.
-func (p *Pool) ForEach(n int, fn func(i int)) {
-	if p.closed.Load() {
-		panic("exec: ForEach called on a closed Pool")
-	}
+//
+// When every call succeeds and ctx was canceled before all indices ran,
+// ForEachCtx returns ctx.Err().
+func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
-		return
+		return ctx.Err()
 	}
 	workers := p.workers
 	if workers > n {
@@ -87,20 +99,39 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := fn(ctx, i); err != nil {
+				return err
+			}
 		}
-		return
+		return nil
 	}
 
 	var (
 		next     atomic.Int64
+		stopped  atomic.Bool
 		wg       sync.WaitGroup
-		panicMu  sync.Mutex
+		mu       sync.Mutex
+		firstIdx int = -1
+		firstErr error
 		panicVal any
 	)
+	record := func(i int, err error) {
+		mu.Lock()
+		if firstIdx < 0 || i < firstIdx {
+			firstIdx, firstErr = i, err
+		}
+		mu.Unlock()
+		stopped.Store(true)
+	}
 	worker := func() {
 		defer wg.Done()
 		for {
+			if stopped.Load() || ctx.Err() != nil {
+				return
+			}
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
@@ -108,14 +139,17 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
-						panicMu.Lock()
+						mu.Lock()
 						if panicVal == nil {
 							panicVal = r
 						}
-						panicMu.Unlock()
+						mu.Unlock()
+						stopped.Store(true)
 					}
 				}()
-				fn(i)
+				if err := fn(ctx, i); err != nil {
+					record(i, err)
+				}
 			}()
 		}
 	}
@@ -127,12 +161,10 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 	if panicVal != nil {
 		panic(panicVal)
 	}
-}
-
-// Map runs fn(i) for every i in [0, n) across the pool and collects the
-// results in index order — the gather form of ForEach.
-func Map[T any](p *Pool, n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	p.ForEach(n, func(i int) { out[i] = fn(i) })
-	return out
+	if firstErr != nil {
+		return firstErr
+	}
+	// No fn failed: workers that bailed early did so because the context
+	// was canceled, which reports itself here.
+	return ctx.Err()
 }

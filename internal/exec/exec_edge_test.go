@@ -3,7 +3,6 @@ package exec
 import (
 	"os"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -18,43 +17,6 @@ func TestNegativeWorkersSelectsDefault(t *testing.T) {
 	if got := New(-1).Workers(); got != 3 {
 		t.Fatalf("New(-1).Workers() with %s=3 = %d, want 3", WorkersEnv, got)
 	}
-}
-
-func mustPanic(t *testing.T, what string, fn func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("%s on a closed pool did not panic", what)
-		}
-	}()
-	fn()
-}
-
-func TestSubmitAfterClosePanics(t *testing.T) {
-	p := New(4)
-	p.ForEach(2, func(int) {})
-	p.Close()
-	p.Close() // idempotent
-	mustPanic(t, "ForEach", func() { p.ForEach(1, func(int) {}) })
-	mustPanic(t, "ForEach(0, ...)", func() { p.ForEach(0, func(int) {}) })
-	mustPanic(t, "Map", func() { Map(p, 1, func(i int) int { return i }) })
-	if p.Workers() != 4 {
-		t.Fatal("Close changed the worker count")
-	}
-}
-
-func TestConcurrentCloseIsSafe(t *testing.T) {
-	p := New(2)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.Close()
-		}()
-	}
-	wg.Wait()
-	mustPanic(t, "ForEach", func() { p.ForEach(1, func(int) {}) })
 }
 
 // TestForEachUnderContention drives far more jobs than workers through the

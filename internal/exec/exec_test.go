@@ -31,16 +31,6 @@ func TestForEachZeroAndNegative(t *testing.T) {
 	}
 }
 
-func TestMapOrdersResults(t *testing.T) {
-	p := New(8)
-	out := Map(p, 100, func(i int) int { return i * i })
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-}
-
 func TestForEachPropagatesPanic(t *testing.T) {
 	p := New(4)
 	defer func() {

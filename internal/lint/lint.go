@@ -17,8 +17,6 @@
 //     whose policy also sets NoRand may not touch math/rand at all — their
 //     entropy arrives pre-drawn (jitter nonces, noise models, fault
 //     injectors), never from an RNG of their own.
-//   - copylocks: no sync.Mutex / sync.WaitGroup (or values containing one)
-//     copied by value anywhere in the module.
 //   - nogo: no `go` statement in simulator packages — concurrency is the
 //     exclusive business of internal/exec's worker pool, which guarantees
 //     scheduling cannot leak into results.
@@ -31,8 +29,10 @@
 //     Load/Store/Add methods, and guarded fields (System.snap) mutate only
 //     inside their sanctioned write points.
 //
-// Which checks apply to which package is driven by the policy table in
-// policy.go.
+// maporder, snapimmut and atomicuse run on every package the policy table in
+// policy.go matches; the table decides entropy, its NoRand tightening and
+// nogo per package. Locks copied by value are go vet's copylocks check,
+// which `make vet` runs over both build variants.
 package lint
 
 import (
@@ -45,8 +45,8 @@ import (
 type Diagnostic struct {
 	// Pos locates the finding.
 	Pos token.Position
-	// Check names the check that produced it (maporder, entropy, copylocks,
-	// nogo, snapimmut, atomicuse).
+	// Check names the check that produced it (maporder, entropy, nogo,
+	// snapimmut, atomicuse).
 	Check string
 	// Message describes the violation.
 	Message string
@@ -95,28 +95,22 @@ func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 
 // runPackage analyzes one package under the resolved configuration.
 func (r *Runner) runPackage(pkg *Package, rules []PolicyRule, snapRules []SnapshotRule, guards []AtomicGuard) []Diagnostic {
-	p := PolicyFor(rules, pkg.Path)
+	p, ok := PolicyFor(rules, pkg.Path)
+	if !ok {
+		return nil
+	}
 	ann := collectAnnotations(pkg)
 	var diags []Diagnostic
 	diags = append(diags, ann.diags...)
-	if p.MapOrder {
-		diags = append(diags, checkMapOrder(pkg, ann)...)
-	}
+	diags = append(diags, checkMapOrder(pkg, ann)...)
 	if p.Entropy {
 		diags = append(diags, checkEntropy(pkg, p.NoRand)...)
-	}
-	if p.CopyLocks {
-		diags = append(diags, checkCopyLocks(pkg)...)
 	}
 	if p.NoGo {
 		diags = append(diags, checkNoGo(pkg)...)
 	}
-	if p.SnapImmut {
-		diags = append(diags, checkSnapImmut(pkg, ann, snapRules)...)
-	}
-	if p.AtomicUse {
-		diags = append(diags, checkAtomicUse(pkg, ann, guards)...)
-	}
+	diags = append(diags, checkSnapImmut(pkg, ann, snapRules)...)
+	diags = append(diags, checkAtomicUse(pkg, ann, guards)...)
 	return diags
 }
 

@@ -13,8 +13,8 @@ import (
 // fixturePolicy enables every check on the fixture tree; the strictrand
 // fixture additionally gets the NoRand tightening it exists to exercise.
 var fixturePolicy = []PolicyRule{
-	{"anyopt/internal/lint/testdata/src/...", Policy{MapOrder: true, Entropy: true, CopyLocks: true, NoGo: true, SnapImmut: true, AtomicUse: true}},
-	{"anyopt/internal/lint/testdata/src/strictrand", Policy{MapOrder: true, Entropy: true, NoRand: true, CopyLocks: true, NoGo: true}},
+	{"anyopt/internal/lint/testdata/src/...", Policy{Entropy: true, NoGo: true}},
+	{"anyopt/internal/lint/testdata/src/strictrand", Policy{Entropy: true, NoRand: true, NoGo: true}},
 }
 
 // fixtureSnapshotRules and fixtureAtomicGuards retarget the mutation
@@ -102,7 +102,7 @@ func TestFixtureGolden(t *testing.T) {
 		"./testdata/src/maporder",
 		"./testdata/src/entropy",
 		"./testdata/src/strictrand",
-		"./testdata/src/concurrency",
+		"./testdata/src/nogo",
 		"./testdata/src/snapimmut",
 		"./testdata/src/atomicuse",
 	}
@@ -186,12 +186,20 @@ func TestPolicyResolution(t *testing.T) {
 		{"anyopt/internal/api", goOwner},
 		{"anyopt/cmd/anyopt", baseline},
 		{"anyopt/cmd/anyoptd", baseline},
-		{"github.com/elsewhere/pkg", Policy{}},
 	}
 	for _, c := range cases {
-		if got := PolicyFor(DefaultPolicies, c.path); got != c.want {
-			t.Errorf("PolicyFor(%q) = %+v, want %+v", c.path, got, c.want)
+		if got, ok := PolicyFor(DefaultPolicies, c.path); !ok || got != c.want {
+			t.Errorf("PolicyFor(%q) = %+v, %v, want %+v, true", c.path, got, ok, c.want)
 		}
+	}
+	if got, ok := PolicyFor(DefaultPolicies, "github.com/elsewhere/pkg"); ok {
+		t.Errorf("PolicyFor matched an unlisted path: %+v", got)
+	}
+	// Unmatched means no checks at all, the always-on ones included: the
+	// maporder fixture is full of findings under any matching rule.
+	pkgs := loadFixtures(t, "./testdata/src/maporder")
+	if diags := (&Runner{Policies: []PolicyRule{{"github.com/elsewhere/...", sim}}}).Run(pkgs); len(diags) != 0 {
+		t.Errorf("unmatched package got %d diagnostics:\n%s", len(diags), format(diags))
 	}
 }
 

@@ -2,15 +2,14 @@ package lint
 
 import "strings"
 
-// Policy selects which checks run on a package.
+// Policy selects the checks that differ between packages. Every package a
+// rule matches also gets maporder, snapimmut and atomicuse: map iteration
+// order must never leak into outputs anywhere, and the mutation-invariant
+// tier holds wherever snapshots or guarded atomics are in scope.
 type Policy struct {
-	MapOrder  bool // range-over-map order sensitivity
-	Entropy   bool // wall clock & global/unseeded rand bans
-	NoRand    bool // with Entropy: ban math/rand outright, seeded or not
-	CopyLocks bool // sync primitives copied by value
-	NoGo      bool // go statements banned
-	SnapImmut bool // writes/alias leaks on immutable snapshot types
-	AtomicUse bool // atomic fields only via Load/Store/Add; guarded writers
+	Entropy bool // wall clock & global/unseeded rand bans
+	NoRand  bool // with Entropy: ban math/rand outright, seeded or not
+	NoGo    bool // go statements banned
 }
 
 // PolicyRule binds a package pattern to a policy. A pattern is either an
@@ -21,25 +20,22 @@ type PolicyRule struct {
 	Policy  Policy
 }
 
-// baseline applies module-wide: map iteration order must never leak into
-// outputs, sync primitives must never be copied, goroutines belong only to
-// the packages explicitly granted goOwner below — everything else routes
-// parallelism through internal/exec — and the mutation-invariant tier
-// (snapshot immutability, atomic discipline) holds everywhere snapshots or
-// guarded atomics are in scope. Wall clocks are fine outside the simulator.
-var baseline = Policy{MapOrder: true, CopyLocks: true, NoGo: true, SnapImmut: true, AtomicUse: true}
+// baseline applies module-wide: goroutines belong only to the packages
+// explicitly granted goOwner below — everything else routes parallelism
+// through internal/exec. Wall clocks are fine outside the simulator.
+var baseline = Policy{NoGo: true}
 
 // goOwner relaxes baseline for the sanctioned goroutine owners: the worker
 // pool itself, the real-network BGP speaker (hold timers over TCP), the
 // orchestrator's concurrent servers, and the API's async discovery job
-// runner. The mutation-invariant tier stays on — goroutine owners are
-// exactly where a stray snapshot write would race.
-var goOwner = Policy{MapOrder: true, CopyLocks: true, SnapImmut: true, AtomicUse: true}
+// runner. The always-on checks still apply — goroutine owners are exactly
+// where a stray snapshot write would race.
+var goOwner = Policy{}
 
 // sim is the full determinism contract for simulator packages: everything in
 // baseline, plus no entropy except through seeded sources, and no goroutines
 // — parallelism belongs exclusively to internal/exec.
-var sim = Policy{MapOrder: true, CopyLocks: true, Entropy: true, NoGo: true, SnapImmut: true, AtomicUse: true}
+var sim = Policy{Entropy: true, NoGo: true}
 
 // simPure tightens sim for packages that should hold no entropy source at
 // all, seeded or not: their randomness budget is zero, so an imported
@@ -47,7 +43,7 @@ var sim = Policy{MapOrder: true, CopyLocks: true, Entropy: true, NoGo: true, Sna
 // reaches bgp through explicit nonce parameters, noise reaches measurements
 // through probe's NoiseModel, and chaos reaches the transport path only
 // through internal/fault.
-var simPure = Policy{MapOrder: true, CopyLocks: true, Entropy: true, NoRand: true, NoGo: true, SnapImmut: true, AtomicUse: true}
+var simPure = Policy{Entropy: true, NoRand: true, NoGo: true}
 
 // DefaultPolicies is the repository policy table. The most specific
 // (longest) matching pattern wins.
@@ -100,14 +96,11 @@ var DefaultPolicies = []PolicyRule{
 	{"anyopt/internal/fault", sim},
 
 	// The real-network BGP speaker runs hold timers and read deadlines over
-	// TCP sessions; wall clock and goroutines are inherent to it. It still
-	// gets the map-order and copylocks checks.
+	// TCP sessions; wall clock and goroutines are inherent to it.
 	{"anyopt/internal/bgp/speaker", goOwner},
 
 	// The worker pool is the canonical goroutine owner; it is also outside
-	// the sim's entropy contract (it reads only worker counts) — and it is
-	// where retry/timeout sleeps live, since sim packages cannot call
-	// time.Sleep.
+	// the sim's entropy contract (it reads only worker counts).
 	{"anyopt/internal/exec", goOwner},
 
 	// The orchestrator serves concurrent measurement agents over real
@@ -120,19 +113,19 @@ var DefaultPolicies = []PolicyRule{
 }
 
 // PolicyFor resolves the policy for an import path: the longest matching
-// pattern wins; packages matching no rule get no checks.
-func PolicyFor(rules []PolicyRule, path string) Policy {
+// pattern wins. ok is false when no rule matches, and such a package gets
+// no checks at all.
+func PolicyFor(rules []PolicyRule, path string) (p Policy, ok bool) {
 	var best string
-	var out Policy
 	for _, r := range rules {
 		if !patternMatches(r.Pattern, path) {
 			continue
 		}
-		if len(r.Pattern) > len(best) {
-			best, out = r.Pattern, r.Policy
+		if !ok || len(r.Pattern) > len(best) {
+			best, p, ok = r.Pattern, r.Policy, true
 		}
 	}
-	return out
+	return p, ok
 }
 
 func patternMatches(pattern, path string) bool {

@@ -1,7 +1,7 @@
 // Package netsim provides a deterministic discrete-event simulation engine.
 //
 // The engine drives the BGP route-propagation simulator: every route
-// advertisement, withdrawal, and timer expiry is an Event scheduled at a
+// advertisement, withdrawal, and timer expiry is an event scheduled at a
 // virtual timestamp. Events fire in (time, sequence) order, so two runs with
 // the same inputs produce byte-identical traces. Virtual time is a
 // time.Duration offset from the simulation epoch; no wall-clock time is ever
@@ -16,6 +16,9 @@
 //     describing one BGP update in flight, dispatched to a Handler. These
 //     allocate nothing in steady state — fired events return to an intrusive
 //     free list and are reused by later schedules.
+//
+// Scheduling returns no handle and nothing cancels an event: a queued event
+// fires, or Reset discards it, so the heap tracks no per-event position.
 package netsim
 
 import (
@@ -48,20 +51,16 @@ type Handler interface {
 	HandleEvent(p *Payload)
 }
 
-// Event is a unit of work scheduled on the Engine. Events are pooled: the
-// handle returned by Schedule is valid for Cancel only until the event fires,
-// after which the engine recycles it for a future schedule.
-type Event struct {
-	// At is the virtual time at which the event fires.
-	At time.Duration
-
-	run     func()  // closure mode; nil for typed events
-	handler Handler // typed mode; nil for closure events
+// event is a unit of work scheduled on the Engine. Events are pooled: once
+// one fires the engine recycles it for a future schedule.
+type event struct {
+	at      time.Duration // virtual time at which the event fires
+	run     func()        // closure mode; nil for typed events
+	handler Handler       // typed mode; nil for closure events
 	payload Payload
 
-	seq  uint64 // tie-breaker: FIFO among events with equal At
-	idx  int32  // queue position; -1 when not queued
-	free *Event // intrusive free-list link while recycled
+	seq  uint64 // tie-breaker: FIFO among events with equal at
+	free *event // intrusive free-list link while recycled
 }
 
 // eventBlock is how many pooled events are carved per allocation. Convergence
@@ -75,8 +74,8 @@ const eventBlock = 64
 // simulation model is single-threaded by design so that event ordering — which
 // the BGP arrival-order tie-breaker depends on — is reproducible.
 type Engine struct {
-	queue    []*Event // 4-ary min-heap on (At, seq)
-	freeList *Event
+	queue    []*event // 4-ary min-heap on (at, seq)
+	freeList *event
 	now      time.Duration
 	nextSeq  uint64
 	steps    uint64
@@ -94,36 +93,33 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // Schedule enqueues run to execute at absolute virtual time at. Scheduling in
 // the past (before Now) is an error in the model and panics: it would make
 // event order depend on scheduling order rather than timestamps.
-func (e *Engine) Schedule(at time.Duration, run func()) *Event {
+func (e *Engine) Schedule(at time.Duration, run func()) {
 	if run == nil {
 		panic("netsim: Schedule with nil run")
 	}
-	ev := e.schedule(at)
-	ev.run = run
-	return ev
+	e.schedule(at).run = run
 }
 
 // ScheduleEvent enqueues a typed event for h at absolute virtual time at.
 // The payload is copied into pooled event storage, so the caller need not
 // keep p alive.
-func (e *Engine) ScheduleEvent(at time.Duration, h Handler, p Payload) *Event {
+func (e *Engine) ScheduleEvent(at time.Duration, h Handler, p Payload) {
 	if h == nil {
 		panic("netsim: ScheduleEvent with nil handler")
 	}
 	ev := e.schedule(at)
 	ev.handler = h
 	ev.payload = p
-	return ev
 }
 
 // schedule validates at, takes an event from the pool, stamps it, and queues
 // it. The caller fills in the closure or handler.
-func (e *Engine) schedule(at time.Duration) *Event {
+func (e *Engine) schedule(at time.Duration) *event {
 	if at < e.now {
 		panic(fmt.Sprintf("netsim: Schedule at %v before now %v", at, e.now))
 	}
 	ev := e.alloc()
-	ev.At = at
+	ev.at = at
 	ev.seq = e.nextSeq
 	e.nextSeq++
 	e.push(ev)
@@ -131,34 +127,20 @@ func (e *Engine) schedule(at time.Duration) *Event {
 }
 
 // After enqueues run to execute d after the current virtual time.
-func (e *Engine) After(d time.Duration, run func()) *Event {
+func (e *Engine) After(d time.Duration, run func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("netsim: After with negative delay %v", d))
 	}
-	return e.Schedule(e.now+d, run)
+	e.Schedule(e.now+d, run)
 }
 
 // AfterEvent enqueues a typed event for h to fire d after the current
 // virtual time.
-func (e *Engine) AfterEvent(d time.Duration, h Handler, p Payload) *Event {
+func (e *Engine) AfterEvent(d time.Duration, h Handler, p Payload) {
 	if d < 0 {
 		panic(fmt.Sprintf("netsim: After with negative delay %v", d))
 	}
-	return e.ScheduleEvent(e.now+d, h, p)
-}
-
-// Cancel removes a scheduled event. Canceling an event that already fired or
-// was already canceled is a no-op and returns false. A handle must not be
-// canceled after its event fires if any schedule has happened since: the
-// engine reuses fired events, so a stale handle may by then name a different
-// pending event.
-func (e *Engine) Cancel(ev *Event) bool {
-	if ev == nil || ev.idx < 0 || int(ev.idx) >= len(e.queue) || e.queue[ev.idx] != ev {
-		return false
-	}
-	e.remove(int(ev.idx))
-	e.recycle(ev)
-	return true
+	e.ScheduleEvent(e.now+d, h, p)
 }
 
 // Step executes the next pending event, advancing virtual time to its
@@ -168,7 +150,7 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	ev := e.pop()
-	e.now = ev.At
+	e.now = ev.at
 	e.steps++
 	if ev.run != nil {
 		ev.run()
@@ -192,7 +174,7 @@ func (e *Engine) Run() uint64 {
 // after deadline remain queued.
 func (e *Engine) RunUntil(deadline time.Duration) uint64 {
 	start := e.steps
-	for len(e.queue) > 0 && e.queue[0].At <= deadline {
+	for len(e.queue) > 0 && e.queue[0].at <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {
@@ -222,11 +204,10 @@ func (e *Engine) Reset() {
 }
 
 // alloc takes an event from the free list, carving a fresh block when empty.
-func (e *Engine) alloc() *Event {
+func (e *Engine) alloc() *event {
 	if e.freeList == nil {
-		block := make([]Event, eventBlock)
+		block := make([]event, eventBlock)
 		for i := range block {
-			block[i].idx = -1
 			block[i].free = e.freeList
 			e.freeList = &block[i]
 		}
@@ -239,16 +220,15 @@ func (e *Engine) alloc() *Event {
 
 // recycle clears an event's references (so pooled storage does not pin
 // closures, handlers, or AS paths) and pushes it on the free list.
-func (e *Engine) recycle(ev *Event) {
+func (e *Engine) recycle(ev *event) {
 	ev.run = nil
 	ev.handler = nil
 	ev.payload = Payload{}
-	ev.idx = -1
 	ev.free = e.freeList
 	e.freeList = ev
 }
 
-// The queue is a hand-rolled 4-ary min-heap on (At, seq). Relative to
+// The queue is a hand-rolled 4-ary min-heap on (at, seq). Relative to
 // container/heap this removes the interface boxing per operation and halves
 // the tree depth; sift-down compares at most four children per level, all in
 // adjacent cache lines.
@@ -256,53 +236,33 @@ const heapArity = 4
 
 func (e *Engine) less(i, j int) bool {
 	a, b := e.queue[i], e.queue[j]
-	if a.At != b.At {
-		return a.At < b.At
+	if a.at != b.at {
+		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
 func (e *Engine) swap(i, j int) {
 	e.queue[i], e.queue[j] = e.queue[j], e.queue[i]
-	e.queue[i].idx = int32(i)
-	e.queue[j].idx = int32(j)
 }
 
-func (e *Engine) push(ev *Event) {
-	ev.idx = int32(len(e.queue))
+func (e *Engine) push(ev *event) {
 	e.queue = append(e.queue, ev)
 	e.up(len(e.queue) - 1)
 }
 
-func (e *Engine) pop() *Event {
+func (e *Engine) pop() *event {
 	ev := e.queue[0]
 	last := len(e.queue) - 1
 	if last > 0 {
 		e.queue[0] = e.queue[last]
-		e.queue[0].idx = 0
 	}
 	e.queue[last] = nil
 	e.queue = e.queue[:last]
 	if last > 0 {
 		e.down(0)
 	}
-	ev.idx = -1
 	return ev
-}
-
-// remove deletes the event at queue position i (Cancel's path).
-func (e *Engine) remove(i int) {
-	last := len(e.queue) - 1
-	if i != last {
-		e.queue[i] = e.queue[last]
-		e.queue[i].idx = int32(i)
-	}
-	e.queue[last] = nil
-	e.queue = e.queue[:last]
-	if i < last {
-		e.down(i)
-		e.up(i)
-	}
 }
 
 func (e *Engine) up(i int) {

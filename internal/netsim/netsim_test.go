@@ -55,44 +55,6 @@ func TestAfterUsesCurrentTime(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	var e Engine
-	ran := false
-	ev := e.Schedule(time.Second, func() { ran = true })
-	if !e.Cancel(ev) {
-		t.Fatal("Cancel returned false for pending event")
-	}
-	if e.Cancel(ev) {
-		t.Fatal("Cancel returned true for already-canceled event")
-	}
-	e.Run()
-	if ran {
-		t.Fatal("canceled event still ran")
-	}
-}
-
-func TestCancelFiredEvent(t *testing.T) {
-	var e Engine
-	ev := e.Schedule(time.Millisecond, func() {})
-	e.Run()
-	if e.Cancel(ev) {
-		t.Fatal("Cancel returned true for event that already fired")
-	}
-}
-
-func TestCancelMiddleOfQueue(t *testing.T) {
-	var e Engine
-	var got []int
-	e.Schedule(1*time.Millisecond, func() { got = append(got, 1) })
-	ev := e.Schedule(2*time.Millisecond, func() { got = append(got, 2) })
-	e.Schedule(3*time.Millisecond, func() { got = append(got, 3) })
-	e.Cancel(ev)
-	e.Run()
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("got %v, want [1 3]", got)
-	}
-}
-
 func TestRunUntilStopsAtDeadline(t *testing.T) {
 	var e Engine
 	var got []int
@@ -304,19 +266,6 @@ func TestNilHandlerPanics(t *testing.T) {
 	e.ScheduleEvent(0, nil, Payload{})
 }
 
-func TestCancelTypedEvent(t *testing.T) {
-	var e Engine
-	r := &recorder{engine: &e}
-	ev := e.ScheduleEvent(time.Second, r, Payload{Prefix: 1})
-	if !e.Cancel(ev) {
-		t.Fatal("Cancel returned false for pending typed event")
-	}
-	e.Run()
-	if len(r.at) != 0 {
-		t.Fatal("canceled typed event still dispatched")
-	}
-}
-
 func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	var e Engine
 	r := &recorder{engine: &e}
@@ -375,7 +324,9 @@ func TestReset(t *testing.T) {
 }
 
 // Property: the 4-ary heap agrees with a sort-based oracle on arbitrary
-// interleavings of schedules and cancels.
+// interleavings of schedules and steps. A step fires the earliest pending
+// event (FIFO among equal times) and advances the clock, so later schedules
+// land relative to a moving Now.
 func TestPropertyHeapMatchesOracle(t *testing.T) {
 	f := func(ops []uint16) bool {
 		var e Engine
@@ -384,30 +335,40 @@ func TestPropertyHeapMatchesOracle(t *testing.T) {
 			at  time.Duration
 			seq int
 		}
-		var live []planned
-		var handles []*Event
+		var live, fired []planned
 		seq := 0
-		for _, op := range ops {
-			if op%5 == 4 && len(handles) > 0 {
-				// Cancel a pending event chosen by the op value.
-				k := int(op/5) % len(handles)
-				if e.Cancel(handles[k]) {
-					live = append(live[:k], live[k+1:]...)
-					handles = append(handles[:k], handles[k+1:]...)
+		// fire moves the oracle's earliest pending event to fired.
+		fire := func() {
+			k := 0
+			for i, p := range live {
+				if p.at < live[k].at || (p.at == live[k].at && p.seq < live[k].seq) {
+					k = i
 				}
+			}
+			fired = append(fired, live[k])
+			live = append(live[:k], live[k+1:]...)
+		}
+		for _, op := range ops {
+			if op%5 == 4 && len(live) > 0 {
+				if !e.Step() {
+					return false
+				}
+				fire()
 				continue
 			}
-			at := time.Duration(op%97) * time.Millisecond
-			handles = append(handles, e.ScheduleEvent(at, r, Payload{Prefix: int32(seq)}))
+			at := e.Now() + time.Duration(op%97)*time.Millisecond
+			e.ScheduleEvent(at, r, Payload{Prefix: int32(seq)})
 			live = append(live, planned{at, seq})
 			seq++
 		}
-		sort.SliceStable(live, func(i, j int) bool { return live[i].at < live[j].at })
+		for len(live) > 0 {
+			fire()
+		}
 		e.Run()
-		if len(r.prefix) != len(live) {
+		if len(r.prefix) != len(fired) {
 			return false
 		}
-		for i, p := range live {
+		for i, p := range fired {
 			if r.at[i] != p.at || r.prefix[i] != int32(p.seq) {
 				return false
 			}

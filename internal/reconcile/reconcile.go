@@ -87,9 +87,6 @@ func Repair(tb *testbed.Testbed, snap *anyopt.Snapshot, cone *Cone, cfg RepairCo
 	if err != nil {
 		return nil, fmt.Errorf("reconcile: repair campaign: %w", err)
 	}
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("reconcile: repair campaign: %w", err)
-	}
 
 	patchedProviders, err := snap.Pred.Providers.PatchClients(pred.Providers, cone.Contains)
 	if err != nil {
