@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"anyopt/internal/core/discovery"
@@ -42,6 +41,7 @@ import (
 	"anyopt/internal/core/predict"
 	"anyopt/internal/core/prefs"
 	"anyopt/internal/core/splpo"
+	"anyopt/internal/publish"
 	"anyopt/internal/testbed"
 	"anyopt/internal/topology"
 )
@@ -98,7 +98,7 @@ func InternetScaleOptions() Options {
 // A System is not safe for concurrent mutation: RunDiscovery, campaign
 // loading, and the Measure* methods drive shared campaign state. The read
 // side, however, is lock-free: every completed campaign is published as an
-// immutable Snapshot through an atomic pointer, and prediction and
+// immutable Snapshot through a publish.Cell, and prediction and
 // optimization are methods of that Snapshot (CurrentSnapshot). Concurrent
 // servers (internal/api) read snapshots directly and serialize only the
 // writers.
@@ -113,10 +113,8 @@ type System struct {
 
 	opts Options
 
-	// snap is the atomically-published campaign snapshot; gen numbers
-	// publications.
-	snap atomic.Pointer[Snapshot]
-	gen  atomic.Uint64
+	// snap is the published campaign snapshot; publish is its only writer.
+	snap publish.Cell[Snapshot]
 }
 
 // Snapshot is an immutable view of one completed measurement campaign: the
@@ -211,27 +209,27 @@ func (s *System) PatchCampaign(pred *predict.Predictor, rtt *discovery.RTTTable,
 }
 
 // publish is the single write point for campaign state: it freezes the
-// inputs into a fresh immutable Snapshot, numbers it, mirrors its predictor
-// into System.Pred and swaps the atomic pointer. The previous snapshot
-// is never touched; concurrent readers observe either it or the complete
+// inputs into a fresh immutable Snapshot, numbered by the cell, mirrors its
+// predictor into System.Pred and publishes it. The previous snapshot is
+// never touched; concurrent readers observe either it or the complete
 // successor, never a mix.
 //
 // Writers must be externally serialized (internal/api holds a writer lock);
 // readers need no coordination.
 func (s *System) publish(pred *predict.Predictor, rtt *discovery.RTTTable, annOrder []prefs.Item, experiments int, quarantined map[int]string, staleRows map[prefs.Client]uint64) *Snapshot {
-	snap := &Snapshot{
-		TB:          s.TB,
-		Pred:        pred,
-		RTT:         rtt,
-		AnnOrder:    append([]prefs.Item(nil), annOrder...),
-		Gen:         s.gen.Add(1),
-		Experiments: experiments,
-		Quarantined: maps.Clone(quarantined),
-		StaleRows:   maps.Clone(staleRows),
-	}
 	s.Pred = pred
-	s.snap.Store(snap)
-	return snap
+	return s.snap.Publish(func(gen uint64) *Snapshot {
+		return &Snapshot{
+			TB:          s.TB,
+			Pred:        pred,
+			RTT:         rtt,
+			AnnOrder:    append([]prefs.Item(nil), annOrder...),
+			Gen:         gen,
+			Experiments: experiments,
+			Quarantined: maps.Clone(quarantined),
+			StaleRows:   maps.Clone(staleRows),
+		}
+	})
 }
 
 // CurrentSnapshot returns the most recently published campaign snapshot, or

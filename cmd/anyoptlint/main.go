@@ -1,8 +1,8 @@
 // Command anyoptlint enforces the repository's statically checked
 // invariants: order-insensitive map iteration, seeded-entropy-only simulator
-// packages, no goroutines outside the worker pool, snapshot immutability,
-// and atomic access discipline. See internal/lint for the checks and policy
-// table, and DESIGN.md §11 for the invariant model.
+// packages, no goroutines outside the worker pool and snapshot immutability.
+// See internal/lint for the checks and policy table, and DESIGN.md §11 for
+// the invariant model.
 //
 // Usage:
 //

@@ -279,7 +279,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	// churn application (which write-locks topoMu) quiesces us first.
 	s.topoMu.RLock()
 	sess := s.sessions.acquire()
-	catch, rtts := sess.Disc.RunConfigurationRTTs(cfg)
+	catch, rtts := sess.RunConfigurationRTTs(cfg)
 	s.sessions.release(sess)
 	s.topoMu.RUnlock()
 	mean, n := predict.MeasuredMeanRTT(rtts)

@@ -7,26 +7,21 @@ import (
 	"anyopt/internal/core/discovery"
 )
 
-// measureSession is one reusable discovery session serving ad-hoc
-// /v1/measure experiments. Each session owns a private Discovery — and with
-// it a private list of warm simulators (reset in place through Sim.Reset) —
-// so concurrent measure requests never share a simulator and a session
-// reused across requests keeps its sims warm.
-type measureSession struct {
-	Disc *discovery.Discovery
-}
-
-// sessionPool hands out measure sessions. Sessions are created on demand (one
-// per concurrent measure request at peak) and recycled; the pool never
-// shrinks, mirroring how a Discovery keeps its workers' simulators warm
-// during a campaign. The mutex guards only the free list — it is held for a
-// pointer push/pop, never across an experiment.
+// sessionPool hands out measure sessions: reusable discovery sessions serving
+// ad-hoc /v1/measure experiments. Each session is a private Discovery — and
+// with it a private list of warm simulators (reset in place through
+// Sim.Reset) — so concurrent measure requests never share a simulator and a
+// session reused across requests keeps its sims warm. Sessions are created
+// on demand (one per concurrent measure request at peak) and recycled; the
+// pool never shrinks, mirroring how a Discovery keeps its workers'
+// simulators warm during a campaign. The mutex guards only the free list —
+// it is held for a pointer push/pop, never across an experiment.
 type sessionPool struct {
 	sys  *anyopt.System
 	mu   sync.Mutex
-	free []*measureSession
+	free []*discovery.Discovery
 	// all tracks every session ever built, for metrics aggregation.
-	all []*measureSession
+	all []*discovery.Discovery
 	// created counts sessions ever built; it doubles as the nonce-base
 	// allocator below.
 	created uint64
@@ -44,7 +39,7 @@ func newSessionPool(sys *anyopt.System) *sessionPool {
 const sessionNonceStride = uint64(1) << 32
 
 // acquire pops a warm session or builds a fresh one.
-func (p *sessionPool) acquire() *measureSession {
+func (p *sessionPool) acquire() *discovery.Discovery {
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
 		s := p.free[n-1]
@@ -58,17 +53,16 @@ func (p *sessionPool) acquire() *measureSession {
 
 	d := discovery.New(p.sys.TB, p.sys.Options().Discovery)
 	d.SeedNonces(id * sessionNonceStride)
-	s := &measureSession{Disc: d}
 	p.mu.Lock()
-	p.all = append(p.all, s)
+	p.all = append(p.all, d)
 	p.mu.Unlock()
-	return s
+	return d
 }
 
 // release returns a session to the pool.
-func (p *sessionPool) release(s *measureSession) {
+func (p *sessionPool) release(d *discovery.Discovery) {
 	p.mu.Lock()
-	p.free = append(p.free, s)
+	p.free = append(p.free, d)
 	p.mu.Unlock()
 }
 
@@ -79,8 +73,8 @@ func (p *sessionPool) simPoolStats() (hits, misses uint64) {
 	p.mu.Lock()
 	sessions := p.all
 	p.mu.Unlock()
-	for _, s := range sessions {
-		h, m := s.Disc.SimPoolStats()
+	for _, d := range sessions {
+		h, m := d.SimPoolStats()
 		hits += h
 		misses += m
 	}

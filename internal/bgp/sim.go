@@ -311,8 +311,7 @@ func New(topo *topology.Topology, cfg Config) *Sim {
 // rewound, and the event engine keeps its queue storage and event pool. A
 // warm session therefore runs a whole new experiment with near-zero
 // steady-state allocation. Callers must not hold references into the old
-// session (BestRouteView paths, candidate slices); copies such as BestRoute
-// results are fine.
+// session (candidate slices); copies such as BestRoute results are fine.
 func (s *Sim) Reset(cfg Config) {
 	if cfg.ProcDelayMax < cfg.ProcDelayMin {
 		panic(fmt.Sprintf("bgp: ProcDelayMax %v < ProcDelayMin %v", cfg.ProcDelayMax, cfg.ProcDelayMin))
@@ -691,36 +690,22 @@ type RouteInfo struct {
 // prefix is unreachable from a. The Path is an independent copy, safe to hold
 // across further simulation.
 func (s *Sim) BestRoute(p PrefixID, a topology.ASN) *RouteInfo {
-	v, ok := s.BestRouteView(p, a)
-	if !ok {
-		return nil
-	}
-	v.Path = append([]topology.ASN(nil), v.Path...)
-	return &v
-}
-
-// BestRouteView is BestRoute without the defensive path copy: the returned
-// Path aliases simulator-owned arena storage and is valid only until the next
-// delivered update, link event, or Reset. Read-heavy internal callers use it
-// to inspect routes without per-call garbage; anything that stores the result
-// must use BestRoute.
-func (s *Sim) BestRouteView(p PrefixID, a topology.ASN) (RouteInfo, bool) {
 	ps := s.prefixes[p]
 	if ps == nil {
-		return RouteInfo{}, false
+		return nil
 	}
 	rib := s.ribOf(ps, a)
 	if rib == nil || rib.best == nil {
-		return RouteInfo{}, false
+		return nil
 	}
 	b := rib.best
-	return RouteInfo{
+	return &RouteInfo{
 		Neighbor:  b.link.Other(a),
 		Link:      b.link.ID,
-		Path:      b.path,
+		Path:      append([]topology.ASN(nil), b.path...),
 		LocalPref: b.localPref,
 		Arrival:   b.arrival,
-	}, true
+	}
 }
 
 // ReachableCount returns how many ASes currently have a route to prefix p.

@@ -55,20 +55,14 @@ const (
 	frameRTT byte = 4
 )
 
-// Save writes sys's discovery results to w. RunDiscovery must have been
-// executed.
+// Save writes sys's current campaign snapshot to w, quarantine included as
+// the snapshot records it. RunDiscovery must have been executed.
 func Save(w io.Writer, sys *anyopt.System) error {
 	sn := sys.CurrentSnapshot()
 	if sn == nil {
 		return fmt.Errorf("campaign: system has no discovery results to save")
 	}
-	// Quarantine is live Discovery state: operators may pull a site after the
-	// campaign snapshot was published. The System-level Save captures the
-	// current view; SaveSnapshot alone freezes the snapshot's own record.
-	view := *sn
-	//lint:mutinvariant view is a private struct copy; the published snapshot is untouched
-	view.Quarantined = sys.Disc.Quarantined()
-	return SaveSnapshot(w, &view)
+	return SaveSnapshot(w, sn)
 }
 
 // SaveFile saves sys's discovery results to path so that a crash leaves the

@@ -331,7 +331,7 @@ func TestCheckpointScheduleMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Disc.SetJournal(ck2)
-	b.Disc.RunConfiguration([]int{1, 3}) // kind "config" where the file says "rtt"
+	b.Disc.RunConfigurations([][]int{{1, 3}}) // kind "config" where the file says "rtt"
 	if err := b.Disc.Err(); err == nil || !strings.Contains(err.Error(), "schedule changed") {
 		t.Errorf("schedule mismatch not detected: err = %v", err)
 	}
@@ -394,12 +394,20 @@ func TestCheckpointRejectsCorruptFiles(t *testing.T) {
 	}
 }
 
-// TestSaveLoadQuarantine rides the snapshot round-trip test for the new
-// Quarantined field: a campaign that pulled sites restores them on load.
+// TestSaveLoadQuarantine round-trips a published quarantine: Save writes the
+// quarantine the snapshot carries, not the System's Discovery, which holds
+// none here (as after an API discovery job, which measures on a Discovery of
+// its own), and Load restores it.
 func TestSaveLoadQuarantine(t *testing.T) {
-	src := discovered(t)
-	src.Disc.QuarantineSite(11, "blackout: no RTT responses")
-	defer src.Disc.RestoreQuarantine(nil)
+	sn := discovered(t).CurrentSnapshot()
+	src, err := anyopt.New(anyopt.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.InstallCampaign(sn.Pred, sn.RTT, sn.AnnOrder, sn.Experiments, map[int]string{11: "blackout: no RTT responses"})
+	if q := src.Disc.Quarantined(); len(q) != 0 {
+		t.Fatalf("source Discovery quarantine = %v, want none", q)
+	}
 
 	var buf bytes.Buffer
 	if err := Save(&buf, src); err != nil {

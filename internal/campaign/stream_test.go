@@ -152,7 +152,6 @@ func TestStreamMatchesLegacyEdgeShapes(t *testing.T) {
 
 	t.Run("quarantined", func(t *testing.T) {
 		view := *base
-		//lint:mutinvariant view is a private struct copy; the published snapshot is untouched
 		view.Quarantined = map[int]string{
 			2:  "blackout <sim> & probe loss",
 			10: "operator pull",
@@ -165,7 +164,6 @@ func TestStreamMatchesLegacyEdgeShapes(t *testing.T) {
 		view := *base
 		pred := *base.Pred
 		pred.Sites = nil
-		//lint:mutinvariant view and pred are private struct copies; the published snapshot is untouched
 		view.Pred = &pred
 		view.AnnOrder = nil
 		assertStreamMatchesLegacy(t, &view)

@@ -84,9 +84,11 @@ func (d *Discovery) siteMap(sw Sweep) map[prefs.Client]int {
 	return out
 }
 
-// RunConfigurations runs one ordered deployment per configuration across the
-// worker pool and returns measured catchments in configuration order,
-// byte-identical to calling RunConfiguration once per entry.
+// RunConfigurations deploys each configuration's site IDs in announcement
+// order (spaced) and measures every target's catchment — the "deploy and
+// measure" step of §5.2 — running the deployments across the worker pool.
+// It returns the measured catchments (site IDs per client) in configuration
+// order, byte-identical to running the configurations one batch each.
 func (d *Discovery) RunConfigurations(configs [][]int) []map[prefs.Client]int {
 	sweeps := d.runConfigs("config", configs, false)
 	out := make([]map[prefs.Client]int, len(sweeps))
@@ -94,13 +96,6 @@ func (d *Discovery) RunConfigurations(configs [][]int) []map[prefs.Client]int {
 		out[i] = d.siteMap(sw)
 	}
 	return out
-}
-
-// RunConfiguration deploys the given site IDs in announcement order (spaced)
-// and measures every target's catchment — the "deploy and measure" step of
-// §5.2. It returns the measured catchments (site IDs per client).
-func (d *Discovery) RunConfiguration(siteIDs []int) map[prefs.Client]int {
-	return d.RunConfigurations([][]int{siteIDs})[0]
 }
 
 // ConfigResult is one deployment's measured catchments and RTTs.

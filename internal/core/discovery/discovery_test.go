@@ -322,8 +322,8 @@ func TestRunConfigurationDeterministicPerNonce(t *testing.T) {
 	cfg.Noisy = false
 	d1 := New(tb, cfg)
 	d2 := New(tb, cfg)
-	a := d1.RunConfiguration([]int{1, 4})
-	b := d2.RunConfiguration([]int{1, 4})
+	a := d1.RunConfigurations([][]int{{1, 4}})[0]
+	b := d2.RunConfigurations([][]int{{1, 4}})[0]
 	if len(a) != len(b) {
 		t.Fatalf("catchment sizes differ: %d vs %d", len(a), len(b))
 	}

@@ -119,21 +119,21 @@ func TestParallelCampaignDeterminism(t *testing.T) {
 
 // TestBatchedDriversMatchSingleCalls pins the batch APIs to their serial
 // single-call equivalents: two fresh campaigns with the same seeds, one
-// using RunConfiguration twice, one using RunConfigurations once, must agree
-// on results and nonce consumption.
+// running two one-config batches, one running a single two-config batch,
+// must agree on results and nonce consumption.
 func TestBatchedDriversMatchSingleCalls(t *testing.T) {
 	cfgA := []int{1, 6}
 	cfgB := []int{6, 1}
 
 	one := New(newTB(t), DefaultConfig())
-	r1 := one.RunConfiguration(cfgA)
-	r2 := one.RunConfiguration(cfgB)
+	r1 := one.RunConfigurations([][]int{cfgA})[0]
+	r2 := one.RunConfigurations([][]int{cfgB})[0]
 
 	two := New(newTB(t), DefaultConfig())
 	batch := two.RunConfigurations([][]int{cfgA, cfgB})
 
 	if !reflect.DeepEqual(r1, batch[0]) || !reflect.DeepEqual(r2, batch[1]) {
-		t.Fatal("RunConfigurations diverged from sequential RunConfiguration calls")
+		t.Fatal("a two-config RunConfigurations batch diverged from two one-config batches")
 	}
 	if one.Experiments != two.Experiments || one.ProbesSent != two.ProbesSent {
 		t.Fatalf("counters diverged: single exps=%d probes=%d, batch exps=%d probes=%d",

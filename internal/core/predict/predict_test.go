@@ -69,7 +69,7 @@ func TestCatchmentPredictionAccuracy(t *testing.T) {
 		size := 2 + rng.Intn(13)
 		cfg := randomConfig(pl.pred, rng, size)
 		predicted := pl.pred.All(cfg)
-		measured := pl.disc.RunConfiguration(cfg)
+		measured := pl.disc.RunConfigurations([][]int{cfg})[0]
 		acc, n := Accuracy(predicted, measured)
 		if n < 100 {
 			t.Fatalf("config %v: only %d comparable clients", cfg, n)

@@ -6,90 +6,60 @@ import (
 	"strings"
 )
 
-// Suppression directives. Each must carry a reason:
+// orderInvariantDirective suppresses a maporder finding. It must carry a
+// reason:
 //
 //	//lint:orderinvariant result is a set; downstream consumers sort it
-//	//lint:mutinvariant serialization view is write-once and never escapes
 //
 // placed on the line of the flagged statement or the line directly above it.
-// orderInvariantDirective suppresses maporder findings; mutInvariantDirective
-// suppresses the mutation-invariant tier (snapimmut and atomicuse).
-const (
-	orderInvariantDirective = "lint:orderinvariant"
-	mutInvariantDirective   = "lint:mutinvariant"
-)
-
-// directives lists every suppression directive with the check a malformed
-// instance is reported under.
-var directives = []struct {
-	name  string
-	check string
-}{
-	{orderInvariantDirective, "maporder"},
-	{mutInvariantDirective, "snapimmut"},
-}
+// It is the only suppression directive.
+const orderInvariantDirective = "lint:orderinvariant"
 
 // annotations records where suppression directives appear.
 type annotations struct {
-	// lines maps directive -> file name -> set of line numbers carrying a
-	// valid (reasoned) instance of that directive.
-	lines map[string]map[string]map[int]bool
+	// lines maps file name -> set of line numbers carrying a valid
+	// (reasoned) directive.
+	lines map[string]map[int]bool
 	// diags reports malformed directives (missing reason).
 	diags []Diagnostic
 }
 
 // collectAnnotations scans a package's comments for lint directives.
 func collectAnnotations(pkg *Package) *annotations {
-	ann := &annotations{lines: make(map[string]map[string]map[int]bool)}
+	ann := &annotations{lines: make(map[string]map[int]bool)}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				for _, d := range directives {
-					if !strings.HasPrefix(text, d.name) {
-						continue
-					}
-					reason := strings.TrimSpace(strings.TrimPrefix(text, d.name))
-					pos := pkg.Fset.Position(c.Pos())
-					if reason == "" {
-						ann.diags = append(ann.diags, Diagnostic{
-							Pos:     pos,
-							Check:   d.check,
-							Message: "//" + d.name + " requires a reason explaining why the invariant holds here",
-						})
-						continue
-					}
-					files := ann.lines[d.name]
-					if files == nil {
-						files = make(map[string]map[int]bool)
-						ann.lines[d.name] = files
-					}
-					lines := files[pos.Filename]
-					if lines == nil {
-						lines = make(map[int]bool)
-						files[pos.Filename] = lines
-					}
-					lines[pos.Line] = true
+				reason, ok := strings.CutPrefix(text, orderInvariantDirective)
+				if !ok {
+					continue
 				}
+				pos := pkg.Fset.Position(c.Pos())
+				if strings.TrimSpace(reason) == "" {
+					ann.diags = append(ann.diags, Diagnostic{
+						Pos:     pos,
+						Check:   "maporder",
+						Message: "//" + orderInvariantDirective + " requires a reason explaining why the invariant holds here",
+					})
+					continue
+				}
+				lines := ann.lines[pos.Filename]
+				if lines == nil {
+					lines = make(map[int]bool)
+					ann.lines[pos.Filename] = lines
+				}
+				lines[pos.Line] = true
 			}
 		}
 	}
 	return ann
 }
 
-// suppressedBy reports whether a node at pos is covered by the given
-// directive on its own line or the line above.
-func (a *annotations) suppressedBy(directive string, fset *token.FileSet, node ast.Node) bool {
-	pos := fset.Position(node.Pos())
-	lines := a.lines[directive][pos.Filename]
-	if lines == nil {
-		return false
-	}
-	return lines[pos.Line] || lines[pos.Line-1]
-}
-
-// suppressed reports whether a node is covered by an orderinvariant
-// directive (the maporder check's escape hatch).
+// suppressed reports whether a node is covered by a directive on its own line
+// or the line above.
 func (a *annotations) suppressed(fset *token.FileSet, node ast.Node) bool {
-	return a.suppressedBy(orderInvariantDirective, fset, node)
+	pos := fset.Position(node.Pos())
+	lines := a.lines[pos.Filename]
+	return lines[pos.Line] || lines[pos.Line-1]
 }

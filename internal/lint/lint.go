@@ -23,16 +23,15 @@
 //   - snapimmut: no write to — or mutable alias leaked from — an immutable
 //     campaign snapshot outside its sanctioned writers. The lock-free serving
 //     path reads snapshots with no coordination at all; this check is what
-//     makes that sound at compile time instead of by storm-test luck.
-//     Suppressible with `//lint:mutinvariant <reason>`.
-//   - atomicuse: sync/atomic fields are touched only through their
-//     Load/Store/Add methods, and guarded fields (System.snap) mutate only
-//     inside their sanctioned write points.
+//     makes that sound at compile time instead of by storm-test luck. It has
+//     no suppression directive.
 //
-// maporder, snapimmut and atomicuse run on every package the policy table in
-// policy.go matches; the table decides entropy, its NoRand tightening and
-// nogo per package. Locks copied by value are go vet's copylocks check,
-// which `make vet` runs over both build variants.
+// maporder and snapimmut run on every package the policy table in policy.go
+// matches; the table decides entropy, its NoRand tightening and nogo per
+// package. The snapshot's publication point is not a lint check: the
+// publish.Cell type lets only its Publish method store and number a
+// snapshot, and a copied cell, like any lock copied by value, is go vet's
+// copylocks check, which `make vet` runs over both build variants.
 package lint
 
 import (
@@ -46,7 +45,7 @@ type Diagnostic struct {
 	// Pos locates the finding.
 	Pos token.Position
 	// Check names the check that produced it (maporder, entropy, nogo,
-	// snapimmut, atomicuse).
+	// snapimmut).
 	Check string
 	// Message describes the violation.
 	Message string
@@ -63,9 +62,6 @@ type Runner struct {
 	// SnapshotRules configures the snapimmut check; nil selects
 	// DefaultSnapshotRules.
 	SnapshotRules []SnapshotRule
-	// AtomicGuards configures the atomicuse writer sets; nil selects
-	// DefaultAtomicGuards.
-	AtomicGuards []AtomicGuard
 }
 
 // Run analyzes pkgs and returns all diagnostics sorted by position, exact
@@ -81,20 +77,16 @@ func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 	if snapRules == nil {
 		snapRules = DefaultSnapshotRules
 	}
-	guards := r.AtomicGuards
-	if guards == nil {
-		guards = DefaultAtomicGuards
-	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		diags = append(diags, r.runPackage(pkg, rules, snapRules, guards)...)
+		diags = append(diags, r.runPackage(pkg, rules, snapRules)...)
 	}
 	sortDiagnostics(diags)
 	return dedupeDiagnostics(diags)
 }
 
 // runPackage analyzes one package under the resolved configuration.
-func (r *Runner) runPackage(pkg *Package, rules []PolicyRule, snapRules []SnapshotRule, guards []AtomicGuard) []Diagnostic {
+func (r *Runner) runPackage(pkg *Package, rules []PolicyRule, snapRules []SnapshotRule) []Diagnostic {
 	p, ok := PolicyFor(rules, pkg.Path)
 	if !ok {
 		return nil
@@ -109,8 +101,7 @@ func (r *Runner) runPackage(pkg *Package, rules []PolicyRule, snapRules []Snapsh
 	if p.NoGo {
 		diags = append(diags, checkNoGo(pkg)...)
 	}
-	diags = append(diags, checkSnapImmut(pkg, ann, snapRules)...)
-	diags = append(diags, checkAtomicUse(pkg, ann, guards)...)
+	diags = append(diags, checkSnapImmut(pkg, snapRules)...)
 	return diags
 }
 

@@ -17,15 +17,10 @@ var fixturePolicy = []PolicyRule{
 	{"anyopt/internal/lint/testdata/src/strictrand", Policy{Entropy: true, NoRand: true, NoGo: true}},
 }
 
-// fixtureSnapshotRules and fixtureAtomicGuards retarget the mutation
-// invariants at the fixture's own types.
+// fixtureSnapshotRules retargets snapimmut at the fixture's own snapshot
+// type.
 var fixtureSnapshotRules = []SnapshotRule{
 	{Type: "anyopt/internal/lint/testdata/src/snapimmut.Snapshot", Writers: map[string]bool{"publish": true}},
-}
-
-var fixtureAtomicGuards = []AtomicGuard{
-	{Struct: "anyopt/internal/lint/testdata/src/atomicuse.Sys", Field: "snap", Writers: map[string]bool{"publish": true}},
-	{Struct: "anyopt/internal/lint/testdata/src/atomicuse.Sys", Field: "gen", Writers: map[string]bool{"publish": true}},
 }
 
 // fixtureRunner is the Runner every fixture test uses.
@@ -33,7 +28,6 @@ func fixtureRunner() *Runner {
 	return &Runner{
 		Policies:      fixturePolicy,
 		SnapshotRules: fixtureSnapshotRules,
-		AtomicGuards:  fixtureAtomicGuards,
 	}
 }
 
@@ -104,7 +98,6 @@ func TestFixtureGolden(t *testing.T) {
 		"./testdata/src/strictrand",
 		"./testdata/src/nogo",
 		"./testdata/src/snapimmut",
-		"./testdata/src/atomicuse",
 	}
 	pkgs := loadFixtures(t, dirs...)
 	diags := fixtureRunner().Run(pkgs)

@@ -3,9 +3,9 @@ package lint
 import "strings"
 
 // Policy selects the checks that differ between packages. Every package a
-// rule matches also gets maporder, snapimmut and atomicuse: map iteration
-// order must never leak into outputs anywhere, and the mutation-invariant
-// tier holds wherever snapshots or guarded atomics are in scope.
+// rule matches also gets maporder and snapimmut: map iteration order must
+// never leak into outputs anywhere, and snapshot immutability holds wherever
+// a snapshot is in scope.
 type Policy struct {
 	Entropy bool // wall clock & global/unseeded rand bans
 	NoRand  bool // with Entropy: ban math/rand outright, seeded or not

@@ -34,10 +34,10 @@ import (
 // snapshot type (its constructors); both must be declared in the type's
 // package. The analysis is intraprocedural: values passed into calls cross
 // its horizon, which is exactly why leaking aliases out of the snapshot is
-// itself a finding. Suppress a finding only with
-// `//lint:mutinvariant <reason>`.
-func checkSnapImmut(pkg *Package, ann *annotations, rules []SnapshotRule) []Diagnostic {
-	c := &snapImmutChecker{pkg: pkg, ann: ann, rules: rules}
+// itself a finding. No directive suppresses a finding: code that needs a
+// different snapshot builds one through a sanctioned writer.
+func checkSnapImmut(pkg *Package, rules []SnapshotRule) []Diagnostic {
+	c := &snapImmutChecker{pkg: pkg, rules: rules}
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -80,7 +80,6 @@ var DefaultSnapshotRules = []SnapshotRule{
 
 type snapImmutChecker struct {
 	pkg   *Package
-	ann   *annotations
 	rules []SnapshotRule
 	diags []Diagnostic
 
@@ -390,13 +389,10 @@ func writerNames(r SnapshotRule) string {
 }
 
 func (c *snapImmutChecker) report(n ast.Node, check, format string, args ...any) {
-	if c.ann.suppressedBy(mutInvariantDirective, c.pkg.Fset, n) {
-		return
-	}
 	c.diags = append(c.diags, Diagnostic{
 		Pos:     c.pkg.Fset.Position(n.Pos()),
 		Check:   check,
-		Message: fmt.Sprintf(format, args...) + "; or annotate //lint:mutinvariant with a reason",
+		Message: fmt.Sprintf(format, args...),
 	})
 }
 

@@ -86,13 +86,6 @@ func leakGlobal(snap *Snapshot) {
 	leakedSizes = snap.Sizes // want "into package variable"
 }
 
-// suppressedWrite exercises the escape hatch: a reasoned mutinvariant
-// directive silences the finding.
-func suppressedWrite(snap *Snapshot) {
-	//lint:mutinvariant fixture exercises the escape hatch
-	snap.Gen = 3
-}
-
 // reads shows the permitted read-only traffic: field reads, ranging,
 // passing owned state to calls, and copies into locally-owned structures.
 func reads(snap *Snapshot) uint64 {
