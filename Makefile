@@ -57,11 +57,12 @@ chaos:
 # the differential convergence test (a healed churned campaign must be
 # byte-identical to a from-scratch campaign on the post-churn topology, at
 # several worker counts and under harsh fault injection), cone inference,
-# the staleness/health state machine, and the anyoptd churn endpoints
-# including checkpoint resume of half-finished repairs.
+# the staleness/health state machine, the anyoptd churn endpoints including
+# checkpoint resume of half-finished repairs, and churn planning and
+# all-or-nothing application in internal/fault.
 chaos-churn:
 	$(GO) test -race -run 'Churn|Cone|Stale|Health|Repair|Reconcile' \
-		./internal/reconcile/ ./internal/api/
+		./internal/reconcile/ ./internal/api/ ./internal/fault/
 
 # fuzz runs every fuzzer in the repo for five seconds each, from the seed
 # corpora checked in under testdata/fuzz/ or added in code (which plain

@@ -93,6 +93,21 @@ func InternetScaleOptions() Options {
 	return o
 }
 
+// ScaleOptions resolves a scale name to its options: "test" (or "") is
+// DefaultOptions, "paper" PaperScaleOptions and "internet"
+// InternetScaleOptions. Any other name is an error.
+func ScaleOptions(name string) (Options, error) {
+	switch name {
+	case "", "test":
+		return DefaultOptions(), nil
+	case "paper":
+		return PaperScaleOptions(), nil
+	case "internet":
+		return InternetScaleOptions(), nil
+	}
+	return Options{}, fmt.Errorf("anyopt: unknown scale %q (want test, paper, or internet)", name)
+}
+
 // System is an anycast network under AnyOpt management.
 //
 // A System is not safe for concurrent mutation: RunDiscovery, campaign

@@ -123,7 +123,6 @@ func main() {
 			log.Fatal(err)
 		}
 		f.Close()
-		env.MarkDiscovered()
 		fmt.Printf("loaded campaign from %s\n", *campaignFile)
 	}
 

@@ -28,16 +28,16 @@ func main() {
 	log.SetPrefix("anyoptd: ")
 	var (
 		listen        = flag.String("listen", "127.0.0.1:8080", "address to serve on")
-		scale         = flag.String("scale", "test", "topology scale: test or paper")
+		scale         = flag.String("scale", "test", "topology scale: test, paper, or internet")
 		seed          = flag.Int64("seed", 1, "topology seed")
 		campaignFile  = flag.String("campaign", "", "preload discovery results from this snapshot")
 		checkpointDir = flag.String("checkpoint-dir", "", "enable ?checkpoint=name on discovery jobs, journaling under this directory")
 	)
 	flag.Parse()
 
-	opts := anyopt.DefaultOptions()
-	if *scale == "paper" {
-		opts = anyopt.PaperScaleOptions()
+	opts, err := anyopt.ScaleOptions(*scale)
+	if err != nil {
+		log.Fatal(err)
 	}
 	opts.Topology.Seed = *seed
 	opts.Testbed.Seed = *seed

@@ -14,6 +14,7 @@ import (
 	"os"
 	"time"
 
+	"anyopt"
 	"anyopt/internal/testbed"
 	"anyopt/internal/topology"
 )
@@ -43,15 +44,12 @@ func main() {
 			log.Fatal(err)
 		}
 	} else {
-		params := topology.TestParams()
-		switch *scale {
-		case "paper":
-			params = topology.DefaultParams()
-		case "internet":
-			params = topology.InternetParams()
+		opts, err := anyopt.ScaleOptions(*scale)
+		if err != nil {
+			log.Fatal(err)
 		}
+		params := opts.Topology
 		params.Seed = *seed
-		var err error
 		topo, err = topology.Generate(params)
 		if err != nil {
 			log.Fatal(err)

@@ -8,12 +8,13 @@ import (
 	"anyopt/internal/fault"
 )
 
-// FuzzChurnDecode stands at POST /v1/churn's door, before anything touches
-// the topology: whatever the body, decoding and planning neither panic nor
-// stall, a planned batch is never larger than asked and never larger than
-// maxChurnCount, and every event let through names a link or a policy edge
-// the topology has. The seed corpus is the bodies the api tests and the
-// benchmark post.
+// FuzzChurnDecode stands at POST /v1/churn's door: whatever the body,
+// decoding, planning and applying neither panic nor stall, a planned batch is
+// never larger than asked and never larger than maxChurnCount, and every
+// event ApplyChurn lets through names a link or a policy edge the topology
+// has. Applied batches stay on the topology, so later inputs plan against a
+// churned one. The seed corpus is the bodies the api tests and the benchmark
+// post.
 func FuzzChurnDecode(f *testing.F) {
 	sys, err := anyopt.New(anyopt.DefaultOptions())
 	if err != nil {
@@ -34,6 +35,9 @@ func FuzzChurnDecode(f *testing.F) {
 		}
 		if len(events) == 0 || (len(req.Events) == 0 && len(events) > req.Count) {
 			t.Fatalf("%q: %d events for a count of %d", body, len(events), req.Count)
+		}
+		if _, err := fault.ApplyChurn(topo, events); err != nil {
+			return
 		}
 		for _, ev := range events {
 			switch ev.Kind {

@@ -250,7 +250,7 @@ func TestChurnBadRequests(t *testing.T) {
 	if code, _ := postJSON(t, ts.URL+"/v1/churn", `{"seed":1,"count":1000000000000}`); code != http.StatusBadRequest {
 		t.Errorf("huge count: status %d, want 400", code)
 	}
-	// A batch with one bad event is rejected whole — ValidateChurn runs
+	// A batch with one bad event is rejected whole — ApplyChurn validates it
 	// before any mutation, so no prefix of the batch leaks into the topology.
 	bad := `{"events":[{"kind":"link_cost","link":1,"new_delay":1000000},{"kind":"link_down","link":999999}]}`
 	if code, _ := postJSON(t, ts.URL+"/v1/churn", bad); code != http.StatusBadRequest {

@@ -15,10 +15,10 @@ import (
 
 // warmExperimentAllocs is the allocation budget of one experiment on a warm
 // simulator session at test scale: Reset, a spaced three-site AnnounceSites,
-// and convergence. Reset rewinds every arena and the RIBs keep their slices,
-// so what remains is AnnounceSites' scheduling: one closure per announced
-// site.
-const warmExperimentAllocs = 3
+// and convergence. Reset rewinds every arena, the RIBs keep their slices, and
+// the scheduled announcements are pooled events like every update, so
+// nothing is left to allocate.
+const warmExperimentAllocs = 0
 
 // TestWarmExperimentAllocationBudget holds a reused session to its budget:
 // per-AS or per-update allocation anywhere in the decision process, the

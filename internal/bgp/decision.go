@@ -56,7 +56,7 @@ func (s *Sim) selectBest(rib *ribState) (*route, []*route) {
 			nCand++
 		}
 	}
-	candidates := s.cands.alloc(nCand)
+	candidates := s.cands.alloc(nCand)[:0]
 	for _, r := range rib.in {
 		if r != nil && r.localPref == best.localPref && r.pathLen() == best.pathLen() {
 			candidates = append(candidates, r)

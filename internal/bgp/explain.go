@@ -115,7 +115,7 @@ func (e *Explanation) String() string {
 // every AS's route selection along it. ok is false when the target has no
 // route.
 func (s *Sim) Explain(p PrefixID, target topology.Target) (*Explanation, bool) {
-	ps := s.prefixes[p]
+	ps := s.prefix(p)
 	if ps == nil {
 		return nil, false
 	}
@@ -137,7 +137,7 @@ func (s *Sim) Explain(p PrefixID, target topology.Target) (*Explanation, bool) {
 		// The route the packet actually followed at this hop.
 		var nextLink topology.LinkID
 		if i+1 < len(res.ASPath) {
-			followed := s.chooseForwardingRoute(ps, asn, ingressPoP, rib, target, false)
+			followed := s.chooseVia(s.fwdCacheOf(ps), ps, asn, ingressPoP, rib, target, false)
 			nextLink = followed.link.ID
 		} else {
 			nextLink = res.EntryLink

@@ -2,7 +2,7 @@ package bgp
 
 import (
 	"fmt"
-	"sort"
+	"time"
 
 	"anyopt/internal/topology"
 )
@@ -23,16 +23,29 @@ func (s *Sim) FailLink(id topology.LinkID) {
 		s.failed = append(s.failed, make([]bool, int(id)+1-len(s.failed))...)
 	}
 	s.failed[id] = true
-	for _, ps := range s.orderedPrefixStates() {
+	for p, ps := range s.prefixes {
+		if ps == nil {
+			continue
+		}
 		for _, end := range []topology.ASN{l.From, l.To} {
 			rib, slot := s.ribOf(ps, end), l.Slot(end)
 			if rib == nil || slot >= len(rib.in) || rib.in[slot] == nil {
 				continue
 			}
 			rib.in[slot] = nil
-			s.runDecision(psID(s, ps), ps, end, rib)
+			s.runDecision(PrefixID(p), ps, end, rib)
 		}
 	}
+}
+
+// FailLinkAt schedules FailLink(id) to run at virtual time at.
+func (s *Sim) FailLinkAt(at time.Duration, id topology.LinkID) {
+	s.scheduleOp(at, opFailLink, 0, id, "FailLinkAt")
+}
+
+// RestoreLinkAt schedules RestoreLink(id) to run at virtual time at.
+func (s *Sim) RestoreLinkAt(at time.Duration, id topology.LinkID) {
+	s.scheduleOp(at, opRestoreLink, 0, id, "RestoreLinkAt")
 }
 
 // RestoreLink brings a failed link back. Both endpoints re-advertise their
@@ -50,15 +63,15 @@ func (s *Sim) RestoreLink(id topology.LinkID) {
 		return
 	}
 	s.failed[id] = false
-	for _, ps := range s.orderedPrefixStates() {
-		p := psID(s, ps)
+	for i, ps := range s.prefixes {
+		if ps == nil {
+			continue
+		}
+		p := PrefixID(i)
 		// Origin-side announcements resume.
-		if prepend, ok := ps.announced[id]; ok {
-			path := s.paths.alloc(1 + prepend)
-			for i := range path {
-				path[i] = ps.origin
-			}
-			s.deliver(p, l, l.Other(ps.origin), path, ps.meds[id])
+		if j, ok := ps.origination(id); ok {
+			o := ps.announced[j]
+			s.deliver(p, l, l.Other(ps.origin), o.path, o.med)
 		}
 		// Each endpoint re-exports its best to the other, per policy.
 		for _, end := range []topology.ASN{l.From, l.To} {
@@ -73,7 +86,7 @@ func (s *Sim) RestoreLink(id topology.LinkID) {
 			if !exportAllowed(rib.best.link.RoleOf(end), l.RoleOf(end)) {
 				continue
 			}
-			path := s.paths.newPath(end, rib.best.path)
+			path := s.newPath(end, rib.best.path)
 			s.deliver(p, l, other, path, 0)
 		}
 	}
@@ -82,29 +95,4 @@ func (s *Sim) RestoreLink(id topology.LinkID) {
 // LinkFailed reports whether the link is currently down.
 func (s *Sim) LinkFailed(id topology.LinkID) bool {
 	return int(id) < len(s.failed) && s.failed[id]
-}
-
-// orderedPrefixStates returns prefix states in PrefixID order for
-// deterministic iteration.
-func (s *Sim) orderedPrefixStates() []*prefixState {
-	ids := make([]int, 0, len(s.prefixes))
-	for p := range s.prefixes {
-		ids = append(ids, int(p))
-	}
-	sort.Ints(ids)
-	out := make([]*prefixState, len(ids))
-	for i, p := range ids {
-		out[i] = s.prefixes[PrefixID(p)]
-	}
-	return out
-}
-
-// psID recovers a prefix state's ID (states are few; linear scan is fine).
-func psID(s *Sim, target *prefixState) PrefixID {
-	for p, ps := range s.prefixes {
-		if ps == target {
-			return p
-		}
-	}
-	panic("bgp: unknown prefix state")
 }

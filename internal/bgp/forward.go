@@ -221,7 +221,7 @@ func (s *Sim) resolveHot(c *fwdCache, ps *prefixState, cur topology.ASN, ingress
 // strict best-path forwarding, which models the packet escaping the
 // transient ECMP disagreement.
 func (s *Sim) Forward(p PrefixID, target topology.Target) (ForwardResult, bool) {
-	ps := s.prefixes[p]
+	ps := s.prefix(p)
 	if ps == nil {
 		return ForwardResult{}, false
 	}
@@ -280,7 +280,7 @@ func (s *Sim) Forward(p PrefixID, target topology.Target) (ForwardResult, bool) 
 // the same remaining delay as long as no multipath AS lies downstream, so
 // after the first walk the whole suffix costs one map lookup.
 func (s *Sim) CatchmentEntry(p PrefixID, target topology.Target) (topology.LinkID, time.Duration, bool) {
-	ps := s.prefixes[p]
+	ps := s.prefix(p)
 	if ps == nil {
 		return 0, 0, false
 	}
@@ -417,14 +417,10 @@ walk:
 	return t, t.state == termOK
 }
 
-// chooseForwardingRoute picks the route a packet entering AS cur at
-// ingressPoP actually follows. In strict mode only the hot-potato direct-site
-// override applies (it terminates the walk immediately).
-func (s *Sim) chooseForwardingRoute(ps *prefixState, cur topology.ASN, ingressPoP int, rib *ribState, target topology.Target, strict bool) *route {
-	return s.chooseVia(s.fwdCacheOf(ps), ps, cur, ingressPoP, rib, target, strict)
-}
-
-// chooseVia is chooseForwardingRoute against an already-validated cache.
+// chooseVia picks the route a packet entering AS cur at ingressPoP actually
+// follows, against c, a cache fwdCacheOf has validated. In strict mode only
+// the hot-potato direct-site override applies (it terminates the walk
+// immediately).
 func (s *Sim) chooseVia(c *fwdCache, ps *prefixState, cur topology.ASN, ingressPoP int, rib *ribState, target topology.Target, strict bool) *route {
 	switch s.fwdClassOf(c, ps, cur, rib) {
 	case fwdHot:

@@ -63,10 +63,7 @@ func TestConvergenceDeterministic(t *testing.T) {
 	run := func() map[topology.ASN]topology.LinkID {
 		s, topo, origin, links := buildAnycast(t, topology.TestParams(), DefaultConfig(), 1)
 		for i, l := range links {
-			final := l
-			s.Engine.Schedule(time.Duration(i)*6*time.Minute, func() {
-				s.Announce(0, origin, final.ID, 0)
-			})
+			s.AnnounceAt(time.Duration(i)*6*time.Minute, 0, origin, l.ID, 0)
 		}
 		s.Converge()
 		return s.CatchmentMap(0, topo.Targets)
@@ -120,10 +117,7 @@ func TestSpacedAnnouncementsDrownJitter(t *testing.T) {
 		cfg.JitterNonce = nonce
 		s, topo, origin, links := buildAnycast(t, topology.TestParams(), cfg, 1)
 		for i, l := range links {
-			final := l
-			s.Engine.Schedule(time.Duration(i)*6*time.Minute, func() {
-				s.Announce(0, origin, final.ID, 0)
-			})
+			s.AnnounceAt(time.Duration(i)*6*time.Minute, 0, origin, l.ID, 0)
 		}
 		s.Converge()
 		return s.CatchmentMap(0, topo.Targets)
@@ -154,10 +148,7 @@ func TestTheoremA1PairwisePredictsSubsets(t *testing.T) {
 	catchment := func(enabled []int) map[topology.ASN]topology.LinkID {
 		s, topo, origin, links := buildAnycast(t, p, DefaultConfig(), 1)
 		for rank, idx := range enabled {
-			l := links[idx]
-			s.Engine.Schedule(time.Duration(rank)*6*time.Minute, func() {
-				s.Announce(0, origin, l.ID, 0)
-			})
+			s.AnnounceAt(time.Duration(rank)*6*time.Minute, 0, origin, links[idx].ID, 0)
 		}
 		s.Converge()
 		return s.CatchmentMap(0, topo.Targets)
@@ -273,10 +264,7 @@ func TestWithdrawReannounceReproducible(t *testing.T) {
 	s, topo, origin, links := buildAnycast(t, topology.TestParams(), DefaultConfig(), 1)
 	announce := func() map[topology.ASN]topology.LinkID {
 		for i, l := range links {
-			l := l
-			s.Engine.After(time.Duration(i)*6*time.Minute, func() {
-				s.Announce(0, origin, l.ID, 0)
-			})
+			s.AnnounceAt(s.Engine.Now()+time.Duration(i)*6*time.Minute, 0, origin, l.ID, 0)
 		}
 		s.Converge()
 		return s.CatchmentMap(0, topo.Targets)

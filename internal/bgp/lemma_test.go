@@ -26,10 +26,7 @@ func lemmaSim(t testing.TB, seed int64) (*Sim, *topology.Topology, topology.ASN,
 // the earlier announcement arrives everywhere first.
 func announceOrdered(s *Sim, origin topology.ASN, links []*topology.Link) {
 	for i, l := range links {
-		l := l
-		s.Engine.Schedule(time.Duration(i)*6*time.Minute, func() {
-			s.Announce(0, origin, l.ID, 0)
-		})
+		s.AnnounceAt(time.Duration(i)*6*time.Minute, 0, origin, l.ID, 0)
 	}
 	s.Converge()
 }

@@ -49,10 +49,7 @@ func snapshotSim(s *Sim, topo *topology.Topology) simSnapshot {
 // link announced six minutes after the previous one, then full convergence.
 func announceSpaced(s *Sim, origin topology.ASN, links []*topology.Link) {
 	for i, l := range links {
-		final := l
-		s.Engine.Schedule(time.Duration(i)*6*time.Minute, func() {
-			s.Announce(0, origin, final.ID, 0)
-		})
+		s.AnnounceAt(time.Duration(i)*6*time.Minute, 0, origin, l.ID, 0)
 	}
 	s.Converge()
 }
@@ -224,10 +221,7 @@ func TestCatchmentEntryMatchesForward(t *testing.T) {
 	}
 
 	for i, l := range links {
-		final := l
-		s.Engine.Schedule(time.Duration(i)*6*time.Minute, func() {
-			s.Announce(0, origin, final.ID, 0)
-		})
+		s.AnnounceAt(time.Duration(i)*6*time.Minute, 0, origin, l.ID, 0)
 	}
 	s.Converge()
 	check("spaced")

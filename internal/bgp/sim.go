@@ -11,6 +11,13 @@
 // arrival order, while announcing them "simultaneously" leaves arrival order
 // to uncontrolled jitter, exactly the contrast §4.2 and Figure 4 explore.
 //
+// A Sim is its engine's one Handler. Every event is a typed netsim.Payload
+// whose op byte says what it does: deliver an update, or run one of the
+// operations AnnounceAt, WithdrawAt, FailLinkAt and RestoreLinkAt schedule.
+// A scheduled operation runs when its event fires, exactly as if it were
+// called then. Routes, AS paths and candidate sets are carved from arenas
+// that Reset rewinds, so a reused Sim runs an experiment without allocating.
+//
 // Abstraction level: one BGP speaker per AS for route selection and export
 // (the level at which the paper's Theorems A.1/A.2 operate), with intra-AS
 // hot-potato (ingress-PoP-based) selection when an AS has several direct
@@ -135,8 +142,9 @@ type Sim struct {
 	Engine *netsim.Engine
 	Cfg    Config
 
-	// prefixes holds per-prefix state.
-	prefixes map[PrefixID]*prefixState
+	// prefixes holds per-prefix state at index PrefixID; nil marks a prefix
+	// never announced.
+	prefixes []*prefixState
 
 	// Updates counts BGP update messages delivered, for reporting.
 	Updates uint64
@@ -146,11 +154,11 @@ type Sim struct {
 	failed []bool
 
 	// paths hands out announced-path storage without a make per update.
-	paths pathArena
-	// routes slab-allocates routes, the per-update object; Reset rewinds it.
-	routes slab[route]
-	// cands backs the candidate sets stored in RIBs, rewound by Reset.
-	cands candArena
+	paths arena[topology.ASN]
+	// routes backs the routes, the per-update object.
+	routes arena[route]
+	// cands backs the candidate sets stored in RIBs.
+	cands arena[*route]
 	// termBase lays out the forwarding memo's term slots (forward.go):
 	// AS index i owns slots [termBase[i], termBase[i+1]). termLinks is the
 	// link count the layout was computed for.
@@ -167,122 +175,58 @@ type Sim struct {
 	fwdGen uint64
 }
 
-// slab hands out zeroed T's carved from chunked backing arrays — one
-// allocation per chunk instead of one per object. reset rewinds the slab so
-// its chunks are carved again; the caller owns proving that no references to
-// previously handed-out objects survive the rewind.
-type slab[T any] struct {
+// arena hands out slices carved from chunked backing arrays: one allocation
+// per chunk instead of one per object. Reset rewinds every arena wholesale,
+// so chunks are carved again by the next session; it is safe because a
+// Reset drops every route, path and candidate set handed out before it.
+type arena[T any] struct {
 	chunks [][]T
+	chunk  int // elements per chunk; a larger request gets a chunk its size
 	cur    int // chunk currently being carved
 	used   int // elements handed out from chunks[cur]
 }
 
-const slabChunk = 512
-
-func (s *slab[T]) alloc() *T {
-	if s.cur == len(s.chunks) {
-		s.chunks = append(s.chunks, make([]T, slabChunk))
-	}
-	c := s.chunks[s.cur]
-	p := &c[s.used]
-	var zero T
-	*p = zero
-	s.used++
-	if s.used == len(c) {
-		s.cur++
-		s.used = 0
-	}
-	return p
-}
-
-func (s *slab[T]) reset() { s.cur, s.used = 0, 0 }
-
-// pathArena carves immutable AS-path slices out of chunked slabs. Every
-// exported update used to allocate its own path slice; paths are never
-// mutated after construction and live as long as the routes holding them, so
-// storage is handed out once per session and rewound wholesale by Reset.
-type pathArena struct {
-	chunks [][]topology.ASN
-	cur    int
-	used   int
-}
-
-const pathArenaChunk = 4096
-
-// alloc returns an n-element path with capacity capped at n, so later appends
-// by callers can never clobber a neighboring path in the slab. The contents
-// are unspecified (chunks are reused across Reset): every caller fills all n
-// elements.
-func (pa *pathArena) alloc(n int) []topology.ASN {
+// alloc returns n elements with capacity n, so an append by the caller can
+// never clobber a neighbor. The contents are unspecified (chunks are reused
+// across reset): every caller writes all n elements.
+func (a *arena[T]) alloc(n int) []T {
 	for {
-		if pa.cur == len(pa.chunks) {
-			size := pathArenaChunk
-			if n > size {
-				size = n
-			}
-			pa.chunks = append(pa.chunks, make([]topology.ASN, size))
+		if a.cur == len(a.chunks) {
+			a.chunks = append(a.chunks, make([]T, max(a.chunk, n)))
 		}
-		if c := pa.chunks[pa.cur]; pa.used+n <= len(c) {
-			p := c[pa.used : pa.used+n : pa.used+n]
-			pa.used += n
+		if c := a.chunks[a.cur]; a.used+n <= len(c) {
+			p := c[a.used : a.used+n : a.used+n]
+			a.used += n
 			return p
 		}
-		pa.cur++
-		pa.used = 0
+		a.cur++
+		a.used = 0
 	}
 }
 
-func (pa *pathArena) reset() { pa.cur, pa.used = 0, 0 }
+func (a *arena[T]) reset() { a.cur, a.used = 0, 0 }
 
-// candArena carves the candidate-set slices stored in RIBs. A decision run
-// abandons the AS's previous candidate slice, so within one session the arena
-// only grows — but the growth is the same order as the update count, and
-// Reset reclaims all of it at once.
-type candArena struct {
-	chunks [][]*route
-	cur    int
-	used   int
-}
-
-const candArenaChunk = 1024
-
-// alloc returns a zero-length slice with capacity exactly n for appending
-// candidates into arena storage.
-func (ca *candArena) alloc(n int) []*route {
-	for {
-		if ca.cur == len(ca.chunks) {
-			size := candArenaChunk
-			if n > size {
-				size = n
-			}
-			ca.chunks = append(ca.chunks, make([]*route, size))
-		}
-		if c := ca.chunks[ca.cur]; ca.used+n <= len(c) {
-			p := c[ca.used : ca.used : ca.used+n]
-			ca.used += n
-			return p
-		}
-		ca.cur++
-		ca.used = 0
-	}
-}
-
-func (ca *candArena) reset() { ca.cur, ca.used = 0, 0 }
-
-// newPath builds the path [first, rest...] in arena storage.
-func (pa *pathArena) newPath(first topology.ASN, rest []topology.ASN) []topology.ASN {
-	p := pa.alloc(1 + len(rest))
+// newPath builds the path [first, rest...] in s's path arena.
+func (s *Sim) newPath(first topology.ASN, rest []topology.ASN) []topology.ASN {
+	p := s.paths.alloc(1 + len(rest))
 	p[0] = first
 	copy(p[1:], rest)
 	return p
 }
 
+// origination is one origin link carrying a prefix, with the path (the
+// origin ASN, repeated once per prepend) and the MED it is announced with.
+type origination struct {
+	link topology.LinkID
+	path []topology.ASN
+	med  int
+}
+
 type prefixState struct {
 	origin topology.ASN
-	// announced tracks which origin links currently carry the announcement
-	// and with how much prepending; meds holds each link's MED.
-	announced map[topology.LinkID]int
-	meds      map[topology.LinkID]int
+	// announced lists the origin links currently carrying the announcement,
+	// in ascending link-ID order.
+	announced []origination
 	// ribs holds the RIB of the AS with dense index i at i.
 	ribs []ribState
 	// fwd memoizes forwarding resolution for the current routing generation
@@ -295,19 +239,22 @@ func New(topo *topology.Topology, cfg Config) *Sim {
 	if cfg.ProcDelayMax < cfg.ProcDelayMin {
 		panic(fmt.Sprintf("bgp: ProcDelayMax %v < ProcDelayMin %v", cfg.ProcDelayMax, cfg.ProcDelayMin))
 	}
-	return &Sim{
-		Topo:     topo,
-		Engine:   &netsim.Engine{},
-		Cfg:      cfg,
-		prefixes: make(map[PrefixID]*prefixState),
-		failed:   make([]bool, len(topo.Links)),
-		fwdGen:   1, // so a zero-valued fwdCache (gen 0) is never current
+	s := &Sim{
+		Topo:   topo,
+		Cfg:    cfg,
+		failed: make([]bool, len(topo.Links)),
+		paths:  arena[topology.ASN]{chunk: 4096},
+		routes: arena[route]{chunk: 512},
+		cands:  arena[*route]{chunk: 1024},
+		fwdGen: 1, // so a zero-valued fwdCache (gen 0) is never current
 	}
+	s.Engine = &netsim.Engine{Handler: s}
+	return s
 }
 
 // Reset returns a used simulator to the state New(s.Topo, cfg) would produce
-// while retaining every topology-sized allocation: prefix maps and RIB slices
-// are cleared in place, the route slab, path arena, and candidate arena are
+// while retaining every topology-sized allocation: prefix states and RIB
+// slices are cleared in place, the route, path and candidate arenas are
 // rewound, and the event engine keeps its queue storage and event pool. A
 // warm session therefore runs a whole new experiment with near-zero
 // steady-state allocation. Callers must not hold references into the old
@@ -320,12 +267,12 @@ func (s *Sim) Reset(cfg Config) {
 	s.Engine.Reset()
 	s.Updates = 0
 	clear(s.failed)
-	// Clearing per-prefix state writes only keyed entries and per-state
-	// fields, so map iteration order cannot leak into anything observable.
 	for _, ps := range s.prefixes {
+		if ps == nil {
+			continue
+		}
 		ps.origin = 0
-		clear(ps.announced)
-		clear(ps.meds)
+		ps.announced = ps.announced[:0]
 		for i := range ps.ribs {
 			rib := &ps.ribs[i]
 			clear(rib.in)
@@ -346,14 +293,13 @@ func (s *Sim) Reset(cfg Config) {
 // whole topology at once: one ribState per AS, and every Adj-RIB-In carved
 // from a single backing array in adjacency order.
 func (s *Sim) state(p PrefixID) *prefixState {
-	ps := s.prefixes[p]
+	ps := s.prefix(p)
 	if ps == nil {
-		ases := s.Topo.ASes()
-		ps = &prefixState{
-			announced: make(map[topology.LinkID]int),
-			meds:      make(map[topology.LinkID]int),
-			ribs:      make([]ribState, len(ases)),
+		for len(s.prefixes) <= int(p) {
+			s.prefixes = append(s.prefixes, nil)
 		}
+		ases := s.Topo.ASes()
+		ps = &prefixState{ribs: make([]ribState, len(ases))}
 		in := make([]*route, 2*len(s.Topo.Links))
 		for i, a := range ases {
 			n := len(s.Topo.LinksOf(a.ASN))
@@ -362,6 +308,18 @@ func (s *Sim) state(p PrefixID) *prefixState {
 		s.prefixes[p] = ps
 	}
 	return ps
+}
+
+// prefix returns p's state, or nil when p was never announced. A negative
+// ID is an error in the model and panics.
+func (s *Sim) prefix(p PrefixID) *prefixState {
+	if p < 0 {
+		panic(fmt.Sprintf("bgp: negative prefix ID %d", p))
+	}
+	if int(p) >= len(s.prefixes) {
+		return nil
+	}
+	return s.prefixes[p]
 }
 
 // rib returns AS a's per-prefix RIB for writing. The layout covers the
@@ -401,6 +359,28 @@ func (s *Sim) Announce(p PrefixID, origin topology.ASN, link topology.LinkID, pr
 // *into the same provider* that provider prefers — lower wins. MED is
 // non-transitive: it is not propagated beyond the receiving AS.
 func (s *Sim) AnnounceMED(p PrefixID, origin topology.ASN, link topology.LinkID, prepend, med int) {
+	l, path := s.originate(origin, link, prepend)
+	s.announce(p, l, path, med)
+}
+
+// AnnounceAt schedules Announce(p, origin, link, prepend) to run at virtual
+// time at. The link and prepend are checked now; everything else — the
+// origin check against the prefix's state, the processing delay and the
+// fault draw — happens when the event fires, as if Announce were called
+// then.
+func (s *Sim) AnnounceAt(at time.Duration, p PrefixID, origin topology.ASN, link topology.LinkID, prepend int) {
+	l, path := s.originate(origin, link, prepend)
+	s.Engine.Schedule(at, netsim.Payload{Op: opAnnounce, Link: l, Path: path, Prefix: int32(p)})
+}
+
+// WithdrawAt schedules Withdraw(p, link) to run at virtual time at.
+func (s *Sim) WithdrawAt(at time.Duration, p PrefixID, link topology.LinkID) {
+	s.scheduleOp(at, opWithdraw, p, link, "WithdrawAt")
+}
+
+// originate checks an announcement by origin over link with prepend extra
+// copies of its ASN, and returns the link and the path it announces.
+func (s *Sim) originate(origin topology.ASN, link topology.LinkID, prepend int) (*topology.Link, []topology.ASN) {
 	l := s.Topo.Link(link)
 	if l == nil {
 		panic(fmt.Sprintf("bgp: Announce over unknown link %d", link))
@@ -411,44 +391,58 @@ func (s *Sim) AnnounceMED(p PrefixID, origin topology.ASN, link topology.LinkID,
 	if prepend < 0 {
 		panic("bgp: negative prepend")
 	}
+	path := s.paths.alloc(1 + prepend)
+	for i := range path {
+		path[i] = origin
+	}
+	return l, path
+}
+
+// announce originates p over l with path, which originate built.
+func (s *Sim) announce(p PrefixID, l *topology.Link, path []topology.ASN, med int) {
+	origin := path[0]
 	ps := s.state(p)
 	if ps.origin != 0 && ps.origin != origin {
 		panic(fmt.Sprintf("bgp: prefix %d already originated by AS %d", p, ps.origin))
 	}
 	ps.origin = origin
-	ps.announced[link] = prepend
-	ps.meds[link] = med
-
-	// Build the announced path: origin ASN once plus prepends.
-	path := s.paths.alloc(1 + prepend)
-	for i := range path {
-		path[i] = origin
+	o := origination{link: l.ID, path: path, med: med}
+	if i, ok := ps.origination(l.ID); ok {
+		ps.announced[i] = o
+	} else {
+		ps.announced = slices.Insert(ps.announced, i, o)
 	}
 	s.deliver(p, l, l.Other(origin), path, med)
+}
+
+// origination returns the index of link's record in ps.announced and
+// whether it is there; when it is not, the index is where it would go.
+func (ps *prefixState) origination(link topology.LinkID) (int, bool) {
+	return slices.BinarySearchFunc(ps.announced, link, func(o origination, l topology.LinkID) int {
+		return int(o.link) - int(l)
+	})
 }
 
 // Withdraw stops advertising prefix over the given origin-side link.
 // Withdrawing a link that is not announced is a no-op.
 func (s *Sim) Withdraw(p PrefixID, link topology.LinkID) {
-	ps := s.prefixes[p]
+	ps := s.prefix(p)
 	if ps == nil {
 		return
 	}
-	if _, ok := ps.announced[link]; !ok {
+	i, ok := ps.origination(link)
+	if !ok {
 		return
 	}
-	delete(ps.announced, link)
-	delete(ps.meds, link)
+	ps.announced = slices.Delete(ps.announced, i, i+1)
 	l := s.Topo.Link(link)
 	s.deliver(p, l, l.Other(ps.origin), nil, 0)
 }
 
 // WithdrawAll withdraws the prefix from every currently announced link, in
-// ascending link-ID order so the resulting event schedule is reproducible —
-// map-iteration order here used to leak into withdrawal-event sequence
-// numbers and, through same-timestamp ties, into routing outcomes. The link
-// snapshot lives in Sim-owned scratch, so repeated deploy/withdraw cycles
-// allocate nothing here.
+// ascending link-ID order so the resulting event schedule is reproducible.
+// The link snapshot lives in Sim-owned scratch, so repeated deploy/withdraw
+// cycles allocate nothing here.
 func (s *Sim) WithdrawAll(p PrefixID) {
 	s.linkScratch = s.AppendAnnouncedLinks(p, s.linkScratch[:0])
 	for _, link := range s.linkScratch {
@@ -459,7 +453,7 @@ func (s *Sim) WithdrawAll(p PrefixID) {
 // AnnouncedLinks returns the origin links currently carrying prefix p, in
 // ascending link-ID order.
 func (s *Sim) AnnouncedLinks(p PrefixID) []topology.LinkID {
-	ps := s.prefixes[p]
+	ps := s.prefix(p)
 	if ps == nil {
 		return nil
 	}
@@ -470,16 +464,11 @@ func (s *Sim) AnnouncedLinks(p PrefixID) []topology.LinkID {
 // to buf in ascending link-ID order and returns the extended slice, letting
 // callers reuse a buffer across calls.
 func (s *Sim) AppendAnnouncedLinks(p PrefixID, buf []topology.LinkID) []topology.LinkID {
-	ps := s.prefixes[p]
-	if ps == nil {
-		return buf
+	if ps := s.prefix(p); ps != nil {
+		for _, o := range ps.announced {
+			buf = append(buf, o.link)
+		}
 	}
-	start := len(buf)
-	//lint:orderinvariant the appended region is sorted immediately below
-	for l := range ps.announced {
-		buf = append(buf, l)
-	}
-	slices.Sort(buf[start:])
 	return buf
 }
 
@@ -498,9 +487,7 @@ func (s *Sim) deliver(p PrefixID, l *topology.Link, dst topology.ASN, path []top
 		}
 		delay += extra
 	}
-	// A pooled typed event instead of a closure: the hot path schedules one
-	// update without allocating the *Event or the capture.
-	s.Engine.AfterEvent(delay, s, netsim.Payload{
+	s.Engine.After(delay, netsim.Payload{
 		Link:   l,
 		Path:   path,
 		Dst:    dst,
@@ -509,15 +496,52 @@ func (s *Sim) deliver(p PrefixID, l *topology.Link, dst topology.ASN, path []top
 	})
 }
 
-// HandleEvent implements netsim.Handler: one scheduled update (Path != nil)
-// or withdrawal (Path == nil) arriving at its destination AS. The *Payload
-// points into pooled event storage; only its fields — which alias Sim-owned
-// arena memory — are kept.
+// The operations an event carries, in netsim.Payload.Op.
+const (
+	// opDeliver: an update (Path != nil) or withdrawal (Path == nil)
+	// arriving at Dst over Link.
+	opDeliver uint8 = iota
+	// opAnnounce: Announce over Link, with Path the origin path and MED.
+	opAnnounce
+	// opWithdraw, opFailLink, opRestoreLink: Withdraw, FailLink and
+	// RestoreLink on Link.
+	opWithdraw
+	opFailLink
+	opRestoreLink
+)
+
+// HandleEvent implements netsim.Handler: it runs the operation an event
+// carries, when the event fires. The *Payload points into pooled event
+// storage; only its fields — which alias Sim-owned arena memory — are kept.
 func (s *Sim) HandleEvent(ev *netsim.Payload) {
-	if s.LinkFailed(ev.Link.ID) {
-		return // the link went down while the update was in flight
+	p := PrefixID(ev.Prefix)
+	switch ev.Op {
+	case opDeliver:
+		if s.LinkFailed(ev.Link.ID) {
+			return // the link went down while the update was in flight
+		}
+		s.receive(p, ev.Link, ev.Dst, ev.Path, int(ev.MED))
+	case opAnnounce:
+		s.announce(p, ev.Link, ev.Path, int(ev.MED))
+	case opWithdraw:
+		s.Withdraw(p, ev.Link.ID)
+	case opFailLink:
+		s.FailLink(ev.Link.ID)
+	case opRestoreLink:
+		s.RestoreLink(ev.Link.ID)
+	default:
+		panic(fmt.Sprintf("bgp: event with unknown op %d", ev.Op))
 	}
-	s.receive(PrefixID(ev.Prefix), ev.Link, ev.Dst, ev.Path, int(ev.MED))
+}
+
+// scheduleOp schedules op on link for prefix p at virtual time at; caller
+// names the exported method for the unknown-link panic.
+func (s *Sim) scheduleOp(at time.Duration, op uint8, p PrefixID, link topology.LinkID, caller string) {
+	l := s.Topo.Link(link)
+	if l == nil {
+		panic(fmt.Sprintf("bgp: %s on unknown link %d", caller, link))
+	}
+	s.Engine.Schedule(at, netsim.Payload{Op: op, Link: l, Prefix: int32(p)})
 }
 
 // procDelay derives the per-AS processing delay for a prefix: a stable
@@ -554,7 +578,7 @@ func (s *Sim) receive(p PrefixID, l *topology.Link, a topology.ASN, path []topol
 				return
 			}
 		}
-		r := s.routes.alloc()
+		r := &s.routes.alloc(1)[0]
 		*r = route{
 			link:             l,
 			path:             path,
@@ -624,7 +648,7 @@ func (s *Sim) export(p PrefixID, ps *prefixState, a topology.ASN, rib *ribState,
 
 	var newPath []topology.ASN
 	if newBest != nil {
-		newPath = s.paths.newPath(a, newBest.path)
+		newPath = s.newPath(a, newBest.path)
 	}
 
 	for _, nl := range s.Topo.LinksOf(a) {
@@ -690,7 +714,7 @@ type RouteInfo struct {
 // prefix is unreachable from a. The Path is an independent copy, safe to hold
 // across further simulation.
 func (s *Sim) BestRoute(p PrefixID, a topology.ASN) *RouteInfo {
-	ps := s.prefixes[p]
+	ps := s.prefix(p)
 	if ps == nil {
 		return nil
 	}
@@ -710,7 +734,7 @@ func (s *Sim) BestRoute(p PrefixID, a topology.ASN) *RouteInfo {
 
 // ReachableCount returns how many ASes currently have a route to prefix p.
 func (s *Sim) ReachableCount(p PrefixID) int {
-	ps := s.prefixes[p]
+	ps := s.prefix(p)
 	if ps == nil {
 		return 0
 	}

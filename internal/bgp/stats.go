@@ -30,7 +30,7 @@ type ConvergenceStats struct {
 // Stats computes convergence statistics for prefix p.
 func (s *Sim) Stats(p PrefixID) ConvergenceStats {
 	st := ConvergenceStats{PathLengths: map[int]int{}}
-	ps := s.prefixes[p]
+	ps := s.prefix(p)
 	if ps == nil {
 		return st
 	}

@@ -11,10 +11,7 @@ import (
 func TestStatsConvergedState(t *testing.T) {
 	s, topo, origin, links := buildAnycast(t, topology.TestParams(), DefaultConfig(), 1)
 	for i, l := range links {
-		l := l
-		s.Engine.Schedule(time.Duration(i)*6*time.Minute, func() {
-			s.Announce(0, origin, l.ID, 0)
-		})
+		s.AnnounceAt(time.Duration(i)*6*time.Minute, 0, origin, l.ID, 0)
 	}
 	s.Converge()
 

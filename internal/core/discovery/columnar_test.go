@@ -26,15 +26,15 @@ func importRTT(t *testing.T, data map[int]map[prefs.Client]int64) *RTTTable {
 	sort.Ints(sites)
 	slices.Sort(clients)
 	clients = slices.Compact(clients)
-	slab := missingRTTs(len(sites) * len(clients))
+	cells := missingRTTs(len(sites) * len(clients))
 	for si, site := range sites {
 		for ci, c := range clients {
 			if ns, ok := data[site][c]; ok {
-				slab[si*len(clients)+ci] = ns
+				cells[si*len(clients)+ci] = ns
 			}
 		}
 	}
-	tbl, err := NewRTTTableColumns(sites, clients, slab)
+	tbl, err := NewRTTTableColumns(sites, clients, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,9 +206,9 @@ func TestRTTColumnarDifferential(t *testing.T) {
 				tbl = tbl.Patch(ptbl, cone)
 				ref = ref.patch(pref, cone)
 			case 1: // columns → constructor round trip
-				sites, clients, slab := tbl.Columns()
+				sites, clients, cells := tbl.Columns()
 				var err error
-				tbl, err = NewRTTTableColumns(slices.Clone(sites), slices.Clone(clients), slices.Clone(slab))
+				tbl, err = NewRTTTableColumns(slices.Clone(sites), slices.Clone(clients), slices.Clone(cells))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -283,9 +283,8 @@ func (e *Exp) sim() *bgp.Sim {
 			}
 		}
 		for _, fl := range e.inj.FlapPlan(e.d.flapCandidates()) {
-			fl := fl
-			sim.Engine.Schedule(fl.DownAt, func() { sim.FailLink(fl.Link) })
-			sim.Engine.Schedule(fl.UpAt, func() { sim.RestoreLink(fl.Link) })
+			sim.FailLinkAt(fl.DownAt, fl.Link)
+			sim.RestoreLinkAt(fl.UpAt, fl.Link)
 		}
 	}
 	return sim

@@ -24,13 +24,13 @@ type RTTTable struct {
 	// clients is the sorted client-ID column: the clients some site
 	// measured.
 	clients prefs.ClientColumn
-	// slab[si*len(clients)+ci] is the RTT in nanoseconds from sites[si] to
+	// cells[si*len(clients)+ci] is the RTT in nanoseconds from sites[si] to
 	// clients[ci], or rttMissing when that cell was never measured. Every
 	// value column is a window of this one allocation: a single large
 	// allocation is page-rounded by the allocator, where per-column slabs
 	// each eat the gap to their size class — measurable bytes-per-client at
 	// campaign scale.
-	slab []int64
+	cells []int64
 	// counts[si] is the number of measured cells in col(si).
 	counts []int
 }
@@ -60,7 +60,7 @@ func (t *RTTTable) siteIdx(site int) int {
 // col is the value column of the site at index si.
 func (t *RTTTable) col(si int) []int64 {
 	n := len(t.clients)
-	return t.slab[si*n : (si+1)*n : (si+1)*n]
+	return t.cells[si*n : (si+1)*n : (si+1)*n]
 }
 
 // RTT returns the measured RTT between site and client.
@@ -85,7 +85,7 @@ func (t *RTTTable) Seek(from int, c prefs.Client) (int, bool) { return t.clients
 
 // At is RTT by position: the cell of a Column (col ≥ 0) at a row Seek found.
 func (t *RTTTable) At(col, row int) (time.Duration, bool) {
-	ns := t.slab[col*len(t.clients)+row]
+	ns := t.cells[col*len(t.clients)+row]
 	if ns == rttMissing {
 		return 0, false
 	}
@@ -157,7 +157,7 @@ func newRTTTable(siteIDs []int, clients []prefs.Client, rows [][]int64) *RTTTabl
 	t := &RTTTable{
 		sites:   make([]int, len(siteIDs)),
 		clients: keys,
-		slab:    missingRTTs(len(siteIDs) * len(keys)),
+		cells:   missingRTTs(len(siteIDs) * len(keys)),
 		counts:  make([]int, len(siteIDs)),
 	}
 	// cell[p] is position p's index in the client column, resolved once per
@@ -352,15 +352,15 @@ func (t *RTTTable) Export() map[int]map[prefs.Client]int64 {
 // sites × clients slab of RTT nanoseconds, row-major by site, −1 where a cell
 // was never measured. All three are the table's own slices, for a caller
 // that serializes them: they must not be written.
-func (t *RTTTable) Columns() (sites []int, clients []prefs.Client, slab []int64) {
-	return t.sites, t.clients, t.slab
+func (t *RTTTable) Columns() (sites []int, clients []prefs.Client, cells []int64) {
+	return t.sites, t.clients, t.cells
 }
 
 // NewRTTTableColumns is the inverse of Columns. It takes ownership of the
 // three slices, and refuses columns that Columns never returns: a site or
-// client column that is not strictly ascending, a slab of the wrong length,
+// client column that is not strictly ascending, cells of the wrong length,
 // an RTT below −1, and a client no site measured.
-func NewRTTTableColumns(sites []int, clients []prefs.Client, slab []int64) (*RTTTable, error) {
+func NewRTTTableColumns(sites []int, clients []prefs.Client, cells []int64) (*RTTTable, error) {
 	for i := 1; i < len(sites); i++ {
 		if sites[i-1] >= sites[i] {
 			return nil, fmt.Errorf("discovery: RTT site column is not strictly ascending")
@@ -369,10 +369,10 @@ func NewRTTTableColumns(sites []int, clients []prefs.Client, slab []int64) (*RTT
 	if !prefs.ClientColumn(clients).Ascending() {
 		return nil, fmt.Errorf("discovery: RTT client column is not strictly ascending")
 	}
-	if len(slab) != len(sites)*len(clients) {
-		return nil, fmt.Errorf("discovery: %d RTT cells for %d sites and %d clients", len(slab), len(sites), len(clients))
+	if len(cells) != len(sites)*len(clients) {
+		return nil, fmt.Errorf("discovery: %d RTT cells for %d sites and %d clients", len(cells), len(sites), len(clients))
 	}
-	t := &RTTTable{sites: sites, clients: clients, slab: slab, counts: make([]int, len(sites))}
+	t := &RTTTable{sites: sites, clients: clients, cells: cells, counts: make([]int, len(sites))}
 	measured := make([]bool, len(clients))
 	for si := range sites {
 		for ci, ns := range t.col(si) {

@@ -20,8 +20,6 @@ import (
 type Env struct {
 	Sys  *anyopt.System
 	Seed int64
-
-	discovered bool
 }
 
 // NewEnv builds the experiment environment. scale is "test" (fast,
@@ -29,16 +27,9 @@ type Env struct {
 // should be read), or "internet" (~100k ASes with power-law attachment, the
 // scale the columnar stores exist for).
 func NewEnv(scale string, seed int64) (*Env, error) {
-	var opts anyopt.Options
-	switch scale {
-	case "", "test":
-		opts = anyopt.DefaultOptions()
-	case "paper":
-		opts = anyopt.PaperScaleOptions()
-	case "internet":
-		opts = anyopt.InternetScaleOptions()
-	default:
-		return nil, fmt.Errorf("experiments: unknown scale %q", scale)
+	opts, err := anyopt.ScaleOptions(scale)
+	if err != nil {
+		return nil, err
 	}
 	opts.Topology.Seed = seed
 	opts.Testbed.Seed = seed
@@ -49,20 +40,13 @@ func NewEnv(scale string, seed int64) (*Env, error) {
 	return &Env{Sys: sys, Seed: seed}, nil
 }
 
-// MarkDiscovered tells the environment that discovery results were installed
-// externally (e.g., loaded from a campaign snapshot).
-func (e *Env) MarkDiscovered() { e.discovered = true }
-
-// Discover runs the measurement campaign once.
+// Discover runs the measurement campaign unless the system already has one
+// (run earlier, or installed from a saved campaign).
 func (e *Env) Discover() error {
-	if e.discovered {
+	if e.Sys.CurrentSnapshot() != nil {
 		return nil
 	}
-	if err := e.Sys.RunDiscovery(); err != nil {
-		return err
-	}
-	e.discovered = true
-	return nil
+	return e.Sys.RunDiscovery()
 }
 
 // Table1 renders the testbed inventory in the layout of the paper's Table 1.

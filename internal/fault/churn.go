@@ -238,10 +238,9 @@ func planPolicyFlip(t *topology.Topology, rng *rand.Rand) (ChurnEvent, bool) {
 	return ChurnEvent{Kind: ChurnPolicyFlip, AS: as, Neighbor: l.Other(as), PrefDelta: delta}, true
 }
 
-// ValidateChurn checks an event list against t without mutating anything, so
-// the HTTP handler can reject a bad batch whole instead of applying a prefix
-// of it.
-func ValidateChurn(t *topology.Topology, events []ChurnEvent) error {
+// validateChurn checks an event list against t without mutating anything, so
+// ApplyChurn can reject a bad batch whole instead of applying a prefix of it.
+func validateChurn(t *topology.Topology, events []ChurnEvent) error {
 	for i, ev := range events {
 		switch ev.Kind {
 		case ChurnLinkCost:
@@ -277,57 +276,34 @@ func ValidateChurn(t *topology.Topology, events []ChurnEvent) error {
 }
 
 // ApplyChurn mutates the live topology with the given events and returns the
-// structured delta (each event annotated with the state it replaced).
-// Application is deterministic and idempotent per event list; callers must
-// quiesce concurrent simulator sessions first, since topology reads are
-// otherwise lock-free.
+// structured delta (each event annotated with the state it replaced). It is
+// all-or-nothing: a batch with any invalid event is rejected before the
+// first one applies. Application is deterministic and idempotent per event
+// list; callers must quiesce concurrent simulator sessions first, since
+// topology reads are otherwise lock-free.
 func ApplyChurn(t *topology.Topology, events []ChurnEvent) (*RoutingDelta, error) {
+	if err := validateChurn(t, events); err != nil {
+		return nil, err
+	}
 	delta := &RoutingDelta{Events: make([]AppliedEvent, 0, len(events))}
 	for _, ev := range events {
 		ae := AppliedEvent{ChurnEvent: ev}
 		switch ev.Kind {
 		case ChurnLinkCost:
 			l := t.Link(ev.Link)
-			if l == nil {
-				return nil, fmt.Errorf("fault: churn on unknown link %d", ev.Link)
-			}
-			if ev.NewDelay <= 0 {
-				return nil, fmt.Errorf("fault: churn link %d to non-positive delay %v", ev.Link, ev.NewDelay)
-			}
 			ae.OldDelay = l.Delay
 			l.Delay = ev.NewDelay
 		case ChurnLinkDown:
-			if t.Link(ev.Link) == nil {
-				return nil, fmt.Errorf("fault: churn on unknown link %d", ev.Link)
-			}
 			t.SetLinkDown(ev.Link, true)
 		case ChurnLinkUp:
-			if t.Link(ev.Link) == nil {
-				return nil, fmt.Errorf("fault: churn on unknown link %d", ev.Link)
-			}
 			t.SetLinkDown(ev.Link, false)
 		case ChurnPolicyFlip:
 			as := t.AS(ev.AS)
-			if as == nil {
-				return nil, fmt.Errorf("fault: churn on unknown AS %d", ev.AS)
-			}
-			found := false
-			for _, l := range t.LinksOf(ev.AS) {
-				if l.Other(ev.AS) == ev.Neighbor {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("fault: churn policy flip AS%d→AS%d without a link", ev.AS, ev.Neighbor)
-			}
 			ae.OldPrefDelta = as.LocalPrefDelta[ev.Neighbor]
 			if as.LocalPrefDelta == nil {
 				as.LocalPrefDelta = make(map[topology.ASN]int)
 			}
 			as.LocalPrefDelta[ev.Neighbor] = ev.PrefDelta
-		default:
-			return nil, fmt.Errorf("fault: unknown churn kind %d", ev.Kind)
 		}
 		delta.Events = append(delta.Events, ae)
 	}

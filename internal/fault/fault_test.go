@@ -218,3 +218,27 @@ func TestPlanChurnCannotStall(t *testing.T) {
 		seen[ev.Link] = true
 	}
 }
+
+// TestApplyChurnAllOrNothing applies a batch whose second event names a link
+// the topology lacks: the batch is refused whole, so the first event's link
+// keeps its delay.
+func TestApplyChurnAllOrNothing(t *testing.T) {
+	p := topology.TestParams()
+	p.NumTransit, p.NumStub = 4, 6
+	topo, err := topology.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := topo.Links[0]
+	before := l.Delay
+	events := []ChurnEvent{
+		{Kind: ChurnLinkCost, Link: l.ID, NewDelay: before + time.Second},
+		{Kind: ChurnLinkDown, Link: topology.LinkID(len(topo.Links) + 1000)},
+	}
+	if _, err := ApplyChurn(topo, events); err == nil {
+		t.Fatal("batch with an unknown link applied")
+	}
+	if l.Delay != before {
+		t.Fatalf("refused batch changed link %d's delay: %v -> %v", l.ID, before, l.Delay)
+	}
+}

@@ -1,21 +1,17 @@
 // Package netsim provides a deterministic discrete-event simulation engine.
 //
 // The engine drives the BGP route-propagation simulator: every route
-// advertisement, withdrawal, and timer expiry is an event scheduled at a
-// virtual timestamp. Events fire in (time, sequence) order, so two runs with
-// the same inputs produce byte-identical traces. Virtual time is a
+// advertisement, withdrawal, link failure and scheduled announcement is an
+// event at a virtual timestamp. Events fire in (time, sequence) order, so two
+// runs with the same inputs produce byte-identical traces. Virtual time is a
 // time.Duration offset from the simulation epoch; no wall-clock time is ever
 // consulted, which lets a simulated "two hours between BGP experiments"
 // complete in microseconds of real time.
 //
-// Events come in two flavors sharing one pool and one queue:
-//
-//   - closure events (Schedule/After) for cold paths: tests, deployment
-//     spacing, orchestrator timers. Each costs the caller's closure.
-//   - typed events (ScheduleEvent/AfterEvent) for the hot path: a Payload
-//     describing one BGP update in flight, dispatched to a Handler. These
-//     allocate nothing in steady state — fired events return to an intrusive
-//     free list and are reused by later schedules.
+// An event is a typed Payload and nothing else: the engine has one Handler,
+// set by its owner, and hands every fired payload to it. Its Op byte is the
+// handler's to read. Events allocate nothing in steady state — fired events
+// return to an intrusive free list and are reused by later schedules.
 //
 // Scheduling returns no handle and nothing cancels an event: a queued event
 // fires, or Reset discards it, so the heap tracks no per-event position.
@@ -28,11 +24,11 @@ import (
 	"anyopt/internal/topology"
 )
 
-// Payload is the typed cargo of a pooled event: one BGP update (or
-// withdrawal) in flight on a link. The engine does not interpret it; it is
-// handed to the Handler the event was scheduled with.
+// Payload is the typed cargo of an event: for the BGP simulator, one update
+// (or withdrawal) in flight on a link, or an operation scheduled on a link.
+// The engine does not interpret it; it is handed to the engine's Handler.
 type Payload struct {
-	// Link is the link the update travels on.
+	// Link is the link the update travels on, or the operation acts on.
 	Link *topology.Link
 	// Path is the announced AS path; nil marks a withdrawal.
 	Path []topology.ASN
@@ -42,11 +38,13 @@ type Payload struct {
 	Prefix int32
 	// MED is the multi-exit discriminator carried by the update.
 	MED int32
+	// Op says what the event does; only the Handler reads it.
+	Op uint8
 }
 
-// Handler consumes a typed event when it fires. The *Payload points into
-// pooled event storage: it is valid only for the duration of the call and
-// must not be retained.
+// Handler consumes an event when it fires. The *Payload points into pooled
+// event storage: it is valid only for the duration of the call and must not
+// be retained.
 type Handler interface {
 	HandleEvent(p *Payload)
 }
@@ -55,8 +53,6 @@ type Handler interface {
 // one fires the engine recycles it for a future schedule.
 type event struct {
 	at      time.Duration // virtual time at which the event fires
-	run     func()        // closure mode; nil for typed events
-	handler Handler       // typed mode; nil for closure events
 	payload Payload
 
 	seq  uint64 // tie-breaker: FIFO among events with equal at
@@ -70,10 +66,14 @@ const eventBlock = 64
 
 // Engine is a deterministic discrete-event scheduler.
 //
-// The zero value is ready to use. Engine is not safe for concurrent use; the
-// simulation model is single-threaded by design so that event ordering — which
-// the BGP arrival-order tie-breaker depends on — is reproducible.
+// The zero value with Handler set is ready to use. Engine is not safe for
+// concurrent use; the simulation model is single-threaded by design so that
+// event ordering — which the BGP arrival-order tie-breaker depends on — is
+// reproducible.
 type Engine struct {
+	// Handler receives every event the engine fires.
+	Handler Handler
+
 	queue    []*event // 4-ary min-heap on (at, seq)
 	freeList *event
 	now      time.Duration
@@ -90,60 +90,32 @@ func (e *Engine) Steps() uint64 { return e.steps }
 // Pending returns the number of events waiting to fire.
 func (e *Engine) Pending() int { return len(e.queue) }
 
-// Schedule enqueues run to execute at absolute virtual time at. Scheduling in
-// the past (before Now) is an error in the model and panics: it would make
-// event order depend on scheduling order rather than timestamps.
-func (e *Engine) Schedule(at time.Duration, run func()) {
-	if run == nil {
-		panic("netsim: Schedule with nil run")
-	}
-	e.schedule(at).run = run
-}
-
-// ScheduleEvent enqueues a typed event for h at absolute virtual time at.
-// The payload is copied into pooled event storage, so the caller need not
-// keep p alive.
-func (e *Engine) ScheduleEvent(at time.Duration, h Handler, p Payload) {
-	if h == nil {
-		panic("netsim: ScheduleEvent with nil handler")
-	}
-	ev := e.schedule(at)
-	ev.handler = h
-	ev.payload = p
-}
-
-// schedule validates at, takes an event from the pool, stamps it, and queues
-// it. The caller fills in the closure or handler.
-func (e *Engine) schedule(at time.Duration) *event {
+// Schedule enqueues p to fire at absolute virtual time at. The payload is
+// copied into pooled event storage, so the caller need not keep p alive.
+// Scheduling in the past (before Now) is an error in the model and panics:
+// it would make event order depend on scheduling order rather than
+// timestamps.
+func (e *Engine) Schedule(at time.Duration, p Payload) {
 	if at < e.now {
 		panic(fmt.Sprintf("netsim: Schedule at %v before now %v", at, e.now))
 	}
 	ev := e.alloc()
 	ev.at = at
+	ev.payload = p
 	ev.seq = e.nextSeq
 	e.nextSeq++
 	e.push(ev)
-	return ev
 }
 
-// After enqueues run to execute d after the current virtual time.
-func (e *Engine) After(d time.Duration, run func()) {
+// After enqueues p to fire d after the current virtual time.
+func (e *Engine) After(d time.Duration, p Payload) {
 	if d < 0 {
 		panic(fmt.Sprintf("netsim: After with negative delay %v", d))
 	}
-	e.Schedule(e.now+d, run)
+	e.Schedule(e.now+d, p)
 }
 
-// AfterEvent enqueues a typed event for h to fire d after the current
-// virtual time.
-func (e *Engine) AfterEvent(d time.Duration, h Handler, p Payload) {
-	if d < 0 {
-		panic(fmt.Sprintf("netsim: After with negative delay %v", d))
-	}
-	e.ScheduleEvent(e.now+d, h, p)
-}
-
-// Step executes the next pending event, advancing virtual time to its
+// Step fires the next pending event, advancing virtual time to its
 // timestamp. It returns false when the queue is empty.
 func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
@@ -152,11 +124,7 @@ func (e *Engine) Step() bool {
 	ev := e.pop()
 	e.now = ev.at
 	e.steps++
-	if ev.run != nil {
-		ev.run()
-	} else {
-		ev.handler.HandleEvent(&ev.payload)
-	}
+	e.Handler.HandleEvent(&ev.payload)
 	e.recycle(ev)
 	return true
 }
@@ -218,11 +186,9 @@ func (e *Engine) alloc() *event {
 	return ev
 }
 
-// recycle clears an event's references (so pooled storage does not pin
-// closures, handlers, or AS paths) and pushes it on the free list.
+// recycle clears an event's references (so pooled storage does not pin AS
+// paths) and pushes it on the free list.
 func (e *Engine) recycle(ev *event) {
-	ev.run = nil
-	ev.handler = nil
 	ev.payload = Payload{}
 	ev.free = e.freeList
 	e.freeList = ev

@@ -10,16 +10,51 @@ import (
 	"anyopt/internal/topology"
 )
 
+// recorder is the engine's Handler in these tests: it logs each event's fire
+// time and payload, then runs onFire (when set) from inside the event.
+type recorder struct {
+	e      *Engine
+	at     []time.Duration
+	got    []Payload
+	onFire func(p *Payload)
+}
+
+// newEngine returns an engine whose Handler is a fresh recorder.
+func newEngine() (*Engine, *recorder) {
+	r := &recorder{}
+	r.e = &Engine{Handler: r}
+	return r.e, r
+}
+
+func (r *recorder) HandleEvent(p *Payload) {
+	r.at = append(r.at, r.e.Now())
+	c := *p
+	// The payload is only valid during the call: copy the path out.
+	c.Path = append([]topology.ASN(nil), p.Path...)
+	r.got = append(r.got, c)
+	if r.onFire != nil {
+		r.onFire(p)
+	}
+}
+
+// prefixes lists the Prefix of every fired event, in firing order.
+func (r *recorder) prefixes() []int {
+	out := make([]int, len(r.got))
+	for i, p := range r.got {
+		out[i] = int(p.Prefix)
+	}
+	return out
+}
+
 func TestScheduleAndRunOrder(t *testing.T) {
-	var e Engine
-	var got []int
-	e.Schedule(30*time.Millisecond, func() { got = append(got, 3) })
-	e.Schedule(10*time.Millisecond, func() { got = append(got, 1) })
-	e.Schedule(20*time.Millisecond, func() { got = append(got, 2) })
+	e, r := newEngine()
+	e.Schedule(30*time.Millisecond, Payload{Prefix: 3})
+	e.Schedule(10*time.Millisecond, Payload{Prefix: 1})
+	e.Schedule(20*time.Millisecond, Payload{Prefix: 2})
 	if n := e.Run(); n != 3 {
 		t.Fatalf("Run executed %d events, want 3", n)
 	}
-	want := []int{1, 2, 3}
+	got, want := r.prefixes(), []int{1, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("order = %v, want %v", got, want)
@@ -31,36 +66,35 @@ func TestScheduleAndRunOrder(t *testing.T) {
 }
 
 func TestFIFOAmongEqualTimestamps(t *testing.T) {
-	var e Engine
-	var got []int
+	e, r := newEngine()
 	for i := 0; i < 50; i++ {
-		i := i
-		e.Schedule(time.Second, func() { got = append(got, i) })
+		e.Schedule(time.Second, Payload{Prefix: int32(i)})
 	}
 	e.Run()
-	if !sort.IntsAreSorted(got) {
+	if got := r.prefixes(); !sort.IntsAreSorted(got) || len(got) != 50 {
 		t.Fatalf("equal-timestamp events not FIFO: %v", got)
 	}
 }
 
 func TestAfterUsesCurrentTime(t *testing.T) {
-	var e Engine
-	var fired time.Duration
-	e.Schedule(100*time.Millisecond, func() {
-		e.After(50*time.Millisecond, func() { fired = e.Now() })
-	})
+	e, r := newEngine()
+	r.onFire = func(p *Payload) {
+		if p.Prefix == 1 {
+			e.After(50*time.Millisecond, Payload{Prefix: 2})
+		}
+	}
+	e.Schedule(100*time.Millisecond, Payload{Prefix: 1})
 	e.Run()
-	if fired != 150*time.Millisecond {
-		t.Errorf("nested After fired at %v, want 150ms", fired)
+	if len(r.at) != 2 || r.at[1] != 150*time.Millisecond {
+		t.Errorf("nested After fired at %v, want [100ms 150ms]", r.at)
 	}
 }
 
 func TestRunUntilStopsAtDeadline(t *testing.T) {
-	var e Engine
-	var got []int
-	e.Schedule(10*time.Millisecond, func() { got = append(got, 1) })
-	e.Schedule(20*time.Millisecond, func() { got = append(got, 2) })
-	e.Schedule(30*time.Millisecond, func() { got = append(got, 3) })
+	e, _ := newEngine()
+	e.Schedule(10*time.Millisecond, Payload{Prefix: 1})
+	e.Schedule(20*time.Millisecond, Payload{Prefix: 2})
+	e.Schedule(30*time.Millisecond, Payload{Prefix: 3})
 	n := e.RunUntil(20 * time.Millisecond)
 	if n != 2 {
 		t.Fatalf("RunUntil executed %d, want 2", n)
@@ -74,7 +108,7 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 }
 
 func TestRunUntilAdvancesClockWithoutEvents(t *testing.T) {
-	var e Engine
+	e, _ := newEngine()
 	e.RunUntil(5 * time.Second)
 	if e.Now() != 5*time.Second {
 		t.Errorf("Now = %v, want 5s", e.Now())
@@ -82,8 +116,8 @@ func TestRunUntilAdvancesClockWithoutEvents(t *testing.T) {
 }
 
 func TestRunFor(t *testing.T) {
-	var e Engine
-	e.Schedule(time.Second, func() {})
+	e, _ := newEngine()
+	e.Schedule(time.Second, Payload{})
 	e.RunFor(500 * time.Millisecond)
 	if e.Now() != 500*time.Millisecond {
 		t.Errorf("Now = %v, want 500ms", e.Now())
@@ -95,53 +129,68 @@ func TestRunFor(t *testing.T) {
 }
 
 func TestSchedulePastPanics(t *testing.T) {
-	var e Engine
-	e.Schedule(time.Second, func() {})
+	e, _ := newEngine()
+	e.Schedule(time.Second, Payload{})
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.Schedule(time.Millisecond, func() {})
-}
-
-func TestNilRunPanics(t *testing.T) {
-	var e Engine
-	defer func() {
-		if recover() == nil {
-			t.Fatal("nil run did not panic")
-		}
-	}()
-	e.Schedule(0, nil)
+	e.Schedule(time.Millisecond, Payload{})
 }
 
 func TestNegativeAfterPanics(t *testing.T) {
-	var e Engine
+	e, _ := newEngine()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative After did not panic")
 		}
 	}()
-	e.After(-time.Second, func() {})
+	e.After(-time.Second, Payload{})
+}
+
+// TestTypedEventDispatch: the op byte and every payload field reach the
+// engine's Handler unchanged, in firing order.
+func TestTypedEventDispatch(t *testing.T) {
+	e, r := newEngine()
+	link := &topology.Link{ID: 4}
+	path := []topology.ASN{10, 20, 30}
+	first := Payload{Link: link, Path: path, Dst: 42, Prefix: 7, MED: 5, Op: 3}
+	second := Payload{Dst: 99, Prefix: 3, MED: -1, Op: 255}
+	e.Schedule(20*time.Millisecond, first)
+	e.After(10*time.Millisecond, second)
+	if n := e.Run(); n != 2 {
+		t.Fatalf("Run executed %d events, want 2", n)
+	}
+	if len(r.at) != 2 || r.at[0] != 10*time.Millisecond || r.at[1] != 20*time.Millisecond {
+		t.Fatalf("fire times = %v, want [10ms 20ms]", r.at)
+	}
+	got := r.got[0]
+	if got.Link != nil || got.Path != nil || got.Dst != 99 || got.Prefix != 3 || got.MED != -1 || got.Op != 255 {
+		t.Errorf("first payload = %+v, want %+v", got, second)
+	}
+	got = r.got[1]
+	if got.Link != link || len(got.Path) != 3 || got.Path[2] != 30 ||
+		got.Dst != 42 || got.Prefix != 7 || got.MED != 5 || got.Op != 3 {
+		t.Errorf("second payload = %+v, want %+v", got, first)
+	}
 }
 
 // Property: for any random set of delays, events fire in nondecreasing time
 // order and all fire exactly once.
 func TestPropertyEventsFireInOrder(t *testing.T) {
 	f := func(delaysMS []uint16) bool {
-		var e Engine
-		var fired []time.Duration
+		e, r := newEngine()
 		for _, d := range delaysMS {
-			at := time.Duration(d) * time.Millisecond
-			e.Schedule(at, func() { fired = append(fired, e.Now()) })
+			e.Schedule(time.Duration(d)*time.Millisecond, Payload{})
 		}
 		e.Run()
-		if len(fired) != len(delaysMS) {
+		if len(r.at) != len(delaysMS) {
 			return false
 		}
-		for i := 1; i < len(fired); i++ {
-			if fired[i] < fired[i-1] {
+		for i := 1; i < len(r.at); i++ {
+			if r.at[i] < r.at[i-1] {
 				return false
 			}
 		}
@@ -152,29 +201,28 @@ func TestPropertyEventsFireInOrder(t *testing.T) {
 	}
 }
 
-// Property: two engines fed the same schedule execute identically.
+// Property: two engines fed the same schedule execute identically. Each
+// event carries its nesting depth in Prefix and may schedule a deeper one.
 func TestPropertyDeterminism(t *testing.T) {
 	run := func(seed int64) []time.Duration {
 		rng := rand.New(rand.NewSource(seed))
-		var e Engine
-		var trace []time.Duration
-		var add func(depth int)
-		add = func(depth int) {
+		e, r := newEngine()
+		add := func(depth int32) {
 			if depth > 3 {
 				return
 			}
-			e.After(time.Duration(rng.Intn(1000))*time.Millisecond, func() {
-				trace = append(trace, e.Now())
-				if rng.Intn(2) == 0 {
-					add(depth + 1)
-				}
-			})
+			e.After(time.Duration(rng.Intn(1000))*time.Millisecond, Payload{Prefix: depth})
+		}
+		r.onFire = func(p *Payload) {
+			if rng.Intn(2) == 0 {
+				add(p.Prefix + 1)
+			}
 		}
 		for i := 0; i < 20; i++ {
 			add(0)
 		}
 		e.Run()
-		return trace
+		return r.at
 	}
 	for seed := int64(0); seed < 10; seed++ {
 		a, b := run(seed), run(seed)
@@ -189,96 +237,20 @@ func TestPropertyDeterminism(t *testing.T) {
 	}
 }
 
-func BenchmarkScheduleRun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var e Engine
-		for j := 0; j < 1000; j++ {
-			e.Schedule(time.Duration(j%97)*time.Millisecond, func() {})
-		}
-		e.Run()
-	}
-}
+type noopHandler struct{}
 
-// recorder implements Handler, logging each payload it receives.
-type recorder struct {
-	at     []time.Duration
-	prefix []int32
-	dst    []topology.ASN
-	med    []int32
-	paths  [][]topology.ASN
-	engine *Engine
-}
-
-func (r *recorder) HandleEvent(p *Payload) {
-	r.at = append(r.at, r.engine.Now())
-	r.prefix = append(r.prefix, p.Prefix)
-	r.dst = append(r.dst, p.Dst)
-	r.med = append(r.med, p.MED)
-	// The payload is only valid during the call: copy the path out.
-	r.paths = append(r.paths, append([]topology.ASN(nil), p.Path...))
-}
-
-func TestTypedEventDispatch(t *testing.T) {
-	var e Engine
-	r := &recorder{engine: &e}
-	path := []topology.ASN{10, 20, 30}
-	e.ScheduleEvent(20*time.Millisecond, r, Payload{Prefix: 7, Dst: 42, MED: 5, Path: path})
-	e.AfterEvent(10*time.Millisecond, r, Payload{Prefix: 3, Dst: 99, MED: -1})
-	if n := e.Run(); n != 2 {
-		t.Fatalf("Run executed %d events, want 2", n)
-	}
-	if len(r.at) != 2 || r.at[0] != 10*time.Millisecond || r.at[1] != 20*time.Millisecond {
-		t.Fatalf("fire times = %v, want [10ms 20ms]", r.at)
-	}
-	if r.prefix[0] != 3 || r.dst[0] != 99 || r.med[0] != -1 || r.paths[0] != nil {
-		t.Errorf("first payload = prefix %d dst %d med %d path %v", r.prefix[0], r.dst[0], r.med[0], r.paths[0])
-	}
-	if r.prefix[1] != 7 || r.dst[1] != 42 || r.med[1] != 5 || len(r.paths[1]) != 3 {
-		t.Errorf("second payload = prefix %d dst %d med %d path %v", r.prefix[1], r.dst[1], r.med[1], r.paths[1])
-	}
-}
-
-func TestTypedAndClosureEventsShareOrdering(t *testing.T) {
-	var e Engine
-	r := &recorder{engine: &e}
-	var order []string
-	e.ScheduleEvent(time.Second, r, Payload{Prefix: 1})
-	e.Schedule(time.Second, func() { order = append(order, "closure") })
-	e.ScheduleEvent(time.Second, r, Payload{Prefix: 2})
-	e.Run()
-	// FIFO among equal timestamps must hold across both flavors: the typed
-	// event scheduled first fires first, the closure second, typed third.
-	if len(r.at) != 2 || len(order) != 1 {
-		t.Fatalf("dispatch counts: typed %d closure %d", len(r.at), len(order))
-	}
-	if r.prefix[0] != 1 || r.prefix[1] != 2 {
-		t.Fatalf("typed order = %v, want [1 2]", r.prefix)
-	}
-}
-
-func TestNilHandlerPanics(t *testing.T) {
-	var e Engine
-	defer func() {
-		if recover() == nil {
-			t.Fatal("nil handler did not panic")
-		}
-	}()
-	e.ScheduleEvent(0, nil, Payload{})
-}
+func (noopHandler) HandleEvent(*Payload) {}
 
 func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
-	var e Engine
-	r := &recorder{engine: &e}
+	e := &Engine{Handler: noopHandler{}}
 	// Warm the pool past its high-water mark.
 	for i := 0; i < 2*eventBlock; i++ {
-		e.ScheduleEvent(e.Now(), r, Payload{})
+		e.Schedule(e.Now(), Payload{})
 	}
 	e.Run()
-	r.at, r.prefix, r.dst, r.med, r.paths = nil, nil, nil, nil, nil
-	h := noopHandler{}
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < eventBlock; i++ {
-			e.AfterEvent(time.Duration(i)*time.Millisecond, h, Payload{Prefix: int32(i)})
+			e.After(time.Duration(i)*time.Millisecond, Payload{Prefix: int32(i)})
 		}
 		e.Run()
 	})
@@ -287,35 +259,30 @@ func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	}
 }
 
-type noopHandler struct{}
-
-func (noopHandler) HandleEvent(*Payload) {}
-
 func TestReset(t *testing.T) {
-	var e Engine
-	fired := 0
-	e.Schedule(time.Second, func() { fired++ })
-	e.Schedule(2*time.Second, func() { fired++ })
+	e, r := newEngine()
+	e.Schedule(time.Second, Payload{Prefix: -1})
+	e.Schedule(2*time.Second, Payload{Prefix: -2})
 	e.Step()
 	e.Reset()
-	if fired != 1 {
-		t.Fatalf("fired = %d before Reset assertions, want 1", fired)
+	if len(r.got) != 1 {
+		t.Fatalf("fired = %d before Reset assertions, want 1", len(r.got))
 	}
 	if e.Now() != 0 || e.Steps() != 0 || e.Pending() != 0 {
 		t.Fatalf("after Reset: Now=%v Steps=%d Pending=%d, want all zero", e.Now(), e.Steps(), e.Pending())
 	}
 	// The discarded pending event must not fire, and the reused engine must
 	// behave exactly like a fresh one: FIFO order restarts from sequence 0.
-	var got []int
+	r.got = nil
 	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(time.Millisecond, func() { got = append(got, i) })
+		e.Schedule(time.Millisecond, Payload{Prefix: int32(i)})
 	}
 	e.Run()
-	if fired != 1 {
-		t.Fatalf("discarded event fired after Reset")
+	got := r.prefixes()
+	if len(got) != 10 {
+		t.Fatalf("discarded event fired after Reset: %v", got)
 	}
-	if !sort.IntsAreSorted(got) || len(got) != 10 {
+	if !sort.IntsAreSorted(got) {
 		t.Fatalf("post-Reset FIFO order broken: %v", got)
 	}
 	if e.Now() != time.Millisecond {
@@ -329,8 +296,7 @@ func TestReset(t *testing.T) {
 // land relative to a moving Now.
 func TestPropertyHeapMatchesOracle(t *testing.T) {
 	f := func(ops []uint16) bool {
-		var e Engine
-		r := &recorder{engine: &e}
+		e, r := newEngine()
 		type planned struct {
 			at  time.Duration
 			seq int
@@ -357,7 +323,7 @@ func TestPropertyHeapMatchesOracle(t *testing.T) {
 				continue
 			}
 			at := e.Now() + time.Duration(op%97)*time.Millisecond
-			e.ScheduleEvent(at, r, Payload{Prefix: int32(seq)})
+			e.Schedule(at, Payload{Prefix: int32(seq)})
 			live = append(live, planned{at, seq})
 			seq++
 		}
@@ -365,11 +331,12 @@ func TestPropertyHeapMatchesOracle(t *testing.T) {
 			fire()
 		}
 		e.Run()
-		if len(r.prefix) != len(fired) {
+		got := r.prefixes()
+		if len(got) != len(fired) {
 			return false
 		}
 		for i, p := range fired {
-			if r.at[i] != p.at || r.prefix[i] != int32(p.seq) {
+			if r.at[i] != p.at || got[i] != p.seq {
 				return false
 			}
 		}
@@ -380,14 +347,13 @@ func TestPropertyHeapMatchesOracle(t *testing.T) {
 	}
 }
 
-func BenchmarkScheduleRunTyped(b *testing.B) {
-	var e Engine
-	h := noopHandler{}
+func BenchmarkScheduleRun(b *testing.B) {
+	e := &Engine{Handler: noopHandler{}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 1000; j++ {
-			e.ScheduleEvent(e.Now()+time.Duration(j%97)*time.Millisecond, h, Payload{Prefix: int32(j)})
+			e.Schedule(e.Now()+time.Duration(j%97)*time.Millisecond, Payload{Prefix: int32(j)})
 		}
 		e.Run()
 	}

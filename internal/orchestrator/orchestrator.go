@@ -378,15 +378,14 @@ func (o *Orchestrator) FlushContext(ctx context.Context, spacing time.Duration) 
 	o.queue = nil
 	o.mu.Unlock()
 
+	now := o.Sim.Engine.Now()
 	for i, a := range actions {
-		a := a
-		o.Sim.Engine.After(time.Duration(i)*spacing, func() {
-			if a.announce {
-				o.Sim.Announce(a.prefix, o.TB.Origin, a.link, a.prepend)
-			} else {
-				o.Sim.Withdraw(a.prefix, a.link)
-			}
-		})
+		at := now + time.Duration(i)*spacing
+		if a.announce {
+			o.Sim.AnnounceAt(at, a.prefix, o.TB.Origin, a.link, a.prepend)
+		} else {
+			o.Sim.WithdrawAt(at, a.prefix, a.link)
+		}
 	}
 	o.Sim.Converge()
 	return len(actions), err

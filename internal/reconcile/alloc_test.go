@@ -18,8 +18,8 @@ import (
 // filters to its clients. The count depends on the worker count, hence the
 // single worker.
 const (
-	oneClientRepairAllocs  = 1733
-	allTargetsRepairAllocs = 1851
+	oneClientRepairAllocs  = 1610
+	allTargetsRepairAllocs = 1728
 )
 
 // TestRepairAllocationBudget holds one Repair to its budget for a cone of one

@@ -433,10 +433,8 @@ func (d *Deployment) AnnounceSites(siteIDs ...int) {
 		if site == nil {
 			panic(fmt.Sprintf("testbed: unknown site %d", id))
 		}
-		link := site.TransitLink
-		d.Sim.Engine.After(time.Duration(rank)*d.Spacing, func() {
-			d.Sim.Announce(d.Prefix, d.TB.Origin, link, 0)
-		})
+		at := d.Sim.Engine.Now() + time.Duration(rank)*d.Spacing
+		d.Sim.AnnounceAt(at, d.Prefix, d.TB.Origin, site.TransitLink, 0)
 	}
 	d.Sim.Converge()
 }
