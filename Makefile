@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint fmt race invariants chaos chaos-churn fuzz bench bench-check splpo-bench check
+.PHONY: build test vet lint fmt race invariants chaos chaos-churn fuzz bench bench-check splpo-bench size check
 
 build:
 	$(GO) build ./...
@@ -96,6 +96,13 @@ bench-check:
 splpo-bench:
 	$(GO) test -run xxx -bench 'BenchmarkSolver15Exhaustive|BenchmarkSolveDNSCloud' \
 		-benchmem -benchtime 1x ./internal/core/splpo/
+
+# size prints the root module's Go line counts, non-test and then test:
+# every .go file of every package `go list ./...` finds, so bench/ (a module
+# of its own) and testdata/ are not counted.
+size:
+	@for d in $$($(GO) list -f '{{.Dir}}' ./...); do ls $$d/*.go | grep -v _test.go | xargs cat; done | wc -l | sed 's/^/non-test /'
+	@for d in $$($(GO) list -f '{{.Dir}}' ./...); do ls $$d/*_test.go 2>/dev/null | xargs -r cat; done | wc -l | sed 's/^/test /'
 
 # check is the whole gate: formatting, static analysis, the full suite with
 # its allocation budgets, the race pass, the invariant-audited BGP suite, the

@@ -477,12 +477,7 @@ func (s *Server) ResumePendingRepairs() (int, error) {
 		return ids[i] < ids[j]
 	})
 
-	cone := &reconcile.Cone{
-		Clients: make(map[prefs.Client]bool),
-		// No journaled AS walk to restore; must still be non-nil so a churn
-		// arriving before the resumed repair drains can Merge into it.
-		ASes: make(map[topology.ASN]bool),
-	}
+	cone := &reconcile.Cone{Clients: make(map[prefs.Client]bool)}
 	s.topoMu.Lock()
 	for _, id := range ids {
 		rec := pend[id]

@@ -118,7 +118,7 @@ func testResetReproducesFreshSim(t *testing.T, params topology.Params, announce 
 	// history on the same topology.
 	cfgB := DefaultConfig()
 	cfgB.JitterNonce = 7
-	cfgB.ProcDelayMin = 0
+	cfgB.InteriorCostBucketKm = 0
 	reused := New(topo, cfgB)
 	dirtySession(reused, origin, links)
 

@@ -48,18 +48,8 @@ type Config struct {
 	// which is what the BGP specification prescribes. The ablation benches
 	// flip this.
 	ArrivalOrderTieBreak bool
-	// ProcDelayMin/Max bound each AS's *stable* per-update processing delay,
-	// drawn deterministically from (AS, prefix): a router's update-handling
-	// speed is a property of the box and its configuration, so the same race
-	// mostly resolves the same way across experiments.
-	ProcDelayMin, ProcDelayMax time.Duration
-	// RaceJitter bounds the per-experiment component of the processing
-	// delay, drawn from (AS, prefix, JitterNonce). Only races whose stable
-	// delay gap is within this window re-roll between experiments — the
-	// run-to-run variability that makes naive simultaneous announcements
-	// inconsistent (§5.1) without destabilizing everything.
-	RaceJitter time.Duration
-	// JitterNonce identifies the experiment run.
+	// JitterNonce identifies the experiment run; it keys the race component
+	// of every processing delay (see procDelay).
 	JitterNonce uint64
 	// InteriorCostBucketKm enables the "lowest interior cost" decision step
 	// (hot potato): routes are compared by the distance from the AS to the
@@ -87,9 +77,6 @@ type ChaosModel interface {
 func DefaultConfig() Config {
 	return Config{
 		ArrivalOrderTieBreak: true,
-		ProcDelayMin:         5 * time.Millisecond,
-		ProcDelayMax:         150 * time.Millisecond,
-		RaceJitter:           220 * time.Millisecond,
 		JitterNonce:          0,
 		InteriorCostBucketKm: 300,
 	}
@@ -236,9 +223,6 @@ type prefixState struct {
 
 // New creates a simulator over topo.
 func New(topo *topology.Topology, cfg Config) *Sim {
-	if cfg.ProcDelayMax < cfg.ProcDelayMin {
-		panic(fmt.Sprintf("bgp: ProcDelayMax %v < ProcDelayMin %v", cfg.ProcDelayMax, cfg.ProcDelayMin))
-	}
 	s := &Sim{
 		Topo:   topo,
 		Cfg:    cfg,
@@ -260,9 +244,6 @@ func New(topo *topology.Topology, cfg Config) *Sim {
 // steady-state allocation. Callers must not hold references into the old
 // session (candidate slices); copies such as BestRoute results are fine.
 func (s *Sim) Reset(cfg Config) {
-	if cfg.ProcDelayMax < cfg.ProcDelayMin {
-		panic(fmt.Sprintf("bgp: ProcDelayMax %v < ProcDelayMin %v", cfg.ProcDelayMax, cfg.ProcDelayMin))
-	}
 	s.Cfg = cfg
 	s.Engine.Reset()
 	s.Updates = 0
@@ -450,16 +431,6 @@ func (s *Sim) WithdrawAll(p PrefixID) {
 	}
 }
 
-// AnnouncedLinks returns the origin links currently carrying prefix p, in
-// ascending link-ID order.
-func (s *Sim) AnnouncedLinks(p PrefixID) []topology.LinkID {
-	ps := s.prefix(p)
-	if ps == nil {
-		return nil
-	}
-	return s.AppendAnnouncedLinks(p, make([]topology.LinkID, 0, len(ps.announced)))
-}
-
 // AppendAnnouncedLinks appends the origin links currently carrying prefix p
 // to buf in ascending link-ID order and returns the extended slice, letting
 // callers reuse a buffer across calls.
@@ -544,19 +515,27 @@ func (s *Sim) scheduleOp(at time.Duration, op uint8, p PrefixID, link topology.L
 	s.Engine.Schedule(at, netsim.Payload{Op: op, Link: l, Prefix: int32(p)})
 }
 
-// procDelay derives the per-AS processing delay for a prefix: a stable
-// component from (AS, prefix) plus a small race component re-rolled per
-// experiment nonce.
+// The per-update processing delay has a stable component in
+// [procDelayMin, procDelayMax), drawn from (AS, prefix): a router's
+// update-handling speed is a property of the box and its configuration, so
+// the same race mostly resolves the same way across experiments. On top sits
+// a race component below raceJitter, drawn from (AS, prefix, JitterNonce):
+// only races whose stable delay gap is within that window re-roll between
+// experiments — the run-to-run variability that makes naive simultaneous
+// announcements inconsistent (§5.1) without destabilizing everything.
+const (
+	procDelayMin = 5 * time.Millisecond
+	procDelayMax = 150 * time.Millisecond
+	raceJitter   = 220 * time.Millisecond
+)
+
+// procDelay derives the per-AS processing delay for a prefix: the stable
+// component plus the race component re-rolled per experiment nonce.
 func (s *Sim) procDelay(a topology.ASN, p PrefixID) time.Duration {
 	base := fnvU64(fnvU64(fnvOffset64, uint64(a)), uint64(p))
-	d := s.Cfg.ProcDelayMin
-	if span := s.Cfg.ProcDelayMax - s.Cfg.ProcDelayMin; span > 0 {
-		d += time.Duration(fnvU64(base, 0x57ab1e) % uint64(span))
-	}
-	if s.Cfg.RaceJitter > 0 {
-		d += time.Duration(fnvU64(base, s.Cfg.JitterNonce) % uint64(s.Cfg.RaceJitter))
-	}
-	return d
+	return procDelayMin +
+		time.Duration(fnvU64(base, 0x57ab1e)%uint64(procDelayMax-procDelayMin)) +
+		time.Duration(fnvU64(base, s.Cfg.JitterNonce)%uint64(raceJitter))
 }
 
 // receive processes an update or withdrawal at AS a.

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"anyopt/internal/topology"
 )
 
 // ConvergenceStats summarizes one converged routing state for a prefix.
@@ -85,15 +83,4 @@ func (st ConvergenceStats) MeanPathLength() float64 {
 		sum += l * n
 	}
 	return float64(sum) / float64(st.ReachableASes)
-}
-
-// CatchmentSizes tallies targets per origin link under the current state.
-func (s *Sim) CatchmentSizes(p PrefixID, targets []topology.Target) map[topology.LinkID]int {
-	out := map[topology.LinkID]int{}
-	for _, tg := range targets {
-		if link, _, ok := s.CatchmentEntry(p, tg); ok {
-			out[link]++
-		}
-	}
-	return out
 }

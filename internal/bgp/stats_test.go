@@ -39,22 +39,20 @@ func TestStatsConvergedState(t *testing.T) {
 		}
 	}
 
-	// Catchment sizes must cover every routable target and use only
+	// The catchment must cover every routable target and use only
 	// announced links.
-	sizes := s.CatchmentSizes(0, topo.Targets)
-	total := 0
+	cm := s.CatchmentMap(0, topo.Targets)
 	announced := map[topology.LinkID]bool{}
 	for _, l := range links {
 		announced[l.ID] = true
 	}
-	for link, n := range sizes {
-		if !announced[link] {
-			t.Errorf("catchment at unannounced link %d", link)
+	for _, tg := range topo.Targets {
+		link, ok := cm[tg.AS]
+		if !ok {
+			t.Errorf("target AS%d has no catchment", tg.AS)
+		} else if !announced[link] {
+			t.Errorf("AS%d's catchment is unannounced link %d", tg.AS, link)
 		}
-		total += n
-	}
-	if total != len(topo.Targets) {
-		t.Errorf("catchment total %d of %d targets", total, len(topo.Targets))
 	}
 }
 

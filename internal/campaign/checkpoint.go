@@ -27,7 +27,7 @@ var checkpointHeader = [8]byte{'A', 'N', 'Y', 'O', 'P', 'T', 'J', CheckpointVers
 const (
 	// frameExperiment: uvarint nonce, kind, uvarint probe count, uvarint
 	// trace length and the trace lines, then the sweep's columns
-	// (discovery.Sweep.AppendBinary). Strings are a uvarint length and bytes.
+	// (appendSweep). Strings are a uvarint length and bytes.
 	// A trace line is the length of the prefix it shares with the line
 	// before it and then the rest as a string: a faulted experiment logs
 	// "exp N attempt M: probe lost" thousands of times over, and written out
@@ -332,9 +332,58 @@ func decodeExperiment(payload []byte) (discovery.JournalEntry, bool) {
 		} // else the line repeats the one before it and shares its string
 		ent.Trace[i] = prev
 	}
-	var err error
-	ent.Result, r.b, err = discovery.DecodeSweep(r.b)
-	return ent, !r.bad && err == nil && len(r.b) == 0
+	ent.Result = readSweep(&r)
+	return ent, !r.bad && len(r.b) == 0
+}
+
+// appendSweep appends the sweep's three columns to b — the end of an
+// experiment frame. A column is its length as a uvarint followed by that
+// many zig-zag varints (site IDs and the missing-RTT marker take one byte,
+// an RTT in nanoseconds four); a column the sweep lacks is the single byte 0.
+func appendSweep(b []byte, sw discovery.Sweep) []byte {
+	b = appendVarints(b, sw.Site)
+	b = appendVarints(b, sw.Link)
+	return appendVarints(b, sw.RTT)
+}
+
+func appendVarints[T int32 | int64](b []byte, col []T) []byte {
+	b = binary.AppendUvarint(b, uint64(len(col)))
+	for _, v := range col {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	return b
+}
+
+// readSweep reads the columns appendSweep wrote. An empty column reads as
+// nil.
+func readSweep(r *frameReader) (sw discovery.Sweep) {
+	sw.Site = readVarints[int32](r)
+	sw.Link = readVarints[int32](r)
+	sw.RTT = readVarints[int64](r)
+	return sw
+}
+
+func readVarints[T int32 | int64](r *frameReader) []T {
+	n := r.uvarint()
+	// Every cell takes at least one byte, so a length the remaining bytes
+	// cannot hold is refused before anything is allocated for it.
+	if r.bad || n > uint64(len(r.b)) {
+		r.bad = true
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	col := make([]T, n)
+	for i := range col {
+		v := r.varint()
+		if r.bad || int64(T(v)) != v {
+			r.bad = true
+			return nil
+		}
+		col[i] = T(v)
+	}
+	return col
 }
 
 // Record implements discovery.Journal: it appends the entry's frame and
@@ -356,7 +405,7 @@ func (c *Checkpoint) Record(nonce uint64, ent discovery.JournalEntry) error {
 		b = appendString(binary.AppendUvarint(b, uint64(shared)), line[shared:])
 		prev = line
 	}
-	ref, err := c.appendFrame(ent.Result.AppendBinary(b))
+	ref, err := c.appendFrame(appendSweep(b, ent.Result))
 	if err != nil {
 		return err
 	}

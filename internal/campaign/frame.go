@@ -72,6 +72,16 @@ func (r *frameReader) uvarint() uint64 {
 	return v
 }
 
+// varint reads a zig-zag varint (binary.AppendVarint).
+func (r *frameReader) varint() int64 {
+	v, w := binary.Varint(r.b)
+	if w <= 0 {
+		r.bad, w = true, 0
+	}
+	r.b = r.b[w:]
+	return v
+}
+
 func (r *frameReader) str() string {
 	n := r.uvarint()
 	if n > uint64(len(r.b)) {

@@ -59,15 +59,13 @@ type Config struct {
 	Workers int
 
 	// Faults enables deterministic fault injection (nil or all-zero rates =
-	// fault-free, byte-identical to a build without the chaos layer).
-	Faults *fault.Config
-	// QuorumK/QuorumN govern self-healing re-measurement when faults are
-	// enabled: each row of an experiment's sweep is accepted once K of up to
-	// N attempts agree on it exactly (defaults 2 of 5). Attempts reuse the
-	// experiment's jitter nonce and noise seed, so a fault-free attempt
-	// reproduces the fault-free row exactly — which is why agreement
+	// fault-free, byte-identical to a build without the chaos layer). With
+	// faults enabled, each row of an experiment's sweep is accepted once 2
+	// of up to 5 attempts agree on it exactly (see runQuorum). Attempts
+	// reuse the experiment's jitter nonce and noise seed, so a fault-free
+	// attempt reproduces the fault-free row exactly — which is why agreement
 	// converges to it.
-	QuorumK, QuorumN int
+	Faults *fault.Config
 
 	// TargetFilter, when non-nil, restricts probing to targets whose client
 	// AS is in the set. Experiments still run the full BGP schedule (every
@@ -177,9 +175,6 @@ func New(tb *testbed.Testbed, cfg Config) *Discovery {
 // SetWorkers re-targets the executor; n <= 0 selects exec.DefaultWorkers.
 // Worker count never affects results, only wall-clock.
 func (d *Discovery) SetWorkers(n int) { d.pool = exec.New(n) }
-
-// Workers returns the executor's worker count.
-func (d *Discovery) Workers() int { return d.pool.Workers() }
 
 // SetContext parents every subsequent batch on ctx: cancelling it drains the
 // queue (in-flight experiments finish, queued ones never start) and surfaces

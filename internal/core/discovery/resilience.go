@@ -196,10 +196,10 @@ func (d *Discovery) runExperiment(e *Exp, kind string, i int, run func(*Exp, int
 // single attempt, exactly the pre-chaos behavior. With faults enabled it
 // re-runs the experiment — each attempt drawing fresh faults but reusing the
 // experiment's jitter nonce and noise seed — and votes row by row over the
-// attempts' columns: a row locks to the first value that gathers K agreeing
-// attempts, independent of every other row. Because only the faults vary
-// between attempts, two attempts agreeing on a row almost surely means the
-// faults touched neither, so each row converges on its fault-free value.
+// attempts' columns: a row locks to the first value that gathers quorumK
+// agreeing attempts, independent of every other row. Because only the faults
+// vary between attempts, two attempts agreeing on a row almost surely means
+// the faults touched neither, so each row converges on its fault-free value.
 //
 // Per-row voting matters twice over. It converges far faster under hot fault
 // rates — a whole-sweep vote needs one attempt with zero faults across all
@@ -218,20 +218,25 @@ func (d *Discovery) runExperiment(e *Exp, kind string, i int, run func(*Exp, int
 // target), the rows that are probed come out exactly as if every row were;
 // only probes that cannot change the outcome go unsent, so ProbesSent, the
 // journaled probe count and the "probe lost" trace lines count probed rows
-// only. Rows that never reach quorum within N attempts degrade to their
+// only. Rows that never reach quorum within quorumN attempts degrade to their
 // plurality value (earliest wins ties) and the degradation is logged.
 func (d *Discovery) runQuorum(e *Exp, i int, run func(*Exp, int) Sweep) Sweep {
 	if !d.Cfg.Faults.Enabled() {
 		return d.runAttempt(e, i, 0, nil, run)
 	}
+	return d.quorumOf(e, i, quorumK, quorumN, run)
+}
+
+// A row is accepted once quorumK of up to quorumN attempts agree on it.
+const (
+	quorumK = 2
+	quorumN = 5
+)
+
+// quorumOf is runQuorum's k-of-n vote, with k and n as parameters so the
+// tests can vary them.
+func (d *Discovery) quorumOf(e *Exp, i, k, n int, run func(*Exp, int) Sweep) Sweep {
 	e.trace = &fault.Trace{}
-	k, n := d.Cfg.QuorumK, d.Cfg.QuorumN
-	if k <= 0 {
-		k = 2
-	}
-	if n < k {
-		n = k + 3
-	}
 	var q rowQuorum
 	for attempt := 0; attempt < n; attempt++ {
 		if attempt > 0 {

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"anyopt/internal/fault"
 )
 
 // refRowVote is the naive reference the typed quorum is held to: replay one
@@ -51,19 +49,16 @@ func withoutSkipped(a *Exp, sw Sweep) Sweep {
 	return q.out
 }
 
-// scriptedQuorum runs the real runQuorum over a scripted attempt sequence and
+// scriptedQuorum runs the real k-of-n vote over a scripted attempt sequence and
 // returns the accepted sweep, the experiment's trace, and the skip vector
 // each attempt it ran was handed. Like measure, a scripted attempt answers no
 // row it was told to skip.
 func scriptedQuorum(t *testing.T, script []Sweep, k, n int) (Sweep, []string, [][]bool) {
 	t.Helper()
-	d := &Discovery{Cfg: Config{
-		Faults:  &fault.Config{ProbeLossProb: 0.5}, // any enabled class: quorum on
-		QuorumK: k, QuorumN: n,
-	}}
+	d := &Discovery{}
 	e := &Exp{d: d, nonce: 1}
 	var skips [][]bool
-	got := d.runQuorum(e, 0, func(a *Exp, _ int) Sweep {
+	got := d.quorumOf(e, 0, k, n, func(a *Exp, _ int) Sweep {
 		skips = append(skips, slices.Clone(a.skip))
 		return withoutSkipped(a, script[a.attempt])
 	})

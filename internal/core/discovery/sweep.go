@@ -1,9 +1,6 @@
 package discovery
 
 import (
-	"encoding/binary"
-	"errors"
-
 	"anyopt/internal/probe"
 	"anyopt/internal/testbed"
 )
@@ -51,64 +48,6 @@ func (sw Sweep) row(i int) row {
 		r.rtt = sw.RTT[i]
 	}
 	return r
-}
-
-// AppendBinary appends the sweep's three columns to b — the journal's
-// experiment payload. A column is its length as a uvarint followed by that
-// many zig-zag varints (site IDs and the missing-RTT marker take one byte,
-// an RTT in nanoseconds four); a column the sweep lacks is the single byte 0.
-func (sw Sweep) AppendBinary(b []byte) []byte {
-	b = appendColumn(b, sw.Site)
-	b = appendColumn(b, sw.Link)
-	return appendColumn(b, sw.RTT)
-}
-
-func appendColumn[T int32 | int64](b []byte, col []T) []byte {
-	b = binary.AppendUvarint(b, uint64(len(col)))
-	for _, v := range col {
-		b = binary.AppendVarint(b, int64(v))
-	}
-	return b
-}
-
-var errSweepCodec = errors.New("discovery: malformed sweep columns")
-
-// DecodeSweep reads the columns AppendBinary wrote from the front of b and
-// returns the bytes after them. An empty column decodes as nil.
-func DecodeSweep(b []byte) (sw Sweep, rest []byte, err error) {
-	if sw.Site, b, err = decodeColumn[int32](b); err != nil {
-		return Sweep{}, nil, err
-	}
-	if sw.Link, b, err = decodeColumn[int32](b); err != nil {
-		return Sweep{}, nil, err
-	}
-	if sw.RTT, b, err = decodeColumn[int64](b); err != nil {
-		return Sweep{}, nil, err
-	}
-	return sw, b, nil
-}
-
-func decodeColumn[T int32 | int64](b []byte) ([]T, []byte, error) {
-	n, w := binary.Uvarint(b)
-	// Every cell takes at least one byte, so a length the remaining bytes
-	// cannot hold is refused before anything is allocated for it.
-	if w <= 0 || n > uint64(len(b)-w) {
-		return nil, nil, errSweepCodec
-	}
-	b = b[w:]
-	if n == 0 {
-		return nil, b, nil
-	}
-	col := make([]T, n)
-	for i := range col {
-		v, w := binary.Varint(b)
-		if w <= 0 || int64(T(v)) != v {
-			return nil, nil, errSweepCodec
-		}
-		col[i] = T(v)
-		b = b[w:]
-	}
-	return col, b, nil
 }
 
 // measure is the campaign's one measurement loop: a single pass over the

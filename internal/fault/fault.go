@@ -5,10 +5,9 @@
 // returns; Tangled and Anycast Agility show the production Internet violates
 // both routinely. This package lets the simulator violate them on purpose —
 // BGP session flaps and dropped or delayed UPDATEs at the bgp/netsim
-// boundary, control-session resets in the orchestrator, ICMP probe loss and
-// whole-site blackouts in the measurement plane — so the self-healing
-// machinery in internal/core/discovery (retries, K-of-N quorum, quarantine)
-// can be exercised and regression-tested.
+// boundary, ICMP probe loss and whole-site blackouts in the measurement
+// plane — so the self-healing machinery in internal/core/discovery (retries,
+// K-of-N quorum, quarantine) can be exercised and regression-tested.
 //
 // Determinism contract: every fault decision flows from a seeded source
 // derived from (Config.Seed, experiment nonce, attempt). Experiments run in
@@ -82,11 +81,6 @@ type Config struct {
 	// packet is lost, on top of the baseline NoiseModel loss.
 	ProbeLossProb float64
 
-	// SessionResetProb is the per-message probability that the
-	// orchestrator↔site control session drops and must be re-established
-	// before the message can be delivered.
-	SessionResetProb float64
-
 	// BlackoutSites lists site IDs that are dead for the whole campaign:
 	// their links never carry routes and their tunnels answer nothing. The
 	// campaign must quarantine them and continue with the rest.
@@ -100,7 +94,7 @@ func (c *Config) Enabled() bool {
 		return false
 	}
 	return c.FlapProb > 0 || c.UpdateDropProb > 0 || c.UpdateDelayProb > 0 ||
-		c.ProbeLossProb > 0 || c.SessionResetProb > 0 || len(c.BlackoutSites) > 0
+		c.ProbeLossProb > 0 || len(c.BlackoutSites) > 0
 }
 
 // BlackedOut reports whether site id is in BlackoutSites. Nil-safe.
@@ -126,31 +120,29 @@ func Scenario(name string, seed int64) (*Config, error) {
 		return nil, nil
 	case "paper":
 		return &Config{
-			Seed:             seed,
-			FlapProb:         0.08,
-			FlapMaxLinks:     1,
-			FlapWindow:       30 * time.Minute,
-			FlapDownMin:      30 * time.Second,
-			FlapDownMax:      5 * time.Minute,
-			UpdateDropProb:   0.0005,
-			UpdateDelayProb:  0.002,
-			UpdateDelayMax:   200 * time.Millisecond,
-			ProbeLossProb:    0.01,
-			SessionResetProb: 0.02,
+			Seed:            seed,
+			FlapProb:        0.08,
+			FlapMaxLinks:    1,
+			FlapWindow:      30 * time.Minute,
+			FlapDownMin:     30 * time.Second,
+			FlapDownMax:     5 * time.Minute,
+			UpdateDropProb:  0.0005,
+			UpdateDelayProb: 0.002,
+			UpdateDelayMax:  200 * time.Millisecond,
+			ProbeLossProb:   0.01,
 		}, nil
 	case "harsh":
 		return &Config{
-			Seed:             seed,
-			FlapProb:         0.5,
-			FlapMaxLinks:     3,
-			FlapWindow:       45 * time.Minute,
-			FlapDownMin:      10 * time.Second,
-			FlapDownMax:      15 * time.Minute,
-			UpdateDropProb:   0.005,
-			UpdateDelayProb:  0.02,
-			UpdateDelayMax:   time.Second,
-			ProbeLossProb:    0.08,
-			SessionResetProb: 0.2,
+			Seed:            seed,
+			FlapProb:        0.5,
+			FlapMaxLinks:    3,
+			FlapWindow:      45 * time.Minute,
+			FlapDownMin:     10 * time.Second,
+			FlapDownMax:     15 * time.Minute,
+			UpdateDropProb:  0.005,
+			UpdateDelayProb: 0.02,
+			UpdateDelayMax:  time.Second,
+			ProbeLossProb:   0.08,
 		}, nil
 	}
 	return nil, fmt.Errorf("fault: unknown scenario %q (want none, paper, or harsh)", name)
@@ -203,7 +195,7 @@ type Flap struct {
 // Each fault class draws from its own seeded stream, so e.g. probe-loss draws
 // never shift BGP-drop draws when code between them changes. The probe-loss
 // stream is rewound once per probed target, so it alone sits on the one-word
-// keyed generator; the other three are seeded once per attempt.
+// keyed generator; the other two are seeded once per attempt.
 type Injector struct {
 	cfg     *Config
 	nonce   uint64
@@ -214,18 +206,16 @@ type Injector struct {
 	probe    *rand.Rand // over &probeSrc
 	probeSrc splitmix.Source
 	plan     *rand.Rand
-	session  *rand.Rand
 
 	blackout map[int]bool
 }
 
 // classSalts separate the per-class streams.
 const (
-	saltUpdate  = 0x75706474 // "updt"
-	saltProbe   = 0x70726f62 // "prob"
-	saltPlan    = 0x706c616e // "plan"
-	saltSession = 0x73657373 // "sess"
-	saltChurn   = 0x63687572 // "chur"
+	saltUpdate = 0x75706474 // "updt"
+	saltProbe  = 0x70726f62 // "prob"
+	saltPlan   = 0x706c616e // "plan"
+	saltChurn  = 0x63687572 // "chur"
 )
 
 // mix folds (seed, nonce, attempt, salt) into a 63-bit stream seed with a
@@ -251,7 +241,6 @@ func (c *Config) Injector(nonce uint64, attempt int, tr *Trace) *Injector {
 		trace:   tr,
 		update:  rand.New(rand.NewSource(mix(c.Seed, nonce, attempt, saltUpdate))),
 		plan:    rand.New(rand.NewSource(mix(c.Seed, nonce, attempt, saltPlan))),
-		session: rand.New(rand.NewSource(mix(c.Seed, nonce, attempt, saltSession))),
 	}
 	inj.probeSrc.Rekey(uint64(mix(c.Seed, nonce, attempt, saltProbe)))
 	inj.probe = rand.New(&inj.probeSrc)
@@ -371,17 +360,4 @@ func (inj *Injector) BlackoutSites() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// ResetSession decides whether the control session to the site drops before
-// the next message, forcing the orchestrator to re-establish it.
-func (inj *Injector) ResetSession(siteID int) bool {
-	if inj == nil || inj.cfg.SessionResetProb <= 0 {
-		return false
-	}
-	if inj.session.Float64() < inj.cfg.SessionResetProb {
-		inj.trace.Addf("exp %d attempt %d: session reset site=%d", inj.nonce, inj.attempt, siteID)
-		return true
-	}
-	return false
 }

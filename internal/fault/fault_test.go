@@ -12,13 +12,12 @@ import (
 // few hundred draws exercise each stream.
 func hot(seed int64) *Config {
 	return &Config{
-		Seed:             seed,
-		FlapProb:         0.9,
-		FlapMaxLinks:     3,
-		UpdateDropProb:   0.2,
-		UpdateDelayProb:  0.3,
-		ProbeLossProb:    0.3,
-		SessionResetProb: 0.3,
+		Seed:            seed,
+		FlapProb:        0.9,
+		FlapMaxLinks:    3,
+		UpdateDropProb:  0.2,
+		UpdateDelayProb: 0.3,
+		ProbeLossProb:   0.3,
 	}
 }
 
@@ -35,7 +34,7 @@ func drive(c *Config, nonce uint64, attempt int) ([]any, []string) {
 			inj.BeginTarget(uint64(1000 + i))
 		}
 		drop, extra := inj.UpdateFate(topology.LinkID(i), topology.ASN(i), 0)
-		out = append(out, drop, extra, inj.DropProbe(), inj.ResetSession(i%15+1))
+		out = append(out, drop, extra, inj.DropProbe())
 	}
 	return out, tr.Entries()
 }
@@ -132,10 +131,9 @@ func TestInjectorClassStreamsIndependent(t *testing.T) {
 	noisy.FlapPlan([]topology.LinkID{1, 2, 3})
 	for i := 0; i < 500; i++ {
 		noisy.UpdateFate(topology.LinkID(i), 1, 0)
-		noisy.ResetSession(1)
 	}
 	if got := probes(noisy); !reflect.DeepEqual(got, want) {
-		t.Error("update, plan and session draws shifted the probe-loss stream")
+		t.Error("update and plan draws shifted the probe-loss stream")
 	}
 
 	// And the other way round: probe draws leave update fates alone.
@@ -152,6 +150,29 @@ func TestInjectorClassStreamsIndependent(t *testing.T) {
 	probes(b)
 	if got := fates(b); !reflect.DeepEqual(got, wantFates) {
 		t.Error("probe-loss draws shifted the update stream")
+	}
+}
+
+// injectorAllocs is what building one attempt's injector under the paper
+// preset costs: the Injector, the update and plan rand.Rand values with their
+// rngSource (seeded once per attempt), and the probe rand.Rand over the
+// inline keyed source.
+const injectorAllocs = 6
+
+// TestInjectorAllocationBudget holds the cost of an Injector, which a faulted
+// campaign builds once per experiment attempt, to an exact count.
+func TestInjectorAllocationBudget(t *testing.T) {
+	c, err := Scenario("paper", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &Trace{}
+	n := uint64(0)
+	if allocs := testing.AllocsPerRun(200, func() {
+		n++
+		c.Injector(n, 0, tr)
+	}); allocs != injectorAllocs {
+		t.Errorf("Injector allocates %v objects, budget %d", allocs, injectorAllocs)
 	}
 }
 
@@ -175,7 +196,7 @@ func TestZeroRateConfigIsDisabled(t *testing.T) {
 		}
 		inj.BeginTarget(7)
 		drop, extra := inj.UpdateFate(1, 2, 0)
-		if drop || extra != 0 || inj.DropProbe() || inj.ResetSession(1) || inj.SiteDead(1) ||
+		if drop || extra != 0 || inj.DropProbe() || inj.SiteDead(1) ||
 			inj.FlapPlan([]topology.LinkID{1}) != nil || inj.BlackoutSites() != nil {
 			t.Errorf("%s config's nil injector injected a fault", name)
 		}

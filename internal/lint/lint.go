@@ -10,7 +10,7 @@
 //     writer, or channel, unless the result is provably order-insensitive or
 //     the accumulated slice is sorted before use. Go randomizes map iteration
 //     order per run, so any such loop silently injects nondeterminism into
-//     campaign results. Suppressible with `//lint:orderinvariant <reason>`.
+//     campaign results.
 //   - entropy: no wall-clock reads (time.Now and friends) and no global or
 //     unseeded math/rand in simulator packages; all entropy must flow from a
 //     seeded source parameter so experiments replay bit-identically. Packages
@@ -23,8 +23,10 @@
 //   - snapimmut: no write to — or mutable alias leaked from — an immutable
 //     campaign snapshot outside its sanctioned writers. The lock-free serving
 //     path reads snapshots with no coordination at all; this check is what
-//     makes that sound at compile time instead of by storm-test luck. It has
-//     no suppression directive.
+//     makes that sound at compile time instead of by storm-test luck.
+//
+// No finding can be suppressed: there is no annotation or directive, so
+// code that trips a check changes until it passes.
 //
 // maporder and snapimmut run on every package the policy table in policy.go
 // matches; the table decides entropy, its NoRand tightening and nogo per
@@ -91,10 +93,7 @@ func (r *Runner) runPackage(pkg *Package, rules []PolicyRule, snapRules []Snapsh
 	if !ok {
 		return nil
 	}
-	ann := collectAnnotations(pkg)
-	var diags []Diagnostic
-	diags = append(diags, ann.diags...)
-	diags = append(diags, checkMapOrder(pkg, ann)...)
+	diags := checkMapOrder(pkg)
 	if p.Entropy {
 		diags = append(diags, checkEntropy(pkg, p.NoRand)...)
 	}

@@ -137,22 +137,6 @@ func TestFixtureGolden(t *testing.T) {
 	}
 }
 
-// TestBareDirectiveRejected pins the annotation contract: a reason-less
-// //lint:orderinvariant is itself a violation and suppresses nothing.
-func TestBareDirectiveRejected(t *testing.T) {
-	pkgs := loadFixtures(t, "./testdata/src/annot")
-	diags := fixtureRunner().Run(pkgs)
-	if len(diags) != 2 {
-		t.Fatalf("got %d diagnostics, want 2 (bad directive + unsuppressed append):\n%s", len(diags), format(diags))
-	}
-	if !strings.Contains(diags[0].Message, "requires a reason") {
-		t.Errorf("first diagnostic should reject the bare directive, got: %s", diags[0])
-	}
-	if !strings.Contains(diags[1].Message, "appends to slice out") {
-		t.Errorf("second diagnostic should keep the append finding, got: %s", diags[1])
-	}
-}
-
 // TestPolicyResolution pins the table semantics: longest pattern wins, the
 // speaker keeps its goroutines, and unmatched paths get no checks.
 func TestPolicyResolution(t *testing.T) {

@@ -21,10 +21,9 @@ import (
 //   - slice writes indexed by the range key itself (s[k] = v)
 //   - appends to a slice that is sorted later in the same function
 //
-// Anything else needs the keys sorted before iteration, or an explicit
-// `//lint:orderinvariant <reason>` annotation.
-func checkMapOrder(pkg *Package, ann *annotations) []Diagnostic {
-	c := &mapOrderChecker{pkg: pkg, ann: ann}
+// Anything else needs the keys sorted before iteration.
+func checkMapOrder(pkg *Package) []Diagnostic {
+	c := &mapOrderChecker{pkg: pkg}
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch fn := n.(type) {
@@ -42,7 +41,6 @@ func checkMapOrder(pkg *Package, ann *annotations) []Diagnostic {
 
 type mapOrderChecker struct {
 	pkg   *Package
-	ann   *annotations
 	diags []Diagnostic
 }
 
@@ -55,7 +53,7 @@ func (c *mapOrderChecker) checkFuncBody(body *ast.BlockStmt) {
 			c.checkFuncBody(s.Body)
 			return false
 		case *ast.RangeStmt:
-			if c.isMapRange(s) && !c.ann.suppressed(c.pkg.Fset, s) {
+			if c.isMapRange(s) {
 				c.checkRange(s, body)
 			}
 		}
@@ -355,7 +353,7 @@ func (c *mapOrderChecker) report(pos token.Pos, rng *ast.RangeStmt, format strin
 		Check: "maporder",
 		Message: fmt.Sprintf("map iteration %s: ", types.ExprString(rng.X)) +
 			fmt.Sprintf(format, args...) +
-			"; iterate sorted keys or annotate //lint:orderinvariant with a reason",
+			"; iterate sorted keys",
 	})
 }
 

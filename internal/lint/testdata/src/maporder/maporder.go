@@ -137,10 +137,3 @@ func keyedSetter(m map[string]bool, r *recorder) {
 		r.SetName(k)
 	}
 }
-
-func suppressed(m map[int]int, r *recorder) {
-	//lint:orderinvariant the recorder deduplicates rows into a set before use
-	for k := range m {
-		r.AddRow(fmt.Sprint(k))
-	}
-}

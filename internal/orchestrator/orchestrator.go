@@ -43,8 +43,9 @@ type action struct {
 }
 
 // SessionChaos decides control-session fault injection for the
-// orchestrator: internal/fault's Injector implements it. The indirection
-// keeps this package free of a fault dependency.
+// orchestrator. No campaign sets one: campaigns announce straight into
+// bgp.Sim, and only this package's tests drive the orchestrator through
+// resets.
 type SessionChaos interface {
 	// ResetSession reports whether the session to the site drops before
 	// the next control message is sent.

@@ -41,7 +41,7 @@ func TestAnnounceViaBGPSessionsMatchesDirectAPI(t *testing.T) {
 			t.Fatalf("flush applied %d actions, want 1", n)
 		}
 	}
-	if got := len(sim.AnnouncedLinks(0)); got != 3 {
+	if got := len(sim.AppendAnnouncedLinks(0, nil)); got != 3 {
 		t.Fatalf("announced links = %d, want 3", got)
 	}
 	viaBGP := sim.CatchmentMap(0, tb.Topo.Targets)
@@ -68,14 +68,14 @@ func TestWithdrawViaBGP(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.Flush(time.Minute)
-	if len(sim.AnnouncedLinks(0)) != 1 {
+	if len(sim.AppendAnnouncedLinks(0, nil)) != 1 {
 		t.Fatal("announce did not reach the sim")
 	}
 	if err := o.Withdraw(3, 0); err != nil {
 		t.Fatal(err)
 	}
 	o.Flush(time.Minute)
-	if got := len(sim.AnnouncedLinks(0)); got != 0 {
+	if got := len(sim.AppendAnnouncedLinks(0, nil)); got != 0 {
 		t.Fatalf("links still announced after withdrawal: %d", got)
 	}
 	if n := sim.ReachableCount(0); n != 0 {
@@ -90,7 +90,7 @@ func TestPeerLinkSteeringByCommunity(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.Flush(time.Minute)
-	links := sim.AnnouncedLinks(0)
+	links := sim.AppendAnnouncedLinks(0, nil)
 	if len(links) != 1 {
 		t.Fatalf("announced links = %v", links)
 	}
@@ -131,7 +131,7 @@ func TestSecondPrefixIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.Flush(time.Minute)
-	l0, l1 := sim.AnnouncedLinks(0), sim.AnnouncedLinks(1)
+	l0, l1 := sim.AppendAnnouncedLinks(0, nil), sim.AppendAnnouncedLinks(1, nil)
 	if len(l0) != 1 || l0[0] != tb.Site(1).TransitLink {
 		t.Errorf("prefix 0 links = %v", l0)
 	}

@@ -8,8 +8,7 @@ import (
 )
 
 // flakySessions injects a session reset before the first maxResets control
-// messages — a deterministic stand-in for fault.Injector in this package's
-// tests (the real injector satisfies the same interface).
+// messages.
 type flakySessions struct {
 	resets    int
 	maxResets int
@@ -40,7 +39,7 @@ func TestSessionResetSelfHeals(t *testing.T) {
 	if o.SessionResets != 3 {
 		t.Errorf("SessionResets = %d, want 3", o.SessionResets)
 	}
-	if got := len(sim.AnnouncedLinks(0)); got != 3 {
+	if got := len(sim.AppendAnnouncedLinks(0, nil)); got != 3 {
 		t.Fatalf("announced links = %d, want 3", got)
 	}
 

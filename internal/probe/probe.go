@@ -13,7 +13,9 @@
 //     there, carrying a transmit timestamp. The orchestrator subtracts the
 //     separately measured tunnel RTT from the echo delay to obtain the
 //     site↔target RTT. Seven attempts are made and the median taken; at
-//     least three valid replies are required (§3.1).
+//     least three valid replies are required (§3.1). These, and the 10 ms
+//     gap between transmissions, are constants: the protocol is the
+//     paper's, and Config only addresses the prober.
 package probe
 
 import (
@@ -44,30 +46,26 @@ type Fabric interface {
 	Probe(req []byte, sentAt time.Duration) (resp []byte, recvAt time.Duration, err error)
 }
 
-// Config parameterizes a Prober.
+// The paper's probe protocol (§3.1): an RTT measurement sends rttAttempts
+// echo requests and needs at least minValid replies for a usable median.
+// Successive transmissions are probeGap apart in virtual time.
+const (
+	rttAttempts = 7
+	minValid    = 3
+	probeGap    = 10 * time.Millisecond
+)
+
+// Config addresses a Prober.
 type Config struct {
 	// OrchAddr is the orchestrator's unicast address (outer tunnel source).
 	OrchAddr netip.Addr
 	// AnycastAddr is the anycast address used as probe source.
 	AnycastAddr netip.Addr
-	// Attempts is the number of echo requests per RTT measurement
-	// (paper: 7).
-	Attempts int
-	// MinValid is the minimum valid replies for a usable median (paper: 3).
-	MinValid int
-	// Gap spaces successive probe transmissions in virtual time.
-	Gap time.Duration
 }
 
-// DefaultConfig mirrors the paper's choices.
+// DefaultConfig returns the Config for an orchestrator and anycast address.
 func DefaultConfig(orch, anycast netip.Addr) Config {
-	return Config{
-		OrchAddr:    orch,
-		AnycastAddr: anycast,
-		Attempts:    7,
-		MinValid:    3,
-		Gap:         10 * time.Millisecond,
-	}
+	return Config{OrchAddr: orch, AnycastAddr: anycast}
 }
 
 // Prober issues measurement probes over a Fabric.
@@ -95,15 +93,6 @@ type Prober struct {
 
 // New creates a prober. The virtual clock starts at start.
 func New(fabric Fabric, cfg Config, start time.Duration) *Prober {
-	if cfg.Attempts <= 0 {
-		cfg.Attempts = 7
-	}
-	if cfg.MinValid <= 0 {
-		cfg.MinValid = 3
-	}
-	if cfg.Gap <= 0 {
-		cfg.Gap = 10 * time.Millisecond
-	}
 	return &Prober{cfg: cfg, fabric: fabric, clock: start, id: 0x4f50 /* "OP" */}
 }
 
@@ -202,7 +191,7 @@ func (p *Prober) Catchment(dst netip.Addr) (uint32, error) {
 	}
 	p.Sent++
 	sentAt := p.clock
-	p.clock += p.cfg.Gap
+	p.clock += probeGap
 	resp, recvAt, err := p.fabric.Probe(req, sentAt)
 	if err != nil {
 		return 0, err
@@ -233,11 +222,11 @@ func (p *Prober) CatchmentRetry(dst netip.Addr, attempts int) (uint32, error) {
 
 // RTT measures the round-trip time between the site behind tunnelKey and dst
 // using the paper's methodology: tunnel the request to the site, echo a
-// timestamp, take the median of Attempts samples, subtract tunnelRTT.
+// timestamp, take the median of rttAttempts samples, subtract tunnelRTT.
 func (p *Prober) RTT(tunnelKey uint32, siteAddr netip.Addr, tunnelRTT time.Duration, dst netip.Addr) (time.Duration, error) {
 	p.samples = p.samples[:0]
 	var lastErr error
-	for i := 0; i < p.cfg.Attempts; i++ {
+	for i := 0; i < rttAttempts; i++ {
 		inner, err := p.buildEcho(dst)
 		if err != nil {
 			return 0, err
@@ -255,7 +244,7 @@ func (p *Prober) RTT(tunnelKey uint32, siteAddr netip.Addr, tunnelRTT time.Durat
 		req := p.reqBuf
 		p.Sent++
 		sentAt := p.clock
-		p.clock += p.cfg.Gap
+		p.clock += probeGap
 		resp, recvAt, err := p.fabric.Probe(req, sentAt)
 		if err != nil {
 			lastErr = err
@@ -275,11 +264,11 @@ func (p *Prober) RTT(tunnelKey uint32, siteAddr netip.Addr, tunnelRTT time.Durat
 		}
 		p.samples = append(p.samples, recvAt-ts)
 	}
-	if len(p.samples) < p.cfg.MinValid {
+	if len(p.samples) < minValid {
 		if lastErr == nil {
 			lastErr = ErrLost
 		}
-		return 0, fmt.Errorf("probe: only %d of %d samples valid: %w", len(p.samples), p.cfg.Attempts, lastErr)
+		return 0, fmt.Errorf("probe: only %d of %d samples valid: %w", len(p.samples), rttAttempts, lastErr)
 	}
 	// The scratch slice's sample order is never reused.
 	rtt := median(p.samples) - tunnelRTT

@@ -34,7 +34,8 @@ func TestRepairAllocationBudget(t *testing.T) {
 	}
 	snap := sys.CurrentSnapshot()
 	targets := sys.Topo.Targets
-	cfg := reconcile.RepairConfig{Discovery: sys.Options().Discovery, Workers: 1}
+	cfg := reconcile.RepairConfig{Discovery: sys.Options().Discovery}
+	cfg.Discovery.Workers = 1
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, tc := range []struct{ clients, budget int }{
 		{1, oneClientRepairAllocs},

@@ -31,9 +31,6 @@ import (
 type Cone struct {
 	// Clients are the affected client ASes — the re-measurement target set.
 	Clients map[prefs.Client]bool
-	// ASes are all ASes the structural walk visited (superset of Clients;
-	// includes transit ASes without measurement targets of their own).
-	ASes map[topology.ASN]bool
 	// Observed counts clients added by the catchment walker's diff rather
 	// than the structural walk — defense in depth against an inference gap.
 	Observed int
@@ -53,21 +50,14 @@ func (c *Cone) SortedClients() []prefs.Client {
 }
 
 // Merge folds other into c (set union), for coalescing repairs when several
-// churn batches queue up behind one repair pass. Nil maps in c are allocated
-// lazily, so a minimally-constructed cone (e.g. one rebuilt from a checkpoint,
-// which has no AS walk to restore) is a valid merge target.
+// churn batches queue up behind one repair pass. A nil Clients map in c is
+// allocated lazily, so the zero Cone is a valid merge target.
 func (c *Cone) Merge(other *Cone) {
 	if c.Clients == nil && len(other.Clients) > 0 {
 		c.Clients = make(map[prefs.Client]bool, len(other.Clients))
 	}
 	for cl := range other.Clients {
 		c.Clients[cl] = true
-	}
-	if c.ASes == nil && len(other.ASes) > 0 {
-		c.ASes = make(map[topology.ASN]bool, len(other.ASes))
-	}
-	for a := range other.ASes {
-		c.ASes[a] = true
 	}
 	c.Observed += other.Observed
 }
@@ -223,15 +213,9 @@ func StructuralCone(t *topology.Topology, origin topology.ASN, delta *fault.Rout
 			}
 		}
 	}
-	cone := &Cone{
-		Clients: make(map[prefs.Client]bool),
-		ASes:    make(map[topology.ASN]bool, len(visited)),
-	}
-	for a := range visited {
-		cone.ASes[a] = true
-	}
+	cone := &Cone{Clients: make(map[prefs.Client]bool)}
 	for _, tg := range t.Targets {
-		if cone.ASes[tg.AS] {
+		if _, ok := visited[tg.AS]; ok {
 			cone.Clients[prefs.Client(tg.AS)] = true
 		}
 	}

@@ -16,11 +16,9 @@ type RepairConfig struct {
 	// Discovery is the campaign configuration the original campaign ran
 	// with; the repair replays its canonical schedule (same simulator
 	// config, same noise seed, nonces from zero) with only the TargetFilter
-	// replaced. Anything else would break row byte-identity.
+	// replaced. Anything else would break row byte-identity. Its Workers
+	// bounds repair concurrency; worker count never affects results.
 	Discovery discovery.Config
-	// Workers bounds repair concurrency; <= 0 selects the default. Worker
-	// count never affects results.
-	Workers int
 }
 
 // RepairResult is a completed cone repair, ready for publication through
@@ -76,9 +74,6 @@ func Repair(tb *testbed.Testbed, snap *anyopt.Snapshot, cone *Cone, cfg RepairCo
 	dcfg.TargetFilter = make(map[prefs.Client]bool, len(cone.Clients))
 	for c := range cone.Clients {
 		dcfg.TargetFilter[c] = true
-	}
-	if cfg.Workers > 0 {
-		dcfg.Workers = cfg.Workers
 	}
 	d := discovery.New(tb, dcfg)
 	d.RestoreQuarantine(snap.Quarantined)

@@ -200,7 +200,7 @@ func TestStructuralConeStubAccessLinkIsSmall(t *testing.T) {
 	if topo.AS(link.To).Tier == topology.TierStub {
 		stub = link.To
 	}
-	if !cone.ASes[stub] {
+	if !cone.Clients[prefs.Client(stub)] {
 		t.Errorf("cone misses the stub endpoint AS%d", stub)
 	}
 }
@@ -242,23 +242,21 @@ func TestMarkStaleAndClearRepaired(t *testing.T) {
 	}
 }
 
-// TestConeMergeLazyAlloc is the nil-map regression: a minimally-constructed
-// cone (as rebuilt by crash resume, which journals clients but no AS walk)
-// must be a valid Merge target.
+// TestConeMergeLazyAlloc is the nil-map regression: the zero Cone must be a
+// valid Merge target.
 func TestConeMergeLazyAlloc(t *testing.T) {
 	dst := &reconcile.Cone{Clients: map[prefs.Client]bool{1: true}}
 	src := &reconcile.Cone{
-		Clients:  map[prefs.Client]bool{2: true},
-		ASes:     map[topology.ASN]bool{7: true},
+		Clients:  map[prefs.Client]bool{2: true, 7: true},
 		Observed: 1,
 	}
 	dst.Merge(src)
-	if !dst.Clients[1] || !dst.Clients[2] || !dst.ASes[7] || dst.Observed != 1 {
+	if !dst.Clients[1] || !dst.Clients[2] || !dst.Clients[7] || dst.Observed != 1 {
 		t.Fatalf("merged cone = %+v", dst)
 	}
 	empty := &reconcile.Cone{}
 	empty.Merge(src)
-	if !empty.Clients[2] || !empty.ASes[7] {
+	if !empty.Clients[2] || !empty.Clients[7] {
 		t.Fatalf("merge into zero-value cone = %+v", empty)
 	}
 }

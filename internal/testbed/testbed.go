@@ -102,17 +102,19 @@ type Testbed struct {
 	orchLeg []time.Duration
 }
 
+// The paper's testbed has four parallel test prefixes and one orchestrator,
+// in Boston.
+const (
+	numPrefixes = 4
+	orchCity    = "Boston"
+)
+
 // Options configures testbed construction.
 type Options struct {
 	// Sites defaults to Table1.
 	Sites []SiteSpec
-	// Prefixes is the number of parallel test prefixes (default 4, as in
-	// the paper).
-	Prefixes int
 	// Seed drives peer selection.
 	Seed int64
-	// OrchCity places the orchestrator (default Boston).
-	OrchCity string
 }
 
 // New deploys the anycast network onto topo: it creates the origin AS, one
@@ -122,16 +124,7 @@ func New(topo *topology.Topology, opts Options) (*Testbed, error) {
 	if opts.Sites == nil {
 		opts.Sites = Table1
 	}
-	if opts.Prefixes <= 0 {
-		opts.Prefixes = 4
-	}
-	if opts.OrchCity == "" {
-		opts.OrchCity = "Boston"
-	}
-	orch, ok := geo.CityByName(opts.OrchCity)
-	if !ok {
-		return nil, fmt.Errorf("testbed: unknown orchestrator city %q", opts.OrchCity)
-	}
+	orch, _ := geo.CityByName(orchCity) // one of geo's cities
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x7e57bed))
 
 	// Index tier-1s by name.
@@ -153,7 +146,7 @@ func New(topo *topology.Topology, opts Options) (*Testbed, error) {
 	}
 	// Each test prefix is its own /24, as the paper's four test anycast
 	// prefixes are independently routable.
-	for i := 0; i < opts.Prefixes; i++ {
+	for i := 0; i < numPrefixes; i++ {
 		tb.AnycastAddrs = append(tb.AnycastAddrs, netip.AddrFrom4([4]byte{203, 0, byte(113 + i), 10}))
 	}
 
