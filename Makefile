@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint fmt race invariants chaos chaos-churn fuzz bench bench-check splpo-bench size check
+.PHONY: build test vet lint fmt race invariants chaos chaos-churn fuzz examples bench bench-check splpo-bench size check
 
 build:
 	$(GO) build ./...
@@ -80,6 +80,16 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzChurnDecode$$' -fuzztime 5s -fuzzminimizetime 1s ./internal/api/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseConfig$$' -fuzztime 5s -fuzzminimizetime 1s ./internal/api/
 
+# examples runs the six programs under examples/ and cmd/verfploeter with
+# and without -peers at test scale. None of them has a test of its own, so
+# this is what keeps them running; their output is discarded and a non-zero
+# exit fails the target.
+examples:
+	@for ex in $$($(GO) list ./examples/...); do \
+		echo "$(GO) run $$ex"; $(GO) run $$ex > /dev/null || exit 1; done
+	$(GO) run ./cmd/verfploeter -config 1,2,3,4 > /dev/null
+	$(GO) run ./cmd/verfploeter -config 1,2,3,4 -peers > /dev/null
+
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
@@ -106,6 +116,6 @@ size:
 
 # check is the whole gate: formatting, static analysis, the full suite with
 # its allocation budgets, the race pass, the invariant-audited BGP suite, the
-# chaos suites, a short run of every fuzzer, and the benchmark module's own
-# vet and tests.
-check: fmt vet lint test race invariants chaos chaos-churn fuzz bench-check
+# chaos suites, a short run of every fuzzer, a run of every example program,
+# and the benchmark module's own vet and tests.
+check: fmt vet lint test race invariants chaos chaos-churn fuzz examples bench-check

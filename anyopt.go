@@ -111,7 +111,7 @@ func ScaleOptions(name string) (Options, error) {
 // System is an anycast network under AnyOpt management.
 //
 // A System is not safe for concurrent mutation: RunDiscovery, campaign
-// loading, and the Measure* methods drive shared campaign state. The read
+// loading, and MeasureConfigurations drive shared campaign state. The read
 // side, however, is lock-free: every completed campaign is published as an
 // immutable Snapshot through a publish.Cell, and prediction and
 // optimization are methods of that Snapshot (CurrentSnapshot). Concurrent
@@ -303,26 +303,21 @@ func (sn *Snapshot) PredictCatchments(cfg Config) map[Client]int {
 // PredictMeanRTT predicts the mean client RTT of cfg against this snapshot
 // and returns the number of predictable clients. Lock-free.
 func (sn *Snapshot) PredictMeanRTT(cfg Config) (time.Duration, int) {
-	return sn.Pred.MeanRTT(cfg)
-}
-
-// MeasureConfiguration deploys cfg on a fresh experiment and measures every
-// target's catchment and RTT — ground truth for validating predictions.
-func (s *System) MeasureConfiguration(cfg Config) (map[Client]int, map[Client]time.Duration) {
-	defer s.Disc.DropSims()
-	return s.Disc.RunConfigurationRTTs(cfg)
+	return sn.Pred.Sweep(cfg).MeanRTT()
 }
 
 // MeasureConfigurations deploys each configuration on its own experiment,
-// fanned across the discovery executor, and returns results in configuration
-// order — identical to calling MeasureConfiguration once per entry.
+// fanned across the discovery executor, and measures every target's
+// catchment and RTT — ground truth for validating predictions. Results come
+// back in configuration order, identical to measuring one configuration per
+// call.
 func (s *System) MeasureConfigurations(cfgs []Config) []discovery.ConfigResult {
-	raw := make([][]int, len(cfgs))
+	deps := make([]discovery.Deployment, len(cfgs))
 	for i, c := range cfgs {
-		raw[i] = c
+		deps[i] = discovery.Deployment{Sites: c}
 	}
 	defer s.Disc.DropSims()
-	return s.Disc.RunConfigurationsRTTs(raw)
+	return s.Disc.Measure(deps, true)
 }
 
 // PredictSiteLoads predicts the load each site absorbs under cfg, using the

@@ -113,8 +113,7 @@ func TestEndToEndOptimizeBeatsBaselines(t *testing.T) {
 	}
 
 	measure := func(cfg Config) time.Duration {
-		_, rtts := sys.MeasureConfiguration(cfg)
-		mean, n := predict.MeasuredMeanRTT(rtts)
+		mean, n := predict.MeasuredMeanRTT(sys.MeasureConfigurations([]Config{cfg})[0].RTTs)
 		if n == 0 {
 			t.Fatalf("config %v: no measurements", cfg)
 		}
@@ -140,8 +139,8 @@ func TestPredictionMatchesDeployment(t *testing.T) {
 	sys := getSystem(t)
 	cfg := Config{1, 3, 4, 5, 6, 10}
 	predicted := sys.CurrentSnapshot().PredictCatchments(cfg)
-	measured, _ := sys.MeasureConfiguration(cfg)
-	acc, n := predict.Accuracy(predicted, measured)
+	measured := sys.MeasureConfigurations([]Config{cfg})[0]
+	acc, n := predict.Accuracy(predicted, measured.Catchments)
 	if n < 100 {
 		t.Fatalf("only %d comparable clients", n)
 	}
@@ -226,7 +225,7 @@ func TestCampaignExperimentsMatchesSchedule(t *testing.T) {
 func TestExperimentsCounter(t *testing.T) {
 	sys := getSystem(t)
 	before := sys.Experiments()
-	sys.MeasureConfiguration(Config{1})
+	sys.MeasureConfigurations([]Config{{1}})
 	if sys.Experiments() != before+1 {
 		t.Errorf("experiment counter did not advance")
 	}

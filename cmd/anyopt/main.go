@@ -186,9 +186,9 @@ func main() {
 			}
 		}
 		predMean, n := sw.MeanRTT()
-		measured, rtts := sys.MeasureConfiguration(cfg)
-		acc, overlap := predict.Accuracy(predicted, measured)
-		measMean, _ := predict.MeasuredMeanRTT(rtts)
+		measured := sys.MeasureConfigurations([]anyopt.Config{cfg})[0]
+		acc, overlap := predict.Accuracy(predicted, measured.Catchments)
+		measMean, _ := predict.MeasuredMeanRTT(measured.RTTs)
 		fmt.Printf("config %v\n", cfg)
 		fmt.Printf("  predictable clients: %d (%.1f%%)\n", n, 100*float64(sw.Predicted)/float64(len(sw.Catch)))
 		fmt.Printf("  catchment accuracy vs deployment: %.1f%% over %d clients\n", 100*acc, overlap)
@@ -222,17 +222,20 @@ func main() {
 		default:
 			fmt.Println("not proven optimal: -budget cut the enumeration short")
 		}
-		_, rtts := sys.MeasureConfiguration(opt.Config)
-		mean, _ := predict.MeasuredMeanRTT(rtts)
-		fmt.Printf("deployed mean: %v\n", mean.Round(10*time.Microsecond))
+		cfgs := []anyopt.Config{opt.Config}
 		if *k > 0 {
 			greedy, err := snap.GreedyConfig(*k)
 			if err != nil {
 				log.Fatal(err)
 			}
-			_, gr := sys.MeasureConfiguration(greedy)
-			gm, _ := predict.MeasuredMeanRTT(gr)
-			fmt.Printf("greedy-%d baseline %v → deployed mean %v\n", *k, greedy, gm.Round(10*time.Microsecond))
+			cfgs = append(cfgs, greedy)
+		}
+		measured := sys.MeasureConfigurations(cfgs)
+		mean, _ := predict.MeasuredMeanRTT(measured[0].RTTs)
+		fmt.Printf("deployed mean: %v\n", mean.Round(10*time.Microsecond))
+		if *k > 0 {
+			gm, _ := predict.MeasuredMeanRTT(measured[1].RTTs)
+			fmt.Printf("greedy-%d baseline %v → deployed mean %v\n", *k, cfgs[1], gm.Round(10*time.Microsecond))
 		}
 
 	case "peers":

@@ -2,7 +2,9 @@
 // configuration the way the measurement tool of §3.1 does: it probes every
 // target with the anycast source address, attributes each reply to the site
 // (and exact ingress link) it returned through, and prints per-site
-// catchment sizes, RTT statistics, and a regional breakdown.
+// catchment sizes, RTT statistics, and a regional breakdown. The deployment
+// is one discovery.Measure experiment with RTTs: the configuration's sites
+// in announcement order, plus every peering link under -peers.
 //
 //	verfploeter -config 1,4,6
 //	verfploeter -config 1,4,6 -peers        # also enable all peering links
@@ -56,12 +58,11 @@ func main() {
 	sys := env.Sys
 
 	start := time.Now()
-	var obs map[prefs.Client]discovery.Observation
+	dep := discovery.Deployment{Sites: cfg}
 	if *peers {
-		obs = sys.Disc.RunConfigurationWithPeers(cfg, sys.AllPeerLinks())
-	} else {
-		obs = sys.Disc.RunConfigurationWithPeers(cfg, nil)
+		dep.Peers = sys.AllPeerLinks()
 	}
+	m := sys.Disc.Measure([]discovery.Deployment{dep}, true)[0]
 	fmt.Printf("probed %d targets in %v (%d probes)\n",
 		len(sys.Topo.Targets), time.Since(start).Round(time.Millisecond), sys.Disc.ProbesSent)
 
@@ -74,47 +75,53 @@ func main() {
 	}
 	rolls := map[int]*roll{}
 	var overall []float64
-	clients := make([]prefs.Client, 0, len(obs))
-	for c := range obs {
+	clients := make([]prefs.Client, 0, len(m.Catchments))
+	for c := range m.Catchments {
 		clients = append(clients, c)
 	}
 	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
 	for _, c := range clients {
-		o := obs[c]
-		r := rolls[o.Site]
+		id := m.Catchments[c]
+		r := rolls[id]
 		if r == nil {
 			r = &roll{regions: map[string]int{}}
-			rolls[o.Site] = r
+			rolls[id] = r
 		}
 		r.n++
-		site := sys.TB.Site(o.Site)
-		if o.Link != site.TransitLink {
+		if m.Links[c] != sys.TB.Site(id).TransitLink {
 			r.viaPeer++
 		}
-		if o.HasRTT {
-			ms := float64(o.RTT) / 1e6
+		if rtt, ok := m.RTTs[c]; ok {
+			ms := float64(rtt) / 1e6
 			r.rtts = append(r.rtts, ms)
 			overall = append(overall, ms)
 		}
 		r.regions[geo.RegionOf(sys.Topo.AS(topology.ASN(c)).Coord)]++
 	}
 
+	// Largest catchment first; equal catchments by site ID, so the row order
+	// never depends on map iteration.
 	ids := make([]int, 0, len(rolls))
 	for id := range rolls {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return rolls[ids[i]].n > rolls[ids[j]].n })
+	sort.Slice(ids, func(i, j int) bool {
+		if a, b := rolls[ids[i]].n, rolls[ids[j]].n; a != b {
+			return a > b
+		}
+		return ids[i] < ids[j]
+	})
 
 	tab := analysis.NewTable(fmt.Sprintf("catchments for config %v (peers=%v)", cfg, *peers),
 		"site", "name", "clients", "share %", "via peer", "median ms", "p90 ms")
 	for _, id := range ids {
 		r := rolls[id]
-		tab.AddRow(id, sys.TB.Site(id).Name, r.n, 100*float64(r.n)/float64(len(obs)),
+		tab.AddRow(id, sys.TB.Site(id).Name, r.n, 100*float64(r.n)/float64(len(m.Catchments)),
 			r.viaPeer, analysis.Median(r.rtts), analysis.Percentile(r.rtts, 90))
 	}
 	fmt.Print(tab)
 	fmt.Printf("overall: %d clients, median %.1f ms, mean %.1f ms, p90 %.1f ms\n",
-		len(obs), analysis.Median(overall), analysis.Mean(overall), analysis.Percentile(overall, 90))
+		len(m.Catchments), analysis.Median(overall), analysis.Mean(overall), analysis.Percentile(overall, 90))
 
 	if *regions {
 		fmt.Println()

@@ -82,10 +82,9 @@ func main() {
 		busiest, bestCfg, bestMean.Round(100*time.Microsecond))
 
 	// Deploy the replacement and compare measured means.
-	_, rttsOld := sys.MeasureConfiguration(withoutSite(opt.Config, busiest))
-	_, rttsNew := sys.MeasureConfiguration(bestCfg)
-	oldMean, _ := predict.MeasuredMeanRTT(rttsOld)
-	newMean, _ := predict.MeasuredMeanRTT(rttsNew)
+	deployed := sys.MeasureConfigurations([]anyopt.Config{withoutSite(opt.Config, busiest), bestCfg})
+	oldMean, _ := predict.MeasuredMeanRTT(deployed[0].RTTs)
+	newMean, _ := predict.MeasuredMeanRTT(deployed[1].RTTs)
 	fmt.Printf("measured mean: degraded config %v vs re-optimized %v\n",
 		oldMean.Round(100*time.Microsecond), newMean.Round(100*time.Microsecond))
 	if newMean <= oldMean {

@@ -14,7 +14,8 @@ import (
 	"time"
 
 	"anyopt"
-	"anyopt/internal/core/prefs"
+	"anyopt/internal/core/discovery"
+	"anyopt/internal/core/predict"
 )
 
 func main() {
@@ -54,31 +55,16 @@ func main() {
 		sizes[len(sizes)/2], sizes[len(sizes)*9/10], sizes[len(sizes)-1], len(sys.Topo.Targets))
 
 	// Deploy the three configurations of Figure 7c.
-	meanOf := func(rtts map[prefs.Client]time.Duration) float64 {
-		var s float64
-		for _, d := range rtts {
-			s += float64(d)
-		}
-		return s / float64(len(rtts)) / 1e6
-	}
-	obsBenefit := sys.Disc.RunConfigurationWithPeers(opt.Config, res.Included)
-	obsAll := sys.Disc.RunConfigurationWithPeers(opt.Config, peers)
-	benefit := map[prefs.Client]time.Duration{}
-	all := map[prefs.Client]time.Duration{}
-	for c, o := range obsBenefit {
-		if o.HasRTT {
-			benefit[c] = o.RTT
-		}
-	}
-	for c, o := range obsAll {
-		if o.HasRTT {
-			all[c] = o.RTT
-		}
-	}
+	deployed := sys.Disc.Measure([]discovery.Deployment{
+		{Sites: opt.Config, Peers: res.Included},
+		{Sites: opt.Config, Peers: peers},
+	}, true)
+	benefit, _ := predict.MeasuredMeanRTT(deployed[0].RTTs)
+	all, _ := predict.MeasuredMeanRTT(deployed[1].RTTs)
 	fmt.Printf("\nFigure 7c comparison (mean client RTT):\n")
 	fmt.Printf("  AnyOpt (transit only):     %.1fms\n", ms(res.BaselineMean))
-	fmt.Printf("  AnyOpt + beneficial peers: %.1fms\n", meanOf(benefit))
-	fmt.Printf("  AnyOpt + all peers:        %.1fms\n", meanOf(all))
+	fmt.Printf("  AnyOpt + beneficial peers: %.1fms\n", ms(benefit))
+	fmt.Printf("  AnyOpt + all peers:        %.1fms\n", ms(all))
 }
 
 func ms(d time.Duration) float64 { return float64(d) / 1e6 }

@@ -8,8 +8,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"anyopt"
+	"anyopt/internal/core/predict"
 )
 
 func main() {
@@ -38,29 +40,25 @@ func main() {
 	snap := sys.CurrentSnapshot()           // the finished campaign, immutable
 	sw := snap.Pred.Sweep(cfg)              // every client's catchment, in one pass
 	predMean, n := sw.MeanRTT()
-	measured, rtts := sys.MeasureConfiguration(cfg)
+	measured := sys.MeasureConfigurations([]anyopt.Config{cfg})[0]
 	match, overlap := 0, 0
 	for row, at := range sw.Catch {
 		if at < 0 {
 			continue // no predictable catchment
 		}
-		if m, ok := measured[snap.Pred.Providers.ClientAt(row)]; ok {
+		if m, ok := measured.Catchments[snap.Pred.Providers.ClientAt(row)]; ok {
 			overlap++
 			if sw.Sites[at] == m {
 				match++
 			}
 		}
 	}
-	var measMean float64
-	for _, d := range rtts {
-		measMean += float64(d)
-	}
-	measMean /= float64(len(rtts))
+	measMean, _ := predict.MeasuredMeanRTT(measured.RTTs)
 	fmt.Printf("config %v:\n", cfg)
 	fmt.Printf("  catchment prediction accuracy: %.1f%% over %d clients\n",
 		100*float64(match)/float64(overlap), overlap)
 	fmt.Printf("  mean RTT: predicted %v for %d clients, measured %.1fms\n",
-		predMean.Round(100_000), n, measMean/1e6)
+		predMean.Round(100_000), n, ms(measMean))
 
 	// 4. Offline optimization: best 12-site configuration (§5.3).
 	opt, err := snap.Optimize(12, 0)
@@ -71,21 +69,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, optRTTs := sys.MeasureConfiguration(opt.Config)
-	_, greedyRTTs := sys.MeasureConfiguration(greedy)
+	deployed := sys.MeasureConfigurations([]anyopt.Config{opt.Config, greedy})
+	optMean, _ := predict.MeasuredMeanRTT(deployed[0].RTTs)
+	greedyMean, _ := predict.MeasuredMeanRTT(deployed[1].RTTs)
 	fmt.Printf("optimization over %d subsets, %d orderable clients:\n",
 		opt.SubsetsEvaluated, opt.OrderableClients)
-	fmt.Printf("  AnyOpt-12 %v → measured mean %.1fms\n", opt.Config, meanMs(optRTTs))
-	fmt.Printf("  Greedy-12 %v → measured mean %.1fms\n", greedy, meanMs(greedyRTTs))
+	fmt.Printf("  AnyOpt-12 %v → measured mean %.1fms\n", opt.Config, ms(optMean))
+	fmt.Printf("  Greedy-12 %v → measured mean %.1fms\n", greedy, ms(greedyMean))
 }
 
-func meanMs[K comparable, D ~int64](m map[K]D) float64 {
-	if len(m) == 0 {
-		return 0
-	}
-	var s float64
-	for _, d := range m {
-		s += float64(d)
-	}
-	return s / float64(len(m)) / 1e6
-}
+func ms(d time.Duration) float64 { return float64(d) / 1e6 }

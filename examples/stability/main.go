@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"anyopt"
+	"anyopt/internal/core/predict"
 	"anyopt/internal/topology"
 )
 
@@ -34,40 +35,35 @@ func main() {
 	fmt.Printf("deployed configuration: %v (predicted mean %v)\n",
 		opt.Config, opt.PredictedMean.Round(100*time.Microsecond))
 
-	base, baseRTTs := sys.MeasureConfiguration(opt.Config)
+	// Each week is its own deployment: churn mutates the topology in between.
+	deployed := []anyopt.Config{opt.Config}
+	base := sys.MeasureConfigurations(deployed)[0]
+	mean0, _ := predict.MeasuredMeanRTT(base.RTTs)
 	fmt.Printf("week 0: %d catchments measured, mean RTT %.1fms\n",
-		len(base), meanMs(baseRTTs))
+		len(base.Catchments), ms(mean0))
 
 	// Weekly churn: a few percent of ASes change policy or hardware, a few
 	// links drift.
 	const churnPerWeek = 0.04
 	for week := 1; week <= 3; week++ {
 		st := topology.Churn(sys.Topo, churnPerWeek, int64(week))
-		catch, rtts := sys.MeasureConfiguration(opt.Config)
+		now := sys.MeasureConfigurations(deployed)[0]
 
 		same, n := 0, 0
-		for c, s0 := range base {
-			if s1, ok := catch[c]; ok {
+		for c, s0 := range base.Catchments {
+			if s1, ok := now.Catchments[c]; ok {
 				n++
 				if s0 == s1 {
 					same++
 				}
 			}
 		}
+		mean, _ := predict.MeasuredMeanRTT(now.RTTs)
 		fmt.Printf("week %d: churn {policy:%d routers:%d links:%d} → %.1f%% catchments unchanged, mean RTT %.1fms\n",
 			week, st.PolicyChanges, st.RouterSwaps, st.DelayShifts,
-			100*float64(same)/float64(n), meanMs(rtts))
+			100*float64(same)/float64(n), ms(mean))
 	}
 	fmt.Println("\npaper (§6): >90% of catchments unchanged and stable mean RTT over three weeks")
 }
 
-func meanMs[K comparable, D ~int64](m map[K]D) float64 {
-	if len(m) == 0 {
-		return 0
-	}
-	var s float64
-	for _, d := range m {
-		s += float64(d)
-	}
-	return s / float64(len(m)) / 1e6
-}
+func ms(d time.Duration) float64 { return float64(d) / 1e6 }

@@ -279,12 +279,12 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	// churn application (which write-locks topoMu) quiesces us first.
 	s.topoMu.RLock()
 	sess := s.sessions.acquire()
-	catch, rtts := sess.RunConfigurationRTTs(cfg)
+	m := sess.Measure([]discovery.Deployment{{Sites: cfg}}, true)[0]
 	s.sessions.release(sess)
 	s.topoMu.RUnlock()
-	mean, n := predict.MeasuredMeanRTT(rtts)
+	mean, n := predict.MeasuredMeanRTT(m.RTTs)
 	perSite := map[string]int{}
-	for _, site := range catch {
+	for _, site := range m.Catchments {
 		perSite[strconv.Itoa(site)]++
 	}
 	writeJSON(w, http.StatusOK, map[string]any{

@@ -72,15 +72,3 @@ func (st ConvergenceStats) String() string {
 	}
 	return b.String()
 }
-
-// MeanPathLength returns the average best-path length over reachable ASes.
-func (st ConvergenceStats) MeanPathLength() float64 {
-	if st.ReachableASes == 0 {
-		return 0
-	}
-	sum := 0
-	for l, n := range st.PathLengths {
-		sum += l * n
-	}
-	return float64(sum) / float64(st.ReachableASes)
-}

@@ -331,7 +331,7 @@ func TestCheckpointScheduleMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Disc.SetJournal(ck2)
-	b.Disc.RunConfigurations([][]int{{1, 3}}) // kind "config" where the file says "rtt"
+	b.Disc.Measure([]discovery.Deployment{{Sites: []int{1, 3}}}, false) // kind "config" where the file says "rtt"
 	if err := b.Disc.Err(); err == nil || !strings.Contains(err.Error(), "schedule changed") {
 		t.Errorf("schedule mismatch not detected: err = %v", err)
 	}

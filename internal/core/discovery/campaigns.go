@@ -130,7 +130,11 @@ func (d *Discovery) ProviderPrefs(reps map[topology.ASN]int) (*prefs.Store, erro
 			configs = append(configs, []int{sa, sb}, []int{sb, sa})
 		}
 	}
-	sweeps := d.runConfigs("config", configs, false)
+	sweeps := d.runBatch("config", len(configs), func(e *Exp, i int) Sweep {
+		sim := e.deploy(configs[i], nil)
+		return e.measure(e.prober(sim), nil, false, false, 0)
+	})
+	d.Experiments += len(configs)
 	targets := d.TB.Topo.Targets
 	for k, pr := range pairs {
 		winAB, winBA := sweeps[2*k].Site, sweeps[2*k+1].Site

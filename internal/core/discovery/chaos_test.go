@@ -317,7 +317,7 @@ func TestFaultsDisabledIsByteIdentical(t *testing.T) {
 }
 
 // TestChaosConfigurationRTTsReachRowQuorum pins the ad-hoc measurement path
-// under faults: RunConfigurationsRTTs (System.MeasureConfigurations) votes
+// under faults: Measure with RTTs (System.MeasureConfigurations) votes
 // row by row like every campaign experiment, so under the paper fault
 // scenario every row of a deployed 8-site configuration reaches quorum and
 // the catchments are the fault-free ones. While ConfigResult was voted on as
@@ -341,7 +341,7 @@ func TestChaosConfigurationRTTsReachRowQuorum(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Faults = faults
 		d := New(newTB(t), cfg)
-		res := d.RunConfigurationsRTTs([][]int{sites})[0]
+		res := d.Measure([]Deployment{{Sites: sites}}, true)[0]
 		if err := d.Err(); err != nil {
 			t.Fatal(err)
 		}

@@ -254,21 +254,24 @@ func TestRepresentativeStability(t *testing.T) {
 	}
 }
 
-func TestRunConfigurationWithPeers(t *testing.T) {
+func TestMeasureWithPeers(t *testing.T) {
 	tb := newTB(t)
 	d := New(tb, DefaultConfig())
 	base := []int{1, 3, 5}
 	peer := tb.Site(4).PeerLinks[0]
-	obs := d.RunConfigurationWithPeers(base, []topology.LinkID{peer})
-	if len(obs) < len(tb.Topo.Targets)*8/10 {
-		t.Fatalf("only %d observations", len(obs))
+	m := d.Measure([]Deployment{{Sites: base, Peers: []topology.LinkID{peer}}}, true)[0]
+	if len(m.Catchments) < len(tb.Topo.Targets)*8/10 {
+		t.Fatalf("only %d catchments", len(m.Catchments))
+	}
+	if len(m.Links) != len(m.Catchments) {
+		t.Fatalf("%d links for %d catchments", len(m.Links), len(m.Catchments))
 	}
 	viaPeer := 0
-	for _, o := range obs {
-		if o.Link == peer {
+	for c, link := range m.Links {
+		if link == peer {
 			viaPeer++
-			if o.Site != 4 {
-				t.Errorf("peer link attributed to site %d, want 4", o.Site)
+			if site := m.Catchments[c]; site != 4 {
+				t.Errorf("peer link attributed to site %d, want 4", site)
 			}
 		}
 	}
@@ -276,8 +279,8 @@ func TestRunConfigurationWithPeers(t *testing.T) {
 	// The peer AS itself is a target (transit or stub): it must use its own
 	// peering.
 	peerAS := tb.Topo.Link(peer).Other(tb.Origin)
-	if o, ok := obs[prefs.Client(peerAS)]; ok && o.Link != peer {
-		t.Errorf("peer AS entered via link %d, want its own peering %d", o.Link, peer)
+	if link, ok := m.Links[prefs.Client(peerAS)]; ok && link != peer {
+		t.Errorf("peer AS entered via link %d, want its own peering %d", link, peer)
 	}
 }
 
@@ -316,14 +319,15 @@ func TestScheduleAccountingMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestRunConfigurationDeterministicPerNonce(t *testing.T) {
+func TestMeasureDeterministicPerNonce(t *testing.T) {
 	tb := newTB(t)
 	cfg := DefaultConfig()
 	cfg.Noisy = false
 	d1 := New(tb, cfg)
 	d2 := New(tb, cfg)
-	a := d1.RunConfigurations([][]int{{1, 4}})[0]
-	b := d2.RunConfigurations([][]int{{1, 4}})[0]
+	dep := []Deployment{{Sites: []int{1, 4}}}
+	a := d1.Measure(dep, false)[0].Catchments
+	b := d2.Measure(dep, false)[0].Catchments
 	if len(a) != len(b) {
 		t.Fatalf("catchment sizes differ: %d vs %d", len(a), len(b))
 	}

@@ -117,26 +117,47 @@ func TestParallelCampaignDeterminism(t *testing.T) {
 	}
 }
 
-// TestBatchedDriversMatchSingleCalls pins the batch APIs to their serial
+// TestBatchedDriversMatchSingleCalls pins Measure's batches to their serial
 // single-call equivalents: two fresh campaigns with the same seeds, one
-// running two one-config batches, one running a single two-config batch,
-// must agree on results and nonce consumption.
+// measuring a mix of deployments with and without peering links one call
+// each, one measuring them as a single batch, must agree on results, counters
+// and nonce consumption — with RTTs and without.
 func TestBatchedDriversMatchSingleCalls(t *testing.T) {
-	cfgA := []int{1, 6}
-	cfgB := []int{6, 1}
-
-	one := New(newTB(t), DefaultConfig())
-	r1 := one.RunConfigurations([][]int{cfgA})[0]
-	r2 := one.RunConfigurations([][]int{cfgB})[0]
-
-	two := New(newTB(t), DefaultConfig())
-	batch := two.RunConfigurations([][]int{cfgA, cfgB})
-
-	if !reflect.DeepEqual(r1, batch[0]) || !reflect.DeepEqual(r2, batch[1]) {
-		t.Fatal("a two-config RunConfigurations batch diverged from two one-config batches")
+	peer := newTB(t).Site(4).PeerLinks[0]
+	deps := []Deployment{
+		{Sites: []int{1, 6}},
+		{Sites: []int{6, 1}},
+		{Sites: []int{1, 3, 5}, Peers: []topology.LinkID{peer}},
+		{Sites: []int{3, 5}},
 	}
-	if one.Experiments != two.Experiments || one.ProbesSent != two.ProbesSent {
-		t.Fatalf("counters diverged: single exps=%d probes=%d, batch exps=%d probes=%d",
-			one.Experiments, one.ProbesSent, two.Experiments, two.ProbesSent)
+	for _, withRTT := range []bool{false, true} {
+		one := New(newTB(t), DefaultConfig())
+		var singles []ConfigResult
+		for _, dep := range deps {
+			singles = append(singles, one.Measure([]Deployment{dep}, withRTT)...)
+		}
+
+		two := New(newTB(t), DefaultConfig())
+		batch := two.Measure(deps, withRTT)
+
+		if !reflect.DeepEqual(singles, batch) {
+			t.Fatalf("withRTT=%v: a %d-deployment Measure batch diverged from one call each", withRTT, len(deps))
+		}
+		if one.Experiments != two.Experiments || one.ProbesSent != two.ProbesSent || one.nonce != two.nonce {
+			t.Fatalf("withRTT=%v: counters diverged: single exps=%d probes=%d nonce=%d, batch exps=%d probes=%d nonce=%d",
+				withRTT, one.Experiments, one.ProbesSent, one.nonce, two.Experiments, two.ProbesSent, two.nonce)
+		}
+		if (batch[0].RTTs != nil) != withRTT {
+			t.Errorf("withRTT=%v: RTTs present = %v", withRTT, batch[0].RTTs != nil)
+		}
+		viaPeer := 0
+		for _, link := range batch[2].Links {
+			if link == peer {
+				viaPeer++
+			}
+		}
+		if viaPeer == 0 {
+			t.Errorf("withRTT=%v: no client entered over the enabled peering link", withRTT)
+		}
 	}
 }

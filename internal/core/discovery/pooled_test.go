@@ -149,9 +149,9 @@ func TestSimReuseIgnoresTheCollector(t *testing.T) {
 	cfg.Workers = 1
 	cfg.Noisy = false
 	d := New(newTB(t), cfg)
-	batch := [][]int{{1, 4}, {4, 1}}
+	batch := []Deployment{{Sites: []int{1, 4}}, {Sites: []int{4, 1}}}
 	for i := 0; i < 3; i++ {
-		d.RunConfigurations(batch)
+		d.Measure(batch, false)
 		runtime.GC()
 		runtime.GC()
 	}
@@ -159,7 +159,7 @@ func TestSimReuseIgnoresTheCollector(t *testing.T) {
 		t.Errorf("six experiments at one worker: %d hits, %d misses, want 5 and 1", hits, misses)
 	}
 	d.DropSims()
-	d.RunConfigurations(batch)
+	d.Measure(batch, false)
 	if hits, misses := d.SimPoolStats(); hits != 6 || misses != 2 {
 		t.Errorf("after DropSims and two more experiments: %d hits, %d misses, want 6 and 2", hits, misses)
 	}

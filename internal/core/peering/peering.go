@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"anyopt/internal/core/discovery"
+	"anyopt/internal/core/predict"
 	"anyopt/internal/core/prefs"
 	"anyopt/internal/topology"
 )
@@ -79,63 +80,43 @@ func (r *Result) ReachableCount() int {
 	return n
 }
 
-// meanRTT averages the values of a per-client RTT map.
-func meanRTT(m map[prefs.Client]time.Duration) time.Duration {
-	if len(m) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range m {
-		sum += d
-	}
-	return sum / time.Duration(len(m))
-}
-
 // OnePass runs the full §4.4 campaign: baseline measurement, one experiment
 // per peering link (peers is the probe order; pass every testbed peer link
 // for the paper's setup), and the conservative greedy inclusion.
 func OnePass(d *discovery.Discovery, baseConfig []int, peers []topology.LinkID) *Result {
-	baseCatch, baseRTTs := d.RunConfigurationRTTs(baseConfig)
-	_ = baseCatch
-	res := &Result{
-		BaselineMean: meanRTT(baseRTTs),
-		BaselineRTTs: baseRTTs,
-	}
-
-	// One experiment per peering link, all independent: filter out links with
-	// no hosting site, then submit the whole sweep as a single batch so it
-	// spreads across the discovery executor.
+	// The baseline and one experiment per peering link are all independent:
+	// filter out links with no hosting site, then submit the baseline and the
+	// whole sweep as a single batch so it spreads across the discovery
+	// executor.
 	var valid []topology.LinkID
 	for _, pl := range peers {
 		if d.TB.SiteByLink(pl) != nil {
 			valid = append(valid, pl)
 		}
 	}
-	deps := make([]discovery.PeerDeployment, len(valid))
+	deps := make([]discovery.Deployment, 1+len(valid))
+	deps[0] = discovery.Deployment{Sites: baseConfig}
 	for i, pl := range valid {
-		deps[i] = discovery.PeerDeployment{Sites: baseConfig, Peers: []topology.LinkID{pl}}
+		deps[1+i] = discovery.Deployment{Sites: baseConfig, Peers: []topology.LinkID{pl}}
 	}
-	allObs := d.RunConfigurationsWithPeers(deps)
+	results := d.Measure(deps, true)
+	res := &Result{BaselineRTTs: results[0].RTTs}
+	res.BaselineMean, _ = predict.MeasuredMeanRTT(res.BaselineRTTs)
 
 	for i, pl := range valid {
-		site := d.TB.SiteByLink(pl)
-		obs := allObs[i]
+		m := results[1+i]
 		rep := PeerReport{
 			Link:      pl,
-			SiteID:    site.ID,
+			SiteID:    d.TB.SiteByLink(pl).ID,
 			PeerAS:    d.TB.Topo.Link(pl).Other(d.TB.Origin),
 			Catchment: make(map[prefs.Client]time.Duration),
 		}
-		rtts := make(map[prefs.Client]time.Duration, len(obs))
-		for c, o := range obs {
-			if o.HasRTT {
-				rtts[c] = o.RTT
-			}
-			if o.Link == pl && o.HasRTT {
-				rep.Catchment[c] = o.RTT
+		for c, rtt := range m.RTTs {
+			if m.Links[c] == pl {
+				rep.Catchment[c] = rtt
 			}
 		}
-		rep.MeanRTT = meanRTT(rtts)
+		rep.MeanRTT, _ = predict.MeasuredMeanRTT(m.RTTs)
 		rep.Delta = rep.MeanRTT - res.BaselineMean
 		rep.Beneficial = rep.Delta < 0
 		rep.Reachable = len(rep.Catchment) > 0
@@ -167,7 +148,7 @@ func (r *Result) greedyInclude() {
 	for c, d := range r.BaselineRTTs {
 		est[c] = d
 	}
-	estMean := meanRTT(est)
+	estMean, _ := predict.MeasuredMeanRTT(est)
 
 	for _, rep := range beneficial {
 		trial := make(map[prefs.Client]time.Duration, len(est))
@@ -177,7 +158,7 @@ func (r *Result) greedyInclude() {
 		for c, d := range rep.Catchment {
 			trial[c] = d
 		}
-		if m := meanRTT(trial); m < estMean {
+		if m, _ := predict.MeasuredMeanRTT(trial); m < estMean {
 			est, estMean = trial, m
 			r.Included = append(r.Included, rep.Link)
 		}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"anyopt/internal/core/discovery"
+	"anyopt/internal/core/predict"
 	"anyopt/internal/core/prefs"
 	"anyopt/internal/testbed"
 	"anyopt/internal/topology"
@@ -101,19 +102,11 @@ func TestOnePassDeployedImprovement(t *testing.T) {
 	if len(res.Included) == 0 {
 		t.Skip("no beneficial peers in this draw")
 	}
-	obs := d.RunConfigurationWithPeers(base, res.Included)
-	var sum time.Duration
-	n := 0
-	for _, o := range obs {
-		if o.HasRTT {
-			sum += o.RTT
-			n++
-		}
-	}
+	m := d.Measure([]discovery.Deployment{{Sites: base, Peers: res.Included}}, true)[0]
+	got, n := predict.MeasuredMeanRTT(m.RTTs)
 	if n == 0 {
 		t.Fatal("no measurements")
 	}
-	got := sum / time.Duration(n)
 	t.Logf("baseline %v → with %d beneficial peers %v", res.BaselineMean, len(res.Included), got)
 	// Tolerate noise: the deployed config must not be more than 5% worse
 	// than baseline, and typically improves.

@@ -145,12 +145,6 @@ func (p *Predictor) All(cfg Config) map[prefs.Client]int {
 	return out
 }
 
-// MeanRTT predicts the average client RTT of a configuration: each
-// predictable client contributes its measured RTT to its predicted site.
-func (p *Predictor) MeanRTT(cfg Config) (time.Duration, int) {
-	return p.Sweep(cfg).MeanRTT()
-}
-
 // Accuracy compares predicted and measured catchments over the clients
 // present in both maps, returning the match fraction and the overlap count —
 // the metric of Figure 5a.

@@ -69,8 +69,8 @@ func TestCatchmentPredictionAccuracy(t *testing.T) {
 		size := 2 + rng.Intn(13)
 		cfg := randomConfig(pl.pred, rng, size)
 		predicted := pl.pred.All(cfg)
-		measured := pl.disc.RunConfigurations([][]int{cfg})[0]
-		acc, n := Accuracy(predicted, measured)
+		measured := pl.disc.Measure([]discovery.Deployment{{Sites: cfg}}, false)[0]
+		acc, n := Accuracy(predicted, measured.Catchments)
 		if n < 100 {
 			t.Fatalf("config %v: only %d comparable clients", cfg, n)
 		}
@@ -100,12 +100,11 @@ func TestMeanRTTPredictionError(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		size := 2 + rng.Intn(13)
 		cfg := randomConfig(pl.pred, rng, size)
-		predMean, n := pl.pred.MeanRTT(cfg)
+		predMean, n := pl.pred.Sweep(cfg).MeanRTT()
 		if n == 0 {
 			t.Fatalf("config %v: no predictable clients with RTT", cfg)
 		}
-		_, rtts := pl.disc.RunConfigurationRTTs(cfg)
-		measMean, m := MeasuredMeanRTT(rtts)
+		measMean, m := MeasuredMeanRTT(pl.disc.Measure([]discovery.Deployment{{Sites: cfg}}, true)[0].RTTs)
 		if m == 0 {
 			t.Fatalf("config %v: no measured RTTs", cfg)
 		}
@@ -242,8 +241,7 @@ func TestBuildInstanceAndOptimize(t *testing.T) {
 	if got := ConfigToSiteSet(in.NumSites, cfg); !got.Equal(best.Open) {
 		t.Fatalf("ConfigToSiteSet mismatch: %v vs %v", got, best.Open)
 	}
-	_, rtts := pl.disc.RunConfigurationRTTs(cfg)
-	meas, _ := MeasuredMeanRTT(rtts)
+	meas, _ := MeasuredMeanRTT(pl.disc.Measure([]discovery.Deployment{{Sites: cfg}}, true)[0].RTTs)
 	pred := time.Duration(best.MeanCost * float64(time.Millisecond))
 	if rel := analysis.RelErr(float64(meas), float64(pred)); rel > 0.25 {
 		t.Errorf("deployed optimum mean %v deviates %.0f%% from predicted %v", meas, rel*100, pred)

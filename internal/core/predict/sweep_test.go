@@ -237,7 +237,7 @@ func checkSweep(t *testing.T, name string, p *Predictor, cfg Config) {
 	if wantMeasured > 0 {
 		wantMean = wantSum / time.Duration(wantMeasured)
 	}
-	if mean, n := p.MeanRTT(cfg); mean != wantMean || n != wantMeasured {
+	if mean, n := p.Sweep(cfg).MeanRTT(); mean != wantMean || n != wantMeasured {
 		t.Fatalf("%s %v: MeanRTT = %v, %d; oracle %v, %d", name, cfg, mean, n, wantMean, wantMeasured)
 	}
 }

@@ -56,9 +56,6 @@ func New(workers int) *Pool {
 	return &Pool{workers: workers}
 }
 
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
 // ForEach runs fn(i) for every i in [0, n) and returns when all calls have
 // completed. Calls must be mutually independent and may only write to
 // index-distinct locations; under those rules the result is identical to the

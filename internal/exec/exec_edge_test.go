@@ -10,12 +10,12 @@ import (
 func TestNegativeWorkersSelectsDefault(t *testing.T) {
 	t.Setenv(WorkersEnv, "")
 	os.Unsetenv(WorkersEnv)
-	if got := New(-5).Workers(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("New(-5).Workers() = %d, want GOMAXPROCS=%d", got, runtime.GOMAXPROCS(0))
+	if got := New(-5).workers; got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("New(-5).workers = %d, want GOMAXPROCS=%d", got, runtime.GOMAXPROCS(0))
 	}
 	t.Setenv(WorkersEnv, "3")
-	if got := New(-1).Workers(); got != 3 {
-		t.Fatalf("New(-1).Workers() with %s=3 = %d, want 3", WorkersEnv, got)
+	if got := New(-1).workers; got != 3 {
+		t.Fatalf("New(-1).workers with %s=3 = %d, want 3", WorkersEnv, got)
 	}
 }
 

@@ -62,11 +62,11 @@ func TestForEachSerialPanic(t *testing.T) {
 func TestNewDefaults(t *testing.T) {
 	t.Setenv(WorkersEnv, "")
 	os.Unsetenv(WorkersEnv)
-	if got := New(0).Workers(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("New(0).Workers() = %d, want GOMAXPROCS=%d", got, runtime.GOMAXPROCS(0))
+	if got := New(0).workers; got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("New(0).workers = %d, want GOMAXPROCS=%d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := New(3).Workers(); got != 3 {
-		t.Fatalf("New(3).Workers() = %d, want 3", got)
+	if got := New(3).workers; got != 3 {
+		t.Fatalf("New(3).workers = %d, want 3", got)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"anyopt"
 	"anyopt/internal/analysis"
+	"anyopt/internal/core/discovery"
 	"anyopt/internal/core/prefs"
 	"anyopt/internal/topology"
 )
@@ -101,19 +102,19 @@ func (e *Env) Fig4a() Fig4aResult {
 	name := providerNames(e.Sys)
 	type pp struct{ a, b int }
 	var pairs []pp
-	var configs [][]int
+	var deps []discovery.Deployment
 	for a := 0; a < len(providers); a++ {
 		for b := a + 1; b < len(providers); b++ {
 			pairs = append(pairs, pp{a, b})
-			configs = append(configs,
-				[]int{reps[providers[a]], reps[providers[b]]},
-				[]int{reps[providers[b]], reps[providers[a]]})
+			deps = append(deps,
+				discovery.Deployment{Sites: []int{reps[providers[a]], reps[providers[b]]}},
+				discovery.Deployment{Sites: []int{reps[providers[b]], reps[providers[a]]}})
 		}
 	}
-	results := d.RunConfigurations(configs)
+	results := d.Measure(deps, false)
 	var res Fig4aResult
 	for k, pr := range pairs {
-		ab, ba := results[2*k], results[2*k+1]
+		ab, ba := results[2*k].Catchments, results[2*k+1].Catchments
 		flip, n := 0, 0
 		for c, site := range ab {
 			if s2, ok := ba[c]; ok {

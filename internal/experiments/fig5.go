@@ -8,6 +8,7 @@ import (
 
 	"anyopt"
 	"anyopt/internal/analysis"
+	"anyopt/internal/core/discovery"
 	"anyopt/internal/core/predict"
 	"anyopt/internal/topology"
 )
@@ -108,23 +109,20 @@ func (e *Env) Fig5(numConfigs int, churnFrac float64) (Fig5Result, error) {
 	// measurements — experiments are no longer independent, so they run
 	// strictly in sequence; without churn the whole sweep batches across the
 	// executor.
-	measuredAll := make([]discoveryResult, numConfigs)
+	var measuredAll []discovery.ConfigResult
 	if churnFrac > 0 {
 		for i := 0; i < numConfigs; i++ {
 			topology.Churn(e.Sys.Topo, churnFrac, e.Seed*1000+int64(i))
-			catch, rtts := e.Sys.MeasureConfiguration(cfgs[i])
-			measuredAll[i] = discoveryResult{catch, rtts}
+			measuredAll = append(measuredAll, e.Sys.MeasureConfigurations(cfgs[i:i+1])...)
 		}
 	} else {
-		for i, r := range e.Sys.MeasureConfigurations(cfgs) {
-			measuredAll[i] = discoveryResult{r.Catchments, r.RTTs}
-		}
+		measuredAll = e.Sys.MeasureConfigurations(cfgs)
 	}
 
 	var res Fig5Result
 	for i := 0; i < numConfigs; i++ {
-		acc, n := predict.Accuracy(predCatch[i], measuredAll[i].catch)
-		measMean, _ := predict.MeasuredMeanRTT(measuredAll[i].rtts)
+		acc, n := predict.Accuracy(predCatch[i], measuredAll[i].Catchments)
+		measMean, _ := predict.MeasuredMeanRTT(measuredAll[i].RTTs)
 
 		absErr := predMeans[i] - measMean
 		if absErr < 0 {
@@ -141,10 +139,4 @@ func (e *Env) Fig5(numConfigs int, churnFrac float64) (Fig5Result, error) {
 		})
 	}
 	return res, nil
-}
-
-// discoveryResult pairs one deployment's measured catchments and RTTs.
-type discoveryResult struct {
-	catch map[anyopt.Client]int
-	rtts  map[anyopt.Client]time.Duration
 }

@@ -9,6 +9,7 @@ import (
 	"anyopt/internal/analysis"
 	"anyopt/internal/core/discovery"
 	"anyopt/internal/core/peering"
+	"anyopt/internal/core/predict"
 	"anyopt/internal/topology"
 )
 
@@ -93,23 +94,14 @@ func (e *Env) Fig7(k int) (Fig7Result, error) {
 // deployWithPeers measures the mean client RTT of base plus each given peer
 // set, one batched experiment per set.
 func deployWithPeers(e *Env, base anyopt.Config, peerSets [][]topology.LinkID) []float64 {
-	deps := make([]discovery.PeerDeployment, len(peerSets))
+	deps := make([]discovery.Deployment, len(peerSets))
 	for i, ps := range peerSets {
-		deps[i] = discovery.PeerDeployment{Sites: base, Peers: ps}
+		deps[i] = discovery.Deployment{Sites: base, Peers: ps}
 	}
 	out := make([]float64, len(peerSets))
-	for i, obs := range e.Sys.Disc.RunConfigurationsWithPeers(deps) {
-		var sum float64
-		n := 0
-		for _, o := range obs {
-			if o.HasRTT {
-				sum += float64(o.RTT)
-				n++
-			}
-		}
-		if n > 0 {
-			out[i] = sum / float64(n) / float64(time.Millisecond)
-		}
+	for i, r := range e.Sys.Disc.Measure(deps, true) {
+		mean, _ := predict.MeasuredMeanRTT(r.RTTs)
+		out[i] = float64(mean) / float64(time.Millisecond)
 	}
 	return out
 }

@@ -126,22 +126,24 @@ func (e *Env) Stability(k, weeks int, churnPerWeek float64) (StabilityResult, er
 	if err != nil {
 		return StabilityResult{}, err
 	}
-	base, baseRTTs := e.Sys.MeasureConfiguration(opt.Config)
-	mean0, _ := predict.MeasuredMeanRTT(baseRTTs)
+	// Each week is its own call: churn mutates the topology in between.
+	deployed := []anyopt.Config{opt.Config}
+	base := e.Sys.MeasureConfigurations(deployed)[0]
+	mean0, _ := predict.MeasuredMeanRTT(base.RTTs)
 	res := StabilityResult{Weeks: []StabilityWeek{{Week: 0, UnchangedFrac: 1, MeanRTT: mean0}}}
 	for w := 1; w <= weeks; w++ {
 		topology.Churn(e.Sys.Topo, churnPerWeek, e.Seed*100+int64(w))
-		catch, rtts := e.Sys.MeasureConfiguration(opt.Config)
+		week := e.Sys.MeasureConfigurations(deployed)[0]
 		same, n := 0, 0
-		for c, s0 := range base {
-			if s1, ok := catch[c]; ok {
+		for c, s0 := range base.Catchments {
+			if s1, ok := week.Catchments[c]; ok {
 				n++
 				if s0 == s1 {
 					same++
 				}
 			}
 		}
-		mean, _ := predict.MeasuredMeanRTT(rtts)
+		mean, _ := predict.MeasuredMeanRTT(week.RTTs)
 		res.Weeks = append(res.Weeks, StabilityWeek{
 			Week:          w,
 			UnchangedFrac: float64(same) / float64(n),

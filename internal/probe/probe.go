@@ -96,9 +96,6 @@ func New(fabric Fabric, cfg Config, start time.Duration) *Prober {
 	return &Prober{cfg: cfg, fabric: fabric, clock: start, id: 0x4f50 /* "OP" */}
 }
 
-// Clock returns the prober's current virtual time.
-func (p *Prober) Clock() time.Duration { return p.clock }
-
 // TargetSeeder is implemented by fabrics (and fault models) whose random
 // streams can be rewound to a per-target position, making each target's
 // measurement independent of probe order.

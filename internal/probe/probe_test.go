@@ -313,11 +313,11 @@ func BenchmarkNoiseBeginTarget(b *testing.B) {
 func TestClockAdvances(t *testing.T) {
 	r := newRig(t, 1)
 	p := r.prober(nil)
-	t0 := p.Clock()
+	t0 := p.clock
 	if _, err := p.Catchment(r.topo.Targets[0].Addr); err != nil {
 		t.Fatal(err)
 	}
-	if p.Clock() <= t0 {
+	if p.clock <= t0 {
 		t.Error("virtual clock did not advance across a probe")
 	}
 }

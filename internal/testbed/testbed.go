@@ -452,12 +452,6 @@ func (d *Deployment) EnablePeer(link topology.LinkID) {
 	d.Sim.Converge()
 }
 
-// DisablePeer withdraws the prefix from one peering link and converges.
-func (d *Deployment) DisablePeer(link topology.LinkID) {
-	d.Sim.Withdraw(d.Prefix, link)
-	d.Sim.Converge()
-}
-
 // WithdrawAll withdraws the prefix everywhere and converges; the testbed does
 // this between experiments, as the paper does.
 func (d *Deployment) WithdrawAll() {

@@ -208,34 +208,20 @@ func TestDeploymentSpacingControlsOrder(t *testing.T) {
 	}
 }
 
-func TestEnableDisablePeer(t *testing.T) {
+func TestEnablePeer(t *testing.T) {
 	tb, topo := build(t)
 	sim := bgp.New(topo, bgp.DefaultConfig())
 	d := tb.NewDeployment(sim, 0)
 	d.AnnounceSites(1, 3, 5)
 
-	before := sim.CatchmentMap(0, topo.Targets)
 	peerLink := tb.Site(4).PeerLinks[0]
 	d.EnablePeer(peerLink)
-	after := sim.CatchmentMap(0, topo.Targets)
 
 	// The peer AS itself must now reach the prefix over its peering link.
 	peerAS := topo.Link(peerLink).Other(tb.Origin)
 	if ri := sim.BestRoute(0, peerAS); ri == nil || ri.Link != peerLink {
 		t.Errorf("peer AS %d does not use its peering link (route %+v)", peerAS, ri)
 	}
-
-	d.DisablePeer(peerLink)
-	restored := sim.CatchmentMap(0, topo.Targets)
-	if len(restored) != len(before) {
-		t.Fatalf("catchment size changed after peer disable: %d vs %d", len(restored), len(before))
-	}
-	for asn, link := range before {
-		if restored[asn] != link {
-			t.Fatalf("catchment for AS%d not restored after peer disable", asn)
-		}
-	}
-	_ = after
 }
 
 func TestNewErrors(t *testing.T) {
